@@ -1,0 +1,142 @@
+"""Golden digests of the report bytes.
+
+Each case runs one CLI command in process and compares the sha256 of its
+stdout with a digest recorded from a known-good build. A refactor that
+claims to keep behaviour must leave every digest unchanged; a change that
+moves one on purpose records the new digest once and says why. Never
+regenerate these to make a failing run pass.
+"""
+
+import hashlib
+
+import pytest
+
+from cctrig.cli import main
+
+ARCCOSH_2 = "1.3169578969248168"
+HALF_PI = "1.5707963267948966"
+_SEED = ("--seed", "42")
+
+#: README `solve` examples, in every output format
+_README_SOLVES = {
+    "hyp_sss": ("solve", "--geometry", "hyperbolic", "--mode", "sss",
+                ARCCOSH_2, ARCCOSH_2, ARCCOSH_2),
+    "euc_sas": ("solve", "--geometry", "euclidean", "--mode", "sas",
+                "3", HALF_PI, "4"),
+}
+#: curved SAS/ASA/AAA solves, which no verify suite reaches
+_CURVED_SOLVES = {
+    "sph_sas": ("spherical", "sas", "1", ("0.7", "1.1", "1.2")),
+    "sph_asa": ("spherical", "asa", "1", ("1.0", "0.8", "1.3")),
+    "sph_aaa": ("spherical", "aaa", "2", ("1.2", "1.1", "1.0")),
+    "hyp_sas": ("hyperbolic", "sas", "2.5", ("2.0", "0.4", "3.5")),
+    "hyp_asa": ("hyperbolic", "asa", "1", ("0.3", "1.5", "0.4")),
+    "hyp_asa_long": ("hyperbolic", "asa", "1", ("0.05", "4.0", "0.05")),
+    "hyp_aaa": ("hyperbolic", "aaa", "0.5", ("0.5", "0.7", "0.9")),
+}
+#: suites whose per-k report is pinned; cevians draws radii in absolute
+#: units and fails away from k = 1, so only `verify all` at k = 1 pins it
+_SCALED_SUITES = ("spherical", "hyperbolic", "euclidean", "sphere-model",
+                  "horosphere", "prism", "substitution", "limits")
+
+
+def _cases():
+    cases = {"verify_all_1000_json": ("verify", "all", "--samples", "1000",
+                                      *_SEED, "--format", "json")}
+    for suite in _SCALED_SUITES:
+        for k in ("0.5", "10"):
+            cases[f"verify_{suite}_k{k}_csv"] = (
+                "verify", suite, "--samples", "200", *_SEED,
+                "--curvature-scale", k, "--format", "csv")
+    for name, argv in _README_SOLVES.items():
+        for fmt in ("json", "csv", "human"):
+            cases[f"solve_{name}_{fmt}"] = (*argv, "--format", fmt)
+    for name, (geometry, mode, k, values) in _CURVED_SOLVES.items():
+        cases[f"solve_{name}_json"] = ("solve", "--geometry", geometry,
+                                       "--mode", mode, "--curvature-scale", k,
+                                       "--format", "json", *values)
+    cases["parallelism_k0.5"] = ("parallelism", "0", "40", "81",
+                                 "--curvature-scale", "0.5")
+    return cases
+
+
+CASES = _cases()
+
+DIGESTS = {
+    "verify_all_1000_json":
+        "1afc06b3dd4bf75c888a2b0b827c788213776faf16ab30f8de72117327fadf13",
+    "verify_spherical_k0.5_csv":
+        "ba70a767676f9da44b696cc6a03a8b0299468967d5f1b46a773bb14368863371",
+    "verify_spherical_k10_csv":
+        "9f5483850e1a491875556b8ffc888d0e59d1d417e159eee31ab687607e8c1513",
+    "verify_hyperbolic_k0.5_csv":
+        "c87b5f0644d25decf4372b05f5c76eda5edb1187539b5b6efdbfde78016e8aac",
+    "verify_hyperbolic_k10_csv":
+        "f19d36981390fb3b8b4729921594a03f7446f270b3b91dc7a151acd39135c8be",
+    "verify_euclidean_k0.5_csv":
+        "5aceeff9f736373ec2c9688d617b701ff128104633b8e320c13e738fd64e5140",
+    "verify_euclidean_k10_csv":
+        "5aceeff9f736373ec2c9688d617b701ff128104633b8e320c13e738fd64e5140",
+    "verify_sphere-model_k0.5_csv":
+        "414b0b50474ffe27915485d40d5c8f8adf3e958d96ab7863ed4c70c80c165a2a",
+    "verify_sphere-model_k10_csv":
+        "e6c3049130f2b4281fd231cb98f83d5d1cf4d449fbfe6a08192172ed80d622aa",
+    "verify_horosphere_k0.5_csv":
+        "26d43007a6d681d3e191bccadad87c836f0730d498816324c9daec0bc1e9e757",
+    "verify_horosphere_k10_csv":
+        "e55b11a985a6d220bc3b973fe271a059223cf8ce25f7dd66feed19ce47039d5a",
+    "verify_prism_k0.5_csv":
+        "f9024db2ad346a556ce7b46aef2cdb4a5daf3d1b679ad7924f4d209b74d12966",
+    "verify_prism_k10_csv":
+        "ddebebd555d64deacbe6abd5b659d395bcce60540197ef5db7558dab28f4915a",
+    "verify_substitution_k0.5_csv":
+        "50defe34851fddc0a893159a9142d98bfc098a5de5776f9e42edf9ae9ce68ade",
+    "verify_substitution_k10_csv":
+        "dab571c0979710b0f0fe358953b97adaea54ef71033d3ead1f914118c6a9b903",
+    "verify_limits_k0.5_csv":
+        "cd6f520a5a54e6caf7728eba692f4b4562bfcb3a6f1fad3d2bff83dcd0473cd0",
+    "verify_limits_k10_csv":
+        "5e9215bd847985c29ed6e19fc953501ff543a3ad9feea17e81860029ed4b0b26",
+    "solve_hyp_sss_json":
+        "f9cd9328524b1adfc0fd5885cf8cd4398cc0fa376e282728c8d2ec59f089e7dc",
+    "solve_hyp_sss_csv":
+        "aac8c40b2654fe08f32e3678b53f76e12fb944715ff022e18d9a65975981d7f9",
+    "solve_hyp_sss_human":
+        "66c1ce50731eaa697030a650af2a600dbfce1abeba3481d1bc38edb27947c31e",
+    "solve_euc_sas_json":
+        "ceff96e0fbe10e17b7a3af5636d3cc717c3a9a38e68405e081b12b307966fc3c",
+    "solve_euc_sas_csv":
+        "c16b2810d3da1d3319705562352095edd34ce01af00dce7876910a7bea11721a",
+    "solve_euc_sas_human":
+        "4bed84796c49119fffba4a2739323cd4db30a87d7f582992137847a6a61baa00",
+    "solve_sph_sas_json":
+        "f92105b03d7d75009213301fdfa508148539eb187af071948429007552817b32",
+    "solve_sph_asa_json":
+        "130f2af9a50747bee39653fa443ab56a73a4c1efeb0693537c1ee83078cefa48",
+    "solve_sph_aaa_json":
+        "626e9f37d3d6fafd7aaa5fa6ddbe194b1385513ff5c17b2e0f2fb12fd714058a",
+    "solve_hyp_sas_json":
+        "35634d4eba4a84a111b4394c7aca832ded79a59239a14a266fe6e18a93728836",
+    "solve_hyp_asa_json":
+        "d8b0f5f43c56dd4e4088b02b61f7aea4bbf394dae4ab59a673ae418b7ec6bb79",
+    "solve_hyp_asa_long_json":
+        "d293befc5c6b37cc5ca1cc447cd648231447c7d4524e31a3b11ff6aba874a199",
+    "solve_hyp_aaa_json":
+        "a50e250862c50c9a042c3ee26a5bbb2d6103de9aee109783952a0b5a85a288a8",
+    "parallelism_k0.5":
+        "ab45a2d7cb4f493492bad7d9b4b31c8b90015742826f37daf7d17f311c50e48c",
+}
+
+
+def _stdout_digest(capsys, argv) -> str:
+    main(list(argv))
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_report_bytes_match_the_golden_digest(capsys, name):
+    assert _stdout_digest(capsys, CASES[name]) == DIGESTS[name]
+
+
+def test_every_case_has_a_digest():
+    assert set(DIGESTS) == set(CASES)
