@@ -50,35 +50,3 @@ from .suites import SUITE_NAMES, run_suite
 from .triangle import TriangleData, angle_excess
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CevianConfig", "cevian_feet", "cevian_residual",
-    "euclidean_cevian_residual", "hyperbolic_cevian_conjecture_residual",
-    "perturbed_residual", "sample_cevian_config", "spherical_cevian_residual",
-    "SUBSTITUTION_RELATIONS", "ComplexResidual", "LimitFit",
-    "RescalingReport", "euclidean_limit_slope",
-    "imaginary_substitution_residual", "imaginary_substitution_residuals",
-    "rescaling_check",
-    "Curvature", "GeometryKind",
-    "DegenerateError", "DomainError", "GeometryError", "InfeasibleError",
-    "SamplingError", "SimilarityError",
-    "GeodesicSphere", "geodesic_sphere_triangle", "intrinsic_arc_length",
-    "ambient_polyline_length", "horosphere_triangle", "intrinsic_distance",
-    "Model", "ModelPoint", "Ray", "asymptotic_ray", "geodesic_point",
-    "half_space_to_hyperboloid", "hyperboloid_to_half_space",
-    "ideal_direction", "model_angle", "model_distance", "tangent_angle",
-    "tangent_toward",
-    "cos_parallelism", "inverse_parallelism", "parallelism_angle",
-    "sin_parallelism", "tan_parallelism",
-    "PrismFigure", "build_prism", "replay_residuals",
-    "RelationResidual", "euclidean_residuals", "hyperbolic_residuals",
-    "spherical_residuals", "spherical_right_residuals",
-    "CSV_HEADER", "CheckRow", "MAX_BELOW", "MIN_ABOVE", "RECORDED",
-    "ResidualReport", "SuiteConfig", "make_row", "render",
-    "to_csv", "to_human", "to_json",
-    "sample_right_triangle", "sample_stream", "sample_triangle",
-    "solve_from_aaa", "solve_from_asa", "solve_from_sas", "solve_from_sss",
-    "SUITE_NAMES", "run_suite",
-    "TriangleData", "angle_excess",
-    "__version__",
-]

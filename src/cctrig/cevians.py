@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import Curvature, GeometryKind
+from .curvature import CURVED_TRIG, Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError
-from .models import (Model, ModelPoint, geodesic_point, model_distance,
-                     tangent_toward)
+from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint,
+                     _cross3, geodesic_point, model_distance, tangent_toward)
 from .sampling import sample_stream
 
 #: Relative floor below which O is considered to lie on a side or vertex.
@@ -36,13 +36,6 @@ DEGENERACY_TOL = 1e-12
 #: Allowed violation of "foot lies between the side's endpoints",
 #: relative to the side length.
 BETWEENNESS_TOL = 1e-9
-
-_MODEL_FOR_KIND = {
-    GeometryKind.EUCLIDEAN: Model.PLANE,
-    GeometryKind.SPHERICAL: Model.SPHERE,
-    GeometryKind.HYPERBOLIC: Model.HYPERBOLOID,
-}
-
 
 @dataclass(frozen=True)
 class CevianConfig:
@@ -72,12 +65,6 @@ def _euler_form(ratios: tuple[float, float, float]) -> float:
     return ra * rb * rc - (ra + rb + rc + 2.0)
 
 
-def _cross(u, v) -> tuple[float, float, float]:
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _triple(u, v, w) -> float:
     return math.fsum((u[0] * (v[1] * w[2] - v[2] * w[1]),
                       -u[1] * (v[0] * w[2] - v[2] * w[0]),
@@ -97,7 +84,7 @@ def _section_ratio(geometry: Curvature, vertex_arc: float, foot_arc: float) -> f
 
 
 def _check_points(geometry: Curvature, points: tuple[ModelPoint, ...]) -> None:
-    expected = _MODEL_FOR_KIND[geometry.kind]
+    expected = MODEL_FOR_KIND[geometry.kind]
     dim = 2 if expected is Model.PLANE else 3
     for p in points:
         if p.model is not expected:
@@ -134,9 +121,9 @@ def _curved_foot(geometry: Curvature, vertex, through, seg_start, seg_end) -> Mo
     double cross product below; sheet (or hemisphere-arc) selection
     happens in the caller.
     """
-    n1 = _cross(vertex, through)
-    n2 = _cross(seg_start, seg_end)
-    u = _cross(n1, n2)
+    n1 = _cross3(vertex, through)
+    n2 = _cross3(seg_start, seg_end)
+    u = _cross3(n1, n2)
     k = geometry.k
     if geometry.kind is GeometryKind.SPHERICAL:
         norm = math.sqrt(math.fsum(c * c for c in u))
@@ -299,7 +286,11 @@ def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
     """
     g = sample_stream(seed, index)
     k = geometry.k
-    kind = geometry.kind
+    flat = geometry.kind is GeometryKind.EUCLIDEAN
+    model = MODEL_FOR_KIND[geometry.kind]
+    if not flat:
+        sn, cs, _ = CURVED_TRIG[geometry.kind]
+        dot = CURVED_METRIC[model][0]
     for _ in range(attempts):
         radii = g.uniform(0.15 * max_side, 0.5 * max_side, size=3)
         theta0 = g.uniform(0.0, 2.0 * math.pi)
@@ -308,32 +299,23 @@ def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
         points = []
         for r, th in zip(radii, angles):
             x, y = r * math.cos(th), r * math.sin(th)
-            if kind is GeometryKind.EUCLIDEAN:
+            if flat:
                 points.append(ModelPoint.plane(x, y))
-            elif kind is GeometryKind.SPHERICAL:
-                rho = math.hypot(x, y)
-                s = math.sin(rho / k) * k / rho
-                points.append(ModelPoint(Model.SPHERE,
-                                         (k * math.cos(rho / k), s * x, s * y), k))
             else:
+                # exponential map at the model's reference point
                 rho = math.hypot(x, y)
-                s = math.sinh(rho / k) * k / rho
-                points.append(ModelPoint(Model.HYPERBOLOID,
-                                         (k * math.cosh(rho / k), s * x, s * y), k))
+                s = sn(rho / k) * k / rho
+                points.append(ModelPoint(model, (k * cs(rho / k), s * x, s * y), k))
         wts = g.uniform(0.15, 1.0, size=3)
         wts = wts / wts.sum()
-        if kind is GeometryKind.EUCLIDEAN:
+        if flat:
             ox = sum(w * p.coords[0] for w, p in zip(wts, points))
             oy = sum(w * p.coords[1] for w, p in zip(wts, points))
             interior = ModelPoint.plane(ox, oy)
         else:
             mix = [math.fsum(w * p.coords[i] for w, p in zip(wts, points))
                    for i in range(3)]
-            if kind is GeometryKind.SPHERICAL:
-                n = math.sqrt(math.fsum(c * c for c in mix))
-            else:
-                n = math.sqrt(mix[0] * mix[0] - mix[1] * mix[1] - mix[2] * mix[2])
-            model = Model.SPHERE if kind is GeometryKind.SPHERICAL else Model.HYPERBOLOID
+            n = math.sqrt(dot(mix, mix))
             interior = ModelPoint(model, tuple(c * (k / n) for c in mix), k)
         a_pt, b_pt, c_pt = points
         try:

@@ -23,7 +23,7 @@ from .errors import (DegenerateError, DomainError, GeometryError,
 from .parallelism import parallelism_angle
 from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals)
-from .report import SuiteConfig, render
+from .report import SuiteConfig, _csv_cell, _f17, _json_scalar, render
 from .solvers import (solve_from_aaa, solve_from_asa, solve_from_sas,
                       solve_from_sss)
 from .suites import SUITE_NAMES, run_suite
@@ -41,10 +41,6 @@ _ERROR_KINDS = ((SimilarityError, "similarity", 3),
                 (InfeasibleError, "infeasible", 3),
                 (SamplingError, "sampling", 3),
                 (DomainError, "domain", 2))
-
-
-def _f17(x: float) -> str:
-    return "%.17g" % x
 
 
 def _geometry(name: str, scale: float) -> Curvature:
@@ -78,21 +74,16 @@ def _solve_fields(t: TriangleData, mode: str) -> list[tuple[str, object]]:
 
 def _solve_json(t: TriangleData, mode: str, residuals) -> str:
     parts = ['"schema": 1']
-    for name, value in _solve_fields(t, mode):
-        if isinstance(value, str):
-            parts.append(f'"{name}": "{value}"')
-        else:
-            parts.append(f'"{name}": {_f17(value)}')
-    inner = ", ".join(f'"{r.relation_id}": {_f17(r.residual)}' for r in residuals)
+    parts += [f'"{name}": {_json_scalar(value)}' for name, value in _solve_fields(t, mode)]
+    inner = ", ".join(f'"{r.relation_id}": {_json_scalar(r.residual)}' for r in residuals)
     parts.append(f'"residuals": {{{inner}}}')
     return "{" + ", ".join(parts) + "}"
 
 
 def _solve_csv(t: TriangleData, mode: str, residuals) -> str:
     lines = ["field,value"]
-    for name, value in _solve_fields(t, mode):
-        lines.append(f"{name},{value if isinstance(value, str) else _f17(value)}")
-    lines += [f"{r.relation_id},{_f17(r.residual)}" for r in residuals]
+    lines += [f"{name},{_csv_cell(value)}" for name, value in _solve_fields(t, mode)]
+    lines += [f"{r.relation_id},{_csv_cell(r.residual)}" for r in residuals]
     return "\n".join(lines)
 
 

@@ -30,13 +30,13 @@ import numpy as np
 
 from .curvature import Curvature, GeometryKind
 from .errors import DomainError
+from .relations import SPHERICAL_RELATIONS, general_spherical_system
 from .solvers import solve_from_sss
 from .triangle import TriangleData, angle_excess
 
 #: The general spherical relations that admit the imaginary-side
 #: substitution, keyed by the ids used by spherical_residuals.
-SUBSTITUTION_RELATIONS = ("sph_sine_law", "sph_side_cosine",
-                          "sph_cotangent", "sph_angle_cosine")
+SUBSTITUTION_RELATIONS = SPHERICAL_RELATIONS
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,11 @@ class LimitFit:
     """Log-log regression of angle excess against the scale factor.
 
     ``residual_norms`` holds |angle excess| per scale and drives the
-    slope fit; ``lawcos_norms`` holds the flat law-of-cosines residual
-    of the same triangles, a second witness that the geometry flattens.
+    slope fit.
     """
 
     scales: tuple[float, ...]
     residual_norms: tuple[float, ...]
-    lawcos_norms: tuple[float, ...]
     slope: float
 
     def __post_init__(self) -> None:
@@ -86,50 +84,36 @@ class RescalingReport:
     scale: float
     deviations: tuple[float, float, float]
     max_deviation: float
-    tolerance: float
-    ok: bool
 
 
-def imaginary_substitution_residual(relation_id: str, t: TriangleData) -> ComplexResidual:
-    """Evaluate one general spherical relation at sides i*a/k, i*b/k,
-    i*c/k with the triangle's real angles.
+def imaginary_substitution_residuals(t: TriangleData) -> list[ComplexResidual]:
+    """Evaluate the four general spherical relations at sides i*a/k,
+    i*b/k, i*c/k with the triangle's real angles.
 
-    The expressions mirror spherical_residuals term for term, with
-    complex trigonometry supplying sin(ix) = i sinh x and
+    This is the spherical system of spherical_residuals itself, handed
+    complex trigonometry, which supplies sin(ix) = i sinh x and
     cos(ix) = cosh x. On a hyperbolic triangle every relation collapses
     to a hyperbolic identity (for example the side-cosine relation
     becomes cos b = cosh a cosh c - sinh a sinh c cos B with an overall
     sign), so the residual sits at the rounding floor of the cosh-sized
     terms.
     """
-    if relation_id not in SUBSTITUTION_RELATIONS:
-        raise DomainError(
-            f"unknown substitution relation {relation_id!r}; "
-            f"expected one of {', '.join(SUBSTITUTION_RELATIONS)}")
     if t.geometry.kind is not GeometryKind.HYPERBOLIC:
         raise DomainError("imaginary-side substitution applies to hyperbolic triangles")
     t.validate()
     k = t.geometry.k
-    za, zb, zc = (1j * (t.a / k), 1j * (t.b / k), 1j * (t.c / k))
-    sinA, cosA = math.sin(t.A), math.cos(t.A)
-    sinB, cosB = math.sin(t.B), math.cos(t.B)
-    sinC, cosC = math.sin(t.C), math.cos(t.C)
-    if relation_id == "sph_sine_law":
-        value = cmath.sin(za) * sinB - cmath.sin(zb) * sinA
-    elif relation_id == "sph_side_cosine":
-        value = ((cmath.cos(zb) - cmath.cos(za) * cmath.cos(zc))
-                 - cmath.sin(za) * cmath.sin(zc) * cosB)
-    elif relation_id == "sph_cotangent":
-        value = (cmath.cos(za) / cmath.sin(za) * cmath.sin(zb)
-                 - (cosA / sinA * sinC + cmath.cos(zb) * cosC))
-    else:  # sph_angle_cosine
-        value = cmath.cos(za) * sinB * sinC - (cosB * cosC + cosA)
-    return ComplexResidual(relation_id, value)
+    values = general_spherical_system(1j * (t.a / k), 1j * (t.b / k), 1j * (t.c / k),
+                                      t, cmath.sin, cmath.cos)
+    return [ComplexResidual(rid, v) for rid, v in zip(SUBSTITUTION_RELATIONS, values)]
 
 
-def imaginary_substitution_residuals(t: TriangleData) -> list[ComplexResidual]:
-    """All four substitution residuals of a hyperbolic triangle."""
-    return [imaginary_substitution_residual(rid, t) for rid in SUBSTITUTION_RELATIONS]
+def imaginary_substitution_residual(relation_id: str, t: TriangleData) -> ComplexResidual:
+    """The substitution residual of one relation of SUBSTITUTION_RELATIONS."""
+    if relation_id not in SUBSTITUTION_RELATIONS:
+        raise DomainError(
+            f"unknown substitution relation {relation_id!r}; "
+            f"expected one of {', '.join(SUBSTITUTION_RELATIONS)}")
+    return imaginary_substitution_residuals(t)[SUBSTITUTION_RELATIONS.index(relation_id)]
 
 
 def euclidean_limit_slope(shape: TriangleData, scales) -> LimitFit:
@@ -160,19 +144,13 @@ def euclidean_limit_slope(shape: TriangleData, scales) -> LimitFit:
     if longest <= 0.0:
         raise DomainError("degenerate shape: nonpositive side")
     na, nb, nc = (s / longest for s in shape.sides())
-    excesses: list[float] = []
-    lawcos: list[float] = []
-    for s in eps:
-        t = solve_from_sss(geometry, s * na * k, s * nb * k, s * nc * k)
-        excesses.append(abs(angle_excess(t)))
-        a, b, c = t.sides()
-        lawcos.append(abs(a * a - (b * b + c * c - 2.0 * b * c * math.cos(t.A))))
+    excesses = [abs(angle_excess(solve_from_sss(geometry, s * na * k, s * nb * k, s * nc * k)))
+                 for s in eps]
     slope = float(np.polyfit(np.log(eps), np.log(excesses), 1)[0])
-    return LimitFit(tuple(eps), tuple(excesses), tuple(lawcos), slope)
+    return LimitFit(tuple(eps), tuple(excesses), slope)
 
 
-def rescaling_check(t: TriangleData, scale: float, *,
-                    tolerance: float = 1e-12) -> RescalingReport:
+def rescaling_check(t: TriangleData, scale: float) -> RescalingReport:
     """Verify solve_from_sss angles are invariant under
     (k, sides) -> (scale*k, scale*sides)."""
     if not (math.isfinite(scale) and scale > 0.0):
@@ -185,5 +163,4 @@ def rescaling_check(t: TriangleData, scale: float, *,
     scaled_geometry = Curvature(geometry.kind, scale * geometry.k)
     scaled = solve_from_sss(scaled_geometry, scale * t.a, scale * t.b, scale * t.c)
     deviations = (abs(scaled.A - base.A), abs(scaled.B - base.B), abs(scaled.C - base.C))
-    worst = max(deviations)
-    return RescalingReport(scale, deviations, worst, tolerance, worst <= tolerance)
+    return RescalingReport(scale, deviations, max(deviations))

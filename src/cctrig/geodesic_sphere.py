@@ -18,8 +18,9 @@ import numpy as np
 
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError
-from .models import (Model, ModelPoint, Ray, minkowski_dot, model_distance,
-                     tangent_angle, tangent_toward)
+from .models import (Model, ModelPoint, Ray, _spacelike_norm, minkowski_dot,
+                     model_distance, richardson_length, tangent_angle,
+                     tangent_toward)
 from .triangle import TriangleData
 
 # rays closer than this (or to pi minus this) give no usable triangle
@@ -93,9 +94,7 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
 
     The arc is traced in the plane spanned by the center tangents toward
     p and q; chord hops between consecutive trace points are summed at
-    three refinement levels and Richardson-extrapolated (the chord error
-    is an even power series in the step, so eliminating h^2 and h^4
-    leaves O(h^6)).
+    three refinement levels and Richardson-extrapolated.
     """
     k = sphere.center.k
     for x in (p, q):
@@ -110,7 +109,7 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
         raise DegenerateError("points are coincident or antipodal on the sphere")
     # tangent-metric Gram-Schmidt for the second frame vector
     w = _tangent_part(t2, e1)
-    n = math.sqrt(max(-minkowski_dot(w, w), 0.0))
+    n = _spacelike_norm(w)
     e2 = tuple(wi / n for wi in w)
 
     center = np.array(sphere.center.coords)
@@ -127,9 +126,4 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
         hops = 2.0 * k * np.arcsinh(0.5 * np.sqrt(np.maximum(msq, 0.0)) / k)
         return float(np.sum(hops))
 
-    l1 = polyline(base_segments)
-    l2 = polyline(2 * base_segments)
-    l3 = polyline(4 * base_segments)
-    r12 = (4.0 * l2 - l1) / 3.0
-    r23 = (4.0 * l3 - l2) / 3.0
-    return (16.0 * r23 - r12) / 15.0
+    return richardson_length(polyline, base_segments)

@@ -15,7 +15,7 @@ import math
 
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError
-from .models import ModelPoint, model_angle, model_distance
+from .models import ModelPoint, model_angle, model_distance, richardson_length
 from .triangle import TriangleData
 
 
@@ -75,9 +75,4 @@ def ambient_polyline_length(height: float, p, q, k: float = 1.0, *,
             prev = cur
         return math.fsum(hops)
 
-    l1 = polyline(base_segments)
-    l2 = polyline(2 * base_segments)
-    l3 = polyline(4 * base_segments)
-    r12 = (4.0 * l2 - l1) / 3.0
-    r23 = (4.0 * l3 - l2) / 3.0
-    return (16.0 * r23 - r12) / 15.0
+    return richardson_length(polyline, base_segments)

@@ -24,6 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .curvature import CURVED_TRIG, GeometryKind
 from .errors import DomainError
 
 
@@ -72,6 +73,33 @@ def _spacelike_norm(w) -> float:
     return math.sqrt(max(-minkowski_dot(w, w), 0.0))
 
 
+def richardson_length(polyline, base_segments: int) -> float:
+    """Extrapolate a polyline length to the limit curve from
+    polyline(n) at n = base_segments, 2n and 4n segments. The chord error
+    is an even power series in the step, so eliminating h^2 and h^4
+    leaves O(h^6)."""
+    l1 = polyline(base_segments)
+    l2 = polyline(2 * base_segments)
+    l3 = polyline(4 * base_segments)
+    r12 = (4.0 * l2 - l1) / 3.0
+    r23 = (4.0 * l3 - l2) / 3.0
+    return (16.0 * r23 - r12) / 15.0
+
+
+#: curved model -> (inner product, tangent-vector norm); see curvature.py
+#: for the sign convention the two share
+CURVED_METRIC = {
+    Model.SPHERE: (_edot, _enorm),
+    Model.HYPERBOLOID: (minkowski_dot, _spacelike_norm),
+}
+#: the model each geometry is measured on
+MODEL_FOR_KIND = {
+    GeometryKind.EUCLIDEAN: Model.PLANE,
+    GeometryKind.SPHERICAL: Model.SPHERE,
+    GeometryKind.HYPERBOLIC: Model.HYPERBOLOID,
+}
+
+
 @dataclass(frozen=True)
 class ModelPoint:
     """A point of one concrete model.
@@ -118,13 +146,13 @@ class ModelPoint:
     def plane(x: float, y: float) -> ModelPoint:
         return ModelPoint(Model.PLANE, (x, y), 1.0)
 
-    def constraint_defect(self) -> float:
-        """Relative defect of the model constraint; 0 for unconstrained models."""
-        if self.model is Model.SPHERE:
-            return abs(_enorm(self.coords) / self.k - 1.0)
-        if self.model is Model.HYPERBOLOID:
-            return abs(minkowski_dot(self.coords, self.coords) / (self.k * self.k) - 1.0)
-        return 0.0
+
+def _synthesized_point(model: Model, coords, k: float) -> ModelPoint:
+    """A point of a curved model from coordinates built on its surface:
+    sphere points are renormalized, hyperboloid points kept as built."""
+    if model is Model.SPHERE:
+        return ModelPoint.sphere(coords, k)
+    return ModelPoint(model, coords, k)
 
 
 def _same_chart(p: ModelPoint, q: ModelPoint, what: str) -> None:
@@ -150,28 +178,28 @@ def model_distance(p: ModelPoint, q: ModelPoint) -> float:
     return 2.0 * k * math.asinh(0.5 * chord / math.sqrt(p.coords[2] * q.coords[2]))
 
 
+def _unit_tangent(p: ModelPoint, v, failure: str) -> tuple[float, ...]:
+    """The tangent part of v at a curved-model point p, normalized."""
+    dot, norm = CURVED_METRIC[p.model]
+    w = _sub(v, _scale(p.coords, dot(p.coords, v) / (p.k * p.k)))
+    n = norm(w)
+    if n == 0.0:
+        raise DomainError(failure)
+    return _scale(w, 1.0 / n)
+
+
 def tangent_toward(p: ModelPoint, q: ModelPoint) -> tuple[float, ...]:
     """Unit initial tangent at p of the geodesic running to q."""
     _same_chart(p, q, "tangent_toward")
-    k = p.k
     if p.model is Model.PLANE:
         w = _sub(q.coords, p.coords)
         n = _enorm(w)
         if n == 0.0:
             raise DomainError("tangent_toward needs distinct points")
         return _scale(w, 1.0 / n)
-    if p.model is Model.SPHERE:
-        w = _sub(q.coords, _scale(p.coords, _edot(p.coords, q.coords) / (k * k)))
-        n = _enorm(w)
-        if n == 0.0:
-            raise DomainError("tangent_toward is undefined for equal or antipodal points")
-        return _scale(w, 1.0 / n)
-    if p.model is Model.HYPERBOLOID:
-        w = _sub(q.coords, _scale(p.coords, minkowski_dot(p.coords, q.coords) / (k * k)))
-        n = _spacelike_norm(w)
-        if n == 0.0:
-            raise DomainError("tangent_toward needs distinct points")
-        return _scale(w, 1.0 / n)
+    if p.model in CURVED_METRIC:
+        return _unit_tangent(p, q.coords,
+                             "tangent_toward is undefined for equal or antipodal points")
     return _half_space_tangent(p, q)
 
 
@@ -200,20 +228,15 @@ def _half_space_tangent(p: ModelPoint, q: ModelPoint) -> tuple[float, float, flo
 
 def tangent_angle(p: ModelPoint, u, v) -> float:
     """Angle between two tangent vectors at p, in the model metric."""
-    if p.model in (Model.PLANE, Model.SPHERE, Model.HALF_SPACE):
-        # Euclidean tangent metric (the half-space chart is conformal)
-        nu, nv = _enorm(u), _enorm(v)
-        if nu == 0.0 or nv == 0.0:
-            raise DomainError("tangent_angle needs nonzero tangents")
-        uu = _scale(u, 1.0 / nu)
-        vv = _scale(v, 1.0 / nv)
-        return 2.0 * math.atan2(_enorm(_sub(uu, vv)), _enorm(_add(uu, vv)))
-    nu, nv = _spacelike_norm(u), _spacelike_norm(v)
+    # every tangent metric but the hyperboloid's is Euclidean (the
+    # half-space chart is conformal)
+    norm = _spacelike_norm if p.model is Model.HYPERBOLOID else _enorm
+    nu, nv = norm(u), norm(v)
     if nu == 0.0 or nv == 0.0:
-        raise DomainError("tangent_angle needs nonzero spacelike tangents")
+        raise DomainError("tangent_angle needs nonzero tangents")
     uu = _scale(u, 1.0 / nu)
     vv = _scale(v, 1.0 / nv)
-    return 2.0 * math.atan2(_spacelike_norm(_sub(uu, vv)), _spacelike_norm(_add(uu, vv)))
+    return 2.0 * math.atan2(norm(_sub(uu, vv)), norm(_add(uu, vv)))
 
 
 def model_angle(at: ModelPoint, toward1: ModelPoint, toward2: ModelPoint) -> float:
@@ -228,13 +251,12 @@ def geodesic_point(p: ModelPoint, direction, t: float) -> ModelPoint:
     k = p.k
     if p.model is Model.PLANE:
         return ModelPoint.plane(*_add(p.coords, _scale(direction, t)))
-    if p.model is Model.SPHERE:
-        c, s = math.cos(t / k), math.sin(t / k)
-        return ModelPoint.sphere(_add(_scale(p.coords, c), _scale(direction, k * s)), k)
-    if p.model is Model.HYPERBOLOID:
-        c, s = math.cosh(t / k), math.sinh(t / k)
-        # on-sheet by construction; renormalizing would add noise, not remove it
-        return ModelPoint(Model.HYPERBOLOID, _add(_scale(p.coords, c), _scale(direction, k * s)), k)
+    if p.model in CURVED_METRIC:
+        kind = GeometryKind.SPHERICAL if p.model is Model.SPHERE else GeometryKind.HYPERBOLIC
+        sn, cs, _ = CURVED_TRIG[kind]
+        c, s = cs(t / k), sn(t / k)
+        return _synthesized_point(
+            p.model, _add(_scale(p.coords, c), _scale(direction, k * s)), k)
     raise DomainError("geodesic flow is not offered in the half-space chart")
 
 
@@ -255,19 +277,9 @@ class Ray:
             if n == 0.0:
                 raise DomainError("ray direction must be nonzero")
             return Ray(base, _scale(tuple(direction), 1.0 / n))
-        if base.model is Model.SPHERE:
-            w = _sub(direction, _scale(base.coords, _edot(base.coords, direction) / (k * k)))
-            n = _enorm(w)
-            if n == 0.0:
-                raise DomainError("ray direction is radial; no tangent component")
-            return Ray(base, _scale(w, 1.0 / n))
-        if base.model is Model.HYPERBOLOID:
-            w = _sub(direction,
-                     _scale(base.coords, minkowski_dot(base.coords, direction) / (k * k)))
-            n = _spacelike_norm(w)
-            if n == 0.0:
-                raise DomainError("ray direction has no spacelike tangent component")
-            return Ray(base, _scale(w, 1.0 / n))
+        if base.model in CURVED_METRIC:
+            return Ray(base, _unit_tangent(base, direction,
+                                           "ray direction has no tangent component"))
         n = _enorm(direction)
         if n == 0.0:
             raise DomainError("ray direction must be nonzero")

@@ -29,6 +29,13 @@ def _require_hyperbolic(curv: Curvature) -> None:
                           f"got {curv.kind.value}")
 
 
+def _require_length(p: float, curv: Curvature, allow_zero: bool = True) -> None:
+    _require_hyperbolic(curv)
+    if not (math.isfinite(p) and (p >= 0.0 if allow_zero else p > 0.0)):
+        bound = ">=" if allow_zero else ">"
+        raise DomainError(f"perpendicular length must be finite and {bound} 0, got {p}")
+
+
 def parallelism_angle(p: float, curv: Curvature) -> float:
     """PI(p) in radians, in (0, pi/2].
 
@@ -36,9 +43,7 @@ def parallelism_angle(p: float, curv: Curvature) -> float:
     the acute branch, but it keeps full relative accuracy for small
     angles and survives p/k past the overflow point of cosh.
     """
-    _require_hyperbolic(curv)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise DomainError(f"perpendicular length must be finite and >= 0, got {p}")
+    _require_length(p, curv)
     if p == 0.0:
         return HALF_PI
     return 2.0 * math.atan(math.exp(-p / curv.k))
@@ -62,23 +67,17 @@ def inverse_parallelism(angle: float, curv: Curvature) -> float:
 
 def sin_parallelism(p: float, curv: Curvature) -> float:
     """sin PI(p) = 1/cosh(p/k), computed without the angle."""
-    _require_hyperbolic(curv)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise DomainError(f"perpendicular length must be finite and >= 0, got {p}")
+    _require_length(p, curv)
     return 1.0 / math.cosh(p / curv.k)
 
 
 def cos_parallelism(p: float, curv: Curvature) -> float:
     """cos PI(p) = tanh(p/k), computed without the angle."""
-    _require_hyperbolic(curv)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise DomainError(f"perpendicular length must be finite and >= 0, got {p}")
+    _require_length(p, curv)
     return math.tanh(p / curv.k)
 
 
 def tan_parallelism(p: float, curv: Curvature) -> float:
     """tan PI(p) = 1/sinh(p/k); undefined at p = 0."""
-    _require_hyperbolic(curv)
-    if not (math.isfinite(p) and p > 0.0):
-        raise DomainError(f"perpendicular length must be finite and > 0, got {p}")
+    _require_length(p, curv, allow_zero=False)
     return 1.0 / math.sinh(p / curv.k)

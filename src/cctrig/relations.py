@@ -43,32 +43,41 @@ def _check_kind(t: TriangleData, kind: GeometryKind, what: str) -> None:
         raise DomainError(f"{what} needs {kind.value} geometry, got {t.geometry.kind.value}")
 
 
-def spherical_residuals(t: TriangleData) -> list[RelationResidual]:
-    """Residuals of the general spherical system:
+#: ids of the general spherical relations, in the order
+#: general_spherical_system returns them
+SPHERICAL_RELATIONS = ("sph_sine_law", "sph_side_cosine",
+                       "sph_cotangent", "sph_angle_cosine")
+
+
+def general_spherical_system(a, b, c, t: TriangleData, sin, cos) -> tuple:
+    """The four general spherical relations, each moved to one side,
+    at sides a, b, c (in units of k) and the real angles of t:
 
         sin a sin B = sin b sin A
         cos b       = cos a cos c + sin a sin c cos B
         cot a sin b = cot A sin C + cos b cos C
         cos a sin B sin C = cos B cos C + cos A
+
+    The side functions sin and cos are passed in: math.sin/math.cos at
+    real sides give the spherical residuals, cmath.sin/cmath.cos at the
+    imaginary sides i a/k give the imaginary-side substitution.
     """
-    _check_kind(t, GeometryKind.SPHERICAL, "spherical_residuals")
-    t.validate()
-    k = t.geometry.k
-    a, b, c = t.a / k, t.b / k, t.c / k
     sinA, cosA = math.sin(t.A), math.cos(t.A)
     sinB, cosB = math.sin(t.B), math.cos(t.B)
     sinC, cosC = math.sin(t.C), math.cos(t.C)
-    return [
-        RelationResidual("sph_sine_law", math.sin(a) * sinB - math.sin(b) * sinA),
-        RelationResidual("sph_side_cosine",
-                         (math.cos(b) - math.cos(a) * math.cos(c))
-                         - math.sin(a) * math.sin(c) * cosB),
-        RelationResidual("sph_cotangent",
-                         math.cos(a) / math.sin(a) * math.sin(b)
-                         - (cosA / sinA * sinC + math.cos(b) * cosC)),
-        RelationResidual("sph_angle_cosine",
-                         math.cos(a) * sinB * sinC - (cosB * cosC + cosA)),
-    ]
+    return (sin(a) * sinB - sin(b) * sinA,
+            (cos(b) - cos(a) * cos(c)) - sin(a) * sin(c) * cosB,
+            cos(a) / sin(a) * sin(b) - (cosA / sinA * sinC + cos(b) * cosC),
+            cos(a) * sinB * sinC - (cosB * cosC + cosA))
+
+
+def spherical_residuals(t: TriangleData) -> list[RelationResidual]:
+    """Residuals of the general spherical system (general_spherical_system)."""
+    _check_kind(t, GeometryKind.SPHERICAL, "spherical_residuals")
+    t.validate()
+    k = t.geometry.k
+    values = general_spherical_system(t.a / k, t.b / k, t.c / k, t, math.sin, math.cos)
+    return [RelationResidual(rid, v) for rid, v in zip(SPHERICAL_RELATIONS, values)]
 
 
 def spherical_right_residuals(t: TriangleData,

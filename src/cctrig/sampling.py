@@ -21,9 +21,10 @@ import math
 
 import numpy as np
 
-from .curvature import Curvature, GeometryKind
+from .curvature import CURVED_TRIG, Curvature, GeometryKind
 from .errors import DomainError, SamplingError
-from .models import Model, ModelPoint, model_angle, model_distance
+from .models import (MODEL_FOR_KIND, ModelPoint, _synthesized_point,
+                     model_angle, model_distance)
 from .triangle import TriangleData
 
 DEFAULT_MIN_ANGLE = 1e-3
@@ -66,10 +67,8 @@ def sample_triangle(geometry: Curvature, seed: int, index: int = 0, *,
     kind = geometry.kind
     if kind is GeometryKind.EUCLIDEAN:
         t = _sample_flat(g, geometry, min_angle, max_side, min_side, attempts)
-    elif kind is GeometryKind.HYPERBOLIC:
-        t = _sample_hyperbolic(g, geometry, min_angle, max_side, min_side, attempts)
     else:
-        t = _sample_spherical(g, geometry, min_angle, max_side, min_side, attempts)
+        t = _sample_curved(g, geometry, min_angle, max_side, min_side, attempts)
     return t.validate()
 
 
@@ -94,58 +93,15 @@ def _sample_flat(g, geometry, min_angle, max_side, min_side, attempts):
     raise SamplingError(f"no flat triangle accepted in {attempts} attempts")
 
 
-def _sample_hyperbolic(g, geometry, min_angle, max_side, min_side, attempts):
+def _sample_curved(g, geometry, min_angle, max_side, min_side, attempts):
     k = geometry.k
-    sh, ch = math.sinh, math.cosh
-    for _ in range(attempts):
-        b = _draw(g, min_side, max_side)
-        c = _draw(g, min_side, max_side)
-        A = _draw(g, min_angle, math.pi - min_angle)
-        s2 = math.sin(0.5 * A) ** 2
-        sinA = math.sin(A)
-
-        # every frame puts its own vertex at this origin
-        origin = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0), k)
-
-        # B and C as seen from A (B down the x-axis, C at angle A)
-        pb = ModelPoint(Model.HYPERBOLOID, (k * ch(c), k * sh(c), 0.0), k)
-        pc = ModelPoint(Model.HYPERBOLOID,
-                        (k * ch(b), k * sh(b) * math.cos(A), k * sh(b) * math.sin(A)), k)
-
-        # A and B as seen from C (A down the x-axis); the far vertex B
-        # lands on two-term coordinates free of cancellation
-        qa = ModelPoint(Model.HYPERBOLOID, (k * ch(b), k * sh(b), 0.0), k)
-        qb = ModelPoint(Model.HYPERBOLOID,
-                        (k * (ch(b - c) + 2.0 * sh(b) * sh(c) * s2),
-                         k * (sh(b - c) + 2.0 * ch(b) * sh(c) * s2),
-                         k * sh(c) * sinA), k)
-
-        # A and C as seen from B (A down the x-axis)
-        ra = ModelPoint(Model.HYPERBOLOID, (k * ch(c), k * sh(c), 0.0), k)
-        rc = ModelPoint(Model.HYPERBOLOID,
-                        (k * (ch(c - b) + 2.0 * sh(c) * sh(b) * s2),
-                         k * (sh(c - b) + 2.0 * ch(c) * sh(b) * s2),
-                         k * sh(b) * sinA), k)
-
-        a_m = model_distance(origin, qb)
-        if a_m > max_side * k or a_m < 1e-12 * k:
-            continue
-        angA = model_angle(origin, pb, pc)
-        angB = model_angle(origin, ra, rc)
-        angC = model_angle(origin, qa, qb)
-        if min(angA, angB, angC) < min_angle:
-            continue
-        return TriangleData(a_m, model_distance(origin, pc), model_distance(origin, pb),
-                            angA, angB, angC, geometry)
-    raise SamplingError(f"no hyperbolic triangle accepted in {attempts} attempts")
-
-
-def _sample_spherical(g, geometry, min_angle, max_side, min_side, attempts):
-    k = geometry.k
-    cap = min(max_side, SPHERE_SIDE_CAP)
+    sn, cs, eps = CURVED_TRIG[geometry.kind]
+    model = MODEL_FOR_KIND[geometry.kind]
+    cap = min(max_side, SPHERE_SIDE_CAP) if eps > 0.0 else max_side
     if min_side >= cap:
         raise DomainError(f"min_side {min_side} leaves no room under the spherical cap {cap}")
-    sn, cs = math.sin, math.cos
+    # every frame puts its own vertex at this origin
+    origin = _synthesized_point(model, (k, 0.0, 0.0), k)
     for _ in range(attempts):
         b = _draw(g, min_side, cap)
         c = _draw(g, min_side, cap)
@@ -153,32 +109,35 @@ def _sample_spherical(g, geometry, min_angle, max_side, min_side, attempts):
         s2 = math.sin(0.5 * A) ** 2
         sinA = math.sin(A)
 
-        # same per-frame synthesis as the hyperbolic sampler, circular form
-        origin = ModelPoint.sphere((k, 0.0, 0.0), k)
-        pb = ModelPoint.sphere((k * cs(c), k * sn(c), 0.0), k)
-        pc = ModelPoint.sphere((k * cs(b), k * sn(b) * cs(A), k * sn(b) * sn(A)), k)
+        # B and C as seen from A (B down the x-axis, C at angle A); A as
+        # seen from B lands on the same coordinates as B seen from A
+        pb = _synthesized_point(model, (k * cs(c), k * sn(c), 0.0), k)
+        pc = _synthesized_point(
+            model, (k * cs(b), k * sn(b) * math.cos(A), k * sn(b) * sinA), k)
 
-        qa = ModelPoint.sphere((k * cs(b), k * sn(b), 0.0), k)
-        qb = ModelPoint.sphere((k * (cs(b - c) - 2.0 * sn(b) * sn(c) * s2),
-                                k * (sn(b - c) + 2.0 * cs(b) * sn(c) * s2),
-                                k * sn(c) * sinA), k)
+        # A and B as seen from C (A down the x-axis); the far vertex B
+        # lands on two-term coordinates free of cancellation
+        qa = _synthesized_point(model, (k * cs(b), k * sn(b), 0.0), k)
+        qb = _synthesized_point(model, (k * (cs(b - c) - eps * 2.0 * sn(b) * sn(c) * s2),
+                                        k * (sn(b - c) + 2.0 * cs(b) * sn(c) * s2),
+                                        k * sn(c) * sinA), k)
 
-        ra = ModelPoint.sphere((k * cs(c), k * sn(c), 0.0), k)
-        rc = ModelPoint.sphere((k * (cs(c - b) - 2.0 * sn(c) * sn(b) * s2),
-                                k * (sn(c - b) + 2.0 * cs(c) * sn(b) * s2),
-                                k * sn(b) * sinA), k)
+        # C as seen from B (A down the x-axis)
+        rc = _synthesized_point(model, (k * (cs(c - b) - eps * 2.0 * sn(c) * sn(b) * s2),
+                                        k * (sn(c - b) + 2.0 * cs(c) * sn(b) * s2),
+                                        k * sn(b) * sinA), k)
 
         a_m = model_distance(origin, qb)
         if a_m > cap * k or a_m < 1e-12 * k:
             continue
         angA = model_angle(origin, pb, pc)
-        angB = model_angle(origin, ra, rc)
+        angB = model_angle(origin, pb, rc)
         angC = model_angle(origin, qa, qb)
         if min(angA, angB, angC) < min_angle:
             continue
         return TriangleData(a_m, model_distance(origin, pc), model_distance(origin, pb),
                             angA, angB, angC, geometry)
-    raise SamplingError(f"no spherical triangle accepted in {attempts} attempts")
+    raise SamplingError(f"no {geometry.kind.value} triangle accepted in {attempts} attempts")
 
 
 def sample_right_triangle(geometry: Curvature, seed: int, index: int = 0, *,
@@ -205,17 +164,14 @@ def sample_right_triangle(geometry: Curvature, seed: int, index: int = 0, *,
     g = sample_stream(seed, index)
     a = _draw(g, min_leg, max_leg)
     b = _draw(g, min_leg, max_leg)
-    if kind is GeometryKind.HYPERBOLIC:
-        sha, shb = math.sinh(a), math.sinh(b)
-        # expansion of cosh^2 a cosh^2 b - 1 with no cancellation
-        c = math.asinh(math.sqrt(sha * sha + shb * shb + sha * sha * shb * shb))
-        A = math.atan2(math.tanh(a), shb)
-        B = math.atan2(math.tanh(b), sha)
+    sn, cs, eps = CURVED_TRIG[kind]
+    sa, sb = sn(a), sn(b)
+    # sn(c) from cs(c) = cs(a) cs(b), expanded with no cancellation
+    sc = math.sqrt(sa * sa + sb * sb - eps * sa * sa * sb * sb)
+    if eps < 0.0:
+        c, tn = math.asinh(sc), math.tanh
     else:
-        sa, sb = math.sin(a), math.sin(b)
-        # expansion of 1 - cos^2 a cos^2 b with no cancellation
-        sc = math.sqrt(sa * sa + sb * sb - sa * sa * sb * sb)
-        c = math.atan2(sc, math.cos(a) * math.cos(b))
-        A = math.atan2(math.tan(a), sb)
-        B = math.atan2(math.tan(b), sa)
+        c, tn = math.atan2(sc, cs(a) * cs(b)), math.tan
+    A = math.atan2(tn(a), sb)
+    B = math.atan2(tn(b), sa)
     return TriangleData(a * k, b * k, c * k, A, B, math.pi / 2.0, geometry).validate()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .curvature import Curvature, GeometryKind
+from .curvature import CURVED_TRIG, Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError, SimilarityError
 from .triangle import TriangleData
 
@@ -70,10 +70,9 @@ def solve_from_sss(geometry: Curvature, a: float, b: float, c: float) -> Triangl
 
     if kind is GeometryKind.EUCLIDEAN:
         f = lambda x: x
-    elif kind is GeometryKind.HYPERBOLIC:
-        f = lambda x: math.sinh(x / k)
     else:
-        f = lambda x: math.sin(x / k)
+        sn = CURVED_TRIG[kind][0]
+        f = lambda x: sn(x / k)
     fs, fsa, fsb, fsc = f(s), f(sa), f(sb), f(sc)
     A = 2.0 * math.atan2(math.sqrt(fsb * fsc), math.sqrt(fs * fsa))
     B = 2.0 * math.atan2(math.sqrt(fsc * fsa), math.sqrt(fs * fsb))
@@ -97,13 +96,14 @@ def solve_from_sas(geometry: Curvature, b: float, A: float, c: float) -> Triangl
     half = math.sin(0.5 * A)
     if geometry.kind is GeometryKind.EUCLIDEAN:
         a = math.hypot(b - c, 2.0 * math.sqrt(b * c) * half)
-    elif geometry.kind is GeometryKind.HYPERBOLIC:
-        u = math.sinh(0.5 * (b - c) / k) ** 2 + math.sinh(b / k) * math.sinh(c / k) * half * half
-        a = 2.0 * k * math.asinh(math.sqrt(u))
     else:
-        u = math.sin(0.5 * (b - c) / k) ** 2 + math.sin(b / k) * math.sin(c / k) * half * half
-        root = _clamped_unit(math.sqrt(u), "sin(a/2) from the half-angle form")
-        a = 2.0 * k * math.asin(root)
+        sn, _, eps = CURVED_TRIG[geometry.kind]
+        # sn(a/2)^2 from the half-angle form of the law of cosines
+        root = math.sqrt(sn(0.5 * (b - c) / k) ** 2 + sn(b / k) * sn(c / k) * half * half)
+        if eps < 0.0:
+            a = 2.0 * k * math.asinh(root)
+        else:
+            a = 2.0 * k * math.asin(_clamped_unit(root, "sin(a/2) from the half-angle form"))
     try:
         return solve_from_sss(geometry, a, b, c)
     except InfeasibleError as exc:
@@ -187,35 +187,26 @@ def solve_from_aaa(geometry: Curvature, A: float, B: float, C: float) -> Triangl
         _check_angle(ang, name)
     excess = (A + B + C) - math.pi
     k = geometry.k
+    kind = geometry.kind
+    eps = CURVED_TRIG[kind][2]
     sins = (math.sin(A), math.sin(B), math.sin(C))
-
-    if geometry.kind is GeometryKind.HYPERBOLIC:
-        if excess > 0.0:
-            raise InfeasibleError(f"hyperbolic angles need a negative excess, got {excess}")
-        if excess == 0.0:
-            raise DegenerateError("zero excess: the hyperbolic triangle has collapsed")
-        # cosh(side) - 1 as a stable product: cos X + cos(Y+Z) factored
-        m = math.sin(-0.5 * excess)
-        sides = []
-        for X, Y, Z, sY, sZ in ((A, B, C, sins[1], sins[2]),
-                                (B, C, A, sins[2], sins[0]),
-                                (C, A, B, sins[0], sins[1])):
-            q = 2.0 * m * math.cos(0.5 * (X - Y - Z)) / (sY * sZ)
-            sides.append(2.0 * k * math.asinh(math.sqrt(0.5 * q)))
-        return TriangleData(sides[0], sides[1], sides[2], A, B, C, geometry).validate()
-
-    if excess < 0.0:
-        raise InfeasibleError(f"spherical angles need a positive excess, got {excess}")
+    if eps * excess < 0.0:
+        raise InfeasibleError(f"{kind.value} angles need a "
+                              f"{'positive' if eps > 0.0 else 'negative'} excess, got {excess}")
     if excess == 0.0:
-        raise DegenerateError("zero excess: the spherical triangle has collapsed")
-    m = math.sin(0.5 * excess)
+        raise DegenerateError(f"zero excess: the {kind.value} triangle has collapsed")
+    m = math.sin(0.5 * eps * excess)
     sides = []
     for X, Y, Z, sY, sZ in ((A, B, C, sins[1], sins[2]),
                             (B, C, A, sins[2], sins[0]),
                             (C, A, B, sins[0], sins[1])):
-        # 1 -/+ cos(side) as stable products; nonpositive factors mean the
-        # polar-dual triangle inequality fails and no triangle exists
+        # eps (1 - cs(side)) as a stable product: cos X + cos(Y+Z) factored
         qm = 2.0 * m * math.cos(0.5 * (X - Y - Z)) / (sY * sZ)
+        if eps < 0.0:
+            sides.append(2.0 * k * math.asinh(math.sqrt(0.5 * qm)))
+            continue
+        # 1 + cos(side) likewise; nonpositive factors mean the polar-dual
+        # triangle inequality fails and no spherical triangle exists
         qp = 2.0 * math.cos(0.5 * (X + Y - Z)) * math.cos(0.5 * (X - Y + Z)) / (sY * sZ)
         if qm <= 0.0 or qp <= 0.0:
             raise InfeasibleError(f"angles ({A}, {B}, {C}) violate the spherical "

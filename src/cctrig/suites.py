@@ -19,8 +19,8 @@ import numpy as np
 
 from .cevians import (cevian_feet, cevian_residual, perturbed_residual,
                       sample_cevian_config)
-from .correspondence import (SUBSTITUTION_RELATIONS, euclidean_limit_slope,
-                             imaginary_substitution_residual, rescaling_check)
+from .correspondence import (euclidean_limit_slope,
+                             imaginary_substitution_residuals, rescaling_check)
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError, InfeasibleError
 from .geodesic_sphere import (GeodesicSphere, geodesic_sphere_triangle,
@@ -64,44 +64,32 @@ def _tol(cfg: SuiteConfig, default: float) -> float:
     return default * (cfg.tolerance / _BASE_TOLERANCE)
 
 
+def _sampled_rows(cfg: SuiteConfig, geom: Curvature, base: int, sampler,
+                  evaluator, tolerance: float) -> list[CheckRow]:
+    """One row per relation of `evaluator` over cfg.samples triangles."""
+    per: dict[str, list[float]] = {}
+    for i in range(cfg.samples):
+        for r in evaluator(sampler(geom, cfg.seed, base + i)):
+            per.setdefault(r.relation_id, []).append(r.residual)
+    return [make_row(rid, vals, _tol(cfg, tolerance)) for rid, vals in per.items()]
+
+
 def _suite_spherical(cfg: SuiteConfig) -> list[CheckRow]:
     geom = Curvature.spherical(cfg.curvature.k)
     base = _STREAM_BASE["spherical"]
-    general: dict[str, list[float]] = {}
-    for i in range(cfg.samples):
-        t = sample_triangle(geom, cfg.seed, base + i)
-        for r in spherical_residuals(t):
-            general.setdefault(r.relation_id, []).append(r.residual)
-    right: dict[str, list[float]] = {}
-    for i in range(cfg.samples):
-        t = sample_right_triangle(geom, cfg.seed, base + _SUB + i)
-        for r in spherical_right_residuals(t):
-            right.setdefault(r.relation_id, []).append(r.residual)
-    rows = [make_row(rid, vals, _tol(cfg, 1e-9)) for rid, vals in general.items()]
-    rows += [make_row(rid, vals, _tol(cfg, 1e-10)) for rid, vals in right.items()]
-    return rows
+    return (_sampled_rows(cfg, geom, base, sample_triangle, spherical_residuals, 1e-9)
+            + _sampled_rows(cfg, geom, base + _SUB, sample_right_triangle,
+                            spherical_right_residuals, 1e-10))
 
 
 def _suite_hyperbolic(cfg: SuiteConfig) -> list[CheckRow]:
-    geom = Curvature.hyperbolic(cfg.curvature.k)
-    base = _STREAM_BASE["hyperbolic"]
-    per: dict[str, list[float]] = {}
-    for i in range(cfg.samples):
-        t = sample_triangle(geom, cfg.seed, base + i)
-        for r in hyperbolic_residuals(t):
-            per.setdefault(r.relation_id, []).append(r.residual)
-    return [make_row(rid, vals, _tol(cfg, 1e-9)) for rid, vals in per.items()]
+    return _sampled_rows(cfg, Curvature.hyperbolic(cfg.curvature.k), _STREAM_BASE["hyperbolic"],
+                         sample_triangle, hyperbolic_residuals, 1e-9)
 
 
 def _suite_euclidean(cfg: SuiteConfig) -> list[CheckRow]:
-    geom = Curvature.euclidean()
-    base = _STREAM_BASE["euclidean"]
-    per: dict[str, list[float]] = {}
-    for i in range(cfg.samples):
-        t = sample_triangle(geom, cfg.seed, base + i)
-        for r in euclidean_residuals(t):
-            per.setdefault(r.relation_id, []).append(r.residual)
-    return [make_row(rid, vals, _tol(cfg, 1e-9)) for rid, vals in per.items()]
+    return _sampled_rows(cfg, Curvature.euclidean(), _STREAM_BASE["euclidean"],
+                         sample_triangle, euclidean_residuals, 1e-9)
 
 
 def _center_rays(g, center: ModelPoint, attempts: int = 128) -> tuple[Ray, Ray, Ray]:
@@ -223,9 +211,8 @@ def _suite_substitution(cfg: SuiteConfig) -> list[CheckRow]:
     per: dict[str, list[float]] = {}
     for i in range(cfg.samples):
         t = sample_triangle(geom, cfg.seed, base + i, max_side=3.0)
-        for rid in SUBSTITUTION_RELATIONS:
-            res = imaginary_substitution_residual(rid, t)
-            per.setdefault("sub_" + rid.removeprefix("sph_"), []) \
+        for res in imaginary_substitution_residuals(t):
+            per.setdefault("sub_" + res.relation_id.removeprefix("sph_"), []) \
                 .append(res.magnitude)
     return [make_row(rid, vals, _tol(cfg, 1e-9)) for rid, vals in per.items()]
 

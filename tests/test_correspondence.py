@@ -104,7 +104,6 @@ def test_rescaling_leaves_angles_alone():
     t = sample_triangle(HYP, 56, 0, max_side=2.0)
     for lam in (1e-3, 1.0, 3.0, 1e6):
         report = rescaling_check(t, lam)
-        assert report.ok
         assert report.max_deviation < 1e-12
         assert report.scale == lam
 
