@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cctrig import (DegenerateError, DomainError, GeodesicSphere, Model,
                     ModelPoint, Ray, geodesic_sphere_triangle,
                     intrinsic_arc_length, model_distance, sample_stream,
                     spherical_residuals, tangent_angle)
+from cctrig.geodesic_sphere import _tangent_part
+from cctrig.models import _spacelike_norm, richardson_length, tangent_toward
 
 ORIGIN = ModelPoint(Model.HYPERBOLOID, (1.0, 0.0, 0.0, 0.0), 1.0)
 
@@ -76,6 +79,80 @@ def test_intrinsic_arc_length_matches_effective_radius():
         angle = tangent_angle(ORIGIN, rays[0].direction, rays[1].direction)
         arc = intrinsic_arc_length(sphere, p, q)
         assert abs(arc - sphere.effective_radius * angle) < 1e-7
+
+
+# float.hex of intrinsic_arc_length(GeodesicSphere(center, rho * k), p, q)
+# for the fixed directions below; every bit is pinned, so a change in
+# how the polylines are traced must reproduce them exactly
+_ARC_DIRECTIONS = ((0.0, 0.6, 0.8, 0.0), (0.0, -0.2, 0.3, 0.9))
+_PINNED_ARCS = (
+    (0.001, 0.1, '0x1.2fe708fe28a89p-13'),
+    (0.001, 1.0, '0x1.bdb0a47b8342bp-10'),
+    (0.001, 5.0, '0x1.b7b4ff2e25da6p-4'),
+    (1.0, 0.1, '0x1.28c79ec833b4ap-3'),
+    (1.0, 1.0, '0x1.b33e80a09e2f1p+0'),
+    (1.0, 5.0, '0x1.ad66c13310f74p+6'),
+    (1000.0, 0.1, '0x1.21d2f10f827e7p+7'),
+    (1000.0, 1.0, '0x1.a90b099cda7a0p+10'),
+    (1000.0, 5.0, '0x1.a35658abde916p+16'),
+)
+
+
+@pytest.mark.parametrize("k, rho, expected", _PINNED_ARCS)
+def test_intrinsic_arc_length_bits_are_pinned(k, rho, expected):
+    center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
+    sphere = GeodesicSphere(center, rho * k)
+    p, q = (sphere.point_toward(d) for d in _ARC_DIRECTIONS)
+    assert intrinsic_arc_length(sphere, p, q).hex() == expected
+
+
+@pytest.mark.parametrize("n", (1, 3, 1024, 4096))
+def test_strided_fine_trace_is_the_coarse_trace(n):
+    # the step delta/(4n) is delta/n scaled by a power of two, so every
+    # fourth (second) node of the 4n-segment grid is the n (2n) grid
+    for delta in (1e-6, 0.1, 1.0, math.pi / 3.0, 2.0, math.pi - 1e-6):
+        fine = np.linspace(0.0, delta, 4 * n + 1)
+        for step, coarse in ((4, n), (2, 2 * n)):
+            expected = np.linspace(0.0, delta, coarse + 1)
+            assert fine[::step].tobytes() == expected.tobytes()
+
+
+def _reference_arc_length(sphere, p, q, base_segments=4096):
+    # one (n + 1, 4) point trace per refinement level
+    k = sphere.center.k
+    e1 = tangent_toward(sphere.center, p)
+    t2 = tangent_toward(sphere.center, q)
+    delta = tangent_angle(sphere.center, e1, t2)
+    w = _tangent_part(t2, e1)
+    n = _spacelike_norm(w)
+    ee1, ee2 = np.array(e1), np.array(tuple(wi / n for wi in w))
+    center = np.array(sphere.center.coords)
+    ch, sh = math.cosh(sphere.radius / k), math.sinh(sphere.radius / k)
+
+    def polyline(n_seg):
+        theta = np.linspace(0.0, delta, n_seg + 1)
+        pts = (ch * center
+               + (k * sh) * (np.cos(theta)[:, None] * ee1 + np.sin(theta)[:, None] * ee2))
+        d = np.diff(pts, axis=0)
+        msq = np.sum(d[:, 1:] ** 2, axis=1) - d[:, 0] ** 2
+        hops = 2.0 * k * np.arcsinh(0.5 * np.sqrt(np.maximum(msq, 0.0)) / k)
+        return float(np.sum(hops))
+
+    return richardson_length(polyline, base_segments)
+
+
+def test_intrinsic_arc_length_equals_the_per_level_trace():
+    for i in range(24):
+        g = sample_stream(16, i)
+        k = float(10.0 ** g.uniform(-3.0, 5.0))
+        center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
+        sphere = GeodesicSphere(center, float(g.choice((0.1, 1.0, 5.0))) * k)
+        rays = _random_rays(g, center)
+        p, q = (sphere.point_toward(r.direction) for r in rays[:2])
+        for n in (1, 7, 64):
+            expected = _reference_arc_length(sphere, p, q, n)
+            assert intrinsic_arc_length(sphere, p, q, base_segments=n) == expected
+        assert intrinsic_arc_length(sphere, p, q) == _reference_arc_length(sphere, p, q)
 
 
 def test_point_toward_lands_on_the_sphere():

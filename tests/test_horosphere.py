@@ -8,6 +8,7 @@ from cctrig import (Curvature, DegenerateError, DomainError,
                     ambient_polyline_length, angle_excess,
                     euclidean_residuals, horosphere_triangle,
                     intrinsic_distance, sample_stream)
+from cctrig.models import richardson_length
 
 
 def test_chart_345_triangle_at_unit_height():
@@ -75,6 +76,55 @@ def test_ambient_length_matches_the_intrinsic_metric():
         ambient = ambient_polyline_length(1.0, p, q)
         intrinsic = intrinsic_distance(1.0, p, q)
         assert abs(ambient - intrinsic) < 1e-7
+
+
+# float.hex of ambient_polyline_length(height, p, q, k); every bit is
+# pinned, so a change in how the polylines are traced must reproduce them
+_PINNED_AMBIENT = (
+    ((1.0, (0.0, 0.0), (1.0, 0.5), 1.0), '0x1.1e3779b97f4a7p+0'),
+    ((0.5, (-1.5, 2.0), (1.25, -0.75), 1.0), '0x1.f1cd9cceef239p+2'),
+    ((2.0, (0.3, -0.1), (-0.7, 1.9), 2.0), '0x1.1e3779b97f4a7p+1'),
+    ((0.001, (0.001, 0.002), (-0.001, 0.0005), 0.001), '0x1.47ae147ae147bp-9'),
+    ((1000.0, (-1500.0, 300.0), (1900.0, -1200.0), 1000.0), '0x1.d085c966ed689p+11'),
+    ((3.0, (0.0, 0.0), (0.0, 1e-06), 1.0), '0x1.65e9f80f29211p-22'),
+)
+
+
+@pytest.mark.parametrize("args, expected", _PINNED_AMBIENT)
+def test_ambient_polyline_length_bits_are_pinned(args, expected):
+    assert ambient_polyline_length(*args).hex() == expected
+
+
+def _reference_ambient_length(height, p, q, k=1.0, base_segments=1024):
+    # one chart walk per refinement level
+    px, py = float(p[0]), float(p[1])
+    dx, dy = float(q[0]) - px, float(q[1]) - py
+
+    def polyline(n_seg):
+        hops = []
+        prev = (px, py)
+        for i in range(1, n_seg + 1):
+            t = i / n_seg
+            cur = (px + t * dx, py + t * dy)
+            step = math.hypot(cur[0] - prev[0], cur[1] - prev[1])
+            hops.append(2.0 * k * math.asinh(0.5 * step / height))
+            prev = cur
+        return math.fsum(hops)
+
+    return richardson_length(polyline, base_segments)
+
+
+def test_ambient_length_equals_the_per_level_walk():
+    for i in range(24):
+        g = sample_stream(24, i)
+        k = float(10.0 ** g.uniform(-3.0, 5.0))
+        height = float(k * 10.0 ** g.uniform(-1.0, 1.0))
+        p, q = g.uniform(-2.0 * k, 2.0 * k, size=(2, 2))
+        for n in (1, 7, 64):
+            expected = _reference_ambient_length(height, p, q, k, n)
+            assert ambient_polyline_length(height, p, q, k, base_segments=n) == expected
+        assert ambient_polyline_length(height, p, q, k) == \
+            _reference_ambient_length(height, p, q, k)
 
 
 def test_degenerate_charts_are_rejected():
