@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .curvature import CURVED_TRIG, Curvature, GeometryKind
 from .errors import DomainError, SamplingError
@@ -36,11 +37,36 @@ DEFAULT_ATTEMPTS = 128
 SPHERE_SIDE_CAP = 0.49 * math.pi
 
 
+#: seed and index are the low and high 64-bit words of one Philox key
+_KEY_WORD = 2 ** 64
+
+
+class _PhiloxKey(ISeedSequence):
+    """A Philox key handed over as a seed sequence.
+
+    Philox keys itself from generate_state(2, np.uint64), the low and
+    high 64-bit words of the key, exactly as it splits an integer
+    key=...; handing the words over this way skips the SeedSequence of
+    OS entropy that Philox(key=...) builds and then discards.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, seed: int, index: int):
+        self._words = np.array((seed, index), dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
+
+
 def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one sample index."""
+    """Independent counter-based stream for one sample index: Philox
+    keyed by seed + index * 2**64, so both must fit 64 bits."""
     if index < 0 or seed < 0:
         raise DomainError("seed and index must be nonnegative")
-    return np.random.Generator(np.random.Philox(key=seed + (index << 64)))
+    if seed >= _KEY_WORD or index >= _KEY_WORD:
+        raise DomainError(f"seed and index must be below 2**64, got ({seed}, {index})")
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, index)))
 
 
 def _draw(g: np.random.Generator, lo: float, hi: float) -> float:

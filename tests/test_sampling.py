@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cctrig import (Curvature, DomainError, angle_excess,
@@ -98,3 +99,28 @@ def test_sampler_input_validation():
         sample_right_triangle(EUC, 0, 0)
     with pytest.raises(DomainError):
         sample_right_triangle(SPH, 0, 0, max_leg=1.6)
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def test_stream_is_philox_keyed_by_seed_and_index():
+    edges = (0, 1, 2 ** 32 - 1, 2 ** 64 - 1)
+    for seed in edges:
+        for index in edges:
+            g = sample_stream(seed, index)
+            reference = np.random.Philox(key=seed + (index << 64))
+            assert _same_state(g.bit_generator.state, reference.state)
+            assert g.random() == np.random.Generator(reference).random()
+
+
+@pytest.mark.parametrize("seed, index", ((2 ** 64, 0), (0, 2 ** 64), (-1, 0), (0, -1)))
+def test_stream_key_words_must_fit_64_bits(seed, index):
+    # seed 2**64 at index 0 would otherwise alias seed 0 at index 1
+    with pytest.raises(DomainError):
+        sample_stream(seed, index)
