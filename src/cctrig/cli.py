@@ -5,7 +5,9 @@ Exit codes: 0 success (all non-conjecture checks pass for `verify`),
 1 verification failure, 2 usage error (including domain errors in the
 input values), 3 infeasible input (no such triangle / degenerate or
 similarity-underdetermined data). Geometry errors print one JSON line
-with the error kind and message on stderr.
+with the error kind and message on stderr; so do the arithmetic and
+value errors of math functions pushed past their range, reported as
+domain errors.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ _ERROR_KINDS = ((SimilarityError, "similarity", 3),
                 (DegenerateError, "degenerate", 3),
                 (InfeasibleError, "infeasible", 3),
                 (SamplingError, "sampling", 3),
-                (DomainError, "domain", 2))
+                (DomainError, "domain", 2),
+                (ArithmeticError, "domain", 2),
+                (ValueError, "domain", 2))
 
 
 def _geometry(name: str, scale: float) -> Curvature:
@@ -203,7 +207,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GeometryError as exc:
+    except (GeometryError, ArithmeticError, ValueError) as exc:
         for etype, kind, code in _ERROR_KINDS:
             if isinstance(exc, etype):
                 print(json.dumps({"error": kind, "message": str(exc)}),

@@ -133,6 +133,8 @@ def _json_scalar(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(f"json has no value for the non-finite float {value}")
         return _f17(value)
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')

@@ -199,3 +199,28 @@ def test_module_runner(tmp_path, child_env):
         timeout=120)
     assert result.returncode == 0
     assert json.loads(result.stdout)["pass"] is True
+
+
+def test_json_never_prints_non_finite_values(capsys):
+    # the flat SSS products overflow here and leave a nan residual
+    code, out, err = _run(capsys, "solve", "--geometry", "euclidean",
+                          "--mode", "sss", "1e160", "1e160", "1e160",
+                          "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert _error_kind(err) == "domain"
+
+
+def test_math_errors_exit_2_with_one_json_line(tmp_path, child_env):
+    # cosh of the semiperimeter overflows inside the hyperbolic SSS solver
+    result = subprocess.run(
+        [sys.executable, "-m", "cctrig", "solve", "--geometry", "hyperbolic",
+         "--mode", "sss", "480", "480", "480"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env,
+        timeout=120)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "domain"

@@ -6,8 +6,8 @@ import math
 import pytest
 
 from cctrig import (CSV_HEADER, Curvature, DomainError, MAX_BELOW, MIN_ABOVE,
-                    RECORDED, ResidualReport, SUITE_NAMES, SuiteConfig,
-                    make_row, render, run_suite, to_csv, to_human, to_json)
+                    RECORDED, CheckRow, ResidualReport, SUITE_NAMES,
+                    SuiteConfig, make_row, render, run_suite, to_csv, to_human, to_json)
 
 HYP = Curvature.hyperbolic()
 
@@ -108,6 +108,13 @@ def test_json_shape_and_float_round_trip():
     assert row_data["max_abs_residual"] == value  # 17 digits round-trip
     assert row_data["comparison"] == "max_below"
     assert row_data["pass"] is True
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_json_refuses_non_finite_floats(value):
+    row = CheckRow("demo", 1, value, value, value, value, 1e-9)
+    with pytest.raises(DomainError):
+        to_json(_report([row]))
 
 
 def test_json_conjecture_row_is_null_tolerance():
