@@ -21,6 +21,7 @@ from .curvature import Curvature, GeometryKind
 from .errors import DomainError
 
 HALF_PI = math.pi / 2.0
+LN_2 = math.log(2.0)
 
 
 def _require_hyperbolic(curv: Curvature) -> None:
@@ -41,12 +42,18 @@ def parallelism_angle(p: float, curv: Curvature) -> float:
 
     Evaluated as 2*atan(exp(-p/k)): identical to arcsin(1/cosh(p/k)) on
     the acute branch, but it keeps full relative accuracy for small
-    angles and survives p/k past the overflow point of cosh.
+    angles and survives p/k past the overflow point of cosh. Past
+    p/k ~ 745 the angle underflows to 0, which no length has, and that
+    is a DomainError.
     """
     _require_length(p, curv)
     if p == 0.0:
         return HALF_PI
-    return 2.0 * math.atan(math.exp(-p / curv.k))
+    angle = 2.0 * math.atan(math.exp(-p / curv.k))
+    if angle == 0.0:
+        raise DomainError(f"the angle of parallelism at p/k = {p / curv.k} "
+                          "underflows to 0")
+    return angle
 
 
 def inverse_parallelism(angle: float, curv: Curvature) -> float:
@@ -55,14 +62,19 @@ def inverse_parallelism(angle: float, curv: Curvature) -> float:
     Solves sin PI = 1/cosh(p/k) as p = k*asinh(cot PI). That is the
     same branch as k*arccosh(1/sin PI) but stays well conditioned as
     the angle approaches pi/2, where arccosh(1 + tiny) would lose half
-    the digits.
+    the digits. Below angle ~ 5.6e-309 the cotangent overflows; there
+    asinh(cot PI) = ln 2 - ln PI to far below an ulp, and that log form
+    is used instead.
     """
     _require_hyperbolic(curv)
     if not (0.0 < angle <= HALF_PI):
         raise DomainError(f"parallelism angle must lie in (0, pi/2], got {angle}")
     if angle == HALF_PI:
         return 0.0
-    return curv.k * math.asinh(math.cos(angle) / math.sin(angle))
+    cot = math.cos(angle) / math.sin(angle)
+    if math.isinf(cot):
+        return curv.k * (LN_2 - math.log(angle))
+    return curv.k * math.asinh(cot)
 
 
 def sin_parallelism(p: float, curv: Curvature) -> float:

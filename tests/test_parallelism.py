@@ -97,3 +97,26 @@ def test_domain_errors():
             parallelism_angle(1.0, wrong)
         with pytest.raises(DomainError):
             inverse_parallelism(0.5, wrong)
+
+
+def _ulps(value, reference):
+    return abs(value - float(reference)) / math.ulp(float(reference))
+
+
+def test_angle_underflow_is_a_domain_error():
+    # exp(-p/k) is subnormal but nonzero just below p/k = 745
+    assert 0.0 < parallelism_angle(744.0, HYP) < 1e-320
+    for p, curv in ((746.0, HYP), (1e6, HYP), (1.0, Curvature.hyperbolic(1e-3))):
+        with pytest.raises(DomainError):
+            parallelism_angle(p, curv)
+
+
+def test_tiny_angles_invert_to_the_log_form():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for angle in (5e-324, 1e-320, 1e-310, 1e-308, 1e-300):
+            reference = mpmath.asinh(mpmath.cot(mpmath.mpf(angle)))
+            assert _ulps(inverse_parallelism(angle, HYP), reference) <= 1.0
+            scaled = inverse_parallelism(angle, Curvature.hyperbolic(3.0))
+            assert _ulps(scaled, 3 * reference) <= 1.0
+    assert inverse_parallelism(1e-320, HYP) == pytest.approx(737.5203880715338, rel=1e-15)
