@@ -17,10 +17,10 @@ cancellation.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .curvature import CURVED_TRIG, Curvature, GeometryKind
 from .errors import DomainError, SamplingError
@@ -41,22 +41,30 @@ SPHERE_SIDE_CAP = 0.49 * math.pi
 _KEY_WORD = 2 ** 64
 
 
-class _PhiloxKey(ISeedSequence):
-    """A Philox key handed over as a seed sequence.
+@functools.cache
+def _philox_key_type() -> type:
+    """The seed-sequence type that hands Philox a fixed key.
 
     Philox keys itself from generate_state(2, np.uint64), the low and
     high 64-bit words of the key, exactly as it splits an integer
     key=...; handing the words over this way skips the SeedSequence of
-    OS entropy that Philox(key=...) builds and then discards.
+    OS entropy that Philox(key=...) builds and then discards. The type
+    is built on first use: importing numpy.random along with this module
+    would add about 6 MB and its load time to every program that never
+    samples, such as one that only solves triangles.
     """
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("_words",)
+    class PhiloxKey(ISeedSequence):
+        __slots__ = ("words",)
 
-    def __init__(self, seed: int, index: int):
-        self._words = np.array((seed, index), dtype=np.uint64)
+        def __init__(self, words):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PhiloxKey
 
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:
@@ -66,7 +74,8 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
         raise DomainError("seed and index must be nonnegative")
     if seed >= _KEY_WORD or index >= _KEY_WORD:
         raise DomainError(f"seed and index must be below 2**64, got ({seed}, {index})")
-    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, index)))
+    key = _philox_key_type()(np.array((seed, index), dtype=np.uint64))
+    return np.random.Generator(np.random.Philox(key))
 
 
 def _draw(g: np.random.Generator, lo: float, hi: float) -> float:

@@ -213,7 +213,7 @@ def test_json_never_prints_non_finite_values(capsys):
 
 
 def test_math_errors_exit_2_with_one_json_line(tmp_path, child_env):
-    # cosh of the semiperimeter overflows inside the hyperbolic SSS solver
+    # sinh of the semiperimeter, 720, overflows in the hyperbolic SSS solver
     result = subprocess.run(
         [sys.executable, "-m", "cctrig", "solve", "--geometry", "hyperbolic",
          "--mode", "sss", "480", "480", "480"],

@@ -1,6 +1,8 @@
 """Deterministic model-backed triangle sampling."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,3 +126,13 @@ def test_stream_key_words_must_fit_64_bits(seed, index):
     # seed 2**64 at index 0 would otherwise alias seed 0 at index 1
     with pytest.raises(DomainError):
         sample_stream(seed, index)
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded(child_env):
+    # programs that never sample (the solvers alone) skip its load time
+    # and memory; sample_stream loads it on first use
+    code = "import sys, cctrig; print('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=child_env, timeout=120)
+    assert result.returncode == 0
+    assert result.stdout.strip() == "False"
