@@ -34,10 +34,11 @@ _CURVED_SOLVES = {
     "hyp_asa_long": ("hyperbolic", "asa", "1", ("0.05", "4.0", "0.05")),
     "hyp_aaa": ("hyperbolic", "aaa", "0.5", ("0.5", "0.7", "0.9")),
 }
-#: suites whose per-k report is pinned; cevians draws radii in absolute
-#: units and fails away from k = 1, so only `verify all` at k = 1 pins it
+#: suites whose per-k report is pinned: every suite. cevians still draws
+#: its radii in absolute units, which breaks it at k = 0.1 and below, but
+#: at k = 0.5 and 10 it passes
 _SCALED_SUITES = ("spherical", "hyperbolic", "euclidean", "sphere-model",
-                  "horosphere", "prism", "substitution", "limits")
+                  "horosphere", "prism", "substitution", "limits", "cevians")
 
 
 def _cases():
@@ -97,6 +98,10 @@ DIGESTS = {
         "cd6f520a5a54e6caf7728eba692f4b4562bfcb3a6f1fad3d2bff83dcd0473cd0",
     "verify_limits_k10_csv":
         "5e9215bd847985c29ed6e19fc953501ff543a3ad9feea17e81860029ed4b0b26",
+    "verify_cevians_k0.5_csv":
+        "26c60c0c20f5352f527d1371900f66b44e7aed4ada32abb6b9a874743f48b368",
+    "verify_cevians_k10_csv":
+        "ab32d9baf6ef4b4958c0e2dc60e0998d111c8ebb6c3ef91f4932c050207663ea",
     "solve_hyp_sss_json":
         "f9cd9328524b1adfc0fd5885cf8cd4398cc0fa376e282728c8d2ec59f089e7dc",
     "solve_hyp_sss_csv":
