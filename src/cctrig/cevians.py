@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curvature import CURVED_TRIG, Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError
 from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint,
@@ -291,11 +289,21 @@ def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
     if not flat:
         sn, cs, _ = CURVED_TRIG[geometry.kind]
         dot = CURVED_METRIC[model][0]
+    # uniforms on [lo, hi) are lo + (hi - lo) * u, the arithmetic of
+    # Generator.uniform; a zero lo and a unit hi - lo are left out, which
+    # changes no bit
+    r_lo = 0.15 * max_side
+    r_span = 0.5 * max_side - r_lo
+    turn = 2.0 * math.pi
+    thirds = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
     for _ in range(attempts):
-        radii = g.uniform(0.15 * max_side, 0.5 * max_side, size=3)
-        theta0 = g.uniform(0.0, 2.0 * math.pi)
-        thirds = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
-        angles = theta0 + thirds + g.uniform(-0.5, 0.5, size=3)
+        u = g.random(10).tolist()
+        radii = [r_lo + r_span * x for x in u[0:3]]
+        theta0 = turn * u[3]
+        angles = [theta0 + third + (-0.5 + x) for third, x in zip(thirds, u[4:7])]
+        wts = [0.15 + (1.0 - 0.15) * x for x in u[7:10]]
+        total = wts[0] + wts[1] + wts[2]
+        wts = [w / total for w in wts]
         points = []
         for r, th in zip(radii, angles):
             x, y = r * math.cos(th), r * math.sin(th)
@@ -306,8 +314,6 @@ def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
                 rho = math.hypot(x, y)
                 s = sn(rho / k) * k / rho
                 points.append(ModelPoint(model, (k * cs(rho / k), s * x, s * y), k))
-        wts = g.uniform(0.15, 1.0, size=3)
-        wts = wts / wts.sum()
         if flat:
             ox = sum(w * p.coords[0] for w, p in zip(wts, points))
             oy = sum(w * p.coords[1] for w, p in zip(wts, points))

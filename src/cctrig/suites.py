@@ -27,7 +27,7 @@ from .geodesic_sphere import (GeodesicSphere, geodesic_sphere_triangle,
                               intrinsic_arc_length)
 from .horosphere import (ambient_polyline_length, horosphere_triangle,
                          intrinsic_distance)
-from .models import Model, ModelPoint, Ray, tangent_angle
+from .models import Model, ModelPoint, Ray, _edot, tangent_angle
 from .parallelism import parallelism_angle
 from .prism import build_prism, replay_residuals
 from .relations import (euclidean_residuals, hyperbolic_residuals,
@@ -94,17 +94,18 @@ def _suite_euclidean(cfg: SuiteConfig) -> list[CheckRow]:
 
 def _center_rays(g, center: ModelPoint, attempts: int = 128) -> tuple[Ray, Ray, Ray]:
     """Three well-separated random rays at the hyperboloid origin."""
+    max_cos = math.cos(0.05)
     for _ in range(attempts):
-        dirs = g.normal(size=(3, 3))
-        norms = np.sqrt((dirs * dirs).sum(axis=1))
-        if norms.min() < 1e-6:
+        z = g.normal(size=9).tolist()
+        dirs = (z[0:3], z[3:6], z[6:9])
+        norms = [math.sqrt(x * x + y * y + w * w) for x, y, w in dirs]
+        if min(norms) < 1e-6:
             continue
-        dirs = dirs / norms[:, None]
-        cosines = dirs @ dirs.T
-        sep = max(abs(cosines[0, 1]), abs(cosines[0, 2]), abs(cosines[1, 2]))
-        if sep > math.cos(0.05):
+        d0, d1, d2 = ([c / n for c in d] for d, n in zip(dirs, norms))
+        sep = max(abs(_edot(d0, d1)), abs(_edot(d0, d2)), abs(_edot(d1, d2)))
+        if sep > max_cos:
             continue
-        return tuple(Ray.at(center, (0.0, *map(float, d))) for d in dirs)
+        return tuple(Ray.at(center, (0.0, *d)) for d in (d0, d1, d2))
     raise DomainError(f"no acceptable ray triple after {attempts} attempts")
 
 

@@ -3,13 +3,17 @@
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cctrig import (Curvature, DomainError, angle_excess,
-                    sample_right_triangle, sample_stream, sample_triangle,
-                    spherical_right_residuals)
+from cctrig import (Curvature, DomainError, Model, ModelPoint, angle_excess,
+                    sample_cevian_config, sample_right_triangle, sample_stream,
+                    sample_triangle, spherical_right_residuals, suites)
+from cctrig.sampling import (DEFAULT_MAX_SIDE, DEFAULT_MIN_ANGLE,
+                             DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP)
+from cctrig.suites import _center_rays
 
 SPH = Curvature.spherical()
 HYP = Curvature.hyperbolic()
@@ -136,3 +140,79 @@ def test_importing_the_package_leaves_numpy_random_unloaded(child_env):
                             text=True, env=child_env, timeout=120)
     assert result.returncode == 0
     assert result.stdout.strip() == "False"
+
+
+# --- the float boundary: numpy draws the streams, the kernel sees floats ---
+
+#: every (lo, hi) a sampler draws a uniform from: sides under each
+#: max_side the suites pass and the spherical cap, angles, right-triangle
+#: legs, and the cevian radii, turn, jitter and weights
+_UNIFORM_BOUNDS = (
+    (DEFAULT_MIN_SIDE, DEFAULT_MAX_SIDE), (DEFAULT_MIN_SIDE, 3.0),
+    (DEFAULT_MIN_SIDE, 2.0), (DEFAULT_MIN_SIDE, 1.5),
+    (DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP),
+    (DEFAULT_MIN_ANGLE, math.pi - DEFAULT_MIN_ANGLE),
+    (0.15 * 2.0, 0.5 * 2.0), (0.0, 2.0 * math.pi), (-0.5, 0.5), (0.15, 1.0),
+)
+
+
+def test_block_draws_are_numpy_uniforms_bit_for_bit():
+    n = len(_UNIFORM_BOUNDS)
+    for index in range(10_000):
+        block = sample_stream(11, index).random(n).tolist()
+        g = sample_stream(11, index)
+        for (lo, hi), u in zip(_UNIFORM_BOUNDS, block):
+            assert (lo + (hi - lo) * u).hex() == float(g.uniform(lo, hi)).hex()
+
+
+def _all_floats(values):
+    return all(type(x) is float for x in values)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: g.kind.value)
+def test_samplers_hand_out_python_floats(geometry):
+    for i in range(20):
+        t = sample_triangle(geometry, 5, i)
+        assert _all_floats(t.sides() + t.angles())
+        if geometry is not EUC:
+            t = sample_right_triangle(geometry, 5, i)
+            assert _all_floats(t.sides() + t.angles())
+        cfg = sample_cevian_config(geometry, 5, i)
+        for p in (cfg.A, cfg.B, cfg.C, cfg.O, cfg.foot_a, cfg.foot_b, cfg.foot_c):
+            assert type(p.coords) is tuple and _all_floats(p.coords)
+        assert _all_floats(cfg.ratios())
+
+
+_ORIGIN = ModelPoint(Model.HYPERBOLOID, (1.0, 0.0, 0.0, 0.0), 1.0)
+
+
+def test_center_rays_hand_out_python_floats():
+    for i in range(20):
+        for ray in _center_rays(sample_stream(5, i), _ORIGIN):
+            assert _all_floats(ray.direction) and _all_floats(ray.base.coords)
+
+
+def _numpy_center_directions(g, attempts=128):
+    """The ray directions of _center_rays as drawn before it left numpy:
+    BLAS cosines for the separation test."""
+    for _ in range(attempts):
+        dirs = g.normal(size=(3, 3))
+        norms = np.sqrt((dirs * dirs).sum(axis=1))
+        if norms.min() < 1e-6:
+            continue
+        dirs = dirs / norms[:, None]
+        cosines = dirs @ dirs.T
+        sep = max(abs(cosines[0, 1]), abs(cosines[0, 2]), abs(cosines[1, 2]))
+        if sep > math.cos(0.05):
+            continue
+        return tuple((0.0, *map(float, d)) for d in dirs)
+    raise DomainError("no acceptable ray triple")
+
+
+def test_center_rays_match_the_numpy_draws(monkeypatch):
+    # Ray.at is the same deterministic map on both sides; stub it out to
+    # compare the directions it is handed, over 10^5 triples of one stream
+    monkeypatch.setattr(suites, "Ray", SimpleNamespace(at=lambda base, d: d))
+    ours, reference = sample_stream(13, 0), sample_stream(13, 0)
+    for _ in range(100_000):
+        assert _center_rays(ours, _ORIGIN) == _numpy_center_directions(reference)
