@@ -43,6 +43,10 @@ class GeometryKind(enum.Enum):
     EUCLIDEAN = "euclidean"
     HYPERBOLIC = "hyperbolic"
 
+    # members compare by identity, so the identity hash keys dicts the same
+    # way as Enum's name hash, which runs in Python on every lookup
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Curvature:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 from .curvature import CURVED_TRIG, GeometryKind
@@ -34,8 +35,18 @@ class Model(enum.Enum):
     HALF_SPACE = "half_space"
     PLANE = "plane"
 
+    # members compare by identity, so the identity hash keys dicts the same
+    # way as Enum's name hash, which runs in Python on every lookup
+    __hash__ = object.__hash__
+
 
 def minkowski_dot(u, v) -> float:
+    # unrolled for the 3- and 4-component sheets; the terms are still
+    # subtracted one at a time, left to right
+    if len(u) == 4:
+        return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
+    if len(u) == 3:
+        return u[0] * v[0] - u[1] * v[1] - u[2] * v[2]
     s = u[0] * v[0]
     for i in range(1, len(u)):
         s -= u[i] * v[i]
@@ -43,11 +54,11 @@ def minkowski_dot(u, v) -> float:
 
 
 def _edot(u, v) -> float:
-    return math.fsum(ui * vi for ui, vi in zip(u, v))
+    return math.fsum(map(operator.mul, u, v))
 
 
 def _enorm(u) -> float:
-    return math.sqrt(_edot(u, u))
+    return math.sqrt(math.fsum(map(operator.mul, u, u)))
 
 
 def _cross3(u, v):
@@ -57,15 +68,15 @@ def _cross3(u, v):
 
 
 def _sub(u, v):
-    return tuple(ui - vi for ui, vi in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def _add(u, v):
-    return tuple(ui + vi for ui, vi in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def _scale(u, t):
-    return tuple(ui * t for ui in u)
+    return tuple([ui * t for ui in u])
 
 
 def _spacelike_norm(w) -> float:

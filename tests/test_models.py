@@ -1,14 +1,19 @@
 """Model oracles: distances, angles, geodesics, rays, isometries."""
 
 import math
+import pickle
+import random
 
 import pytest
 
-from cctrig import (Curvature, DomainError, Model, ModelPoint, Ray,
+from cctrig import (Curvature, DomainError, GeometryKind, Model, ModelPoint, Ray,
                     asymptotic_ray, geodesic_point, half_space_to_hyperboloid,
                     hyperboloid_to_half_space, ideal_direction, model_angle,
                     model_distance, parallelism_angle, tangent_angle,
                     tangent_toward)
+from cctrig import models
+from cctrig.curvature import CURVED_TRIG
+from cctrig.geodesic_sphere import _tangent_part
 
 HYP = Curvature.hyperbolic()
 
@@ -201,3 +206,61 @@ def test_ideal_direction_needs_the_hyperboloid():
     ray = Ray.at(ModelPoint.plane(0.0, 0.0), (1.0, 0.0))
     with pytest.raises(DomainError):
         ideal_direction(ray)
+
+
+# --- the vector kernel against the generic helpers it replaced ---
+
+def _ref_minkowski_dot(u, v):
+    s = u[0] * v[0]
+    for i in range(1, len(u)):
+        s -= u[i] * v[i]
+    return s
+
+
+def _ref_edot(u, v):
+    return math.fsum(ui * vi for ui, vi in zip(u, v))
+
+
+def _ref_tangent_part(direction, axis):
+    t = _ref_minkowski_dot(direction, axis)
+    return tuple(d + t * ax for d, ax in zip(direction, axis))
+
+
+_REFERENCE_HELPERS = (
+    (models.minkowski_dot, _ref_minkowski_dot),
+    (models._edot, _ref_edot),
+    (models._sub, lambda u, v: tuple(ui - vi for ui, vi in zip(u, v))),
+    (models._add, lambda u, v: tuple(ui + vi for ui, vi in zip(u, v))),
+    (lambda u, v: models._scale(u, v[0]), lambda u, v: tuple(ui * v[0] for ui in u)),
+    (lambda u, v: models._enorm(u), lambda u, v: math.sqrt(_ref_edot(u, u))),
+    (_tangent_part, _ref_tangent_part),
+)
+
+
+def _bits(x):
+    return tuple(map(float.hex, x)) if isinstance(x, tuple) else float.hex(x)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_vector_helpers_match_the_generic_helpers(n):
+    rng = random.Random(n)
+    for _ in range(2000):
+        # magnitudes across many binades, so rounding order would show
+        u = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n))
+        v = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n))
+        for ours, reference in _REFERENCE_HELPERS:
+            assert _bits(ours(u, v)) == _bits(reference(u, v))
+
+
+def test_enum_keyed_tables_hit_by_member_by_value_and_after_pickling():
+    # the enums hash by identity; each member is one object however it is
+    # reached, so every way of naming it finds the same entry
+    for kind in GeometryKind:
+        for same in (kind, GeometryKind(kind.value), pickle.loads(pickle.dumps(kind))):
+            assert models.MODEL_FOR_KIND[same] is models.MODEL_FOR_KIND[kind]
+    assert CURVED_TRIG[GeometryKind("spherical")] == (math.sin, math.cos, 1.0)
+    assert CURVED_TRIG[GeometryKind("hyperbolic")] == (math.sinh, math.cosh, -1.0)
+    for model in (Model.SPHERE, Model.HYPERBOLOID):
+        assert models.CURVED_METRIC[Model(model.value)] is models.CURVED_METRIC[model]
+    assert GeometryKind("euclidean") not in CURVED_TRIG
+    assert Model("plane") not in models.CURVED_METRIC
