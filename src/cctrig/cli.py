@@ -25,7 +25,7 @@ from .errors import (DegenerateError, DomainError, GeometryError,
 from .parallelism import parallelism_angle
 from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals)
-from .report import SuiteConfig, _csv_cell, _f17, _json_scalar, render
+from .report import SuiteConfig, _csv_cell, _f17, _finite, _json_scalar, render
 from .solvers import (solve_from_aaa, solve_from_asa, solve_from_sas,
                       solve_from_sss)
 from .suites import SUITE_NAMES, run_suite
@@ -103,7 +103,7 @@ def _solve_human(t: TriangleData, mode: str, residuals) -> str:
     lines.append(f"  angle excess = {_f17(ex)} rad  ({deg(ex):.4f} deg)")
     lines.append("residuals:")
     width = max(len(r.relation_id) for r in residuals)
-    lines += [f"  {r.relation_id:<{width}}  {r.residual: .3e}" for r in residuals]
+    lines += [f"  {r.relation_id:<{width}}  {_finite(r.residual): .3e}" for r in residuals]
     return "\n".join(lines)
 
 

@@ -119,8 +119,15 @@ def make_row(relation_id: str, values, tolerance: float | None, *,
                     tolerance, comparison, conjecture, passed)
 
 
+def _finite(x: float) -> float:
+    """x itself; no output format has a value for a non-finite float."""
+    if not math.isfinite(x):
+        raise DomainError(f"reports have no value for the non-finite float {x}")
+    return x
+
+
 def _f17(x: float) -> str:
-    return "%.17g" % x
+    return "%.17g" % _finite(x)
 
 
 def _json_scalar(value) -> str:
@@ -133,8 +140,6 @@ def _json_scalar(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DomainError(f"json has no value for the non-finite float {value}")
         return _f17(value)
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')

@@ -212,6 +212,18 @@ def test_json_never_prints_non_finite_values(capsys):
     assert _error_kind(err) == "domain"
 
 
+@pytest.mark.parametrize("fmt", ("csv", "human"))
+def test_csv_and_human_never_print_non_finite_values(capsys, fmt):
+    # the same overflowing flat SSS solve: every format refuses the nan
+    code, out, err = _run(capsys, "solve", "--geometry", "euclidean",
+                          "--mode", "sss", "1e160", "1e160", "1e160",
+                          "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert _error_kind(err) == "domain"
+
+
 def test_math_errors_exit_2_with_one_json_line(tmp_path, child_env):
     # sinh of the semiperimeter, 720, overflows in the hyperbolic SSS solver
     result = subprocess.run(

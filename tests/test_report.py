@@ -117,6 +117,13 @@ def test_json_refuses_non_finite_floats(value):
         to_json(_report([row]))
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_csv_refuses_non_finite_floats(value):
+    row = CheckRow("demo", 1, value, value, value, value, 1e-9)
+    with pytest.raises(DomainError):
+        to_csv(_report([row]))
+
+
 def test_json_conjecture_row_is_null_tolerance():
     row = make_row("guess", [0.5], None, conjecture=True)
     (row_data,) = json.loads(to_json(_report([row])))["rows"]
