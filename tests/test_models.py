@@ -208,7 +208,8 @@ def test_ideal_direction_needs_the_hyperboloid():
         ideal_direction(ray)
 
 
-# --- the vector kernel against the generic helpers it replaced ---
+# generic copies of the vector helpers: the kernel's unrolled and map-based
+# ones must give the same bits
 
 def _ref_minkowski_dot(u, v):
     s = u[0] * v[0]

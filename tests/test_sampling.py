@@ -142,8 +142,6 @@ def test_importing_the_package_leaves_numpy_random_unloaded(child_env):
     assert result.stdout.strip() == "False"
 
 
-# --- the float boundary: numpy draws the streams, the kernel sees floats ---
-
 #: every (lo, hi) a sampler draws a uniform from: sides under each
 #: max_side the suites pass and the spherical cap, angles, right-triangle
 #: legs, and the cevian radii, turn, jitter and weights
@@ -193,8 +191,8 @@ def test_center_rays_hand_out_python_floats():
 
 
 def _numpy_center_directions(g, attempts=128):
-    """The ray directions of _center_rays as drawn before it left numpy:
-    BLAS cosines for the separation test."""
+    """Reference for _center_rays: the same draws with numpy norms and
+    BLAS cosines for the separation test, returning the directions."""
     for _ in range(attempts):
         dirs = g.normal(size=(3, 3))
         norms = np.sqrt((dirs * dirs).sum(axis=1))
