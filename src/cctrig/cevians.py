@@ -27,7 +27,7 @@ from .curvature import CURVED_TRIG, Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError
 from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint,
                      _cross3, geodesic_point, model_distance, tangent_toward)
-from .sampling import sample_stream
+from .sampling import _uniforms, sample_stream
 
 #: Relative floor below which O is considered to lie on a side or vertex.
 DEGENERACY_TOL = 1e-12
@@ -289,21 +289,16 @@ def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
     if not flat:
         sn, cs, _ = CURVED_TRIG[geometry.kind]
         dot = CURVED_METRIC[model][0]
-    # uniforms on [lo, hi) are lo + (hi - lo) * u, the arithmetic of
-    # Generator.uniform; a zero lo and a unit hi - lo are left out, which
-    # changes no bit
-    r_lo = 0.15 * max_side
-    r_span = 0.5 * max_side - r_lo
-    turn = 2.0 * math.pi
     thirds = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+    # three radii, a turn, three jitters about the thirds, three weights
+    bounds = (((0.15 * max_side, 0.5 * max_side),) * 3 + ((0.0, 2.0 * math.pi),)
+              + ((-0.5, 0.5),) * 3 + ((0.15, 1.0),) * 3)
     for _ in range(attempts):
-        u = g.random(10).tolist()
-        radii = [r_lo + r_span * x for x in u[0:3]]
-        theta0 = turn * u[3]
-        angles = [theta0 + third + (-0.5 + x) for third, x in zip(thirds, u[4:7])]
-        wts = [0.15 + (1.0 - 0.15) * x for x in u[7:10]]
-        total = wts[0] + wts[1] + wts[2]
-        wts = [w / total for w in wts]
+        u = _uniforms(g, bounds)
+        radii, theta0 = u[0:3], u[3]
+        angles = [theta0 + third + jitter for third, jitter in zip(thirds, u[4:7])]
+        total = u[7] + u[8] + u[9]
+        wts = [w / total for w in u[7:10]]
         points = []
         for r, th in zip(radii, angles):
             x, y = r * math.cos(th), r * math.sin(th)

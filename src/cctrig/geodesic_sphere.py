@@ -119,38 +119,14 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
     fine = 4 * base_segments
     theta = np.linspace(0.0, delta, fine + 1)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    # one coordinate column per hyperboloid axis, time axis first, each
-    # ch*o + (k*sh)*(cos_t*u + sin_t*v) built in place
-    ksh = k * sh
-    tmp = theta  # spent once cos_t and sin_t exist
-    cols = []
-    for o, u, v in zip(sphere.center.coords, e1, e2):
-        col = np.multiply(cos_t, u)
-        np.add(col, np.multiply(sin_t, v, out=tmp), out=col)
-        np.multiply(col, ksh, out=col)
-        cols.append(np.add(col, ch * o, out=col))
-    # one difference buffer per column and a scratch one, reused by every
-    # level at its own length
-    bufs = np.empty((5, fine))
-    two_k = 2.0 * k
+    # one coordinate column per hyperboloid axis, time axis first
+    cols = [ch * o + (k * sh) * (cos_t * u + sin_t * v)
+            for o, u, v in zip(sphere.center.coords, e1, e2)]
 
     def polyline(n_seg: int) -> float:
-        step = fine // n_seg
-        d0, d1, d2, d3, msq = (b[:n_seg] for b in bufs)
-        for col, d in zip(cols, (d0, d1, d2, d3)):
-            np.subtract(col[step::step], col[:-step:step], out=d)
-        # msq = d1*d1 + d2*d2 + d3*d3 - d0*d0, summed left to right
-        np.multiply(d1, d1, out=msq)
-        np.add(msq, np.multiply(d2, d2, out=d2), out=msq)
-        np.add(msq, np.multiply(d3, d3, out=d3), out=msq)
-        np.subtract(msq, np.multiply(d0, d0, out=d0), out=msq)
-        # hops 2k * asinh(0.5 * sqrt(max(msq, 0)) / k)
-        np.maximum(msq, 0.0, out=msq)
-        np.sqrt(msq, out=msq)
-        np.multiply(msq, 0.5, out=msq)
-        np.divide(msq, k, out=msq)
-        np.arcsinh(msq, out=msq)
-        np.multiply(msq, two_k, out=msq)
-        return float(np.sum(msq))
+        d0, d1, d2, d3 = (np.diff(col[::fine // n_seg]) for col in cols)
+        msq = d1 * d1 + d2 * d2 + d3 * d3 - d0 * d0
+        hops = 2.0 * k * np.arcsinh(0.5 * np.sqrt(np.maximum(msq, 0.0)) / k)
+        return float(np.sum(hops))
 
     return richardson_length(polyline, base_segments)

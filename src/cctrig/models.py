@@ -41,16 +41,13 @@ class Model(enum.Enum):
 
 
 def minkowski_dot(u, v) -> float:
-    # unrolled for the 3- and 4-component sheets; the terms are still
+    # the plane and space sheets have 3 and 4 components; the terms are
     # subtracted one at a time, left to right
     if len(u) == 4:
         return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
     if len(u) == 3:
         return u[0] * v[0] - u[1] * v[1] - u[2] * v[2]
-    s = u[0] * v[0]
-    for i in range(1, len(u)):
-        s -= u[i] * v[i]
-    return s
+    raise DomainError(f"Minkowski vectors have 3 or 4 components, got {len(u)}")
 
 
 def _edot(u, v) -> float:

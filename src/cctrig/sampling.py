@@ -14,11 +14,11 @@ coordinates use two-term rearrangements (difference angle plus a
 half-angle square) so nearly-degenerate draws lose nothing to
 cancellation.
 
-Uniform draws. Each attempt takes all of its uniforms u in [0, 1) from
-one g.random(n) call and forms lo + (hi - lo) * u, the arithmetic of
-Generator.uniform(lo, hi): the values are bit for bit those of one
-uniform call each, and they are Python floats, so no numpy scalar
-reaches the model coordinates.
+Uniform draws. Each attempt takes all of its uniforms from one
+_uniforms call: one g.random(n) block of u in [0, 1), each mapped to
+lo + (hi - lo) * u, the arithmetic of Generator.uniform(lo, hi). The
+values are bit for bit those of one uniform call each, and they are
+Python floats, so no numpy scalar reaches the model coordinates.
 """
 
 from __future__ import annotations
@@ -84,6 +84,13 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
+def _uniforms(g: np.random.Generator, bounds) -> list[float]:
+    """One uniform on [lo, hi) per (lo, hi) in bounds, from one g.random
+    call: lo + (hi - lo) * u is Generator.uniform(lo, hi) bit for bit."""
+    draws = g.random(len(bounds)).tolist()
+    return [lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws)]
+
+
 def sample_triangle(geometry: Curvature, seed: int, index: int = 0, *,
                     min_angle: float = DEFAULT_MIN_ANGLE,
                     max_side: float = DEFAULT_MAX_SIDE,
@@ -110,12 +117,9 @@ def sample_triangle(geometry: Curvature, seed: int, index: int = 0, *,
 
 
 def _sample_flat(g, geometry, min_angle, max_side, min_side, attempts):
-    side_span, angle_span = max_side - min_side, (math.pi - min_angle) - min_angle
+    bounds = ((min_side, max_side),) * 2 + ((min_angle, math.pi - min_angle),)
     for _ in range(attempts):
-        ub, uc, uA = g.random(3).tolist()
-        b = min_side + side_span * ub
-        c = min_side + side_span * uc
-        A = min_angle + angle_span * uA
+        b, c, A = _uniforms(g, bounds)
         pa = ModelPoint.plane(0.0, 0.0)
         pb = ModelPoint.plane(c, 0.0)
         pc = ModelPoint.plane(b * math.cos(A), b * math.sin(A))
@@ -141,12 +145,9 @@ def _sample_curved(g, geometry, min_angle, max_side, min_side, attempts):
         raise DomainError(f"min_side {min_side} leaves no room under the spherical cap {cap}")
     # every frame puts its own vertex at this origin
     origin = _synthesized_point(model, (k, 0.0, 0.0), k)
-    side_span, angle_span = cap - min_side, (math.pi - min_angle) - min_angle
+    bounds = ((min_side, cap),) * 2 + ((min_angle, math.pi - min_angle),)
     for _ in range(attempts):
-        ub, uc, uA = g.random(3).tolist()
-        b = min_side + side_span * ub
-        c = min_side + side_span * uc
-        A = min_angle + angle_span * uA
+        b, c, A = _uniforms(g, bounds)
         s2 = math.sin(0.5 * A) ** 2
         sinA = math.sin(A)
 
@@ -202,9 +203,7 @@ def sample_right_triangle(geometry: Curvature, seed: int, index: int = 0, *,
         raise DomainError(f"spherical legs must stay below (pi/2) k, got cap {max_leg}")
     if not (0.0 < min_leg < max_leg):
         raise DomainError(f"need 0 < min_leg < max_leg, got ({min_leg}, {max_leg})")
-    ua, ub = sample_stream(seed, index).random(2).tolist()
-    a = min_leg + (max_leg - min_leg) * ua
-    b = min_leg + (max_leg - min_leg) * ub
+    a, b = _uniforms(sample_stream(seed, index), ((min_leg, max_leg),) * 2)
     sn, cs, eps = CURVED_TRIG[kind]
     sa, sb = sn(a), sn(b)
     # sn(c) from cs(c) = cs(a) cs(b), expanded with no cancellation

@@ -227,13 +227,17 @@ def _ref_tangent_part(direction, axis):
     return tuple(d + t * ax for d, ax in zip(direction, axis))
 
 
+#: helpers of any length
 _REFERENCE_HELPERS = (
-    (models.minkowski_dot, _ref_minkowski_dot),
     (models._edot, _ref_edot),
     (models._sub, lambda u, v: tuple(ui - vi for ui, vi in zip(u, v))),
     (models._add, lambda u, v: tuple(ui + vi for ui, vi in zip(u, v))),
     (lambda u, v: models._scale(u, v[0]), lambda u, v: tuple(ui * v[0] for ui in u)),
     (lambda u, v: models._enorm(u), lambda u, v: math.sqrt(_ref_edot(u, u))),
+)
+#: helpers of the 3- and 4-component Minkowski sheets
+_MINKOWSKI_HELPERS = (
+    (models.minkowski_dot, _ref_minkowski_dot),
     (_tangent_part, _ref_tangent_part),
 )
 
@@ -245,12 +249,19 @@ def _bits(x):
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_vector_helpers_match_the_generic_helpers(n):
     rng = random.Random(n)
+    helpers = _REFERENCE_HELPERS + (_MINKOWSKI_HELPERS if n > 2 else ())
     for _ in range(2000):
         # magnitudes across many binades, so rounding order would show
         u = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n))
         v = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n))
-        for ours, reference in _REFERENCE_HELPERS:
+        for ours, reference in helpers:
             assert _bits(ours(u, v)) == _bits(reference(u, v))
+
+
+@pytest.mark.parametrize("n", (2, 5))
+def test_minkowski_dot_takes_only_sheet_vectors(n):
+    with pytest.raises(DomainError):
+        models.minkowski_dot((1.0,) * n, (1.0,) * n)
 
 
 def test_enum_keyed_tables_hit_by_member_by_value_and_after_pickling():

@@ -12,7 +12,7 @@ from cctrig import (Curvature, DomainError, Model, ModelPoint, angle_excess,
                     sample_cevian_config, sample_right_triangle, sample_stream,
                     sample_triangle, spherical_right_residuals, suites)
 from cctrig.sampling import (DEFAULT_MAX_SIDE, DEFAULT_MIN_ANGLE,
-                             DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP)
+                             DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP, _uniforms)
 from cctrig.suites import _center_rays
 
 SPH = Curvature.spherical()
@@ -155,12 +155,12 @@ _UNIFORM_BOUNDS = (
 
 
 def test_block_draws_are_numpy_uniforms_bit_for_bit():
-    n = len(_UNIFORM_BOUNDS)
     for index in range(10_000):
-        block = sample_stream(11, index).random(n).tolist()
+        block = _uniforms(sample_stream(11, index), _UNIFORM_BOUNDS)
         g = sample_stream(11, index)
-        for (lo, hi), u in zip(_UNIFORM_BOUNDS, block):
-            assert (lo + (hi - lo) * u).hex() == float(g.uniform(lo, hi)).hex()
+        for (lo, hi), x in zip(_UNIFORM_BOUNDS, block):
+            assert type(x) is float
+            assert x.hex() == float(g.uniform(lo, hi)).hex()
 
 
 def _all_floats(values):
