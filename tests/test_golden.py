@@ -39,6 +39,10 @@ _CURVED_SOLVES = {
 #: at k = 0.5 and 10 it passes
 _SCALED_SUITES = ("spherical", "hyperbolic", "euclidean", "sphere-model",
                   "horosphere", "prism", "substitution", "limits", "cevians")
+#: suites pinned at 3000 samples, k = 1: there the samplers' rejection
+#: rounds run deeper than the 1000- and 200-sample cases reach
+_DEEP_SUITES = ("spherical", "hyperbolic", "euclidean", "substitution",
+                "sphere-model")
 
 
 def _cases():
@@ -49,6 +53,9 @@ def _cases():
             cases[f"verify_{suite}_k{k}_csv"] = (
                 "verify", suite, "--samples", "200", *_SEED,
                 "--curvature-scale", k, "--format", "csv")
+    for suite in _DEEP_SUITES:
+        cases[f"verify_{suite}_3000_csv"] = ("verify", suite, "--samples", "3000",
+                                             "--seed", "7", "--format", "csv")
     for name, argv in _README_SOLVES.items():
         for fmt in ("json", "csv", "human"):
             cases[f"solve_{name}_{fmt}"] = (*argv, "--format", fmt)
@@ -102,6 +109,16 @@ DIGESTS = {
         "26c60c0c20f5352f527d1371900f66b44e7aed4ada32abb6b9a874743f48b368",
     "verify_cevians_k10_csv":
         "ab32d9baf6ef4b4958c0e2dc60e0998d111c8ebb6c3ef91f4932c050207663ea",
+    "verify_spherical_3000_csv":
+        "1e324b7e7184cb298c6967ada8f1eb5d808f0089ab8cb00b0d3fc3179129f8a3",
+    "verify_hyperbolic_3000_csv":
+        "8628fda5878c383aa2540736cc883aab8242cabbd93421e413457c2cb628c652",
+    "verify_euclidean_3000_csv":
+        "97a92a410a7fb2f86712658ef084392ef376c6867cb3e3a1aa00cf00099da484",
+    "verify_substitution_3000_csv":
+        "0953c6e2e13ee26cc145029918a119cdeee7de6b793f0f8eb8d8f6838ece5fc2",
+    "verify_sphere-model_3000_csv":
+        "23d6dca0a1942c55e547f5632671c6325541524dc7205d0a05587119e54001b8",
     "solve_hyp_sss_json":
         "f9cd9328524b1adfc0fd5885cf8cd4398cc0fa376e282728c8d2ec59f089e7dc",
     "solve_hyp_sss_csv":
