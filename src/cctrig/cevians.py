@@ -273,14 +273,15 @@ def perturbed_residual(cfg: CevianConfig, delta: float) -> float:
 
 
 def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
-                         min_angle: float = 0.3, max_side: float = 2.0,
-                         attempts: int = 128) -> CevianConfig:
+                         max_side: float = 2.0, attempts: int = 128) -> CevianConfig:
     """Draw a well-conditioned triangle with a strictly interior O.
 
-    Vertices are drawn directly on the model around its reference point;
-    O is a convex model combination of the vertices with weights bounded
-    away from the edges, so every configuration is concurrent by
-    construction and non-degenerate. Deterministic per (seed, index).
+    Vertices are drawn directly on the model around its reference point,
+    at radii in [0.15, 0.5] max_side and angles within 0.5 of the thirds
+    of a turn; O is a convex model combination of the vertices with
+    weights bounded away from the edges, so every configuration is
+    concurrent by construction and non-degenerate. Deterministic per
+    (seed, index).
     """
     g = sample_stream(seed, index)
     k = geometry.k

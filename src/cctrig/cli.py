@@ -13,6 +13,7 @@ domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -147,7 +148,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: building it
+    takes about ten times as long as a parse."""
     parser = argparse.ArgumentParser(
         prog="cctrig",
         description="Constant-curvature triangle trigonometry, verified "

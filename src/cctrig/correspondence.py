@@ -22,12 +22,12 @@ hyperbolic triangle systems:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import FLOATS
 from .curvature import Curvature, GeometryKind
 from .errors import DomainError
 from .relations import SPHERICAL_RELATIONS, general_spherical_system
@@ -43,14 +43,11 @@ SUBSTITUTION_RELATIONS = SPHERICAL_RELATIONS
 class ComplexResidual:
     """A spherical relation evaluated at imaginary sides: the residual
     is a complex number whose real and imaginary parts must both vanish
-    on a true hyperbolic triangle."""
+    on a true hyperbolic triangle. imaginary_substitution_residuals
+    refuses non-finite residuals before it builds these."""
 
     relation_id: str
     residual: complex
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.residual.real) and math.isfinite(self.residual.imag)):
-            raise DomainError(f"non-finite complex residual for {self.relation_id}")
 
     @property
     def magnitude(self) -> float:
@@ -86,7 +83,7 @@ class RescalingReport:
     max_deviation: float
 
 
-def imaginary_substitution_residuals(t: TriangleData) -> list[ComplexResidual]:
+def imaginary_substitution_residuals(t: TriangleData, m=FLOATS) -> list[ComplexResidual]:
     """Evaluate the four general spherical relations at sides i*a/k,
     i*b/k, i*c/k with the triangle's real angles.
 
@@ -96,14 +93,19 @@ def imaginary_substitution_residuals(t: TriangleData) -> list[ComplexResidual]:
     to a hyperbolic identity (for example the side-cosine relation
     becomes cos b = cosh a cosh c - sinh a sinh c cos B with an overall
     sign), so the residual sits at the rounding floor of the cosh-sized
-    terms.
+    terms. On columns the residuals are object columns of Python complex
+    values (see columns.py).
     """
     if t.geometry.kind is not GeometryKind.HYPERBOLIC:
         raise DomainError("imaginary-side substitution applies to hyperbolic triangles")
-    t.validate()
+    t = m.live(t.validate(m))
     k = t.geometry.k
     values = general_spherical_system(1j * (t.a / k), 1j * (t.b / k), 1j * (t.c / k),
-                                      t, cmath.sin, cmath.cos)
+                                      t, m.csin, m.ccos, m)
+    for rid, v in zip(SUBSTITUTION_RELATIONS, values):
+        bad = m.not_(m.cisfinite(v))
+        if bad is not False:
+            m.refuse(bad, DomainError, "non-finite complex residual for {}", rid)
     return [ComplexResidual(rid, v) for rid, v in zip(SUBSTITUTION_RELATIONS, values)]
 
 

@@ -16,15 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import FLOATS, Columns, take
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError
-from .models import (Model, ModelPoint, Ray, _spacelike_norm, minkowski_dot,
-                     model_distance, richardson_length, tangent_angle,
-                     tangent_toward)
+from .models import (Model, ModelPoint, Ray, _edot, _spacelike_norm,
+                     minkowski_dot, model_distance, richardson_length,
+                     tangent_angle, tangent_toward)
+from .sampling import Block, sample_stream
 from .triangle import TriangleData
 
 # rays closer than this (or to pi minus this) give no usable triangle
 MIN_RAY_SEPARATION = 1e-6
+#: attempts of a random center-ray triple, and the largest |cos| it
+#: allows between two of its rays
+RAY_ATTEMPTS = 128
+_MAX_RAY_COS = math.cos(0.05)
 
 
 @dataclass(frozen=True)
@@ -57,34 +63,101 @@ def _tangent_part(direction, axis):
     return tuple([d + t * ax for d, ax in zip(direction, axis)])
 
 
-def geodesic_sphere_triangle(sphere: GeodesicSphere,
-                             rays: tuple[Ray, Ray, Ray]) -> TriangleData:
+def geodesic_sphere_triangle(sphere: GeodesicSphere, rays: tuple[Ray, Ray, Ray],
+                             m=FLOATS) -> TriangleData:
     """The spherical triangle cut by three center rays.
 
     Sides are the pairwise ray angles (unit-radius angular measure) and
     angles are the dihedral angles along each ray, both defined at the
     center, so the result carries spherical geometry with k = 1 no
-    matter the sphere radius.
+    matter the sphere radius. With a Columns namespace the ray
+    directions are columns and so is the triangle.
     """
     for r in rays:
         if r.base.coords != sphere.center.coords or r.base.k != sphere.center.k:
             raise DomainError("all three rays must be based at the sphere center")
     d1, d2, d3 = (r.direction for r in rays)
     center = sphere.center
-    a = tangent_angle(center, d2, d3)
-    b = tangent_angle(center, d3, d1)
-    c = tangent_angle(center, d1, d2)
+    a = tangent_angle(center, d2, d3, m)
+    b = tangent_angle(center, d3, d1, m)
+    c = tangent_angle(center, d1, d2, m)
     for side in (a, b, c):
-        if side < MIN_RAY_SEPARATION or side > math.pi - MIN_RAY_SEPARATION:
-            raise DegenerateError("two rays are (anti)parallel; no spherical triangle")
+        bad = (side < MIN_RAY_SEPARATION) | (side > math.pi - MIN_RAY_SEPARATION)
+        if bad is not False:
+            m.refuse(bad, DegenerateError, "two rays are (anti)parallel; no spherical triangle")
 
     def dihedral(axis, u, v):
-        return tangent_angle(center, _tangent_part(u, axis), _tangent_part(v, axis))
+        return tangent_angle(center, _tangent_part(u, axis), _tangent_part(v, axis), m)
 
     A = dihedral(d1, d2, d3)
     B = dihedral(d2, d3, d1)
     C = dihedral(d3, d1, d2)
-    return TriangleData(a, b, c, A, B, C, Curvature.spherical(1.0)).validate()
+    return TriangleData(a, b, c, A, B, C, Curvature.spherical(1.0)).validate(m)
+
+
+def _ray_directions(z, m):
+    """Three well-separated unit directions from nine normal draws, or
+    None where the draws are rejected."""
+    dirs = (z[0:3], z[3:6], z[6:9])
+    norms = [m.sqrt(x * x + y * y + w * w) for x, y, w in dirs]
+    keep = m.reject(m.min(*norms) < 1e-6)
+    if keep is None:
+        return None
+    dirs, norms = keep(dirs, norms)
+    d0, d1, d2 = ([c / n for c in d] for d, n in zip(dirs, norms))
+    sep = m.max(abs(_edot(d0, d1, m)), abs(_edot(d0, d2, m)), abs(_edot(d1, d2, m)))
+    keep = m.reject(sep > _MAX_RAY_COS)
+    if keep is None:
+        return None
+    return keep(d0, d1, d2)
+
+
+def center_ray_triangles(sphere: GeodesicSphere, seed: int, start: int,
+                         stop: int) -> tuple[Block, np.ndarray]:
+    """The triangles cut by random center-ray triples, one per index of
+    [start, stop), with the ray directions (3, 4, stop - start).
+
+    Index i draws normals from sample_stream(seed, i), nine per attempt,
+    until _ray_directions accepts them; the indices still unaccepted
+    draw in the next round. The rays and their triangle are computed on
+    columns. Block.errors holds the first error of every index without a
+    triangle, including the exhausted attempt budget.
+    """
+    center = sphere.center
+    n = stop - start
+    streams = [sample_stream(seed, i) for i in range(start, stop)]
+    directions = np.empty((3, 4, n))
+    errors: dict[int, Exception] = {}
+    over = np.zeros(n, dtype=bool)  # drawn or failed
+    active = np.arange(n)
+    for _ in range(RAY_ATTEMPTS):
+        if not len(active):
+            break
+        z = np.array([streams[i].normal(size=9) for i in active.tolist()]).T.copy()
+        with Columns(active) as m:
+            dirs = _ray_directions(list(z), m)
+            rays = None if dirs is None else [Ray.at(center, (0.0, *d), m) for d in dirs]
+        errors.update(m.errors)
+        over[list(m.errors)] = True
+        if rays is not None:
+            ok = ~m.dead
+            rows = m.rows[ok]
+            for r, ray in enumerate(rays):
+                for c, column in enumerate(ray.direction):
+                    directions[r, c, rows] = column[ok]
+            over[rows] = True
+        active = active[~over[active]]
+    failure = f"no acceptable ray triple after {RAY_ATTEMPTS} attempts"
+    errors.update((pos, DomainError(failure)) for pos in active.tolist())
+
+    rows = np.flatnonzero(over)
+    rows = rows[[pos not in errors for pos in rows.tolist()]]
+    rays = tuple(Ray(center, tuple(directions[r][:, rows])) for r in range(3))
+    with Columns(rows) as m:
+        t = geodesic_sphere_triangle(sphere, rays, m)
+    errors.update(m.errors)
+    alive = ~m.dead
+    return Block(m.rows[alive], take(t, alive), errors), directions
 
 
 def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *,

@@ -16,6 +16,10 @@ Distances use chord-based forms (asinh/atan2 of a difference vector)
 and angles use 2 atan2(|u - v|, |u + v|) on unit tangents; both keep
 full relative accuracy where acos/acosh of inner products lose half the
 digits.
+
+The measurements take their elementary functions from `m` (columns.py):
+FLOATS by default, or a Columns block, whose model points hold one
+float64 column per coordinate.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 
+from .columns import FLOATS
 from .curvature import CURVED_TRIG, GeometryKind
 from .errors import DomainError
 
@@ -40,9 +45,10 @@ class Model(enum.Enum):
     __hash__ = object.__hash__
 
 
-def minkowski_dot(u, v) -> float:
+def minkowski_dot(u, v, m=None) -> float:
     # the plane and space sheets have 3 and 4 components; the terms are
-    # subtracted one at a time, left to right
+    # subtracted one at a time, left to right. The product is arithmetic
+    # alone, so m is taken only to match _edot's signature.
     if len(u) == 4:
         return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
     if len(u) == 3:
@@ -50,12 +56,12 @@ def minkowski_dot(u, v) -> float:
     raise DomainError(f"Minkowski vectors have 3 or 4 components, got {len(u)}")
 
 
-def _edot(u, v) -> float:
-    return math.fsum(map(operator.mul, u, v))
+def _edot(u, v, m=FLOATS) -> float:
+    return m.fsum(map(operator.mul, u, v))
 
 
-def _enorm(u) -> float:
-    return math.sqrt(math.fsum(map(operator.mul, u, u)))
+def _enorm(u, m=FLOATS) -> float:
+    return m.sqrt(m.fsum(map(operator.mul, u, u)))
 
 
 def _cross3(u, v):
@@ -76,9 +82,9 @@ def _scale(u, t):
     return tuple([ui * t for ui in u])
 
 
-def _spacelike_norm(w) -> float:
+def _spacelike_norm(w, m=FLOATS) -> float:
     """Length of a spacelike Minkowski vector, clipped at 0 for rounding."""
-    return math.sqrt(max(-minkowski_dot(w, w), 0.0))
+    return m.sqrt(m.max(-minkowski_dot(w, w), 0.0))
 
 
 def richardson_length(polyline, base_segments: int) -> float:
@@ -125,12 +131,13 @@ class ModelPoint:
     k: float = 1.0
 
     @staticmethod
-    def sphere(coords, k: float = 1.0) -> ModelPoint:
+    def sphere(coords, k: float = 1.0, m=FLOATS) -> ModelPoint:
         if len(coords) != 3:
             raise DomainError("sphere points take 3 components")
-        r = _enorm(coords)
-        if r == 0.0 or not math.isfinite(r):
-            raise DomainError(f"cannot project {coords} onto the sphere")
+        r = _enorm(coords, m)
+        bad = (r == 0.0) | m.not_(m.isfinite(r))
+        if bad is not False:
+            m.refuse(bad, DomainError, "cannot project {} onto the sphere", coords)
         return ModelPoint(Model.SPHERE, _scale(tuple(coords), k / r), k)
 
     @staticmethod
@@ -155,11 +162,11 @@ class ModelPoint:
         return ModelPoint(Model.PLANE, (x, y), 1.0)
 
 
-def _synthesized_point(model: Model, coords, k: float) -> ModelPoint:
+def _synthesized_point(model: Model, coords, k: float, m=FLOATS) -> ModelPoint:
     """A point of a curved model from coordinates built on its surface:
     sphere points are renormalized, hyperboloid points kept as built."""
     if model is Model.SPHERE:
-        return ModelPoint.sphere(coords, k)
+        return ModelPoint.sphere(coords, k, m)
     return ModelPoint(model, coords, k)
 
 
@@ -168,46 +175,49 @@ def _same_chart(p: ModelPoint, q: ModelPoint, what: str) -> None:
         raise DomainError(f"{what} needs points of the same model and scale")
 
 
-def model_distance(p: ModelPoint, q: ModelPoint) -> float:
+def model_distance(p: ModelPoint, q: ModelPoint, m=FLOATS) -> float:
     """Geodesic distance between two points of the same model."""
     _same_chart(p, q, "model_distance")
     k = p.k
     if p.model is Model.PLANE:
-        return math.hypot(p.coords[0] - q.coords[0], p.coords[1] - q.coords[1])
+        return m.hypot(p.coords[0] - q.coords[0], p.coords[1] - q.coords[1])
     if p.model is Model.SPHERE:
-        return k * math.atan2(_enorm(_cross3(p.coords, q.coords)), _edot(p.coords, q.coords))
+        return k * m.atan2(_enorm(_cross3(p.coords, q.coords), m),
+                           _edot(p.coords, q.coords, m))
     if p.model is Model.HYPERBOLOID:
         # chordal form: exact cancellation happens in the subtraction,
         # after which the Minkowski square of the difference is benign
-        m = _spacelike_norm(_sub(p.coords, q.coords))
-        return 2.0 * k * math.asinh(0.5 * m / k)
+        chord = _spacelike_norm(_sub(p.coords, q.coords), m)
+        return 2.0 * k * m.asinh(0.5 * chord / k)
     dx = _sub(p.coords, q.coords)
     chord = _enorm(dx)
     return 2.0 * k * math.asinh(0.5 * chord / math.sqrt(p.coords[2] * q.coords[2]))
 
 
-def _unit_tangent(p: ModelPoint, v, failure: str) -> tuple[float, ...]:
+def _unit_tangent(p: ModelPoint, v, failure: str, m=FLOATS) -> tuple[float, ...]:
     """The tangent part of v at a curved-model point p, normalized."""
     dot, norm = CURVED_METRIC[p.model]
-    w = _sub(v, _scale(p.coords, dot(p.coords, v) / (p.k * p.k)))
-    n = norm(w)
-    if n == 0.0:
-        raise DomainError(failure)
+    w = _sub(v, _scale(p.coords, dot(p.coords, v, m) / (p.k * p.k)))
+    n = norm(w, m)
+    bad = n == 0.0
+    if bad is not False:
+        m.refuse(bad, DomainError, failure)
     return _scale(w, 1.0 / n)
 
 
-def tangent_toward(p: ModelPoint, q: ModelPoint) -> tuple[float, ...]:
+def tangent_toward(p: ModelPoint, q: ModelPoint, m=FLOATS) -> tuple[float, ...]:
     """Unit initial tangent at p of the geodesic running to q."""
     _same_chart(p, q, "tangent_toward")
     if p.model is Model.PLANE:
         w = _sub(q.coords, p.coords)
-        n = _enorm(w)
-        if n == 0.0:
-            raise DomainError("tangent_toward needs distinct points")
+        n = _enorm(w, m)
+        bad = n == 0.0
+        if bad is not False:
+            m.refuse(bad, DomainError, "tangent_toward needs distinct points")
         return _scale(w, 1.0 / n)
     if p.model in CURVED_METRIC:
         return _unit_tangent(p, q.coords,
-                             "tangent_toward is undefined for equal or antipodal points")
+                             "tangent_toward is undefined for equal or antipodal points", m)
     return _half_space_tangent(p, q)
 
 
@@ -234,22 +244,25 @@ def _half_space_tangent(p: ModelPoint, q: ModelPoint) -> tuple[float, float, flo
     return (tu * s * ux, tu * s * uy, tz * s)
 
 
-def tangent_angle(p: ModelPoint, u, v) -> float:
+def tangent_angle(p: ModelPoint, u, v, m=FLOATS) -> float:
     """Angle between two tangent vectors at p, in the model metric."""
     # every tangent metric but the hyperboloid's is Euclidean (the
     # half-space chart is conformal)
     norm = _spacelike_norm if p.model is Model.HYPERBOLOID else _enorm
-    nu, nv = norm(u), norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("tangent_angle needs nonzero tangents")
+    nu, nv = norm(u, m), norm(v, m)
+    bad = (nu == 0.0) | (nv == 0.0)
+    if bad is not False:
+        m.refuse(bad, DomainError, "tangent_angle needs nonzero tangents")
     uu = _scale(u, 1.0 / nu)
     vv = _scale(v, 1.0 / nv)
-    return 2.0 * math.atan2(norm(_sub(uu, vv)), norm(_add(uu, vv)))
+    return 2.0 * m.atan2(norm(_sub(uu, vv), m), norm(_add(uu, vv), m))
 
 
-def model_angle(at: ModelPoint, toward1: ModelPoint, toward2: ModelPoint) -> float:
+def model_angle(at: ModelPoint, toward1: ModelPoint, toward2: ModelPoint,
+                m=FLOATS) -> float:
     """Vertex angle at `at` between the geodesics to the two other points."""
-    return tangent_angle(at, tangent_toward(at, toward1), tangent_toward(at, toward2))
+    return tangent_angle(at, tangent_toward(at, toward1, m),
+                         tangent_toward(at, toward2, m), m)
 
 
 def geodesic_point(p: ModelPoint, direction, t: float) -> ModelPoint:
@@ -276,7 +289,7 @@ class Ray:
     direction: tuple[float, ...]
 
     @staticmethod
-    def at(base: ModelPoint, direction) -> Ray:
+    def at(base: ModelPoint, direction, m=FLOATS) -> Ray:
         """Build a ray, projecting the direction into the tangent space at
         the base and normalizing it."""
         k = base.k
@@ -287,7 +300,7 @@ class Ray:
             return Ray(base, _scale(tuple(direction), 1.0 / n))
         if base.model in CURVED_METRIC:
             return Ray(base, _unit_tangent(base, direction,
-                                           "ray direction has no tangent component"))
+                                           "ray direction has no tangent component", m))
         n = _enorm(direction)
         if n == 0.0:
             raise DomainError("ray direction must be nonzero")

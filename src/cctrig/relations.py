@@ -17,6 +17,10 @@ tan PI(p) = 1/sinh(p/k), the four relations below are
 
 The code evaluates the hyperbolic functions directly; a test pins that
 against the literal parallelism-angle route at the 1e-12 level.
+
+Every evaluator takes its elementary functions from `m` (columns.py):
+on a triangle of float64 columns with a Columns namespace it returns one
+residual column per relation, bit for bit the per-triangle values.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .columns import FLOATS
 from .curvature import GeometryKind
 from .errors import DomainError
 from .triangle import TriangleData
@@ -49,7 +54,7 @@ SPHERICAL_RELATIONS = ("sph_sine_law", "sph_side_cosine",
                        "sph_cotangent", "sph_angle_cosine")
 
 
-def general_spherical_system(a, b, c, t: TriangleData, sin, cos) -> tuple:
+def general_spherical_system(a, b, c, t: TriangleData, sin, cos, m=FLOATS) -> tuple:
     """The four general spherical relations, each moved to one side,
     at sides a, b, c (in units of k) and the real angles of t:
 
@@ -58,49 +63,50 @@ def general_spherical_system(a, b, c, t: TriangleData, sin, cos) -> tuple:
         cot a sin b = cot A sin C + cos b cos C
         cos a sin B sin C = cos B cos C + cos A
 
-    The side functions sin and cos are passed in: math.sin/math.cos at
-    real sides give the spherical residuals, cmath.sin/cmath.cos at the
+    The side functions sin and cos are passed in: m.sin/m.cos at real
+    sides give the spherical residuals, m.csin/m.ccos (cmath) at the
     imaginary sides i a/k give the imaginary-side substitution.
     """
-    sinA, cosA = math.sin(t.A), math.cos(t.A)
-    sinB, cosB = math.sin(t.B), math.cos(t.B)
-    sinC, cosC = math.sin(t.C), math.cos(t.C)
+    sinA, cosA = m.sin(t.A), m.cos(t.A)
+    sinB, cosB = m.sin(t.B), m.cos(t.B)
+    sinC, cosC = m.sin(t.C), m.cos(t.C)
     return (sin(a) * sinB - sin(b) * sinA,
             (cos(b) - cos(a) * cos(c)) - sin(a) * sin(c) * cosB,
             cos(a) / sin(a) * sin(b) - (cosA / sinA * sinC + cos(b) * cosC),
             cos(a) * sinB * sinC - (cosB * cosC + cosA))
 
 
-def spherical_residuals(t: TriangleData) -> list[RelationResidual]:
+def spherical_residuals(t: TriangleData, m=FLOATS) -> list[RelationResidual]:
     """Residuals of the general spherical system (general_spherical_system)."""
     _check_kind(t, GeometryKind.SPHERICAL, "spherical_residuals")
-    t.validate()
+    t.validate(m)
     k = t.geometry.k
-    values = general_spherical_system(t.a / k, t.b / k, t.c / k, t, math.sin, math.cos)
+    values = general_spherical_system(t.a / k, t.b / k, t.c / k, t, m.sin, m.cos, m)
     return [RelationResidual(rid, v) for rid, v in zip(SPHERICAL_RELATIONS, values)]
 
 
-def spherical_right_residuals(t: TriangleData,
-                              right_angle_tol: float = RIGHT_ANGLE_TOL) -> list[RelationResidual]:
+def spherical_right_residuals(t: TriangleData, right_angle_tol: float = RIGHT_ANGLE_TOL,
+                              m=FLOATS) -> list[RelationResidual]:
     """Residuals of the right-triangle specialization (right angle at C):
 
         sin a = sin A sin c,   cos B = cos b sin A,   cos c = cos a cos b.
     """
     _check_kind(t, GeometryKind.SPHERICAL, "spherical_right_residuals")
-    t.validate()
-    if abs(t.C - math.pi / 2.0) > right_angle_tol:
-        raise DomainError(f"right angle at C required, got C = {t.C}")
+    t.validate(m)
+    bad = abs(t.C - math.pi / 2.0) > right_angle_tol
+    if bad is not False:
+        m.refuse(bad, DomainError, "right angle at C required, got C = {}", t.C)
     k = t.geometry.k
     a, b, c = t.a / k, t.b / k, t.c / k
-    sinA = math.sin(t.A)
+    sinA = m.sin(t.A)
     return [
-        RelationResidual("sphr_sine", sinA * math.sin(c) - math.sin(a)),
-        RelationResidual("sphr_cos_angle", math.cos(b) * sinA - math.cos(t.B)),
-        RelationResidual("sphr_pythagoras", math.cos(a) * math.cos(b) - math.cos(c)),
+        RelationResidual("sphr_sine", sinA * m.sin(c) - m.sin(a)),
+        RelationResidual("sphr_cos_angle", m.cos(b) * sinA - m.cos(t.B)),
+        RelationResidual("sphr_pythagoras", m.cos(a) * m.cos(b) - m.cos(c)),
     ]
 
 
-def hyperbolic_residuals(t: TriangleData) -> list[RelationResidual]:
+def hyperbolic_residuals(t: TriangleData, m=FLOATS) -> list[RelationResidual]:
     """Residuals of the hyperbolic system in the module docstring.
 
     Zero sides are rejected up front: the cotangent relation divides by
@@ -108,37 +114,39 @@ def hyperbolic_residuals(t: TriangleData) -> list[RelationResidual]:
     system is undefined there rather than infinite.
     """
     _check_kind(t, GeometryKind.HYPERBOLIC, "hyperbolic_residuals")
-    if min(t.a, t.b, t.c) <= 0.0:
-        raise DomainError("hyperbolic relations need positive sides: "
-                          "tan PI and 1/cos PI diverge at a zero side")
-    t.validate()
+    bad = m.min(t.a, t.b, t.c) <= 0.0
+    if bad is not False:
+        m.refuse(bad, DomainError, "hyperbolic relations need positive sides: "
+                 "tan PI and 1/cos PI diverge at a zero side")
+    t.validate(m)
     k = t.geometry.k
     a, b, c = t.a / k, t.b / k, t.c / k
-    sinA, cosA = math.sin(t.A), math.cos(t.A)
-    sinB, cosB = math.sin(t.B), math.cos(t.B)
-    sinC, cosC = math.sin(t.C), math.cos(t.C)
+    sinA, cosA = m.sin(t.A), m.cos(t.A)
+    sinB, cosB = m.sin(t.B), m.cos(t.B)
+    sinC, cosC = m.sin(t.C), m.cos(t.C)
+    cosh_b, tanh_b = m.cosh(b), m.tanh(b)
     return [
-        RelationResidual("hyp_sine_law", sinA / math.sinh(a) - sinB / math.sinh(b)),
+        RelationResidual("hyp_sine_law", sinA / m.sinh(a) - sinB / m.sinh(b)),
         RelationResidual("hyp_side_cosine",
-                         (1.0 - math.tanh(b) * math.tanh(c) * cosA)
-                         - math.cosh(a) / (math.cosh(b) * math.cosh(c))),
+                         (1.0 - tanh_b * m.tanh(c) * cosA)
+                         - m.cosh(a) / (cosh_b * m.cosh(c))),
         RelationResidual("hyp_angle_cosine",
-                         (cosA + cosB * cosC) - sinB * sinC * math.cosh(a)),
+                         (cosA + cosB * cosC) - sinB * sinC * m.cosh(a)),
         RelationResidual("hyp_cotangent",
-                         (cosA / sinA * sinC / math.cosh(b) + cosC)
-                         - math.tanh(b) / math.tanh(a)),
+                         (cosA / sinA * sinC / cosh_b + cosC)
+                         - tanh_b / m.tanh(a)),
     ]
 
 
-def euclidean_residuals(t: TriangleData) -> list[RelationResidual]:
+def euclidean_residuals(t: TriangleData, m=FLOATS) -> list[RelationResidual]:
     """Residuals of the flat system: the sine law, the law of cosines,
     and the angle sum."""
     _check_kind(t, GeometryKind.EUCLIDEAN, "euclidean_residuals")
-    t.validate()
+    t.validate(m)
     a, b, c = t.sides()
     return [
-        RelationResidual("euc_sine_law", a * math.sin(t.B) - b * math.sin(t.A)),
+        RelationResidual("euc_sine_law", a * m.sin(t.B) - b * m.sin(t.A)),
         RelationResidual("euc_side_cosine",
-                         a * a - (b * b + c * c - 2.0 * b * c * math.cos(t.A))),
+                         a * a - (b * b + c * c - 2.0 * b * c * m.cos(t.A))),
         RelationResidual("euc_angle_sum", (t.A + t.B + t.C) - math.pi),
     ]

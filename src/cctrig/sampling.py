@@ -14,21 +14,39 @@ coordinates use two-term rearrangements (difference angle plus a
 half-angle square) so nearly-degenerate draws lose nothing to
 cancellation.
 
-Uniform draws. Each attempt takes all of its uniforms from one
-_uniforms call: one g.random(n) block of u in [0, 1), each mapped to
-lo + (hi - lo) * u, the arithmetic of Generator.uniform(lo, hi). The
-values are bit for bit those of one uniform call each, and they are
-Python floats, so no numpy scalar reaches the model coordinates.
+Uniform draws. Attempt j of an index takes uniforms 3j, 3j + 1 and
+3j + 2 of the index's stream (the right-triangle sampler takes uniforms
+0 and 1), each mapped to lo + (hi - lo) * u, the arithmetic of
+Generator.uniform(lo, hi). The per-index samplers draw them with one
+g.random(n) call per attempt, as Python floats.
+
+Blocks. sample_triangles and sample_right_triangles draw a range of
+indices at once, bit for bit what the per-index samplers return. A
+numpy Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy
+as 1, 2, 3", SC'11), keyed as sample_stream keys it, hands every index
+of the block the words of its own stream that a round needs; an index
+whose attempt is rejected draws again in the next round. The attempt
+itself (synthesis, model measurements, rejection tests, validation) is
+one function, run on floats or on float64 columns (columns.py). On the
+columns numpy does only + - * / and sqrt, which IEEE 754 rounds
+correctly; every other function maps `math` over the column, since
+numpy's sin, atan2, asinh and the rest differ from `math` in the last
+bit on a share of inputs. Powers count as such a function: x ** 2 on a
+Python float is C pow, which differs from x * x (and from numpy's
+x ** 2, a square) on about 1 input in 1,200, so the half-angle square
+is m.pow.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CURVED_TRIG, Curvature, GeometryKind
+from .columns import FLOATS, Columns, take
+from .curvature import Curvature, GeometryKind
 from .errors import DomainError, SamplingError
 from .models import (MODEL_FOR_KIND, ModelPoint, _synthesized_point,
                      model_angle, model_distance)
@@ -38,6 +56,9 @@ DEFAULT_MIN_ANGLE = 1e-3
 DEFAULT_MAX_SIDE = 10.0  # units of k
 DEFAULT_MIN_SIDE = 0.05  # units of k
 DEFAULT_ATTEMPTS = 128
+#: rows a batch of sample_triangles aims at, and its most attempts per index
+_BATCH_ROWS = 512
+_MAX_TRIES = 16
 # spherical side cap (units of k), just under the quarter circumference;
 # a geodesic ball of this radius is convex and inside an open hemisphere
 SPHERE_SIDE_CAP = 0.49 * math.pi
@@ -73,15 +94,79 @@ def _philox_key_type() -> type:
     return PhiloxKey
 
 
-def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one sample index: Philox
-    keyed by seed + index * 2**64, so both must fit 64 bits."""
+def _check_key(seed: int, index: int) -> None:
     if index < 0 or seed < 0:
         raise DomainError("seed and index must be nonnegative")
     if seed >= _KEY_WORD or index >= _KEY_WORD:
         raise DomainError(f"seed and index must be below 2**64, got ({seed}, {index})")
+
+
+def sample_stream(seed: int, index: int) -> np.random.Generator:
+    """Independent counter-based stream for one sample index: Philox
+    keyed by seed + index * 2**64, so both must fit 64 bits."""
+    _check_key(seed, index)
     key = _philox_key_type()(np.array((seed, index), dtype=np.uint64))
     return np.random.Generator(np.random.Philox(key))
+
+
+# Philox4x64-10 constants (Random123): round multipliers and key bumps
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(a: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * x, from 32-bit
+    halves (numpy's uint64 products wrap)."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    ll, lh, hl = a_lo * x_lo, a_lo * x_hi, a_hi * x_lo
+    carry = ((ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)) >> _SHIFT32
+    return a_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + carry, a * x
+
+
+def _philox_blocks(counters: np.ndarray, seed: int, indices: np.ndarray) -> tuple:
+    """The four output words of counter block c of every stream keyed
+    (seed, index), for each c in `counters`: four uint64 arrays of shape
+    (len(counters), len(indices))."""
+    shape = (len(counters), len(indices))
+    c0 = np.broadcast_to(counters[:, None], shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = np.uint64(seed), indices
+    with np.errstate(over="ignore"):  # the key bumps wrap, as they should
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _index_column(seed: int, start: int, stop: int) -> np.ndarray:
+    """Stream indices start..stop-1 as a uint64 column, refused as
+    sample_stream refuses the first index out of range."""
+    _check_key(seed, start)
+    _check_key(seed, min(stop - 1, _KEY_WORD))
+    return np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
+
+
+def block_random(seed: int, indices: np.ndarray, first: int, count: int) -> list[np.ndarray]:
+    """Uniforms first..first+count-1 of each index's stream, one float64
+    column per uniform, bit for bit what sample_stream(seed, index)
+    .random() hands out in that position.
+
+    np.random.Philox steps its counter before each block of four words,
+    so word w of a stream is lane w % 4 of counter block w // 4 + 1, and
+    a double is the top 53 bits of a word times 2**-53.
+    """
+    low = first // 4
+    counters = np.arange(low + 1, (first + count - 1) // 4 + 2, dtype=np.uint64)
+    lanes = _philox_blocks(counters, seed, indices)
+    doubles = [(lane >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+               for lane in lanes]
+    return [doubles[word % 4][word // 4 - low] for word in range(first, first + count)]
 
 
 def _uniforms(g: np.random.Generator, bounds) -> list[float]:
@@ -89,6 +174,117 @@ def _uniforms(g: np.random.Generator, bounds) -> list[float]:
     call: lo + (hi - lo) * u is Generator.uniform(lo, hi) bit for bit."""
     draws = g.random(len(bounds)).tolist()
     return [lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws)]
+
+
+def _block_uniforms(seed: int, indices: np.ndarray, first: int, bounds) -> list[np.ndarray]:
+    """_uniforms for a column of indices, from uniform `first` on."""
+    draws = block_random(seed, indices, first, len(bounds))
+    return [lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws)]
+
+
+@dataclass(frozen=True)
+class Block:
+    """Triangles drawn for a range of indices.
+
+    `rows` holds the positions in the range (index - start) that gave a
+    triangle and `triangle` their values, one column per element.
+    `errors` maps every other position to the error the per-index
+    sampler raises there.
+    """
+
+    rows: np.ndarray
+    triangle: TriangleData
+    errors: dict
+
+
+def _flat_attempt(b, c, A, m, *, geometry, min_angle, max_side):
+    pa = ModelPoint.plane(0.0, 0.0)
+    pb = ModelPoint.plane(c, 0.0)
+    pc = ModelPoint.plane(b * m.cos(A), b * m.sin(A))
+    a_m = model_distance(pb, pc, m)
+    keep = m.reject((a_m > max_side) | (a_m < 1e-12))
+    if keep is None:
+        return None
+    pa, pb, pc, a_m = keep(pa, pb, pc, a_m)
+    angA = model_angle(pa, pb, pc, m)
+    angB = model_angle(pb, pc, pa, m)
+    angC = model_angle(pc, pa, pb, m)
+    keep = m.reject(m.min(angA, angB, angC) < min_angle)
+    if keep is None:
+        return None
+    pa, pb, pc, a_m, angA, angB, angC = keep(pa, pb, pc, a_m, angA, angB, angC)
+    return TriangleData(a_m, model_distance(pc, pa, m), model_distance(pa, pb, m),
+                        angA, angB, angC, geometry).validate(m)
+
+
+def _curved_attempt(b, c, A, m, *, geometry, min_angle, cap, origin):
+    k = geometry.k
+    model = origin.model
+    sn, cs, eps = m.trig[geometry.kind]
+    s2 = m.pow(m.sin(0.5 * A), 2.0)
+    sinA = m.sin(A)
+    snb, csb, snc, csc = sn(b), cs(b), sn(c), cs(c)
+
+    # B and C as seen from A (B down the x-axis, C at angle A); A as
+    # seen from B lands on the same coordinates as B seen from A
+    pb = _synthesized_point(model, (k * csc, k * snc, 0.0), k, m)
+    pc = _synthesized_point(model, (k * csb, k * snb * m.cos(A), k * snb * sinA), k, m)
+
+    # A and B as seen from C (A down the x-axis); the far vertex B
+    # lands on two-term coordinates free of cancellation
+    qa = _synthesized_point(model, (k * csb, k * snb, 0.0), k, m)
+    qb = _synthesized_point(model, (k * (cs(b - c) - eps * 2.0 * snb * snc * s2),
+                                    k * (sn(b - c) + 2.0 * csb * snc * s2),
+                                    k * snc * sinA), k, m)
+
+    # C as seen from B (A down the x-axis)
+    rc = _synthesized_point(model, (k * (cs(c - b) - eps * 2.0 * snc * snb * s2),
+                                    k * (sn(c - b) + 2.0 * csc * snb * s2),
+                                    k * snb * sinA), k, m)
+
+    a_m = model_distance(origin, qb, m)
+    keep = m.reject((a_m > cap * k) | (a_m < 1e-12 * k))
+    if keep is None:
+        return None
+    pb, pc, qa, qb, rc, a_m = keep(pb, pc, qa, qb, rc, a_m)
+    angA = model_angle(origin, pb, pc, m)
+    angB = model_angle(origin, pb, rc, m)
+    angC = model_angle(origin, qa, qb, m)
+    keep = m.reject(m.min(angA, angB, angC) < min_angle)
+    if keep is None:
+        return None
+    pb, pc, a_m, angA, angB, angC = keep(pb, pc, a_m, angA, angB, angC)
+    return TriangleData(a_m, model_distance(origin, pc, m), model_distance(origin, pb, m),
+                        angA, angB, angC, geometry).validate(m)
+
+
+def _triangle_plan(geometry: Curvature, min_angle: float, max_side: float,
+                   min_side: float):
+    """The uniform bounds of one attempt and the attempt itself."""
+    if not (0.0 < min_angle < math.pi / 2.0):
+        raise DomainError(f"min_angle must lie in (0, pi/2), got {min_angle}")
+    if not (0.0 < min_side < max_side):
+        raise DomainError(f"need 0 < min_side < max_side, got ({min_side}, {max_side})")
+    angles = (min_angle, math.pi - min_angle)
+    if geometry.kind is GeometryKind.EUCLIDEAN:
+        return (((min_side, max_side),) * 2 + (angles,),
+                functools.partial(_flat_attempt, geometry=geometry,
+                                  min_angle=min_angle, max_side=max_side))
+    cap = min(max_side, SPHERE_SIDE_CAP) if geometry.kind is GeometryKind.SPHERICAL \
+        else max_side
+    if min_side >= cap:
+        raise DomainError(f"min_side {min_side} leaves no room under the spherical cap {cap}")
+    k = geometry.k
+    # every frame puts its own vertex at this origin
+    origin = _synthesized_point(MODEL_FOR_KIND[geometry.kind], (k, 0.0, 0.0), k)
+    return (((min_side, cap),) * 2 + (angles,),
+            functools.partial(_curved_attempt, geometry=geometry,
+                              min_angle=min_angle, cap=cap, origin=origin))
+
+
+def _rejection_failure(geometry: Curvature, attempts: int) -> str:
+    kind = "flat" if geometry.kind is GeometryKind.EUCLIDEAN else geometry.kind.value
+    return f"no {kind} triangle accepted in {attempts} attempts"
 
 
 def sample_triangle(geometry: Curvature, seed: int, index: int = 0, *,
@@ -103,83 +299,98 @@ def sample_triangle(geometry: Curvature, seed: int, index: int = 0, *,
     side leaves [~0, max_side] or whose angles fall under min_angle are
     rejected; the attempt budget bounds the rejection loop.
     """
-    if not (0.0 < min_angle < math.pi / 2.0):
-        raise DomainError(f"min_angle must lie in (0, pi/2), got {min_angle}")
-    if not (0.0 < min_side < max_side):
-        raise DomainError(f"need 0 < min_side < max_side, got ({min_side}, {max_side})")
+    bounds, attempt = _triangle_plan(geometry, min_angle, max_side, min_side)
     g = sample_stream(seed, index)
+    for _ in range(attempts):
+        t = attempt(*_uniforms(g, bounds), FLOATS)
+        if t is not None:
+            return t
+    raise SamplingError(_rejection_failure(geometry, attempts))
+
+
+def sample_triangles(geometry: Curvature, seed: int, start: int, stop: int, *,
+                     min_angle: float = DEFAULT_MIN_ANGLE,
+                     max_side: float = DEFAULT_MAX_SIDE,
+                     min_side: float = DEFAULT_MIN_SIDE,
+                     attempts: int = DEFAULT_ATTEMPTS) -> Block:
+    """sample_triangle for every index in [start, stop).
+
+    The indices still unresolved take their next attempts together: one
+    batch runs attempts j..j+r-1 of each as r * (indices) rows, and an
+    index takes its first attempt that was accepted or raised. While
+    many indices are left r is 1, so no attempt is made that a loop over
+    the indices would not make; as they thin out, r grows, so that a
+    few stragglers do not cost a batch each.
+    """
+    bounds, attempt = _triangle_plan(geometry, min_angle, max_side, min_side)
+    indices = _index_column(seed, start, stop)
+    n = stop - start
+    fields = np.empty((6, n))
+    accepted = np.zeros(n, dtype=bool)
+    errors: dict[int, Exception] = {}
+    active = np.arange(n)
+    made = 0  # attempts made by every index still active
+    while len(active) and made < attempts:
+        width = len(active)
+        tries = min(attempts - made, max(1, _BATCH_ROWS // width), _MAX_TRIES)
+        draws = _block_uniforms(seed, indices[active], made * len(bounds), bounds * tries)
+        # row r * width + i is attempt made + r of active index i
+        columns = [np.concatenate(draws[d::len(bounds)]) for d in range(len(bounds))]
+        with Columns(np.arange(tries * width)) as m:
+            t = attempt(*columns, m)
+        # per row: 0 rejected, 1 accepted, 2 raised
+        outcome = np.zeros(tries * width, dtype=np.int8)
+        if t is not None:
+            outcome[m.alive()] = 1
+        outcome[list(m.errors)] = 2
+        outcome = outcome.reshape(tries, width)
+        first = np.argmax(outcome != 0, axis=0)
+        row = first * width + np.arange(width)
+        ends = outcome[first, np.arange(width)]
+        took = ends == 1
+        if took.any():
+            at = np.searchsorted(m.rows, row[took])
+            for column, value in zip(fields, (t.a, t.b, t.c, t.A, t.B, t.C)):
+                column[active[took]] = value[at]
+            accepted[active[took]] = True
+        for pos, r in zip(active[ends == 2].tolist(), row[ends == 2].tolist()):
+            errors[pos] = m.errors[r]
+        active = active[ends == 0]
+        made += tries
+    failure = _rejection_failure(geometry, attempts)
+    errors.update((pos, SamplingError(failure)) for pos in active.tolist())
+    rows = np.flatnonzero(accepted)
+    return Block(rows, TriangleData(*fields[:, rows], geometry), errors)
+
+
+def _right_plan(geometry: Curvature, min_leg: float, max_leg: float | None):
+    """The leg bounds of the right-triangle sampler."""
     kind = geometry.kind
     if kind is GeometryKind.EUCLIDEAN:
-        t = _sample_flat(g, geometry, min_angle, max_side, min_side, attempts)
-    else:
-        t = _sample_curved(g, geometry, min_angle, max_side, min_side, attempts)
-    return t.validate()
+        raise DomainError("flat right triangles need no curvature-aware sampler")
+    if max_leg is None:
+        max_leg = 1.5 if kind is GeometryKind.SPHERICAL else 3.0
+    if kind is GeometryKind.SPHERICAL and max_leg >= math.pi / 2.0:
+        raise DomainError(f"spherical legs must stay below (pi/2) k, got cap {max_leg}")
+    if not (0.0 < min_leg < max_leg):
+        raise DomainError(f"need 0 < min_leg < max_leg, got ({min_leg}, {max_leg})")
+    return ((min_leg, max_leg),) * 2
 
 
-def _sample_flat(g, geometry, min_angle, max_side, min_side, attempts):
-    bounds = ((min_side, max_side),) * 2 + ((min_angle, math.pi - min_angle),)
-    for _ in range(attempts):
-        b, c, A = _uniforms(g, bounds)
-        pa = ModelPoint.plane(0.0, 0.0)
-        pb = ModelPoint.plane(c, 0.0)
-        pc = ModelPoint.plane(b * math.cos(A), b * math.sin(A))
-        a_m = model_distance(pb, pc)
-        if a_m > max_side or a_m < 1e-12:
-            continue
-        angA = model_angle(pa, pb, pc)
-        angB = model_angle(pb, pc, pa)
-        angC = model_angle(pc, pa, pb)
-        if min(angA, angB, angC) < min_angle:
-            continue
-        return TriangleData(a_m, model_distance(pc, pa), model_distance(pa, pb),
-                            angA, angB, angC, geometry)
-    raise SamplingError(f"no flat triangle accepted in {attempts} attempts")
-
-
-def _sample_curved(g, geometry, min_angle, max_side, min_side, attempts):
+def _right_triangle(a, b, geometry: Curvature, m) -> TriangleData:
+    """The right triangle (right angle at C) with legs a, b in units of k."""
     k = geometry.k
-    sn, cs, eps = CURVED_TRIG[geometry.kind]
-    model = MODEL_FOR_KIND[geometry.kind]
-    cap = min(max_side, SPHERE_SIDE_CAP) if eps > 0.0 else max_side
-    if min_side >= cap:
-        raise DomainError(f"min_side {min_side} leaves no room under the spherical cap {cap}")
-    # every frame puts its own vertex at this origin
-    origin = _synthesized_point(model, (k, 0.0, 0.0), k)
-    bounds = ((min_side, cap),) * 2 + ((min_angle, math.pi - min_angle),)
-    for _ in range(attempts):
-        b, c, A = _uniforms(g, bounds)
-        s2 = math.sin(0.5 * A) ** 2
-        sinA = math.sin(A)
-
-        # B and C as seen from A (B down the x-axis, C at angle A); A as
-        # seen from B lands on the same coordinates as B seen from A
-        pb = _synthesized_point(model, (k * cs(c), k * sn(c), 0.0), k)
-        pc = _synthesized_point(
-            model, (k * cs(b), k * sn(b) * math.cos(A), k * sn(b) * sinA), k)
-
-        # A and B as seen from C (A down the x-axis); the far vertex B
-        # lands on two-term coordinates free of cancellation
-        qa = _synthesized_point(model, (k * cs(b), k * sn(b), 0.0), k)
-        qb = _synthesized_point(model, (k * (cs(b - c) - eps * 2.0 * sn(b) * sn(c) * s2),
-                                        k * (sn(b - c) + 2.0 * cs(b) * sn(c) * s2),
-                                        k * sn(c) * sinA), k)
-
-        # C as seen from B (A down the x-axis)
-        rc = _synthesized_point(model, (k * (cs(c - b) - eps * 2.0 * sn(c) * sn(b) * s2),
-                                        k * (sn(c - b) + 2.0 * cs(c) * sn(b) * s2),
-                                        k * sn(b) * sinA), k)
-
-        a_m = model_distance(origin, qb)
-        if a_m > cap * k or a_m < 1e-12 * k:
-            continue
-        angA = model_angle(origin, pb, pc)
-        angB = model_angle(origin, pb, rc)
-        angC = model_angle(origin, qa, qb)
-        if min(angA, angB, angC) < min_angle:
-            continue
-        return TriangleData(a_m, model_distance(origin, pc), model_distance(origin, pb),
-                            angA, angB, angC, geometry)
-    raise SamplingError(f"no {geometry.kind.value} triangle accepted in {attempts} attempts")
+    sn, cs, eps = m.trig[geometry.kind]
+    sa, sb = sn(a), sn(b)
+    # sn(c) from cs(c) = cs(a) cs(b), expanded with no cancellation
+    sc = m.sqrt(sa * sa + sb * sb - eps * sa * sa * sb * sb)
+    if eps < 0.0:
+        c, tn = m.asinh(sc), m.tanh
+    else:
+        c, tn = m.atan2(sc, cs(a) * cs(b)), m.tan
+    A = m.atan2(tn(a), sb)
+    B = m.atan2(tn(b), sa)
+    return TriangleData(a * k, b * k, c * k, A, B, math.pi / 2.0, geometry).validate(m)
 
 
 def sample_right_triangle(geometry: Curvature, seed: int, index: int = 0, *,
@@ -194,24 +405,18 @@ def sample_right_triangle(geometry: Curvature, seed: int, index: int = 0, *,
     constructions conditioned like cosh(hypotenuse)^2 retain at least
     twelve significant digits.
     """
-    kind, k = geometry.kind, geometry.k
-    if kind is GeometryKind.EUCLIDEAN:
-        raise DomainError("flat right triangles need no curvature-aware sampler")
-    if max_leg is None:
-        max_leg = 1.5 if kind is GeometryKind.SPHERICAL else 3.0
-    if kind is GeometryKind.SPHERICAL and max_leg >= math.pi / 2.0:
-        raise DomainError(f"spherical legs must stay below (pi/2) k, got cap {max_leg}")
-    if not (0.0 < min_leg < max_leg):
-        raise DomainError(f"need 0 < min_leg < max_leg, got ({min_leg}, {max_leg})")
-    a, b = _uniforms(sample_stream(seed, index), ((min_leg, max_leg),) * 2)
-    sn, cs, eps = CURVED_TRIG[kind]
-    sa, sb = sn(a), sn(b)
-    # sn(c) from cs(c) = cs(a) cs(b), expanded with no cancellation
-    sc = math.sqrt(sa * sa + sb * sb - eps * sa * sa * sb * sb)
-    if eps < 0.0:
-        c, tn = math.asinh(sc), math.tanh
-    else:
-        c, tn = math.atan2(sc, cs(a) * cs(b)), math.tan
-    A = math.atan2(tn(a), sb)
-    B = math.atan2(tn(b), sa)
-    return TriangleData(a * k, b * k, c * k, A, B, math.pi / 2.0, geometry).validate()
+    bounds = _right_plan(geometry, min_leg, max_leg)
+    a, b = _uniforms(sample_stream(seed, index), bounds)
+    return _right_triangle(a, b, geometry, FLOATS)
+
+
+def sample_right_triangles(geometry: Curvature, seed: int, start: int, stop: int, *,
+                           min_leg: float = DEFAULT_MIN_SIDE,
+                           max_leg: float | None = None) -> Block:
+    """sample_right_triangle for every index in [start, stop). The
+    right angle C stays the constant pi/2 rather than a column."""
+    bounds = _right_plan(geometry, min_leg, max_leg)
+    a, b = _block_uniforms(seed, _index_column(seed, start, stop), 0, bounds)
+    with Columns(np.arange(stop - start)) as m:
+        t = _right_triangle(a, b, geometry, m)
+    return Block(m.alive(), take(t, ~m.dead), m.errors)

@@ -3,7 +3,10 @@
 Each suite draws its own deterministic sample stream (counter-based, so
 execution order never matters), feeds the models' measurements through
 the relation evaluators, and aggregates absolute residuals into report
-rows. Row tolerances default to the documented per-row targets and
+rows. The spherical, hyperbolic, euclidean and substitution suites and
+the triangles of sphere-model run on float64 columns over blocks of
+sample indices (columns.py), with the values and errors of a loop over
+the indices. Row tolerances default to the documented per-row targets and
 scale proportionally when the configured base tolerance is changed;
 structural thresholds (the limit-slope window and the cevian
 sensitivity floor) are fixed properties of the mathematics and do not
@@ -12,6 +15,7 @@ scale.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -19,22 +23,24 @@ import numpy as np
 
 from .cevians import (cevian_feet, cevian_residual, perturbed_residual,
                       sample_cevian_config)
+from .columns import FLOATS, Columns
 from .correspondence import (euclidean_limit_slope,
                              imaginary_substitution_residuals, rescaling_check)
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError, InfeasibleError
-from .geodesic_sphere import (GeodesicSphere, geodesic_sphere_triangle,
-                              intrinsic_arc_length)
+from .geodesic_sphere import (RAY_ATTEMPTS, GeodesicSphere, _ray_directions,
+                              center_ray_triangles, intrinsic_arc_length)
 from .horosphere import (ambient_polyline_length, horosphere_triangle,
                          intrinsic_distance)
-from .models import Model, ModelPoint, Ray, _edot, tangent_angle
+from .models import Model, ModelPoint, Ray, tangent_angle
 from .parallelism import parallelism_angle
 from .prism import build_prism, replay_residuals
 from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals, spherical_right_residuals)
 from .report import (MIN_ABOVE, CheckRow, ResidualReport, SuiteConfig,
                      make_row)
-from .sampling import sample_stream, sample_triangle, sample_right_triangle
+from .sampling import (sample_right_triangle, sample_right_triangles,
+                       sample_stream, sample_triangle, sample_triangles)
 from .solvers import solve_from_sss
 from .triangle import angle_excess
 
@@ -58,54 +64,65 @@ _RESCALING_FACTORS = (1e-3, 3.0, 1e6)
 _SLOPE_WINDOW = 0.1          # |slope - 2| bound; structural, never rescaled
 _SENSITIVITY_FLOOR = 1e-4    # perturbed-residual floor; structural
 _SENSITIVITY_DELTA = 1e-3
+#: sample indices per block of the column engine
+_BLOCK = 4096
+#: errors on which the sphere-model loop skips to the next index
+_SKIPPED = (DomainError, DegenerateError, InfeasibleError)
 
 
 def _tol(cfg: SuiteConfig, default: float) -> float:
     return default * (cfg.tolerance / _BASE_TOLERANCE)
 
 
-def _sampled_rows(cfg: SuiteConfig, geom: Curvature, base: int, sampler,
-                  evaluator, tolerance: float) -> list[CheckRow]:
-    """One row per relation of `evaluator` over cfg.samples triangles."""
-    per: dict[str, list[float]] = {}
-    for i in range(cfg.samples):
-        for r in evaluator(sampler(geom, cfg.seed, base + i)):
-            per.setdefault(r.relation_id, []).append(r.residual)
-    return [make_row(rid, vals, _tol(cfg, tolerance)) for rid, vals in per.items()]
+def _sampled_rows(cfg: SuiteConfig, base: int, draw, evaluator, tolerance: float,
+                  name=lambda rid: rid) -> list[CheckRow]:
+    """One row per relation of `evaluator` over cfg.samples triangles,
+    drawn and evaluated a block of indices at a time: `draw(seed,
+    start, stop)` returns a sampling.Block."""
+    per: dict[str, list] = {}
+    for start in range(0, cfg.samples, _BLOCK):
+        stop = min(start + _BLOCK, cfg.samples)
+        block = draw(cfg.seed, base + start, base + stop)
+        with Columns(block.rows) as m:
+            residuals = evaluator(block.triangle, m=m)
+        errors = {**block.errors, **m.errors}
+        if errors:  # where a loop over the indices stops
+            raise errors[min(errors)]
+        for r in residuals:
+            per.setdefault(name(r.relation_id), []).append(r.residual)
+    # complex substitution residuals aggregate by magnitude, abs(z)
+    return [make_row(rid, np.concatenate(vals).tolist(), _tol(cfg, tolerance))
+            for rid, vals in per.items()]
 
 
 def _suite_spherical(cfg: SuiteConfig) -> list[CheckRow]:
     geom = Curvature.spherical(cfg.curvature.k)
     base = _STREAM_BASE["spherical"]
-    return (_sampled_rows(cfg, geom, base, sample_triangle, spherical_residuals, 1e-9)
-            + _sampled_rows(cfg, geom, base + _SUB, sample_right_triangle,
+    return (_sampled_rows(cfg, base, functools.partial(sample_triangles, geom),
+                          spherical_residuals, 1e-9)
+            + _sampled_rows(cfg, base + _SUB, functools.partial(sample_right_triangles, geom),
                             spherical_right_residuals, 1e-10))
 
 
 def _suite_hyperbolic(cfg: SuiteConfig) -> list[CheckRow]:
-    return _sampled_rows(cfg, Curvature.hyperbolic(cfg.curvature.k), _STREAM_BASE["hyperbolic"],
-                         sample_triangle, hyperbolic_residuals, 1e-9)
+    geom = Curvature.hyperbolic(cfg.curvature.k)
+    return _sampled_rows(cfg, _STREAM_BASE["hyperbolic"],
+                         functools.partial(sample_triangles, geom), hyperbolic_residuals, 1e-9)
 
 
 def _suite_euclidean(cfg: SuiteConfig) -> list[CheckRow]:
-    return _sampled_rows(cfg, Curvature.euclidean(), _STREAM_BASE["euclidean"],
-                         sample_triangle, euclidean_residuals, 1e-9)
+    return _sampled_rows(cfg, _STREAM_BASE["euclidean"],
+                         functools.partial(sample_triangles, Curvature.euclidean()),
+                         euclidean_residuals, 1e-9)
 
 
-def _center_rays(g, center: ModelPoint, attempts: int = 128) -> tuple[Ray, Ray, Ray]:
-    """Three well-separated random rays at the hyperboloid origin."""
-    max_cos = math.cos(0.05)
+def _center_rays(g, center: ModelPoint, attempts: int = RAY_ATTEMPTS) -> tuple[Ray, Ray, Ray]:
+    """Three well-separated random rays at the hyperboloid origin
+    (center_ray_triangles draws the same rays for a block of indices)."""
     for _ in range(attempts):
-        z = g.normal(size=9).tolist()
-        dirs = (z[0:3], z[3:6], z[6:9])
-        norms = [math.sqrt(x * x + y * y + w * w) for x, y, w in dirs]
-        if min(norms) < 1e-6:
-            continue
-        d0, d1, d2 = ([c / n for c in d] for d, n in zip(dirs, norms))
-        sep = max(abs(_edot(d0, d1)), abs(_edot(d0, d2)), abs(_edot(d1, d2)))
-        if sep > max_cos:
-            continue
-        return tuple(Ray.at(center, (0.0, *d)) for d in (d0, d1, d2))
+        dirs = _ray_directions(g.normal(size=9).tolist(), FLOATS)
+        if dirs is not None:
+            return tuple(Ray.at(center, (0.0, *d)) for d in dirs)
     raise DomainError(f"no acceptable ray triple after {attempts} attempts")
 
 
@@ -116,29 +133,41 @@ def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
     rows: list[CheckRow] = []
     for level, (rho, label) in enumerate(_GEODESIC_SPHERE_RADII):
         sphere = GeodesicSphere(center, rho * k)
-        per: dict[str, list[float]] = {}
+        per: dict[str, list] = {}
         arc_checks: list[float] = []
         produced = 0
-        index = 0
+        index = base + level * _SUB
         while produced < cfg.samples:
-            g = sample_stream(cfg.seed, base + level * _SUB + index)
-            index += 1
-            try:
-                rays = _center_rays(g, center)
-                t = geodesic_sphere_triangle(sphere, rays)
-            except (DomainError, DegenerateError, InfeasibleError):
-                continue
-            for r in spherical_residuals(t):
-                per.setdefault(r.relation_id, []).append(r.residual)
-            if produced < _ARC_CHECK_PAIRS:
-                p = sphere.point_toward(rays[0].direction)
-                q = sphere.point_toward(rays[1].direction)
-                arc = intrinsic_arc_length(sphere, p, q)
-                angle = tangent_angle(center, rays[0].direction, rays[1].direction)
-                arc_checks.append(arc - sphere.effective_radius * angle)
-            produced += 1
-        rows += [make_row(f"gsph_rho{label}_{rid.removeprefix('sph_')}", vals,
-                          _tol(cfg, 1e-9)) for rid, vals in per.items()]
+            stop = index + min(cfg.samples - produced, _BLOCK)
+            block, directions = center_ray_triangles(sphere, cfg.seed, index, stop)
+            with Columns(block.rows) as m:
+                residuals = spherical_residuals(block.triangle, m)
+            used = []
+            for pos in range(stop - index):
+                if produced == cfg.samples:
+                    break
+                # the loop skips an index whose rays or triangle fail, but
+                # none of the evaluator's errors
+                if isinstance(block.errors.get(pos), _SKIPPED):
+                    continue
+                error = block.errors.get(pos) or m.errors.get(pos)
+                if error is not None:
+                    raise error
+                used.append(pos)
+                if produced < _ARC_CHECK_PAIRS:
+                    d0, d1 = (tuple(directions[r, :, pos].tolist()) for r in (0, 1))
+                    arc = intrinsic_arc_length(sphere, sphere.point_toward(d0),
+                                               sphere.point_toward(d1))
+                    angle = tangent_angle(center, d0, d1)
+                    arc_checks.append(arc - sphere.effective_radius * angle)
+                produced += 1
+            for r in residuals:
+                per.setdefault(r.relation_id, []).append(
+                    r.residual[np.searchsorted(block.rows, used)])
+            index = stop
+        rows += [make_row(f"gsph_rho{label}_{rid.removeprefix('sph_')}",
+                          np.concatenate(vals).tolist(), _tol(cfg, 1e-9))
+                 for rid, vals in per.items()]
         rows.append(make_row(f"gsph_rho{label}_effective_radius", arc_checks,
                              _tol(cfg, 1e-7)))
     return rows
@@ -208,14 +237,10 @@ def _suite_prism(cfg: SuiteConfig) -> list[CheckRow]:
 
 def _suite_substitution(cfg: SuiteConfig) -> list[CheckRow]:
     geom = Curvature.hyperbolic(cfg.curvature.k)
-    base = _STREAM_BASE["substitution"]
-    per: dict[str, list[float]] = {}
-    for i in range(cfg.samples):
-        t = sample_triangle(geom, cfg.seed, base + i, max_side=3.0)
-        for res in imaginary_substitution_residuals(t):
-            per.setdefault("sub_" + res.relation_id.removeprefix("sph_"), []) \
-                .append(res.magnitude)
-    return [make_row(rid, vals, _tol(cfg, 1e-9)) for rid, vals in per.items()]
+    return _sampled_rows(cfg, _STREAM_BASE["substitution"],
+                         functools.partial(sample_triangles, geom, max_side=3.0),
+                         imaginary_substitution_residuals, 1e-9,
+                         lambda rid: "sub_" + rid.removeprefix("sph_"))
 
 
 def _suite_limits(cfg: SuiteConfig) -> list[CheckRow]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .columns import FLOATS
 from .curvature import Curvature, GeometryKind
 from .errors import DomainError
 
@@ -31,23 +32,33 @@ class TriangleData:
     def angles(self) -> tuple[float, float, float]:
         return (self.A, self.B, self.C)
 
-    def validate(self) -> TriangleData:
-        """Check the invariants, returning self so calls can chain."""
-        for s in self.sides():
-            if not (math.isfinite(s) and s > 0.0):
-                raise DomainError(f"sides must be positive and finite, got {self.sides()}")
-        for ang in self.angles():
-            if not (0.0 < ang < math.pi):
-                raise DomainError(f"angles must lie strictly inside (0, pi), got {self.angles()}")
-        a, b, c = self.sides()
-        if b + c <= a or c + a <= b or a + b <= c:
-            raise DomainError(f"triangle inequality fails for sides {self.sides()}")
+    def validate(self, m=FLOATS) -> TriangleData:
+        """Check the invariants, returning self so calls can chain.
+
+        With a Columns namespace (columns.py) the fields are columns and
+        every check runs over all rows at once."""
+        a, b, c, A, B, C = self.a, self.b, self.c, self.A, self.B, self.C
+        # 0 < x < inf is "finite and positive", nan included
+        bad = m.not_((0.0 < a) & (a < math.inf) & (0.0 < b) & (b < math.inf)
+                     & (0.0 < c) & (c < math.inf))
+        if bad is not False:
+            m.refuse(bad, DomainError, "sides must be positive and finite, got {}", (a, b, c))
+        bad = m.not_((0.0 < A) & (A < math.pi) & (0.0 < B) & (B < math.pi)
+                     & (0.0 < C) & (C < math.pi))
+        if bad is not False:
+            m.refuse(bad, DomainError, "angles must lie strictly inside (0, pi), got {}",
+                     (A, B, C))
+        bad = (b + c <= a) | (c + a <= b) | (a + b <= c)
+        if bad is not False:
+            m.refuse(bad, DomainError, "triangle inequality fails for sides {}", (a, b, c))
         if self.geometry.kind is GeometryKind.SPHERICAL:
             bound = math.pi * self.geometry.k
-            if max(a, b, c) >= bound:
-                raise DomainError(f"spherical sides must stay below pi*k = {bound}")
-            if a + b + c >= 2.0 * bound:
-                raise DomainError("spherical perimeter must stay below 2*pi*k")
+            bad = m.max(a, b, c) >= bound
+            if bad is not False:
+                m.refuse(bad, DomainError, "spherical sides must stay below pi*k = {}", bound)
+            bad = a + b + c >= 2.0 * bound
+            if bad is not False:
+                m.refuse(bad, DomainError, "spherical perimeter must stay below 2*pi*k")
         return self
 
 

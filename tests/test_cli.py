@@ -185,6 +185,18 @@ def test_unknown_suite_is_a_usage_error(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_usage_error_leaves_the_cached_parser_intact(capsys):
+    # the parser is built once per process; a parse that exits must not
+    # change what the next call prints
+    argv = ("verify", "euclidean", "--samples", "20", "--format", "csv")
+    code, expected, _ = _run(capsys, *argv)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "euclidean", "--samples", "many"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert _run(capsys, *argv)[:2] == (code, expected)
+
+
 def test_missing_values_are_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve", "--geometry", "euclidean", "--mode", "sss", "3", "4"])

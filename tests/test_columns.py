@@ -1,0 +1,201 @@
+"""The column namespace: every value and every error of the float path."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cctrig import (Curvature, DegenerateError, DomainError, GeodesicSphere,
+                    Model, ModelPoint, Ray, TriangleData, euclidean_residuals,
+                    geodesic_sphere_triangle, hyperbolic_residuals,
+                    imaginary_substitution_residuals, model_angle,
+                    model_distance, spherical_residuals,
+                    spherical_right_residuals)
+from cctrig.columns import FLOATS, Columns
+
+SPH = Curvature.spherical()
+HYP = Curvature.hyperbolic()
+EUC = Curvature.euclidean()
+
+
+def _bits(x):
+    if isinstance(x, complex):
+        return (x.real.hex(), x.imag.hex())
+    return float(x).hex()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def _flat(value, i=None):
+    """The numbers in a result as float.hex strings: row i of columns,
+    and constants as they are."""
+    if isinstance(value, (tuple, list)):
+        return tuple(x for v in value for x in _flat(v, i))
+    if hasattr(value, "__dataclass_fields__"):
+        return tuple(x for v in vars(value).values() for x in _flat(v, i))
+    if type(value) is np.ndarray:
+        return (_bits(value[i:i + 1].tolist()[0]),)
+    if isinstance(value, (float, complex)):
+        return (_bits(value),)
+    return ()  # relation ids, kinds, models
+
+
+def _rowwise(compute, rows):
+    """compute(m, *columns) on columns built from `rows` must give, row by
+    row, what compute(FLOATS, *row) gives on floats: the same bits or the
+    same error."""
+    expected = [_outcome(lambda r=r: _flat(compute(FLOATS, *r))) for r in rows]
+    columns = [np.array(c) for c in zip(*rows)]
+    with Columns(np.arange(len(rows))) as m:
+        out = compute(m, *columns)
+    # results are aligned with the rows still computed, m.rows
+    got = [(type(m.errors[i]), str(m.errors[i])) if i in m.errors
+           else _flat(out, int(np.searchsorted(m.rows, i))) for i in range(len(rows))]
+    assert got == expected
+    return m
+
+
+def _fsum_rows(n, rng):
+    """Triples on which rounding the sum once is easy to get wrong: dot
+    products, near cancellation, exact ties broken by a tiny third term,
+    wide exponents and subnormals."""
+    u, v = rng.normal(size=(3, n)), rng.normal(size=(3, n))
+    a = rng.uniform(1.0, 2.0, n)
+    half = np.spacing(a) / 2.0 * rng.choice([-1.0, 1.0], n)
+    tiny = rng.choice([-1.0, 0.0, 1.0], n) * 2.0 ** rng.integers(-160, -54, n)
+    wide = rng.normal(size=(3, n)) * 2.0 ** rng.integers(-1000, 1000, (3, n))
+    sub = rng.integers(-1000, 1000, (2, n)) * 2.0 ** -1074
+    return np.concatenate([
+        u * v,
+        np.stack([a, -a + rng.uniform(-1e-10, 1e-10, n), rng.uniform(-1e-17, 1e-17, n)]),
+        np.stack([a, half, tiny]),
+        wide,
+        np.stack([sub[0], sub[1], rng.normal(size=n) * 2.0 ** -1020]),
+    ], axis=1)
+
+
+def test_fsum_is_math_fsum_bit_for_bit():
+    triples = _fsum_rows(40_000, np.random.default_rng(17))
+    with Columns(np.arange(triples.shape[1])) as m:
+        three = m.fsum(list(triples))
+        two = m.fsum(list(triples[:2]))
+    lists = triples.tolist()
+    assert three.tolist() == [math.fsum(t) for t in zip(*lists)]
+    assert two.tolist() == [math.fsum(t) for t in zip(*lists[:2])]
+    # fsum gives +0.0 for a zero sum, where -0.0 + -0.0 is -0.0
+    with Columns(np.arange(2)) as m:
+        zero = m.fsum([np.array([-0.0, 1.0]), np.array([-0.0, -1.0])])
+    assert [math.copysign(1.0, z) for z in zero] == [1.0, 1.0]
+
+
+def test_fsum_out_of_range_rows_raise_what_fsum_raises():
+    terms = [np.array([1.0, math.inf, 1e308]), np.array([2.0, -math.inf, 1e308]),
+             np.array([3.0, 1.0, 0.0])]
+    with Columns(np.arange(3)) as m:
+        out = m.fsum(terms)
+    assert out[0] == 6.0
+    for i, call in ((1, lambda: math.fsum([math.inf, -math.inf, 1.0])),
+                    (2, lambda: math.fsum([1e308, 1e308, 0.0]))):
+        with pytest.raises(Exception) as excinfo:
+            call()
+        assert (type(m.errors[i]), str(m.errors[i])) == (excinfo.type, str(excinfo.value))
+
+
+def test_mapped_functions_record_the_row_that_raises():
+    with Columns(np.array([10, 11, 12])) as m:
+        out = m.sinh(np.array([1.0, 1000.0, 2.0]))
+        root = m.sqrt(np.array([4.0, -1.0, 9.0]))
+    assert out[0] == math.sinh(1.0) and out[2] == math.sinh(2.0)
+    assert set(m.errors) == {11} and type(m.errors[11]) is OverflowError
+    assert root[0] == 2.0 and root[2] == 3.0
+    assert m.dead.tolist() == [False, True, False]
+
+
+def test_max_and_min_keep_the_builtins_nan_rule():
+    nan = math.nan
+    for args in ((nan, 1.0, 2.0), (1.0, nan, 2.0), (2.0, 1.0, nan), (-0.0, 0.0, -0.0)):
+        columns = [np.array([x]) for x in args]
+        for ours, builtin in ((Columns.max, max), (Columns.min, min)):
+            assert _bits(ours(*columns)[0]) == _bits(builtin(*args))
+
+
+#: one row per invariant validate checks, with a row that passes in between
+_TRIANGLE_ROWS = [
+    (1.0, 1.1, 1.2, 1.0, 1.0, 1.1),
+    (-1.0, 1.1, 1.2, 1.0, 1.0, 1.1),
+    (1.0, math.nan, 1.2, 1.0, 1.0, 1.1),
+    (1.0, 1.1, math.inf, 1.0, 1.0, 1.1),
+    (1.0, 1.1, 1.2, 0.0, 1.0, 1.1),
+    (1.0, 1.1, 1.2, 1.0, math.nan, 1.1),
+    (1.0, 1.1, 1.2, 1.0, 1.0, math.pi),
+    (1.0, 1.1, 3.0, 1.0, 1.0, 1.1),
+    (3.1, 3.0, 3.0, 1.0, 1.0, 1.1),
+    (2.5, 2.4, 2.3, 1.0, 1.0, 1.1),
+    (0.5, 0.6, 0.7, 0.9, 1.0, 1.2),
+]
+
+
+@pytest.mark.parametrize("geometry", (SPH, EUC, HYP), ids=repr)
+def test_validate_masks_raise_the_scalar_errors(geometry):
+    m = _rowwise(lambda m, *f: TriangleData(*f, geometry).validate(m), _TRIANGLE_ROWS)
+    assert len(m.errors) >= 7
+
+
+@pytest.mark.parametrize("evaluator, geometry", (
+    (spherical_residuals, SPH), (euclidean_residuals, EUC),
+    (hyperbolic_residuals, HYP), (imaginary_substitution_residuals, HYP),
+    (spherical_right_residuals, SPH)), ids=lambda x: getattr(x, "__name__", repr(x)))
+def test_evaluators_on_columns_are_the_scalar_evaluators(evaluator, geometry):
+    rows = _TRIANGLE_ROWS + [
+        (0.0, 1.0, 1.0, 1.0, 1.0, 1.0),                 # the zero-side refusal
+        (0.4, 0.5, 0.6, 0.8, 0.9, math.pi / 2.0),       # a right angle at C
+        (0.4, 0.5, 0.6, 0.8, 0.9, math.pi / 2.0 + 1e-6),
+        (700.0, 700.0, 700.0, 0.5, 0.5, 0.5),           # cosh overflows
+        (354.0, 354.0, 354.0, 0.5, 0.5, 0.5),           # products overflow
+    ]
+    _rowwise(lambda m, *f: evaluator(TriangleData(*f, geometry), m=m), rows)
+
+
+def _sphere_point(m, x, y, z):
+    return ModelPoint.sphere((x, y, z), 2.0, m)
+
+
+def test_model_helpers_on_columns_are_the_scalar_helpers():
+    rng = np.random.default_rng(5)
+    rows = [tuple(rng.normal(size=9)) for _ in range(50)]
+    rows += [(0.0, 0.0, 0.0) + rows[0][3:],             # cannot project
+             rows[1][:3] + rows[1][:3] + rows[1][6:],   # coincident points
+             (math.inf, 1.0, 1.0) + rows[2][3:]]
+
+    def measure(m, *c):
+        p, q, r = (_sphere_point(m, *c[i:i + 3]) for i in (0, 3, 6))
+        return model_distance(p, q, m), model_angle(p, q, r, m)
+
+    _rowwise(measure, rows)
+
+    def plane(m, *c):
+        p, q, r = (ModelPoint.plane(c[i], c[i + 1]) for i in (0, 2, 4))
+        return model_distance(p, q, m), model_angle(p, q, r, m)
+
+    _rowwise(plane, [row[:6] for row in rows[:50]] + [(1.0, 2.0, 1.0, 2.0, 0.0, 0.0)])
+
+
+def test_geodesic_sphere_triangles_on_columns_are_the_scalar_ones():
+    k = 1.5
+    center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
+    sphere = GeodesicSphere(center, 0.7)
+    rng = np.random.default_rng(8)
+    rows = [tuple(rng.normal(size=9)) for _ in range(40)]
+    rows.append(rows[0][:3] + rows[0][:3] + rows[0][6:])   # parallel rays
+
+    def cut(m, *z):
+        rays = tuple(Ray.at(center, (0.0, *z[i:i + 3]), m) for i in (0, 3, 6))
+        return geodesic_sphere_triangle(sphere, rays, m)
+
+    m = _rowwise(cut, rows)
+    assert any(type(e) in (DegenerateError, DomainError) for e in m.errors.values())

@@ -8,11 +8,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cctrig import (Curvature, DomainError, Model, ModelPoint, angle_excess,
-                    sample_cevian_config, sample_right_triangle, sample_stream,
-                    sample_triangle, spherical_right_residuals, suites)
+from cctrig import (Curvature, DomainError, Model, ModelPoint, SamplingError,
+                    angle_excess, sample_cevian_config, sample_right_triangle,
+                    sample_stream, sample_triangle, spherical_right_residuals,
+                    suites)
 from cctrig.sampling import (DEFAULT_MAX_SIDE, DEFAULT_MIN_ANGLE,
-                             DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP, _uniforms)
+                             DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP, _philox_blocks,
+                             _uniforms, block_random, sample_right_triangles,
+                             sample_triangles)
 from cctrig.suites import _center_rays
 
 SPH = Curvature.spherical()
@@ -214,3 +217,99 @@ def test_center_rays_match_the_numpy_draws(monkeypatch):
     ours, reference = sample_stream(13, 0), sample_stream(13, 0)
     for _ in range(100_000):
         assert _center_rays(ours, _ORIGIN) == _numpy_center_directions(reference)
+
+
+# ------------------------------------------------------------ block draws
+
+_KEY_EDGES = (0, 1, 2 ** 32 - 1, 2 ** 63, 2 ** 64 - 1)
+
+
+def test_vectorised_philox_matches_numpy_philox():
+    indices = np.array(_KEY_EDGES, dtype=np.uint64)
+    counters = np.arange(1, 9, dtype=np.uint64)  # the first 8 counter blocks
+    for seed in _KEY_EDGES:
+        lanes = _philox_blocks(counters, seed, indices)
+        for j, index in enumerate(_KEY_EDGES):
+            words = [int(lanes[w % 4][w // 4, j]) for w in range(32)]
+            reference = np.random.Philox(key=seed + (index << 64)).random_raw(32)
+            assert words == reference.tolist()
+
+
+def _hex_rows(columns):
+    return [tuple(float(c[i]).hex() for c in columns) for i in range(len(columns[0]))]
+
+
+def test_block_draws_do_not_depend_on_the_split():
+    seed, n, m = 2 ** 63 + 5, 97, 40
+    whole = _hex_rows(block_random(seed, np.arange(n, dtype=np.uint64), 3, 9))
+    halves = (_hex_rows(block_random(seed, np.arange(m, dtype=np.uint64), 3, 9))
+              + _hex_rows(block_random(seed, np.arange(m, n, dtype=np.uint64), 3, 9)))
+    ones = [row for i in range(n)
+            for row in _hex_rows(block_random(seed, np.array([i], dtype=np.uint64), 3, 9))]
+    assert whole == halves == ones
+
+
+def test_block_draws_are_the_per_attempt_stream_draws():
+    seed, n, attempts = 42, 300, 6
+    indices = np.arange(1 << 32, (1 << 32) + n, dtype=np.uint64)
+    columns = block_random(seed, indices, 0, 3 * attempts)
+    for i, index in enumerate(indices.tolist()):
+        g = sample_stream(seed, index)
+        for j in range(attempts):
+            drawn = g.random(3).tolist()
+            assert [columns[3 * j + d][i].hex() for d in range(3)] == \
+                [x.hex() for x in drawn]
+
+
+def _triangle_hex(t):
+    return tuple(float(x).hex() for x in t.sides() + t.angles())
+
+
+def _scalar_outcome(fn, *args, **kwargs):
+    try:
+        return _triangle_hex(fn(*args, **kwargs))
+    except Exception as exc:  # the block must raise the same error here
+        return (type(exc), str(exc))
+
+
+def _block_outcomes(block, n):
+    """Per position: the triangle's float.hex values, or the error."""
+    t = block.triangle
+    values = [np.broadcast_to(x, block.rows.shape) for x in t.sides() + t.angles()]
+    rows = {pos: tuple(float(v[i]).hex() for v in values)
+            for i, pos in enumerate(block.rows.tolist())}
+    rows.update((pos, (type(exc), str(exc))) for pos, exc in block.errors.items())
+    assert sorted(rows) == list(range(n))
+    return [rows[pos] for pos in range(n)]
+
+
+@pytest.mark.parametrize("geometry", (SPH, EUC, HYP, Curvature.hyperbolic(0.1),
+                                      Curvature.spherical(7.5)), ids=repr)
+@pytest.mark.parametrize("kwargs", ({}, {"max_side": 3.0}, {"attempts": 1},
+                                    {"min_angle": 0.6, "attempts": 3}), ids=repr)
+def test_block_sampler_is_the_per_index_sampler(geometry, kwargs):
+    seed, start, n = 9, 5 << 32, 300
+    block = sample_triangles(geometry, seed, start, start + n, **kwargs)
+    expected = [_scalar_outcome(sample_triangle, geometry, seed, start + i, **kwargs)
+                for i in range(n)]
+    assert _block_outcomes(block, n) == expected
+    if kwargs.get("attempts") == 1:  # some draws are rejected: the masks run
+        assert any(type(e) is SamplingError for e in block.errors.values())
+
+
+@pytest.mark.parametrize("geometry", (SPH, HYP, Curvature.hyperbolic(3.0)), ids=repr)
+def test_block_right_triangles_are_the_per_index_ones(geometry):
+    seed, start, n = 4, 7 << 32, 200
+    block = sample_right_triangles(geometry, seed, start, start + n)
+    expected = [_scalar_outcome(sample_right_triangle, geometry, seed, start + i)
+                for i in range(n)]
+    assert _block_outcomes(block, n) == expected
+
+
+def test_block_samplers_refuse_what_the_per_index_samplers_refuse():
+    for call in (lambda: sample_triangles(HYP, 2 ** 64, 0, 3),
+                 lambda: sample_triangles(HYP, 0, 2 ** 64 - 2, 2 ** 64 + 1),
+                 lambda: sample_triangles(HYP, 0, 0, 3, min_side=3.0, max_side=2.0),
+                 lambda: sample_right_triangles(EUC, 0, 0, 3)):
+        with pytest.raises(DomainError):
+            call()
