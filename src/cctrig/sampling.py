@@ -169,17 +169,21 @@ def block_random(seed: int, indices: np.ndarray, first: int, count: int) -> list
     return [doubles[word % 4][word // 4 - low] for word in range(first, first + count)]
 
 
+def _scaled(bounds, draws) -> list:
+    """lo + (hi - lo) * u for each (lo, hi) and u in [0, 1): the
+    arithmetic of Generator.uniform(lo, hi), on floats or columns."""
+    return [lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws)]
+
+
 def _uniforms(g: np.random.Generator, bounds) -> list[float]:
     """One uniform on [lo, hi) per (lo, hi) in bounds, from one g.random
-    call: lo + (hi - lo) * u is Generator.uniform(lo, hi) bit for bit."""
-    draws = g.random(len(bounds)).tolist()
-    return [lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws)]
+    call, bit for bit Generator.uniform(lo, hi)."""
+    return _scaled(bounds, g.random(len(bounds)).tolist())
 
 
 def _block_uniforms(seed: int, indices: np.ndarray, first: int, bounds) -> list[np.ndarray]:
     """_uniforms for a column of indices, from uniform `first` on."""
-    draws = block_random(seed, indices, first, len(bounds))
-    return [lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws)]
+    return _scaled(bounds, block_random(seed, indices, first, len(bounds)))
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,8 @@ class Block:
 
 
 def _flat_attempt(b, c, A, m, *, geometry, min_angle, max_side):
+    """One attempt at the draws (b, c, A): the triangle measured on the
+    plane, or None where it is rejected."""
     pa = ModelPoint.plane(0.0, 0.0)
     pb = ModelPoint.plane(c, 0.0)
     pc = ModelPoint.plane(b * m.cos(A), b * m.sin(A))
@@ -218,6 +224,8 @@ def _flat_attempt(b, c, A, m, *, geometry, min_angle, max_side):
 
 
 def _curved_attempt(b, c, A, m, *, geometry, min_angle, cap, origin):
+    """One attempt at the draws (b, c, A): the triangle measured on the
+    sphere or hyperboloid, or None where it is rejected."""
     k = geometry.k
     model = origin.model
     sn, cs, eps = m.trig[geometry.kind]
