@@ -11,11 +11,12 @@ written once and takes its elementary functions from a namespace `m`:
 Column rule, which keeps every value bit for bit that of FLOATS: numpy
 does only + - * / and sqrt, which IEEE 754 rounds correctly, so they
 give the bits of the scalar operation. Every other function (sin, atan2,
-hypot, asinh, fsum, ...) maps the `math` or `cmath` function over the
+hypot, asinh, pow, ...) maps the `math` or `cmath` function over the
 column element by element; numpy's own versions differ from `math` in
-the last bit on a share of inputs. Complex values stay Python `complex`
-in object columns: numpy's complex128 multiply and divide round
-differently from Python's.
+the last bit on a share of inputs. fsum of two or three terms is the
+exception: Columns.fsum computes it exactly with + and -. Complex values
+stay Python `complex` in object columns: numpy's complex128 multiply
+and divide round differently from Python's.
 
 The kernels' control flow goes through `m` as well:
 
@@ -171,14 +172,17 @@ class Columns:
             if dtype is np.float64:
                 return np.fromiter(map(fn, *lists), np.float64, len(columns[0]))
             return np.array(list(map(fn, *lists)), dtype=dtype)
-        except (ArithmeticError, ValueError):
-            values = []
+        except (ArithmeticError, ValueError) as first:
+            values, raised = [], False
             for i, xs in enumerate(zip(*lists)):
                 try:
                     values.append(fn(*xs))
                 except (ArithmeticError, ValueError) as exc:
                     self._fail(i, exc)
                     values.append(math.nan)
+                    raised = True
+            if not raised:  # not a row's error: columns of unequal length
+                raise first
             return np.array(values, dtype=dtype)
 
     def sin(self, x): return self.map(math.sin, x)
@@ -264,20 +268,18 @@ class Columns:
                 template.format(*(_row(a, i) for a in args)))
         self.dead = self.dead | bad
 
-    def reject(self, bad):
-        keep = ~(self._mask(bad) | self.dead)
+    def _keep(self, keep) -> None:
         self.rows = self.rows[keep]
         self.dead = self.dead[keep]
+
+    def reject(self, bad):
+        keep = ~(self._mask(bad) | self.dead)
+        self._keep(keep)
         if not len(self.rows):
             return None
         return lambda *values: take(values, keep)
 
     def live(self, value):
         keep = ~self.dead
-        self.rows = self.rows[keep]
-        self.dead = self.dead[keep]
+        self._keep(keep)
         return take(value, keep)
-
-    def alive(self):
-        """Block positions of the rows that have not raised."""
-        return self.rows[~self.dead]

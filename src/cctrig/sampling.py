@@ -148,7 +148,7 @@ def _index_column(seed: int, start: int, stop: int) -> np.ndarray:
     """Stream indices start..stop-1 as a uint64 column, refused as
     sample_stream refuses the first index out of range."""
     _check_key(seed, start)
-    _check_key(seed, min(stop - 1, _KEY_WORD))
+    _check_key(seed, min(max(start, stop - 1), _KEY_WORD))
     return np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
 
 
@@ -349,7 +349,7 @@ def sample_triangles(geometry: Curvature, seed: int, start: int, stop: int, *,
         # per row: 0 rejected, 1 accepted, 2 raised
         outcome = np.zeros(tries * width, dtype=np.int8)
         if t is not None:
-            outcome[m.alive()] = 1
+            outcome[m.rows[~m.dead]] = 1
         outcome[list(m.errors)] = 2
         outcome = outcome.reshape(tries, width)
         first = np.argmax(outcome != 0, axis=0)
@@ -427,4 +427,4 @@ def sample_right_triangles(geometry: Curvature, seed: int, start: int, stop: int
     a, b = _block_uniforms(seed, _index_column(seed, start, stop), 0, bounds)
     with Columns(np.arange(stop - start)) as m:
         t = _right_triangle(a, b, geometry, m)
-    return Block(m.alive(), take(t, ~m.dead), m.errors)
+    return Block(m.rows[~m.dead], take(t, ~m.dead), m.errors)

@@ -8,10 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cctrig import (Curvature, DomainError, Model, ModelPoint, SamplingError,
-                    angle_excess, sample_cevian_config, sample_right_triangle,
-                    sample_stream, sample_triangle, spherical_right_residuals,
-                    suites)
+from cctrig import (Curvature, DomainError, GeodesicSphere, Model, ModelPoint,
+                    SamplingError, angle_excess, geodesic_sphere_triangle,
+                    sample_cevian_config, sample_right_triangle, sample_stream,
+                    sample_triangle, spherical_right_residuals, suites)
+from cctrig.geodesic_sphere import center_ray_triangles
 from cctrig.sampling import (DEFAULT_MAX_SIDE, DEFAULT_MIN_ANGLE,
                              DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP, _philox_blocks,
                              _uniforms, block_random, sample_right_triangles,
@@ -313,3 +314,20 @@ def test_block_samplers_refuse_what_the_per_index_samplers_refuse():
                  lambda: sample_right_triangles(EUC, 0, 0, 3)):
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize("k, radius", ((1.0, 0.1), (10.0, 50.0)))
+def test_center_ray_triangles_are_the_per_index_rays(k, radius):
+    # _center_rays and geodesic_sphere_triangle, index by index, are the
+    # reference for the block form
+    center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
+    sphere = GeodesicSphere(center, radius)
+    seed, start, n = 21, 3 << 32, 400
+    block, directions = center_ray_triangles(sphere, seed, start, start + n)
+    assert block.rows.tolist() == list(range(n)) and not block.errors
+    triangles = _block_outcomes(block, n)
+    for i in range(n):
+        rays = _center_rays(sample_stream(seed, start + i), center)
+        assert [tuple(x.hex() for x in r.direction) for r in rays] == \
+            [tuple(float(x).hex() for x in directions[r, :, i]) for r in range(3)]
+        assert triangles[i] == _triangle_hex(geodesic_sphere_triangle(sphere, rays))
