@@ -16,7 +16,10 @@ column element by element; numpy's own versions differ from `math` in
 the last bit on a share of inputs. fsum of two or three terms is the
 exception: Columns.fsum computes it exactly with + and -. Complex values
 stay Python `complex` in object columns: numpy's complex128 multiply
-and divide round differently from Python's.
+and divide round differently from Python's. A float division by zero
+raises, where numpy gives inf or nan: the kernels divide only by values
+their checks keep nonzero, or raise themselves (models._unit_tangent,
+where k * k underflows).
 
 The kernels' control flow goes through `m` as well:
 

@@ -197,7 +197,10 @@ def model_distance(p: ModelPoint, q: ModelPoint, m=FLOATS) -> float:
 def _unit_tangent(p: ModelPoint, v, failure: str, m=FLOATS) -> tuple[float, ...]:
     """The tangent part of v at a curved-model point p, normalized."""
     dot, norm = CURVED_METRIC[p.model]
-    w = _sub(v, _scale(p.coords, dot(p.coords, v, m) / (p.k * p.k)))
+    k2 = p.k * p.k
+    if k2 == 0.0:  # k below about 1e-162; numpy would divide columns silently
+        raise ZeroDivisionError("float division by zero")
+    w = _sub(v, _scale(p.coords, dot(p.coords, v, m) / k2))
     n = norm(w, m)
     bad = n == 0.0
     if bad is not False:

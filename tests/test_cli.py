@@ -197,6 +197,16 @@ def test_usage_error_leaves_the_cached_parser_intact(capsys):
     assert _run(capsys, *argv)[:2] == (code, expected)
 
 
+def test_an_underflowing_scale_stops_sphere_model_with_exit_2(capsys):
+    # k * k underflows to 0, and the per-sample path divides by it; the
+    # column engine must stop the same way rather than skip every index
+    code, _, err = _run(capsys, "verify", "sphere-model", "--samples", "5",
+                        "--curvature-scale", "1e-300")
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "domain", "message": "float division by zero"}
+
+
 def test_missing_values_are_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve", "--geometry", "euclidean", "--mode", "sss", "3", "4"])
