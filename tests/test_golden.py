@@ -42,7 +42,7 @@ _SCALED_SUITES = ("spherical", "hyperbolic", "euclidean", "sphere-model",
 #: suites pinned at 3000 samples, k = 1: there the samplers' rejection
 #: rounds run deeper than the 1000- and 200-sample cases reach
 _DEEP_SUITES = ("spherical", "hyperbolic", "euclidean", "substitution",
-                "sphere-model")
+                "sphere-model", "cevians", "prism", "horosphere")
 
 
 def _cases():
@@ -119,6 +119,12 @@ DIGESTS = {
         "0953c6e2e13ee26cc145029918a119cdeee7de6b793f0f8eb8d8f6838ece5fc2",
     "verify_sphere-model_3000_csv":
         "23d6dca0a1942c55e547f5632671c6325541524dc7205d0a05587119e54001b8",
+    "verify_cevians_3000_csv":
+        "88bdaeaba8b3c846960c3ec183798fd1dcb0f701d0a5332dddf2e82a2a2923b7",
+    "verify_prism_3000_csv":
+        "45748737a5fdcb7fd153fa74321b854c654992e245eb3ee86cb93503bb2508a7",
+    "verify_horosphere_3000_csv":
+        "ded55b88f7f1bf161dc9883658130d18218b0c78f27b7a95700531002a7c8495",
     "solve_hyp_sss_json":
         "f9cd9328524b1adfc0fd5885cf8cd4398cc0fa376e282728c8d2ec59f089e7dc",
     "solve_hyp_sss_csv":
