@@ -16,24 +16,34 @@ Feet are constructed, not tested: given O, each foot is the closed-form
 intersection of the vertex-through-O geodesic with the opposite side
 (line intersection on the plane, cross products of great-circle normals
 on the sphere, and the signature-adjusted analogue on the hyperboloid).
+
+The construction, the sampler attempt and the residuals take their
+elementary functions from `m` (columns.py): FLOATS for one
+configuration, or a Columns block, where every point coordinate and
+ratio is a column with one row per configuration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .curvature import CURVED_TRIG, Curvature, GeometryKind
+from .columns import FLOATS
+from .curvature import Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError
 from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint,
                      _cross3, geodesic_point, model_distance, tangent_toward)
-from .sampling import _uniforms, sample_stream
+from .sampling import Block, _uniforms, resolve_block, sample_stream
 
 #: Relative floor below which O is considered to lie on a side or vertex.
 DEGENERACY_TOL = 1e-12
 #: Allowed violation of "foot lies between the side's endpoints",
 #: relative to the side length.
 BETWEENNESS_TOL = 1e-9
+#: errors on which the sampler rejects an attempt and draws again
+_REJECTED = (DegenerateError, InfeasibleError, DomainError)
+_THIRDS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
 
 @dataclass(frozen=True)
 class CevianConfig:
@@ -63,22 +73,24 @@ def _euler_form(ratios: tuple[float, float, float]) -> float:
     return ra * rb * rc - (ra + rb + rc + 2.0)
 
 
-def _triple(u, v, w) -> float:
-    return math.fsum((u[0] * (v[1] * w[2] - v[2] * w[1]),
-                      -u[1] * (v[0] * w[2] - v[2] * w[0]),
-                      u[2] * (v[0] * w[1] - v[1] * w[0])))
+def _triple(u, v, w, m=FLOATS) -> float:
+    return m.fsum((u[0] * (v[1] * w[2] - v[2] * w[1]),
+                   -u[1] * (v[0] * w[2] - v[2] * w[0]),
+                   u[2] * (v[0] * w[1] - v[1] * w[0])))
 
 
-def _section_ratio(geometry: Curvature, vertex_arc: float, foot_arc: float) -> float:
+def _section_ratio(geometry: Curvature, vertex_arc: float, foot_arc: float,
+                   m=FLOATS) -> float:
     k = geometry.k
     if geometry.kind is GeometryKind.EUCLIDEAN:
-        return vertex_arc / foot_arc
+        return m.div(vertex_arc, foot_arc)
     if geometry.kind is GeometryKind.SPHERICAL:
         half_pi_k = 0.5 * math.pi * k
-        if vertex_arc >= half_pi_k or foot_arc >= half_pi_k:
-            raise DomainError("cevian arc reaches the tangent pole (pi/2) k")
-        return math.tan(vertex_arc / k) / math.tan(foot_arc / k)
-    return math.tanh(vertex_arc / k) / math.tanh(foot_arc / k)
+        bad = (vertex_arc >= half_pi_k) | (foot_arc >= half_pi_k)
+        if bad is not False:
+            m.refuse(bad, DomainError, "cevian arc reaches the tangent pole (pi/2) k")
+        return m.div(m.tan(vertex_arc / k), m.tan(foot_arc / k))
+    return m.div(m.tanh(vertex_arc / k), m.tanh(foot_arc / k))
 
 
 def _check_points(geometry: Curvature, points: tuple[ModelPoint, ...]) -> None:
@@ -93,22 +105,24 @@ def _check_points(geometry: Curvature, points: tuple[ModelPoint, ...]) -> None:
             raise DomainError("point radius k disagrees with the geometry")
 
 
-def _plane_foot(vertex, through, seg_start, seg_end) -> tuple[float, float]:
+def _plane_foot(vertex, through, seg_start, seg_end, m=FLOATS) -> tuple[float, float]:
     """Intersection of line vertex->through with segment seg_start->seg_end,
     returned as coordinates; the segment parameter is betweenness-checked
     by the caller via distances."""
     dx1 = (through[0] - vertex[0], through[1] - vertex[1])
     dx2 = (seg_end[0] - seg_start[0], seg_end[1] - seg_start[1])
     det = dx1[0] * dx2[1] - dx1[1] * dx2[0]
-    scale = math.hypot(*dx1) * math.hypot(*dx2)
-    if abs(det) <= DEGENERACY_TOL * scale:
-        raise InfeasibleError("cevian is parallel to the opposite side")
+    scale = m.hypot(*dx1) * m.hypot(*dx2)
+    bad = abs(det) <= DEGENERACY_TOL * scale
+    if bad is not False:
+        m.refuse(bad, InfeasibleError, "cevian is parallel to the opposite side")
     rhs = (seg_start[0] - vertex[0], seg_start[1] - vertex[1])
-    u = (dx1[0] * rhs[1] - dx1[1] * rhs[0]) / -det
+    u = m.div(dx1[0] * rhs[1] - dx1[1] * rhs[0], -det)
     return (seg_start[0] + u * dx2[0], seg_start[1] + u * dx2[1])
 
 
-def _curved_foot(geometry: Curvature, vertex, through, seg_start, seg_end) -> ModelPoint:
+def _curved_foot(geometry: Curvature, vertex, through, seg_start, seg_end,
+                 m=FLOATS) -> ModelPoint:
     """Intersection of two geodesic planes through the model center.
 
     Both the sphere and the hyperboloid realize geodesics as central
@@ -124,28 +138,31 @@ def _curved_foot(geometry: Curvature, vertex, through, seg_start, seg_end) -> Mo
     u = _cross3(n1, n2)
     k = geometry.k
     if geometry.kind is GeometryKind.SPHERICAL:
-        norm = math.sqrt(math.fsum(c * c for c in u))
-        if norm <= DEGENERACY_TOL * k * k * k:
-            raise InfeasibleError("cevian geodesic coincides with the opposite side")
-        return ModelPoint(Model.SPHERE, tuple(c * (k / norm) for c in u), k)
+        norm = m.sqrt(m.fsum([c * c for c in u]))
+        bad = norm <= DEGENERACY_TOL * k * k * k
+        if bad is not False:
+            m.refuse(bad, InfeasibleError, "cevian geodesic coincides with the opposite side")
+        return ModelPoint(Model.SPHERE, tuple([c * (k / norm) for c in u]), k)
     q = u[0] * u[0] - u[1] * u[1] - u[2] * u[2]
-    if q <= 0.0:
-        raise InfeasibleError("cevian and opposite side meet outside the hyperbolic plane")
-    r = k / math.sqrt(q)
-    if u[0] < 0.0:
-        r = -r
-    return ModelPoint(Model.HYPERBOLOID, tuple(c * r for c in u), k)
+    bad = q <= 0.0
+    if bad is not False:
+        m.refuse(bad, InfeasibleError,
+                 "cevian and opposite side meet outside the hyperbolic plane")
+    r = k / m.sqrt(m.max(q, 0.0))  # the rows with q <= 0 are refused
+    r = m.where(u[0] < 0.0, -r, r)
+    return ModelPoint(Model.HYPERBOLOID, tuple([c * r for c in u]), k)
 
 
 def _betweenness(geometry: Curvature, foot: ModelPoint, start: ModelPoint,
-                 end: ModelPoint, side_len: float) -> None:
-    gap = (model_distance(start, foot) + model_distance(foot, end)) - side_len
-    if abs(gap) > BETWEENNESS_TOL * (side_len + geometry.k):
-        raise InfeasibleError("cevian foot falls outside the opposite side")
+                 end: ModelPoint, side_len: float, m=FLOATS) -> None:
+    gap = (model_distance(start, foot, m) + model_distance(foot, end, m)) - side_len
+    bad = abs(gap) > BETWEENNESS_TOL * (side_len + geometry.k)
+    if bad is not False:
+        m.refuse(bad, InfeasibleError, "cevian foot falls outside the opposite side")
 
 
 def cevian_feet(geometry: Curvature, A: ModelPoint, B: ModelPoint,
-                C: ModelPoint, O: ModelPoint) -> CevianConfig:
+                C: ModelPoint, O: ModelPoint, m=FLOATS) -> CevianConfig:
     """Drop the three cevians through O and return the full figure.
 
     O must be strictly interior (every vertex sees O on the inner side
@@ -165,45 +182,50 @@ def cevian_feet(geometry: Curvature, A: ModelPoint, B: ModelPoint,
         w_b = ao[0] * ac[1] - ao[1] * ac[0]
         w_a = total - w_b - w_c
         weights = (w_a, w_b, w_c)
-        area_scale = math.hypot(*ab) * math.hypot(*ac)
+        area_scale = m.hypot(*ab) * m.hypot(*ac)
     else:
-        total = _triple(A.coords, B.coords, C.coords) / (k * k * k)
-        weights = (_triple(O.coords, B.coords, C.coords) / (k * k * k),
-                   _triple(A.coords, O.coords, C.coords) / (k * k * k),
-                   _triple(A.coords, B.coords, O.coords) / (k * k * k))
+        k3 = k * k * k  # 0 below k of about 1e-108
+        total = m.div(_triple(A.coords, B.coords, C.coords, m), k3)
+        weights = (m.div(_triple(O.coords, B.coords, C.coords, m), k3),
+                   m.div(_triple(A.coords, O.coords, C.coords, m), k3),
+                   m.div(_triple(A.coords, B.coords, O.coords, m), k3))
         area_scale = 1.0
-    if total == 0.0 or abs(total) <= DEGENERACY_TOL * area_scale:
-        raise DegenerateError("triangle vertices are collinear")
-    if any(w / total <= DEGENERACY_TOL for w in weights):
-        raise DegenerateError("O must be strictly interior to the triangle")
+    bad = (total == 0.0) | (abs(total) <= DEGENERACY_TOL * area_scale)
+    if bad is not False:
+        m.refuse(bad, DegenerateError, "triangle vertices are collinear")
+    # total is nonzero on every row still live
+    bad = ((weights[0] / total <= DEGENERACY_TOL) | (weights[1] / total <= DEGENERACY_TOL)
+           | (weights[2] / total <= DEGENERACY_TOL))
+    if bad is not False:
+        m.refuse(bad, DegenerateError, "O must be strictly interior to the triangle")
 
     feet = []
     for vertex, start, end in ((A, B, C), (B, C, A), (C, A, B)):
         if geometry.kind is GeometryKind.EUCLIDEAN:
             foot = ModelPoint.plane(
-                *_plane_foot(vertex.coords, O.coords, start.coords, end.coords))
+                *_plane_foot(vertex.coords, O.coords, start.coords, end.coords, m))
         else:
             foot = _curved_foot(geometry, vertex.coords, O.coords,
-                                start.coords, end.coords)
+                                start.coords, end.coords, m)
             if geometry.kind is GeometryKind.SPHERICAL:
                 # of the two antipodal intersections, keep the one on the arc
-                flipped = ModelPoint(Model.SPHERE,
-                                     tuple(-c for c in foot.coords), k)
-                if (model_distance(start, foot) + model_distance(foot, end)
-                        > model_distance(start, flipped)
-                        + model_distance(flipped, end)):
-                    foot = flipped
-        side_len = model_distance(start, end)
-        _betweenness(geometry, foot, start, end, side_len)
+                flipped = ModelPoint(Model.SPHERE, tuple([-c for c in foot.coords]), k)
+                flip = (model_distance(start, foot, m) + model_distance(foot, end, m)
+                        > model_distance(start, flipped, m) + model_distance(flipped, end, m))
+                foot = ModelPoint(Model.SPHERE, tuple([
+                    m.where(flip, f, c) for f, c in zip(flipped.coords, foot.coords)]), k)
+        side_len = model_distance(start, end, m)
+        _betweenness(geometry, foot, start, end, side_len, m)
         feet.append(foot)
 
     ratios = []
     for vertex, foot in zip((A, B, C), feet):
-        vertex_arc = model_distance(vertex, O)
-        foot_arc = model_distance(O, foot)
-        if foot_arc <= DEGENERACY_TOL * k or vertex_arc <= DEGENERACY_TOL * k:
-            raise DegenerateError("O coincides with a vertex or a foot")
-        ratios.append(_section_ratio(geometry, vertex_arc, foot_arc))
+        vertex_arc = model_distance(vertex, O, m)
+        foot_arc = model_distance(O, foot, m)
+        bad = (foot_arc <= DEGENERACY_TOL * k) | (vertex_arc <= DEGENERACY_TOL * k)
+        if bad is not False:
+            m.refuse(bad, DegenerateError, "O coincides with a vertex or a foot")
+        ratios.append(_section_ratio(geometry, vertex_arc, foot_arc, m))
     return CevianConfig(geometry, A, B, C, O, feet[0], feet[1], feet[2],
                         ratios[0], ratios[1], ratios[2])
 
@@ -225,7 +247,7 @@ def spherical_cevian_residual(cfg: CevianConfig) -> float:
     return _euler_form(cfg.ratios())
 
 
-def hyperbolic_cevian_conjecture_residual(cfg: CevianConfig) -> float:
+def hyperbolic_cevian_conjecture_residual(cfg: CevianConfig, m=FLOATS) -> float:
     """Product-sum residual of the tanh-of-arc ratios.
 
     This mirrors the spherical identity with tan replaced by tanh, but
@@ -237,18 +259,20 @@ def hyperbolic_cevian_conjecture_residual(cfg: CevianConfig) -> float:
         raise DomainError("hyperbolic_cevian_conjecture_residual needs a "
                           "hyperbolic configuration")
     value = _euler_form(cfg.ratios())
-    if not math.isfinite(value):
-        raise DomainError("conjecture residual is not finite")
+    bad = m.not_(m.isfinite(value))
+    if bad is not False:
+        m.refuse(bad, DomainError, "conjecture residual is not finite")
     return value
 
 
-def cevian_residual(cfg: CevianConfig) -> float:
-    """The geometry-matching residual of the configuration."""
+def cevian_residual(cfg: CevianConfig, m=FLOATS) -> float:
+    """The geometry-matching residual of the configuration (a column of
+    them for a configuration of columns with a Columns namespace)."""
     if cfg.geometry.kind is GeometryKind.EUCLIDEAN:
         return euclidean_cevian_residual(cfg)
     if cfg.geometry.kind is GeometryKind.SPHERICAL:
         return spherical_cevian_residual(cfg)
-    return hyperbolic_cevian_conjecture_residual(cfg)
+    return hyperbolic_cevian_conjecture_residual(cfg, m)
 
 
 def perturbed_residual(cfg: CevianConfig, delta: float) -> float:
@@ -272,6 +296,56 @@ def perturbed_residual(cfg: CevianConfig, delta: float) -> float:
     return _euler_form((ratio_a, cfg.ratio_b, cfg.ratio_c))
 
 
+def _cevian_attempt(r1, r2, r3, turn, j1, j2, j3, w1, w2, w3, m, *,
+                    geometry: Curvature, max_side: float) -> CevianConfig | None:
+    """One attempt at the draws (three radii, a turn, three jitters about
+    the thirds of a turn, three weights): the configuration, or None
+    where its sides are rejected. A configuration the construction
+    refuses raises one of _REJECTED."""
+    k = geometry.k
+    model = MODEL_FOR_KIND[geometry.kind]
+    total = w1 + w2 + w3
+    wts = [w / total for w in (w1, w2, w3)]
+    points = []
+    for r, third, jitter in zip((r1, r2, r3), _THIRDS, (j1, j2, j3)):
+        th = turn + third + jitter
+        x, y = r * m.cos(th), r * m.sin(th)
+        if model is Model.PLANE:
+            points.append(ModelPoint.plane(x, y))
+        else:
+            # exponential map at the model's reference point
+            sn, cs, _ = m.trig[geometry.kind]
+            rho = m.hypot(x, y)
+            s = sn(rho / k) * k / rho
+            points.append(ModelPoint(model, (k * cs(rho / k), s * x, s * y), k))
+    if model is Model.PLANE:
+        interior = ModelPoint.plane(sum(w * p.coords[0] for w, p in zip(wts, points)),
+                                    sum(w * p.coords[1] for w, p in zip(wts, points)))
+    else:
+        mix = [m.fsum([w * p.coords[i] for w, p in zip(wts, points)]) for i in range(3)]
+        n = m.sqrt(CURVED_METRIC[model][0](mix, mix, m))
+        interior = ModelPoint(model, tuple([c * m.div(k, n) for c in mix]), k)
+    a_pt, b_pt, c_pt = points
+    sides = (model_distance(b_pt, c_pt, m), model_distance(c_pt, a_pt, m),
+             model_distance(a_pt, b_pt, m))
+    keep = m.reject((m.max(*sides) > max_side * k) | (m.min(*sides) < 1e-3 * k))
+    if keep is None:
+        return None
+    a_pt, b_pt, c_pt, interior = keep(a_pt, b_pt, c_pt, interior)
+    return cevian_feet(geometry, a_pt, b_pt, c_pt, interior, m)
+
+
+def _cevian_plan(geometry: Curvature, max_side: float):
+    """The uniform bounds of one sampler attempt and the attempt itself."""
+    bounds = (((0.15 * max_side, 0.5 * max_side),) * 3 + ((0.0, 2.0 * math.pi),)
+              + ((-0.5, 0.5),) * 3 + ((0.15, 1.0),) * 3)
+    return bounds, functools.partial(_cevian_attempt, geometry=geometry, max_side=max_side)
+
+
+def _exhausted(attempts: int) -> DomainError:
+    return DomainError(f"no acceptable cevian configuration after {attempts} attempts")
+
+
 def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
                          max_side: float = 2.0, attempts: int = 128) -> CevianConfig:
     """Draw a well-conditioned triangle with a strictly interior O.
@@ -281,52 +355,32 @@ def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
     of a turn; O is a convex model combination of the vertices with
     weights bounded away from the edges, so every configuration is
     concurrent by construction and non-degenerate. Deterministic per
-    (seed, index).
+    (seed, index): attempt j takes uniforms 10j to 10j + 9 of the
+    index's stream.
     """
+    bounds, attempt = _cevian_plan(geometry, max_side)
     g = sample_stream(seed, index)
-    k = geometry.k
-    flat = geometry.kind is GeometryKind.EUCLIDEAN
-    model = MODEL_FOR_KIND[geometry.kind]
-    if not flat:
-        sn, cs, _ = CURVED_TRIG[geometry.kind]
-        dot = CURVED_METRIC[model][0]
-    thirds = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-    # three radii, a turn, three jitters about the thirds, three weights
-    bounds = (((0.15 * max_side, 0.5 * max_side),) * 3 + ((0.0, 2.0 * math.pi),)
-              + ((-0.5, 0.5),) * 3 + ((0.15, 1.0),) * 3)
     for _ in range(attempts):
-        u = _uniforms(g, bounds)
-        radii, theta0 = u[0:3], u[3]
-        angles = [theta0 + third + jitter for third, jitter in zip(thirds, u[4:7])]
-        total = u[7] + u[8] + u[9]
-        wts = [w / total for w in u[7:10]]
-        points = []
-        for r, th in zip(radii, angles):
-            x, y = r * math.cos(th), r * math.sin(th)
-            if flat:
-                points.append(ModelPoint.plane(x, y))
-            else:
-                # exponential map at the model's reference point
-                rho = math.hypot(x, y)
-                s = sn(rho / k) * k / rho
-                points.append(ModelPoint(model, (k * cs(rho / k), s * x, s * y), k))
-        if flat:
-            ox = sum(w * p.coords[0] for w, p in zip(wts, points))
-            oy = sum(w * p.coords[1] for w, p in zip(wts, points))
-            interior = ModelPoint.plane(ox, oy)
-        else:
-            mix = [math.fsum(w * p.coords[i] for w, p in zip(wts, points))
-                   for i in range(3)]
-            n = math.sqrt(dot(mix, mix))
-            interior = ModelPoint(model, tuple(c * (k / n) for c in mix), k)
-        a_pt, b_pt, c_pt = points
+        draws = _uniforms(g, bounds)
         try:
-            sides = (model_distance(b_pt, c_pt), model_distance(c_pt, a_pt),
-                     model_distance(a_pt, b_pt))
-            if max(sides) > max_side * k or min(sides) < 1e-3 * k:
-                continue
-            cfg = cevian_feet(geometry, a_pt, b_pt, c_pt, interior)
-        except (DegenerateError, InfeasibleError, DomainError):
+            cfg = attempt(*draws, FLOATS)
+        except _REJECTED:
             continue
-        return cfg
-    raise DomainError(f"no acceptable cevian configuration after {attempts} attempts")
+        if cfg is not None:
+            return cfg
+    raise _exhausted(attempts)
+
+
+def sample_cevian_configs(geometry: Curvature, seed: int, start: int, stop: int, *,
+                          max_side: float = 2.0, attempts: int = 128,
+                          until_error: bool = False) -> Block:
+    """sample_cevian_config for every index in [start, stop): a Block
+    whose figure is a CevianConfig of columns. With until_error the
+    indices past the first that raises may be left out of the block
+    (sampling.resolve_block)."""
+    bounds, attempt = _cevian_plan(geometry, max_side)
+    # the first attempt is accepted almost always where k >= 1, and
+    # rarely where k < 1, where the radii exceed the sides allowed
+    return resolve_block(seed, start, stop, bounds, attempt, attempts,
+                         functools.partial(_exhausted, attempts), rejected=_REJECTED,
+                         until_error=until_error, adaptive=True)

@@ -18,8 +18,8 @@ exception: Columns.fsum computes it exactly with + and -. Complex values
 stay Python `complex` in object columns: numpy's complex128 multiply
 and divide round differently from Python's. A float division by zero
 raises, where numpy gives inf or nan: the kernels divide only by values
-their checks keep nonzero, or raise themselves (models._unit_tangent,
-where k * k underflows).
+their checks keep nonzero, or divide with m.div, which refuses the rows
+whose divisor is zero with Python's ZeroDivisionError.
 
 The kernels' control flow goes through `m` as well:
 
@@ -40,7 +40,8 @@ The kernels' control flow goes through `m` as well:
 Comparisons, `abs` and the operators | and & act the same on floats and
 columns; m.not_, m.max and m.min stand for `not`, `max` and `min`, with
 the builtins' handling of nan (max and min keep the earlier argument
-unless a later one compares greater or smaller).
+unless a later one compares greater or smaller), and m.where(c, x, y)
+for `x if c else y`.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import types
 import numpy as np
 
 from .curvature import CURVED_TRIG, GeometryKind
+from .errors import GeometryError
 
 
 def _refuse(bad, error, template, *args):
@@ -73,6 +75,14 @@ def _live(value):
     return value
 
 
+def _where(cond, x, y):
+    return x if cond else y
+
+
+def _call(fn, *args, dtype=None):
+    return fn(*args)
+
+
 #: the scalar namespace: math on Python floats. It is a module object:
 #: Python loads module attributes as fast as math.sin, and those of a
 #: SimpleNamespace about 35 ns slower, which the scalar functions would
@@ -84,13 +94,16 @@ vars(FLOATS).update(
     hypot=math.hypot, pow=math.pow, sqrt=math.sqrt, fsum=math.fsum,
     isfinite=math.isfinite, csin=cmath.sin, ccos=cmath.cos,
     cisfinite=cmath.isfinite, max=max, min=min, not_=operator.not_,
-    refuse=_refuse, reject=_reject, live=_live, trig=CURVED_TRIG)
+    where=_where, div=operator.truediv, map=_call, refuse=_refuse, reject=_reject,
+    live=_live, trig=CURVED_TRIG)
 
 
 def _fsum_of(*terms):
     return math.fsum(terms)
 
 
+#: the errors a mapped call raises for its row alone
+_ROW_ERRORS = (ArithmeticError, ValueError, GeometryError)
 #: terms up to this size cannot overflow the exact sums of Columns.fsum
 _EXACT_SUM_BOUND = 2.0 ** 1000
 
@@ -124,6 +137,21 @@ def take(value, keep):
     if hasattr(type(value), "__dataclass_fields__"):
         return type(value)(**{name: take(v, keep) for name, v in vars(value).items()})
     return value
+
+
+def join(parts):
+    """The rows of several values of one shape, one part after another:
+    columns are concatenated, tuples and dataclasses joined field by
+    field, and constants (the same in every part) pass through."""
+    first = parts[0]
+    if type(first) is np.ndarray:
+        return np.concatenate(parts)
+    if type(first) in (tuple, list):
+        return tuple([join([p[i] for p in parts]) for i in range(len(first))])
+    if hasattr(type(first), "__dataclass_fields__"):
+        return type(first)(**{name: join([getattr(p, name) for p in parts])
+                              for name in vars(first)})
+    return first
 
 
 class Columns:
@@ -163,8 +191,9 @@ class Columns:
         """fn mapped over the rows; constant arguments are repeated.
 
         A row whose call raises an ArithmeticError or ValueError (math's
-        range and domain errors) records it and gets nan, so the error
-        surfaces from the row that raised it, as on floats.
+        range and domain errors) or a GeometryError (this package's own)
+        records it and gets nan, so the error surfaces from the row that
+        raised it, as on floats.
         """
         columns = [a for a in args if type(a) is np.ndarray]
         if not columns:
@@ -175,12 +204,12 @@ class Columns:
             if dtype is np.float64:
                 return np.fromiter(map(fn, *lists), np.float64, len(columns[0]))
             return np.array(list(map(fn, *lists)), dtype=dtype)
-        except (ArithmeticError, ValueError) as first:
+        except _ROW_ERRORS as first:
             values, raised = [], False
             for i, xs in enumerate(zip(*lists)):
                 try:
                     values.append(fn(*xs))
-                except (ArithmeticError, ValueError) as exc:
+                except _ROW_ERRORS as exc:
                     self._fail(i, exc)
                     values.append(math.nan)
                     raised = True
@@ -237,21 +266,40 @@ class Columns:
             return np.sqrt(x)
         return self.map(math.sqrt, x)
 
+    def div(self, x, y):
+        """x / y, where the rows whose y is zero raise ZeroDivisionError
+        as float division does; they get inf or nan."""
+        bad = y == 0.0
+        if bad is not False:
+            self.refuse(bad, ZeroDivisionError, "float division by zero")
+        if type(x) is not np.ndarray and type(y) is not np.ndarray:
+            return math.nan if y == 0.0 else x / y
+        return np.divide(x, y)
+
     isfinite = staticmethod(np.isfinite)
     not_ = staticmethod(np.logical_not)
+    where = staticmethod(np.where)
+
+    # max and min of constants alone stay constants, as the builtins give
 
     @staticmethod
     def max(first, *rest):
         out = first
         for x in rest:
-            out = np.where(x > out, x, out)
+            if type(x) is np.ndarray or type(out) is np.ndarray:
+                out = np.where(x > out, x, out)
+            elif x > out:
+                out = x
         return out
 
     @staticmethod
     def min(first, *rest):
         out = first
         for x in rest:
-            out = np.where(x < out, x, out)
+            if type(x) is np.ndarray or type(out) is np.ndarray:
+                out = np.where(x < out, x, out)
+            elif x < out:
+                out = x
         return out
 
     # -- control flow -------------------------------------------------------

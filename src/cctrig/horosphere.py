@@ -7,6 +7,9 @@ angles equal chart angles (the model is conformal). Horospherical
 triangles therefore satisfy Euclidean trigonometry exactly, which is
 what the verification suite checks, alongside an ambient polyline
 cross-check that the scaled chart length really is the induced length.
+
+horosphere_triangle takes its elementary functions from `m`
+(columns.py), so it measures one triangle or a block of them.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 
 import numpy as np
 
+from .columns import FLOATS
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError
 from .models import ModelPoint, model_angle, model_distance, richardson_length
@@ -23,28 +27,34 @@ from .triangle import TriangleData
 
 def _chart_point(p) -> ModelPoint:
     x, y = p
-    return ModelPoint.plane(float(x), float(y))
+    if type(x) is not np.ndarray:  # numpy scalars become Python floats
+        x, y = float(x), float(y)
+    return ModelPoint.plane(x, y)
 
 
-def horosphere_triangle(height: float, p1, p2, p3, k: float = 1.0) -> TriangleData:
+def horosphere_triangle(height: float, p1, p2, p3, k: float = 1.0,
+                        m=FLOATS) -> TriangleData:
     """Triangle with vertices at chart points p1, p2, p3 (pairs) on the
     horosphere z = height. Angle slots follow vertex order: A at p1,
-    B at p2, C at p3."""
+    B at p2, C at p3. With a Columns namespace the chart coordinates are
+    columns and so is the triangle."""
     if not (math.isfinite(height) and height > 0.0):
         raise DomainError(f"horosphere height must be positive, got {height}")
     q1, q2, q3 = _chart_point(p1), _chart_point(p2), _chart_point(p3)
     scale = k / height
-    a = scale * model_distance(q2, q3)
-    b = scale * model_distance(q3, q1)
-    c = scale * model_distance(q1, q2)
-    if min(a, b, c) == 0.0:
-        raise DegenerateError("coincident vertices on the horosphere")
-    A = model_angle(q1, q2, q3)
-    B = model_angle(q2, q3, q1)
-    C = model_angle(q3, q1, q2)
-    if min(A, B, C) == 0.0 or max(A, B, C) >= math.pi:
-        raise DegenerateError("collinear vertices on the horosphere")
-    return TriangleData(a, b, c, A, B, C, Curvature.euclidean()).validate()
+    a = scale * model_distance(q2, q3, m)
+    b = scale * model_distance(q3, q1, m)
+    c = scale * model_distance(q1, q2, m)
+    bad = m.min(a, b, c) == 0.0
+    if bad is not False:
+        m.refuse(bad, DegenerateError, "coincident vertices on the horosphere")
+    A = model_angle(q1, q2, q3, m)
+    B = model_angle(q2, q3, q1, m)
+    C = model_angle(q3, q1, q2, m)
+    bad = (m.min(A, B, C) == 0.0) | (m.max(A, B, C) >= math.pi)
+    if bad is not False:
+        m.refuse(bad, DegenerateError, "collinear vertices on the horosphere")
+    return TriangleData(a, b, c, A, B, C, Curvature.euclidean()).validate(m)
 
 
 def intrinsic_distance(height: float, p, q, k: float = 1.0) -> float:

@@ -152,9 +152,10 @@ class ModelPoint:
         return ModelPoint(Model.HYPERBOLOID, _scale(tuple(coords), k / math.sqrt(q)), k)
 
     @staticmethod
-    def half_space(x: float, y: float, z: float, k: float = 1.0) -> ModelPoint:
-        if not (z > 0.0 and math.isfinite(z)):
-            raise DomainError(f"half-space height must be positive, got {z}")
+    def half_space(x: float, y: float, z: float, k: float = 1.0, m=FLOATS) -> ModelPoint:
+        bad = m.not_((z > 0.0) & m.isfinite(z))
+        if bad is not False:
+            m.refuse(bad, DomainError, "half-space height must be positive, got {}", z)
         return ModelPoint(Model.HALF_SPACE, (x, y, z), k)
 
     @staticmethod
@@ -197,10 +198,8 @@ def model_distance(p: ModelPoint, q: ModelPoint, m=FLOATS) -> float:
 def _unit_tangent(p: ModelPoint, v, failure: str, m=FLOATS) -> tuple[float, ...]:
     """The tangent part of v at a curved-model point p, normalized."""
     dot, norm = CURVED_METRIC[p.model]
-    k2 = p.k * p.k
-    if k2 == 0.0:  # k below about 1e-162; numpy would divide columns silently
-        raise ZeroDivisionError("float division by zero")
-    w = _sub(v, _scale(p.coords, dot(p.coords, v, m) / k2))
+    # k * k underflows to 0 below k of about 1e-162
+    w = _sub(v, _scale(p.coords, m.div(dot(p.coords, v, m), p.k * p.k)))
     n = norm(w, m)
     bad = n == 0.0
     if bad is not False:
@@ -313,17 +312,17 @@ class Ray:
         return geodesic_point(self.base, self.direction, t)
 
 
-def ideal_direction(ray: Ray) -> tuple[float, ...]:
+def ideal_direction(ray: Ray, m=FLOATS) -> tuple[float, ...]:
     """The ideal endpoint of a hyperboloid ray, as the lightlike vector
     base/k + direction normalized so its first component is 1. Two rays
     are asymptotic exactly when these agree."""
     if ray.base.model is not Model.HYPERBOLOID:
         raise DomainError("ideal points belong to the hyperboloid model")
     w = _add(_scale(ray.base.coords, 1.0 / ray.base.k), ray.direction)
-    return _scale(w, 1.0 / w[0])
+    return _scale(w, m.div(1.0, w[0]))
 
 
-def asymptotic_ray(p: ModelPoint, ray: Ray) -> Ray:
+def asymptotic_ray(p: ModelPoint, ray: Ray, m=FLOATS) -> Ray:
     """The ray from p sharing the ideal endpoint of `ray`.
 
     Closed form: for the lightlike representative w of the ideal point,
@@ -339,14 +338,14 @@ def asymptotic_ray(p: ModelPoint, ray: Ray) -> Ray:
     """
     if p.model is not Model.HYPERBOLOID:
         raise DomainError("asymptotic rays belong to the hyperboloid model")
-    w = ideal_direction(ray)
+    w = ideal_direction(ray, m)
     k = p.k
     denom = minkowski_dot(p.coords, w)
-    u = _sub(_scale(w, k * k / denom), p.coords)
+    u = _sub(_scale(w, m.div(k * k, denom)), p.coords)
     return Ray(p, _scale(u, 1.0 / k))
 
 
-def hyperboloid_to_half_space(p: ModelPoint) -> ModelPoint:
+def hyperboloid_to_half_space(p: ModelPoint, m=FLOATS) -> ModelPoint:
     """Isometry from the 4-component hyperboloid sheet to the upper
     half-space, sending the ideal point along (1,0,0,1) to infinity and
     the origin (k,0,0,0) to (0,0,k)."""
@@ -355,9 +354,10 @@ def hyperboloid_to_half_space(p: ModelPoint) -> ModelPoint:
     x0, x1, x2, x3 = p.coords
     k = p.k
     denom = x0 - x3
-    if denom <= 0.0:
-        raise DomainError("point maps to infinity in this chart")
-    return ModelPoint.half_space(k * x1 / denom, k * x2 / denom, k * k / denom, k)
+    bad = denom <= 0.0
+    if bad is not False:
+        m.refuse(bad, DomainError, "point maps to infinity in this chart")
+    return ModelPoint.half_space(k * x1 / denom, k * x2 / denom, k * k / denom, k, m)
 
 
 def half_space_to_hyperboloid(q: ModelPoint) -> ModelPoint:

@@ -17,6 +17,10 @@ triangle is measured in the frame centered at A (where the shared ideal
 point is (1, 0, 0, 1) and the horosphere is the plane z = k of the
 half-space chart), and the spherical triangle in the frame centered at
 B (where the three unit tangents have closed-form components).
+
+build_prism and replay_residuals take their elementary functions from
+`m` (columns.py): on a base triangle of columns with a Columns namespace
+they build one figure per row.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .columns import FLOATS
 from .curvature import GeometryKind
 from .errors import DomainError
 from .geodesic_sphere import GeodesicSphere, geodesic_sphere_triangle
 from .horosphere import horosphere_triangle
 from .models import (Model, ModelPoint, Ray, asymptotic_ray, hyperboloid_to_half_space,
                      ideal_direction)
-from .parallelism import inverse_parallelism
+from .parallelism import inverse_parallelism, parallelism_angle
 from .relations import RelationResidual, hyperbolic_residuals
 from .triangle import TriangleData
 
@@ -67,57 +72,71 @@ class PrismFigure:
         return abs(self.horospherical.C - 0.5 * math.pi)
 
 
-def build_prism(base: TriangleData) -> PrismFigure:
+def build_prism(base: TriangleData, m=FLOATS) -> PrismFigure:
     """Erect the prism over a right hyperbolic triangle (right angle at C)."""
     if base.geometry.kind is not GeometryKind.HYPERBOLIC:
         raise DomainError("the prism construction needs a hyperbolic base triangle")
-    base.validate()
-    if abs(base.C - 0.5 * math.pi) > RIGHT_ANGLE_TOL:
-        raise DomainError(f"right angle at C required, got C = {base.C}")
+    base.validate(m)
+    bad = abs(base.C - 0.5 * math.pi) > RIGHT_ANGLE_TOL
+    if bad is not False:
+        m.refuse(bad, DomainError, "right angle at C required, got C = {}", base.C)
     k = base.geometry.k
     au, bu, cu = base.a / k, base.b / k, base.c / k
 
     # frame centered at A: base plane is x3 = 0, axis direction is e3
     pa = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
     pb = ModelPoint(Model.HYPERBOLOID,
-                    (k * math.cosh(cu), k * math.sinh(cu), 0.0, 0.0), k)
+                    (k * m.cosh(cu), k * m.sinh(cu), 0.0, 0.0), k)
     pc = ModelPoint(Model.HYPERBOLOID,
-                    (k * math.cosh(bu), k * math.sinh(bu) * math.cos(base.A),
-                     k * math.sinh(bu) * math.sin(base.A), 0.0), k)
-    axis_a = Ray.at(pa, (0.0, 0.0, 0.0, 1.0))
-    axis_b = asymptotic_ray(pb, axis_a)
-    axis_c = asymptotic_ray(pc, axis_a)
-    omega = ideal_direction(axis_a)
-    defect = max(abs(w - o)
-                 for axis in (axis_a, axis_b, axis_c)
-                 for w, o in zip(ideal_direction(axis), omega))
+                    (k * m.cosh(bu), k * m.sinh(bu) * m.cos(base.A),
+                     k * m.sinh(bu) * m.sin(base.A), 0.0), k)
+    axis_a = Ray.at(pa, (0.0, 0.0, 0.0, 1.0), m)
+    axis_b = asymptotic_ray(pb, axis_a, m)
+    axis_c = asymptotic_ray(pc, axis_a, m)
+    omega = ideal_direction(axis_a, m)
+    defect = m.max(*(abs(w - o)
+                     for axis in (axis_a, axis_b, axis_c)
+                     for w, o in zip(ideal_direction(axis, m), omega)))
 
     # the horosphere through A centered at the ideal point is the plane
     # z = k of the half-space chart; the axes are its vertical lines, so
     # the prism cuts it in the chart shadows of the vertices
     charts = []
     for p in (pa, pb, pc):
-        hs = hyperboloid_to_half_space(p)
+        hs = hyperboloid_to_half_space(p, m)
         charts.append((hs.coords[0], hs.coords[1]))
-    horospherical = horosphere_triangle(k, charts[0], charts[1], charts[2], k)
+    horospherical = horosphere_triangle(k, charts[0], charts[1], charts[2], k, m)
 
     # frame centered at B: measure the direction-sphere triangle k m n
     # (k up the axis, m toward A, n toward C) with exact unit tangents
     origin = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
     a_in_b = ModelPoint(Model.HYPERBOLOID,
-                        (k * math.cosh(cu), k * math.sinh(cu), 0.0, 0.0), k)
-    axis_a_in_b = Ray.at(a_in_b, (0.0, 0.0, 0.0, 1.0))
-    ray_k = asymptotic_ray(origin, axis_a_in_b)
-    ray_m = Ray.at(origin, (0.0, 1.0, 0.0, 0.0))
-    ray_n = Ray.at(origin, (0.0, math.cos(base.B), math.sin(base.B), 0.0))
+                        (k * m.cosh(cu), k * m.sinh(cu), 0.0, 0.0), k)
+    axis_a_in_b = Ray.at(a_in_b, (0.0, 0.0, 0.0, 1.0), m)
+    ray_k = asymptotic_ray(origin, axis_a_in_b, m)
+    ray_m = Ray.at(origin, (0.0, 1.0, 0.0, 0.0), m)
+    ray_n = Ray.at(origin, (0.0, m.cos(base.B), m.sin(base.B), 0.0), m)
     sphere = GeodesicSphere(origin, k)
-    spherical = geodesic_sphere_triangle(sphere, (ray_k, ray_n, ray_m))
+    spherical = geodesic_sphere_triangle(sphere, (ray_k, ray_n, ray_m), m)
 
     return PrismFigure(base, (pa, pb, pc), (axis_a, axis_b, axis_c),
                        omega, defect, spherical, horospherical)
 
 
-def replay_residuals(figure: PrismFigure) -> list[RelationResidual]:
+def parallelism_match(figure: PrismFigure, m=FLOATS):
+    """The largest gap between a measured angle of the figure and the
+    angle the base triangle predicts for it: three parallelism angles
+    on the spherical cut, and the angles the cuts share with the base."""
+    base, sph = figure.base, figure.spherical
+    geom = base.geometry
+    return m.max(abs(sph.b - m.map(parallelism_angle, base.c, geom)),
+                 abs(sph.c - m.map(parallelism_angle, base.a, geom)),
+                 abs(sph.B - m.map(parallelism_angle, base.b, geom)),
+                 abs(sph.a - base.B),
+                 abs(figure.horospherical.A - base.A))
+
+
+def replay_residuals(figure: PrismFigure, m=FLOATS) -> list[RelationResidual]:
     """Reconstruct the base triangle purely from the induced spherical and
     horospherical measurements and score it against the hyperbolic
     relation system. Nothing from the base triangle enters except the
@@ -126,13 +145,13 @@ def replay_residuals(figure: PrismFigure) -> list[RelationResidual]:
     sph = figure.spherical
     hor = figure.horospherical
     recovered = TriangleData(
-        a=inverse_parallelism(sph.c, curv),
-        b=inverse_parallelism(sph.B, curv),
-        c=inverse_parallelism(sph.b, curv),
+        a=m.map(inverse_parallelism, sph.c, curv),
+        b=m.map(inverse_parallelism, sph.B, curv),
+        c=m.map(inverse_parallelism, sph.b, curv),
         A=0.5 * math.pi - hor.B,
         B=sph.a,
         C=0.5 * math.pi,
         geometry=curv,
     )
     return [RelationResidual("replay_" + r.relation_id, r.residual)
-            for r in hyperbolic_residuals(recovered)]
+            for r in hyperbolic_residuals(recovered, m)]

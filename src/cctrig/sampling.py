@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import FLOATS, Columns, take
+from .columns import FLOATS, Columns, join, take
 from .curvature import Curvature, GeometryKind
 from .errors import DomainError, SamplingError
 from .models import (MODEL_FOR_KIND, ModelPoint, _synthesized_point,
@@ -56,7 +56,7 @@ DEFAULT_MIN_ANGLE = 1e-3
 DEFAULT_MAX_SIDE = 10.0  # units of k
 DEFAULT_MIN_SIDE = 0.05  # units of k
 DEFAULT_ATTEMPTS = 128
-#: rows a batch of sample_triangles aims at, and its most attempts per index
+#: rows a round of resolve_block aims at, and its most attempts per index
 _BATCH_ROWS = 512
 _MAX_TRIES = 16
 # spherical side cap (units of k), just under the quarter circumference;
@@ -188,17 +188,116 @@ def _block_uniforms(seed: int, indices: np.ndarray, first: int, bounds) -> list[
 
 @dataclass(frozen=True)
 class Block:
-    """Triangles drawn for a range of indices.
+    """Figures drawn for a range of indices.
 
     `rows` holds the positions in the range (index - start) that gave a
-    triangle and `triangle` their values, one column per element.
-    `errors` maps every other position to the error the per-index
-    sampler raises there.
+    figure and `figure` their values (a TriangleData or another figure
+    whose numbers are columns, one row per position; None where no
+    position gave one). `errors` maps every other position to the error
+    the per-index sampler raises there.
     """
 
     rows: np.ndarray
-    triangle: TriangleData
+    figure: object
     errors: dict
+
+
+def _tries(width: int, resolved: int, tried: int, adaptive: bool) -> int:
+    """Attempts each of `width` unresolved indices makes in the next
+    round. By default enough to fill _BATCH_ROWS rows. Adaptive, the
+    number that resolves indices at the least cost, where a round costs
+    as much as _BATCH_ROWS rows and an attempt is accepted at the rate
+    resolved / tried seen so far: one while every attempt is accepted,
+    and one before any is seen."""
+    if not adaptive:
+        return min(max(1, _BATCH_ROWS // width), _MAX_TRIES)
+    rejected = 1.0 - resolved / tried if resolved else 0.0
+    return min(range(1, _MAX_TRIES + 1),
+               key=lambda r: (_BATCH_ROWS + width * r) / (1.0 - rejected ** r))
+
+
+def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: int,
+                  exhausted, *, rejected=(), until_error: bool = False,
+                  adaptive: bool = False) -> Block:
+    """The first accepted attempt of every index in [start, stop), as a
+    per-index rejection loop takes it.
+
+    Attempt j of an index draws the uniforms j * len(bounds) on of its
+    stream and runs attempt(*uniforms, m). It is rejected where it gives
+    no row or raises one of the `rejected` errors; the index takes its
+    first attempt that was accepted or raised another error, and after
+    `attempts` rejections the error exhausted().
+
+    Each round runs the next attempts of every index still unresolved as
+    one block of rows, as many per index as _tries gives: one while many
+    indices are left (or, adaptive, while every attempt is accepted), so
+    no attempt is made that a loop over the indices would not make, and
+    more as they thin out (or are seen rejected), so that a few
+    stragglers do not cost a round each. With until_error the caller stops at the first index that
+    fails, as a loop over the indices would: the indices past a failed
+    one are dropped, and the lowest unresolved index, once rejected,
+    makes all its remaining attempts in the next round, so that a
+    sampler that rejects everything fails in two rounds rather than
+    `attempts`. Dropped indices are in neither the rows nor the errors
+    of the block.
+    """
+    indices = _index_column(seed, start, stop)
+    active = np.arange(stop - start)
+    made = 0  # attempts made by every index still active
+    taken, parts = [], []
+    errors: dict[int, Exception] = {}
+    resolved = tried = 0
+    while True:
+        if made >= attempts:
+            errors.update((pos, exhausted()) for pos in active.tolist())
+            active = active[:0]
+        if until_error and errors:
+            active = active[active < min(errors)]
+        if not len(active):
+            break
+        width = len(active)
+        tries = min(attempts - made, _tries(width, resolved, tried, adaptive))
+        lead = attempts - made - tries if until_error and made and not resolved else 0
+        # row r * width + i is attempt made + r of active index i; the
+        # lowest index's remaining attempts follow in order
+        draws = _block_uniforms(seed, indices[active], made * len(bounds), bounds * tries)
+        if lead:
+            draws += _block_uniforms(seed, indices[active[:1]], (made + tries) * len(bounds),
+                                     bounds * lead)
+        columns = [np.concatenate(draws[d::len(bounds)]) for d in range(len(bounds))]
+        total = tries * width + lead
+        with Columns(np.arange(total)) as m:
+            figure = attempt(*columns, m)
+        # per row: 0 rejected, 1 accepted, 2 raised
+        outcome = np.zeros(total, dtype=np.int8)
+        if figure is not None:
+            outcome[m.rows[~m.dead]] = 1
+        outcome[[r for r, e in m.errors.items() if not isinstance(e, rejected)]] = 2
+        grid = outcome[:tries * width].reshape(tries, width) != 0
+        first = np.argmax(grid, axis=0)
+        done = grid[first, np.arange(width)]
+        row = first * width + np.arange(width)
+        resolved += int(done.sum())
+        tried += int(np.where(done, first + 1, tries).sum())
+        if lead and not done[0]:
+            later = np.flatnonzero(outcome[tries * width:])
+            if len(later):
+                row[0] = tries * width + later[0]
+            else:
+                errors[int(active[0])] = exhausted()
+            done[0] = True
+        ends = np.where(done, outcome[row], 0)
+        took = ends == 1
+        if took.any():
+            taken.append(active[took])
+            parts.append(take(figure, np.searchsorted(m.rows, row[took])))
+        for pos, r in zip(active[ends == 2].tolist(), row[ends == 2].tolist()):
+            errors[pos] = m.errors[r]
+        made += tries
+        active = active[~done]
+    rows = np.concatenate(taken) if taken else np.zeros(0, dtype=np.intp)
+    order = np.argsort(rows)
+    return Block(rows[order], take(join(parts), order) if parts else None, errors)
 
 
 def _flat_attempt(b, c, A, m, *, geometry, min_angle, max_side):
@@ -321,54 +420,11 @@ def sample_triangles(geometry: Curvature, seed: int, start: int, stop: int, *,
                      max_side: float = DEFAULT_MAX_SIDE,
                      min_side: float = DEFAULT_MIN_SIDE,
                      attempts: int = DEFAULT_ATTEMPTS) -> Block:
-    """sample_triangle for every index in [start, stop).
-
-    The indices still unresolved take their next attempts together: one
-    batch runs attempts j..j+r-1 of each as r * (indices) rows, and an
-    index takes its first attempt that was accepted or raised. While
-    many indices are left r is 1, so no attempt is made that a loop over
-    the indices would not make; as they thin out, r grows, so that a
-    few stragglers do not cost a batch each.
-    """
+    """sample_triangle for every index in [start, stop)."""
     bounds, attempt = _triangle_plan(geometry, min_angle, max_side, min_side)
-    indices = _index_column(seed, start, stop)
-    n = stop - start
-    fields = np.empty((6, n))
-    accepted = np.zeros(n, dtype=bool)
-    errors: dict[int, Exception] = {}
-    active = np.arange(n)
-    made = 0  # attempts made by every index still active
-    while len(active) and made < attempts:
-        width = len(active)
-        tries = min(attempts - made, max(1, _BATCH_ROWS // width), _MAX_TRIES)
-        draws = _block_uniforms(seed, indices[active], made * len(bounds), bounds * tries)
-        # row r * width + i is attempt made + r of active index i
-        columns = [np.concatenate(draws[d::len(bounds)]) for d in range(len(bounds))]
-        with Columns(np.arange(tries * width)) as m:
-            t = attempt(*columns, m)
-        # per row: 0 rejected, 1 accepted, 2 raised
-        outcome = np.zeros(tries * width, dtype=np.int8)
-        if t is not None:
-            outcome[m.rows[~m.dead]] = 1
-        outcome[list(m.errors)] = 2
-        outcome = outcome.reshape(tries, width)
-        first = np.argmax(outcome != 0, axis=0)
-        row = first * width + np.arange(width)
-        ends = outcome[first, np.arange(width)]
-        took = ends == 1
-        if took.any():
-            at = np.searchsorted(m.rows, row[took])
-            for column, value in zip(fields, (t.a, t.b, t.c, t.A, t.B, t.C)):
-                column[active[took]] = value[at]
-            accepted[active[took]] = True
-        for pos, r in zip(active[ends == 2].tolist(), row[ends == 2].tolist()):
-            errors[pos] = m.errors[r]
-        active = active[ends == 0]
-        made += tries
     failure = _rejection_failure(geometry, attempts)
-    errors.update((pos, SamplingError(failure)) for pos in active.tolist())
-    rows = np.flatnonzero(accepted)
-    return Block(rows, TriangleData(*fields[:, rows], geometry), errors)
+    return resolve_block(seed, start, stop, bounds, attempt, attempts,
+                         functools.partial(SamplingError, failure))
 
 
 def _right_plan(geometry: Curvature, min_leg: float, max_leg: float | None):

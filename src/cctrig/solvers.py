@@ -98,8 +98,10 @@ def solve_from_sas(geometry: Curvature, b: float, A: float, c: float) -> Triangl
         a = math.hypot(b - c, 2.0 * math.sqrt(b * c) * half)
     else:
         sn, _, eps = CURVED_TRIG[geometry.kind]
-        # sn(a/2)^2 from the half-angle form of the law of cosines
-        root = math.sqrt(sn(0.5 * (b - c) / k) ** 2 + sn(b / k) * sn(c / k) * half * half)
+        # sn(a/2)^2 from the half-angle form of the law of cosines; the
+        # square is a product, as x ** 2 is C pow, which rounds once more
+        d = sn(0.5 * (b - c) / k)
+        root = math.sqrt(d * d + sn(b / k) * sn(c / k) * half * half)
         if eps < 0.0:
             a = 2.0 * k * math.asinh(root)
         else:
@@ -138,10 +140,11 @@ def solve_from_asa(geometry: Curvature, B: float, a: float, C: float) -> Triangl
     # long hyperbolic sides where atanh saturates and the plain cosh
     # form is the well-conditioned one.
     if geometry.kind is GeometryKind.HYPERBOLIC:
-        sh2 = math.sinh(0.5 * a / k) ** 2
-        ch2 = math.cosh(0.5 * a / k) ** 2
-        qm = math.cos(0.5 * (B + C)) ** 2 - sinB * sinC * sh2  # (1 - cos A)/2
-        qp = math.sin(0.5 * (B - C)) ** 2 + sinB * sinC * ch2  # (1 + cos A)/2
+        # squares as products: x ** 2 is C pow, which rounds one more time
+        sh_half, ch_half = math.sinh(0.5 * a / k), math.cosh(0.5 * a / k)
+        c_sum, s_diff = math.cos(0.5 * (B + C)), math.sin(0.5 * (B - C))
+        qm = c_sum * c_sum - sinB * sinC * (sh_half * sh_half)  # (1 - cos A)/2
+        qp = s_diff * s_diff + sinB * sinC * (ch_half * ch_half)  # (1 + cos A)/2
         if qm <= 0.0:
             raise InfeasibleError("the two rays diverge before meeting for "
                                   f"B = {B}, a = {a}, C = {C}")
@@ -163,10 +166,10 @@ def solve_from_asa(geometry: Curvature, B: float, a: float, C: float) -> Triangl
         b, c = sides
         return TriangleData(a, b, c, A, B, C, geometry).validate()
 
-    sh2 = math.sin(0.5 * a / k) ** 2
-    ch2 = math.cos(0.5 * a / k) ** 2
-    qm = math.cos(0.5 * (B + C)) ** 2 + sinB * sinC * sh2  # (1 - cos A)/2
-    qp = math.sin(0.5 * (B + C)) ** 2 - sinB * sinC * sh2  # (1 + cos A)/2
+    s_half = math.sin(0.5 * a / k)
+    c_sum, s_sum = math.cos(0.5 * (B + C)), math.sin(0.5 * (B + C))
+    qm = c_sum * c_sum + sinB * sinC * (s_half * s_half)  # (1 - cos A)/2
+    qp = s_sum * s_sum - sinB * sinC * (s_half * s_half)  # (1 + cos A)/2
     if qm <= 0.0 or qp <= 0.0:
         raise InfeasibleError(f"no spherical triangle for B = {B}, a = {a}, C = {C}")
     A = 2.0 * math.atan2(math.sqrt(qm), math.sqrt(qp))

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .cevians import (cevian_feet, cevian_residual, perturbed_residual,
-                      sample_cevian_config)
+                      sample_cevian_configs)
 from .columns import FLOATS, Columns
 from .correspondence import (euclidean_limit_slope,
                              imaginary_substitution_residuals, rescaling_check)
@@ -33,14 +33,13 @@ from .geodesic_sphere import (RAY_ATTEMPTS, GeodesicSphere, _ray_directions,
 from .horosphere import (ambient_polyline_length, horosphere_triangle,
                          intrinsic_distance)
 from .models import Model, ModelPoint, Ray, tangent_angle
-from .parallelism import parallelism_angle
-from .prism import build_prism, replay_residuals
+from .prism import build_prism, parallelism_match, replay_residuals
 from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals, spherical_right_residuals)
 from .report import (MIN_ABOVE, CheckRow, ResidualReport, SuiteConfig,
                      make_row)
-from .sampling import (sample_right_triangle, sample_right_triangles,
-                       sample_stream, sample_triangle, sample_triangles)
+from .sampling import (Block, sample_right_triangles, sample_stream,
+                       sample_triangle, sample_triangles)
 from .solvers import solve_from_sss
 from .triangle import angle_excess
 
@@ -74,6 +73,21 @@ def _tol(cfg: SuiteConfig, default: float) -> float:
     return default * (cfg.tolerance / _BASE_TOLERANCE)
 
 
+def _evaluated(block: Block, evaluate):
+    """evaluate(block.figure, m) on the rows of a block. Where an index
+    failed, in the sampler or in evaluate, the error of the first one is
+    raised, as a loop over the indices stops there."""
+    errors = dict(block.errors)
+    result = None
+    if block.figure is not None:
+        with Columns(block.rows) as m:
+            result = evaluate(block.figure, m=m)
+        errors.update(m.errors)
+    if errors:
+        raise errors[min(errors)]
+    return result
+
+
 def _sampled_rows(cfg: SuiteConfig, base: int, draw, evaluator, tolerance: float,
                   name=lambda rid: rid) -> list[CheckRow]:
     """One row per relation of `evaluator` over cfg.samples triangles,
@@ -82,12 +96,7 @@ def _sampled_rows(cfg: SuiteConfig, base: int, draw, evaluator, tolerance: float
     per: dict[str, list] = {}
     for start in range(0, cfg.samples, _BLOCK):
         stop = min(start + _BLOCK, cfg.samples)
-        block = draw(cfg.seed, base + start, base + stop)
-        with Columns(block.rows) as m:
-            residuals = evaluator(block.triangle, m=m)
-        errors = {**block.errors, **m.errors}
-        if errors:  # where a loop over the indices stops
-            raise errors[min(errors)]
+        residuals = _evaluated(draw(cfg.seed, base + start, base + stop), evaluator)
         for r in residuals:
             per.setdefault(name(r.relation_id), []).append(r.residual)
     # complex substitution residuals aggregate by magnitude, abs(z)
@@ -141,7 +150,7 @@ def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
             stop = index + min(cfg.samples - produced, _BLOCK)
             block, directions = center_ray_triangles(sphere, cfg.seed, index, stop)
             with Columns(block.rows) as m:
-                residuals = spherical_residuals(block.triangle, m)
+                residuals = spherical_residuals(block.figure, m)
             used = []
             for pos in range(stop - index):
                 if produced == cfg.samples:
@@ -176,23 +185,43 @@ def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
 def _suite_horosphere(cfg: SuiteConfig) -> list[CheckRow]:
     k = cfg.curvature.k
     base = _STREAM_BASE["horosphere"]
-    per: dict[str, list[float]] = {}
+    per: dict[str, list] = {}
     produced = 0
     index = 0
     while produced < cfg.samples:
-        g = sample_stream(cfg.seed, base + index)
-        index += 1
-        pts = g.uniform(-2.0 * k, 2.0 * k, size=(3, 2))
-        try:
-            t = horosphere_triangle(k, pts[0], pts[1], pts[2], k)
-        except (DomainError, DegenerateError):
-            continue
-        if min(t.angles()) < 1e-3 or min(t.sides()) < 1e-3 * k:
-            continue
-        for r in euclidean_residuals(t):
-            per.setdefault("horo_" + r.relation_id.removeprefix("euc_"), []) \
-                .append(r.residual)
-        produced += 1
+        stop = index + min(cfg.samples - produced, _BLOCK)
+        # each index's six chart coordinates, from its own stream
+        pts = np.array([sample_stream(cfg.seed, base + i).uniform(-2.0 * k, 2.0 * k, size=6)
+                        for i in range(index, stop)]).T.copy()
+        with Columns(np.arange(stop - index)) as m:
+            t = horosphere_triangle(k, pts[0:2], pts[2:4], pts[4:6], k, m)
+            keep = m.reject((m.min(*t.angles()) < 1e-3) | (m.min(*t.sides()) < 1e-3 * k))
+        kept = set(m.rows.tolist())
+        residuals = []
+        if keep is not None:
+            with Columns(m.rows) as e:
+                residuals = euclidean_residuals(*keep(t), e)
+        used = []
+        for pos in range(stop - index):
+            if produced == cfg.samples:
+                break
+            # the loop skips an index whose triangle is refused or
+            # rejected, but none of the evaluator's errors
+            error = m.errors.get(pos)
+            if isinstance(error, (DomainError, DegenerateError)):
+                continue
+            if error is None and pos in kept:
+                error = e.errors.get(pos)
+            if error is not None:
+                raise error
+            if pos in kept:
+                used.append(pos)
+                produced += 1
+        for r in residuals:
+            per.setdefault("horo_" + r.relation_id.removeprefix("euc_"), []).append(
+                r.residual[np.searchsorted(m.rows, used)])
+        index = stop
+    per = {rid: np.concatenate(vals).tolist() for rid, vals in per.items()}
     rows = [make_row("horo_angle_sum", per.pop("horo_angle_sum"), _tol(cfg, 1e-9))]
     rows += [make_row(rid, vals, _tol(cfg, 1e-10)) for rid, vals in per.items()]
     ambient: list[float] = []
@@ -208,31 +237,24 @@ def _suite_horosphere(cfg: SuiteConfig) -> list[CheckRow]:
 def _suite_prism(cfg: SuiteConfig) -> list[CheckRow]:
     geom = Curvature.hyperbolic(cfg.curvature.k)
     base = _STREAM_BASE["prism"]
-    right_m: list[float] = []
-    horo_right: list[float] = []
-    align: list[float] = []
-    par_match: list[float] = []
-    replay: dict[str, list[float]] = {}
-    for i in range(cfg.samples):
-        t = sample_right_triangle(geom, cfg.seed, base + i)
-        fig = build_prism(t)
-        right_m.append(fig.right_angle_defect_at_m)
-        horo_right.append(fig.horospherical_right_angle_defect)
-        align.append(fig.ideal_alignment_defect)
-        par_match.append(max(
-            abs(fig.spherical.b - parallelism_angle(t.c, geom)),
-            abs(fig.spherical.c - parallelism_angle(t.a, geom)),
-            abs(fig.spherical.B - parallelism_angle(t.b, geom)),
-            abs(fig.spherical.a - t.B),
-            abs(fig.horospherical.A - t.A)))
-        for r in replay_residuals(fig):
-            replay.setdefault(r.relation_id, []).append(r.residual)
-    rows = [make_row("prism_right_angle_at_m", right_m, _tol(cfg, 1e-8)),
-            make_row("prism_horospherical_right", horo_right, _tol(cfg, 1e-8)),
-            make_row("prism_ideal_alignment", align, _tol(cfg, 1e-10)),
-            make_row("prism_parallelism_match", par_match, _tol(cfg, 1e-8))]
-    rows += [make_row(rid, vals, _tol(cfg, 1e-8)) for rid, vals in replay.items()]
-    return rows
+
+    def measure(t, m):
+        fig = build_prism(t, m)
+        return ({"prism_right_angle_at_m": fig.right_angle_defect_at_m,
+                 "prism_horospherical_right": fig.horospherical_right_angle_defect,
+                 "prism_ideal_alignment": fig.ideal_alignment_defect,
+                 "prism_parallelism_match": parallelism_match(fig, m)}
+                | {r.relation_id: r.residual for r in replay_residuals(fig, m)})
+
+    per: dict[str, list] = {}
+    for start in range(0, cfg.samples, _BLOCK):
+        stop = min(start + _BLOCK, cfg.samples)
+        block = sample_right_triangles(geom, cfg.seed, base + start, base + stop)
+        for rid, values in _evaluated(block, measure).items():
+            per.setdefault(rid, []).append(values)
+    tolerance = {"prism_ideal_alignment": 1e-10}
+    return [make_row(rid, np.concatenate(vals).tolist(), _tol(cfg, tolerance.get(rid, 1e-8)))
+            for rid, vals in per.items()]
 
 
 def _suite_substitution(cfg: SuiteConfig) -> list[CheckRow]:
@@ -332,9 +354,11 @@ def _suite_cevians(cfg: SuiteConfig) -> list[CheckRow]:
                               perturbed_residual(incenter, _SENSITIVITY_DELTA),
                               perturbed_residual(skew, _SENSITIVITY_DELTA)]
     for j, (name, geom) in enumerate(geoms):
-        for i in range(cfg.samples):
-            c = sample_cevian_config(geom, cfg.seed, base + j * _SUB + i)
-            sampled[name].append(cevian_residual(c))
+        for start in range(0, cfg.samples, _BLOCK):
+            stop = min(start + _BLOCK, cfg.samples)
+            block = sample_cevian_configs(geom, cfg.seed, base + j * _SUB + start,
+                                          base + j * _SUB + stop, until_error=True)
+            sampled[name] += _evaluated(block, cevian_residual).tolist()
     rows.append(make_row("cev_euclidean_sampled", sampled["euclidean"],
                          _tol(cfg, 1e-9)))
     rows.append(make_row("cev_spherical_sampled", sampled["spherical"],

@@ -207,6 +207,17 @@ def test_an_underflowing_scale_stops_sphere_model_with_exit_2(capsys):
         "error": "domain", "message": "float division by zero"}
 
 
+def test_cevians_stop_at_the_first_index_no_draw_accepts(capsys):
+    # at k = 0.1 the cevian sampler rejects every hyperbolic draw; the
+    # run stops at the first index, as a loop over the indices does
+    code, out, err = _run(capsys, "verify", "cevians", "--samples", "100", "--seed", "0",
+                          "--curvature-scale", "0.1")
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "domain",
+        "message": "no acceptable cevian configuration after 128 attempts"}
+
+
 def test_missing_values_are_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve", "--geometry", "euclidean", "--mode", "sss", "3", "4"])

@@ -11,7 +11,11 @@ from cctrig import (Curvature, DegenerateError, DomainError, GeodesicSphere,
                     imaginary_substitution_residuals, model_angle,
                     model_distance, spherical_residuals,
                     spherical_right_residuals)
+from cctrig.cevians import cevian_feet, cevian_residual
 from cctrig.columns import FLOATS, Columns
+from cctrig.horosphere import horosphere_triangle
+from cctrig.prism import build_prism, parallelism_match, replay_residuals
+from cctrig.sampling import _right_triangle
 
 SPH = Curvature.spherical()
 HYP = Curvature.hyperbolic()
@@ -199,3 +203,64 @@ def test_geodesic_sphere_triangles_on_columns_are_the_scalar_ones():
 
     m = _rowwise(cut, rows)
     assert any(type(e) in (DegenerateError, DomainError) for e in m.errors.values())
+
+
+@pytest.mark.parametrize("k", (1.0, 0.1, 10.0, 1e-170, 1e300), ids=repr)
+def test_prism_figures_on_columns_are_the_scalar_figures(k):
+    geometry = Curvature.hyperbolic(k)
+    rng = np.random.default_rng(11)
+    rows = [tuple(rng.uniform(0.05, 3.0, 2)) for _ in range(60)]
+    rows += [(0.0, 1.0), (1.0, 40.0), (800.0, 1.0), (25.0, 25.0)]
+
+    def erect(m, a, b):
+        figure = build_prism(_right_triangle(a, b, geometry, m), m)
+        return figure, parallelism_match(figure, m), replay_residuals(figure, m)
+
+    _rowwise(erect, rows)
+    # a base that is not right-angled at C is refused row by row
+    _rowwise(lambda m, *f: build_prism(TriangleData(*f, geometry), m),
+             [(0.8, 1.1, 1.4, 0.6, 0.9, C) for C in (math.pi / 2.0, 1.5, math.pi / 2.0 + 1e-12)])
+
+
+@pytest.mark.parametrize("height, k", ((1.0, 1.0), (0.3, 2.0), (1e-170, 1e-170)), ids=repr)
+def test_horosphere_triangles_on_columns_are_the_scalar_ones(height, k):
+    rng = np.random.default_rng(12)
+    rows = [tuple(rng.uniform(-2.0, 2.0, 6) * k) for _ in range(60)]
+    rows += [(0.0, 0.0, 0.0, 0.0, 1.0, 1.0),        # coincident vertices
+             (0.0, 0.0, 1.0, 1.0, 2.0, 2.0),        # collinear vertices
+             (0.0, 0.0, 1.0, 0.0, 0.5, 1e-300),     # a needle
+             (math.nan, 0.0, 1.0, 0.0, 0.0, 1.0)]
+
+    def cut(m, *c):
+        return horosphere_triangle(height, c[0:2], c[2:4], c[4:6], k, m)
+
+    m = _rowwise(cut, rows)
+    assert any(type(e) is DegenerateError for e in m.errors.values())
+
+
+def _cevian_figure(geometry, m, *c):
+    if geometry is EUC:
+        points = [ModelPoint.plane(c[i], c[i + 1]) for i in (0, 2, 4, 6)]
+    else:
+        points = [ModelPoint.sphere(c[i:i + 3], geometry.k, m) for i in (0, 3, 6, 9)]
+    config = cevian_feet(geometry, *points, m)
+    return config, cevian_residual(config, m)
+
+
+@pytest.mark.parametrize("geometry", (EUC, SPH, Curvature.spherical(3.0)), ids=repr)
+def test_cevian_feet_on_columns_are_the_scalar_feet(geometry):
+    rng = np.random.default_rng(13)
+    width = 8 if geometry is EUC else 12
+    rows = []
+    for _ in range(60):
+        row = rng.normal(size=width) + np.tile((0.0, 0.0, 3.0), 4)[:width]
+        # O half way to the centroid, so most rows are interior
+        for i in range(width // 4):
+            row[width - width // 4 + i] = 0.5 * row[width - width // 4 + i] + 0.5 * np.mean(
+                row[i:width - width // 4:width // 4])
+        rows.append(tuple(row))
+    d = width // 4
+    rows += [rows[0][:d] + rows[0][:d] + rows[0][2 * d:],      # coincident vertices
+             rows[1][:3 * d] + rows[1][:d]]                     # O at a vertex
+    m = _rowwise(lambda m, *c: _cevian_figure(geometry, m, *c), rows)
+    assert m.errors and len(m.errors) < len(rows)

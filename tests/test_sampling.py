@@ -12,6 +12,7 @@ from cctrig import (Curvature, DomainError, GeodesicSphere, Model, ModelPoint,
                     SamplingError, angle_excess, geodesic_sphere_triangle,
                     sample_cevian_config, sample_right_triangle, sample_stream,
                     sample_triangle, spherical_right_residuals, suites)
+from cctrig.cevians import sample_cevian_configs
 from cctrig.geodesic_sphere import center_ray_triangles
 from cctrig.sampling import (DEFAULT_MAX_SIDE, DEFAULT_MIN_ANGLE,
                              DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP, _philox_blocks,
@@ -275,7 +276,7 @@ def _scalar_outcome(fn, *args, **kwargs):
 
 def _block_outcomes(block, n):
     """Per position: the triangle's float.hex values, or the error."""
-    t = block.triangle
+    t = block.figure
     values = [np.broadcast_to(x, block.rows.shape) for x in t.sides() + t.angles()]
     rows = {pos: tuple(float(v[i]).hex() for v in values)
             for i, pos in enumerate(block.rows.tolist())}
@@ -331,3 +332,80 @@ def test_center_ray_triangles_are_the_per_index_rays(k, radius):
         assert [tuple(x.hex() for x in r.direction) for r in rays] == \
             [tuple(float(x).hex() for x in directions[r, :, i]) for r in range(3)]
         assert triangles[i] == _triangle_hex(geodesic_sphere_triangle(sphere, rays))
+
+
+def _cevian_hex(config, i=None):
+    """A cevian configuration's numbers as float.hex strings: row i of a
+    configuration of columns."""
+    values = [c for p in (config.A, config.B, config.C, config.O, config.foot_a,
+                          config.foot_b, config.foot_c) for c in p.coords]
+    values += config.ratios()
+    return tuple(float(v if i is None else v[i]).hex() for v in values)
+
+
+def _cevian_outcome(geometry, seed, index, **kwargs):
+    try:
+        return _cevian_hex(sample_cevian_config(geometry, seed, index, **kwargs))
+    except Exception as exc:  # the block must raise the same error here
+        return (type(exc), str(exc))
+
+
+def _cevian_block_outcomes(block):
+    """Per position the block reports: its configuration or its error."""
+    rows = {pos: _cevian_hex(block.figure, i) for i, pos in enumerate(block.rows.tolist())}
+    rows.update((pos, (type(exc), str(exc))) for pos, exc in block.errors.items())
+    return rows
+
+
+_CEVIAN_SCALES = (1e-3, 0.1, 0.5, 1.0, 10.0, 1e5)
+
+
+@pytest.mark.parametrize("kind", ("euclidean", "spherical", "hyperbolic"))
+@pytest.mark.parametrize("k", _CEVIAN_SCALES, ids=repr)
+@pytest.mark.parametrize("attempts", (1, 128))
+def test_block_cevian_sampler_is_the_per_index_sampler(kind, k, attempts):
+    # the flat sampler does not depend on k; its cases differ by seed
+    geometry = EUC if kind == "euclidean" else getattr(Curvature, kind)(k)
+    seed, start, n = _CEVIAN_SCALES.index(k), 9 << 28, 24
+    block = sample_cevian_configs(geometry, seed, start, start + n, attempts=attempts)
+    got = _cevian_block_outcomes(block)
+    assert sorted(got) == list(range(n))
+    assert [got[pos] for pos in range(n)] == [
+        _cevian_outcome(geometry, seed, start + i, attempts=attempts) for i in range(n)]
+
+
+@pytest.mark.parametrize("geometry, attempts", (
+    (Curvature.spherical(0.5), 12), (Curvature.hyperbolic(0.5), 16),
+    (Curvature.hyperbolic(1e-3), 128), (SPH, 1)), ids=repr)
+def test_cevian_block_until_error_stops_where_the_loop_stops(geometry, attempts):
+    seed, start, n = 4, 3 << 28, 60
+    expected = [_cevian_outcome(geometry, seed, start + i, attempts=attempts)
+                for i in range(n)]
+    failing = [i for i, e in enumerate(expected) if type(e[0]) is type]
+    block = sample_cevian_configs(geometry, seed, start, start + n, attempts=attempts,
+                                  until_error=True)
+    got = _cevian_block_outcomes(block)
+    # every position up to the first failure is there, and what is there
+    # is what the loop gives
+    stop = failing[0] + 1 if failing else n
+    assert set(range(stop)) <= set(got)
+    assert all(got[pos] == expected[pos] for pos in got)
+    assert min(block.errors, default=None) == (failing[0] if failing else None)
+
+
+def test_a_sampler_that_rejects_everything_fails_in_two_rounds(monkeypatch):
+    # at k = 0.1 every hyperbolic draw is rejected: the lowest index
+    # must spend its 128 attempts without the 99 above it spending theirs
+    import cctrig.sampling as sampling
+    drawn = []
+    original = sampling._block_uniforms
+
+    def counted(seed, indices, first, bounds):
+        drawn.append(len(indices) * len(bounds) // 10)
+        return original(seed, indices, first, bounds)
+
+    monkeypatch.setattr(sampling, "_block_uniforms", counted)
+    block = sample_cevian_configs(Curvature.hyperbolic(0.1), 0, 0, 100, until_error=True)
+    assert list(block.errors) == [0] and len(block.rows) == 0
+    assert str(block.errors[0]) == "no acceptable cevian configuration after 128 attempts"
+    assert sum(drawn) <= 2 * 100 + 128

@@ -137,3 +137,21 @@ def test_near_degenerate_thin_triangle_still_solves():
     t = solve_from_sss(EUC, 1.0, 1.0, 2.0 - 1e-12)
     assert t.C == pytest.approx(math.pi, abs=1e-5)
     assert math.isfinite(t.A) and t.A > 0.0
+
+
+def test_half_angle_squares_are_correctly_rounded_products():
+    # at these inputs C pow, which Python's x ** 2 calls, rounds the
+    # square once more than x * x does, and the result moves by an ulp
+    b, A, c = 1.1870631200711634, 2.37007769287785, 0.5753820947672985
+    d, half = math.sinh(0.5 * (b - c)), math.sin(0.5 * A)
+    assert math.pow(d, 2) != d * d
+    a = 2.0 * math.asinh(math.sqrt(d * d + math.sinh(b) * math.sinh(c) * half * half))
+    assert solve_from_sas(HYP, b, A, c).a == a
+
+    B, a, C = 0.6953412425772116, 0.5146268513145105, 0.6772521776712273
+    s_half, c_sum, s_sum = math.sin(0.5 * a), math.cos(0.5 * (B + C)), math.sin(0.5 * (B + C))
+    assert (math.pow(s_half, 2), math.pow(c_sum, 2), math.pow(s_sum, 2)) != (
+        s_half * s_half, c_sum * c_sum, s_sum * s_sum)
+    qm = c_sum * c_sum + math.sin(B) * math.sin(C) * (s_half * s_half)
+    qp = s_sum * s_sum - math.sin(B) * math.sin(C) * (s_half * s_half)
+    assert solve_from_asa(SPH, B, a, C).A == 2.0 * math.atan2(math.sqrt(qm), math.sqrt(qp))
