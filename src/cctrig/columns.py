@@ -41,7 +41,8 @@ Comparisons, `abs` and the operators | and & act the same on floats and
 columns; m.not_, m.max and m.min stand for `not`, `max` and `min`, with
 the builtins' handling of nan (max and min keep the earlier argument
 unless a later one compares greater or smaller), and m.where(c, x, y)
-for `x if c else y`.
+for `x if c else y`. m.map(fn, *args) calls a scalar function row by
+row (on floats, once), for functions not worth writing over `m`.
 """
 
 from __future__ import annotations

@@ -25,9 +25,11 @@ indices at once, bit for bit what the per-index samplers return. A
 numpy Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy
 as 1, 2, 3", SC'11), keyed as sample_stream keys it, hands every index
 of the block the words of its own stream that a round needs; an index
-whose attempt is rejected draws again in the next round. The attempt
-itself (synthesis, model measurements, rejection tests, validation) is
-one function, run on floats or on float64 columns (columns.py). On the
+whose attempt is rejected draws again in the next round
+(resolve_block, which cevians.sample_cevian_configs shares). The
+attempt itself (synthesis, model measurements, rejection tests,
+validation) is one function, run on floats or on float64 columns
+(columns.py). On the
 columns numpy does only + - * / and sqrt, which IEEE 754 rounds
 correctly; every other function maps `math` over the column, since
 numpy's sin, atan2, asinh and the rest differ from `math` in the last

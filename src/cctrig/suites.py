@@ -3,14 +3,17 @@
 Each suite draws its own deterministic sample stream (counter-based, so
 execution order never matters), feeds the models' measurements through
 the relation evaluators, and aggregates absolute residuals into report
-rows. The spherical, hyperbolic, euclidean and substitution suites and
-the triangles of sphere-model run on float64 columns over blocks of
-sample indices (columns.py), with the values and errors of a loop over
-the indices. Row tolerances default to the documented per-row targets and
-scale proportionally when the configured base tolerance is changed;
-structural thresholds (the limit-slope window and the cevian
-sensitivity floor) are fixed properties of the mathematics and do not
-scale.
+rows. Every sampled figure is drawn and measured on float64 columns over
+blocks of sample indices (columns.py), with the values and errors of a
+loop over the indices: the triangles of the spherical, hyperbolic,
+euclidean, substitution, sphere-model and horosphere suites, the prisms
+and the sampled cevian configurations. What stays per sample is the arc
+and ambient length checks of sphere-model and horosphere, the limits
+suite and the fixed cevian figures. Row tolerances default to the
+documented per-row targets and scale proportionally when the configured
+base tolerance is changed; structural thresholds (the limit-slope window
+and the cevian sensitivity floor) are fixed properties of the
+mathematics and do not scale.
 """
 
 from __future__ import annotations
@@ -190,17 +193,21 @@ def _suite_horosphere(cfg: SuiteConfig) -> list[CheckRow]:
     index = 0
     while produced < cfg.samples:
         stop = index + min(cfg.samples - produced, _BLOCK)
-        # each index's six chart coordinates, from its own stream
+        # each index's six chart coordinates from its own stream, by
+        # Generator.uniform: it refuses a range that overflows (k above
+        # about 4.5e307), and perfbench's traced accept ratio counts
+        # these streams as the samples drawn
         pts = np.array([sample_stream(cfg.seed, base + i).uniform(-2.0 * k, 2.0 * k, size=6)
                         for i in range(index, stop)]).T.copy()
         with Columns(np.arange(stop - index)) as m:
             t = horosphere_triangle(k, pts[0:2], pts[2:4], pts[4:6], k, m)
             keep = m.reject((m.min(*t.angles()) < 1e-3) | (m.min(*t.sides()) < 1e-3 * k))
         kept = set(m.rows.tolist())
-        residuals = []
+        residuals, evaluated = [], {}
         if keep is not None:
             with Columns(m.rows) as e:
                 residuals = euclidean_residuals(*keep(t), e)
+            evaluated = e.errors
         used = []
         for pos in range(stop - index):
             if produced == cfg.samples:
@@ -210,8 +217,8 @@ def _suite_horosphere(cfg: SuiteConfig) -> list[CheckRow]:
             error = m.errors.get(pos)
             if isinstance(error, (DomainError, DegenerateError)):
                 continue
-            if error is None and pos in kept:
-                error = e.errors.get(pos)
+            if error is None:
+                error = evaluated.get(pos)
             if error is not None:
                 raise error
             if pos in kept:
