@@ -154,8 +154,12 @@ def _curved_foot(geometry: Curvature, vertex, through, seg_start, seg_end,
 
 
 def _betweenness(geometry: Curvature, foot: ModelPoint, start: ModelPoint,
-                 end: ModelPoint, side_len: float, m=FLOATS) -> None:
-    gap = (model_distance(start, foot, m) + model_distance(foot, end, m)) - side_len
+                 end: ModelPoint, side_len: float, m=FLOATS, arms=None) -> None:
+    """Refuse a foot off its side: `arms` are its distances from start
+    and to end, where the caller has them."""
+    if arms is None:
+        arms = (model_distance(start, foot, m), model_distance(foot, end, m))
+    gap = (arms[0] + arms[1]) - side_len
     bad = abs(gap) > BETWEENNESS_TOL * (side_len + geometry.k)
     if bad is not False:
         m.refuse(bad, InfeasibleError, "cevian foot falls outside the opposite side")
@@ -201,6 +205,7 @@ def cevian_feet(geometry: Curvature, A: ModelPoint, B: ModelPoint,
 
     feet = []
     for vertex, start, end in ((A, B, C), (B, C, A), (C, A, B)):
+        arms = None
         if geometry.kind is GeometryKind.EUCLIDEAN:
             foot = ModelPoint.plane(
                 *_plane_foot(vertex.coords, O.coords, start.coords, end.coords, m))
@@ -210,12 +215,15 @@ def cevian_feet(geometry: Curvature, A: ModelPoint, B: ModelPoint,
             if geometry.kind is GeometryKind.SPHERICAL:
                 # of the two antipodal intersections, keep the one on the arc
                 flipped = ModelPoint(Model.SPHERE, tuple([-c for c in foot.coords]), k)
-                flip = (model_distance(start, foot, m) + model_distance(foot, end, m)
-                        > model_distance(start, flipped, m) + model_distance(flipped, end, m))
+                arms = (model_distance(start, foot, m), model_distance(foot, end, m))
+                flipped_arms = (model_distance(start, flipped, m),
+                                model_distance(flipped, end, m))
+                flip = arms[0] + arms[1] > flipped_arms[0] + flipped_arms[1]
                 foot = ModelPoint(Model.SPHERE, tuple([
                     m.where(flip, f, c) for f, c in zip(flipped.coords, foot.coords)]), k)
+                arms = tuple([m.where(flip, f, a) for f, a in zip(flipped_arms, arms)])
         side_len = model_distance(start, end, m)
-        _betweenness(geometry, foot, start, end, side_len, m)
+        _betweenness(geometry, foot, start, end, side_len, m, arms)
         feet.append(foot)
 
     ratios = []

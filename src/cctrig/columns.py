@@ -105,7 +105,8 @@ def _fsum_of(*terms):
 
 #: the errors a mapped call raises for its row alone
 _ROW_ERRORS = (ArithmeticError, ValueError, GeometryError)
-#: terms up to this size cannot overflow the exact sums of Columns.fsum
+#: terms whose magnitudes sum to at most this cannot overflow the exact
+#: sums of Columns.fsum
 _EXACT_SUM_BOUND = 2.0 ** 1000
 
 
@@ -246,8 +247,9 @@ class Columns:
         terms = list(terms)
         if not any(type(t) is np.ndarray for t in terms):
             return math.fsum(terms)
-        if len(terms) not in (2, 3) or not all(
-                (np.abs(t) <= _EXACT_SUM_BOUND).all() for t in terms):
+        # one test for every term of every row: nan fails it
+        if len(terms) not in (2, 3) or not _EXACT_SUM_BOUND >= np.maximum.reduce(
+                sum(map(np.abs, terms)), initial=0.0):
             return self.map(_fsum_of, *terms)
         if len(terms) == 2:
             return (terms[0] + terms[1]) + 0.0

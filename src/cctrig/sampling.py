@@ -154,9 +154,9 @@ def _index_column(seed: int, start: int, stop: int) -> np.ndarray:
     return np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
 
 
-def block_random(seed: int, indices: np.ndarray, first: int, count: int) -> list[np.ndarray]:
-    """Uniforms first..first+count-1 of each index's stream, one float64
-    column per uniform, bit for bit what sample_stream(seed, index)
+def block_random(seed: int, indices: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Uniforms first..first+count-1 of each index's stream as an array
+    (count, len(indices)), bit for bit what sample_stream(seed, index)
     .random() hands out in that position.
 
     np.random.Philox steps its counter before each block of four words,
@@ -165,10 +165,10 @@ def block_random(seed: int, indices: np.ndarray, first: int, count: int) -> list
     """
     low = first // 4
     counters = np.arange(low + 1, (first + count - 1) // 4 + 2, dtype=np.uint64)
-    lanes = _philox_blocks(counters, seed, indices)
-    doubles = [(lane >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-               for lane in lanes]
-    return [doubles[word % 4][word // 4 - low] for word in range(first, first + count)]
+    # (block, lane, index) flattened to the words of each stream in order
+    words = np.stack(_philox_blocks(counters, seed, indices), axis=1).reshape(-1, len(indices))
+    words = words[first - 4 * low:first - 4 * low + count]
+    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
 def _scaled(bounds, draws) -> list:
@@ -183,9 +183,12 @@ def _uniforms(g: np.random.Generator, bounds) -> list[float]:
     return _scaled(bounds, g.random(len(bounds)).tolist())
 
 
-def _block_uniforms(seed: int, indices: np.ndarray, first: int, bounds) -> list[np.ndarray]:
-    """_uniforms for a column of indices, from uniform `first` on."""
-    return _scaled(bounds, block_random(seed, indices, first, len(bounds)))
+def _block_uniforms(seed: int, indices: np.ndarray, first: int, bounds,
+                    tries: int = 1) -> list[np.ndarray]:
+    """_uniforms for a column of indices and `tries` attempts each, from
+    uniform `first` on: one array (tries, len(indices)) per bound."""
+    draws = block_random(seed, indices, first, tries * len(bounds))
+    return _scaled(bounds, draws.reshape(tries, len(bounds), len(indices)).transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -262,11 +265,12 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
         lead = attempts - made - tries if until_error and made and not resolved else 0
         # row r * width + i is attempt made + r of active index i; the
         # lowest index's remaining attempts follow in order
-        draws = _block_uniforms(seed, indices[active], made * len(bounds), bounds * tries)
+        columns = [u.reshape(-1) for u in _block_uniforms(
+            seed, indices[active], made * len(bounds), bounds, tries)]
         if lead:
-            draws += _block_uniforms(seed, indices[active[:1]], (made + tries) * len(bounds),
-                                     bounds * lead)
-        columns = [np.concatenate(draws[d::len(bounds)]) for d in range(len(bounds))]
+            extra = _block_uniforms(seed, indices[active[:1]], (made + tries) * len(bounds),
+                                    bounds, lead)
+            columns = [np.concatenate((c, u.reshape(-1))) for c, u in zip(columns, extra)]
         total = tries * width + lead
         with Columns(np.arange(total)) as m:
             figure = attempt(*columns, m)
@@ -482,7 +486,7 @@ def sample_right_triangles(geometry: Curvature, seed: int, start: int, stop: int
     """sample_right_triangle for every index in [start, stop). The
     right angle C stays the constant pi/2 rather than a column."""
     bounds = _right_plan(geometry, min_leg, max_leg)
-    a, b = _block_uniforms(seed, _index_column(seed, start, stop), 0, bounds)
+    a, b = (u[0] for u in _block_uniforms(seed, _index_column(seed, start, stop), 0, bounds))
     with Columns(np.arange(stop - start)) as m:
         t = _right_triangle(a, b, geometry, m)
     return Block(m.rows[~m.dead], take(t, ~m.dead), m.errors)

@@ -400,9 +400,9 @@ def test_a_sampler_that_rejects_everything_fails_in_two_rounds(monkeypatch):
     drawn = []
     original = sampling._block_uniforms
 
-    def counted(seed, indices, first, bounds):
-        drawn.append(len(indices) * len(bounds) // 10)
-        return original(seed, indices, first, bounds)
+    def counted(seed, indices, first, bounds, tries=1):
+        drawn.append(len(indices) * tries)
+        return original(seed, indices, first, bounds, tries)
 
     monkeypatch.setattr(sampling, "_block_uniforms", counted)
     block = sample_cevian_configs(Curvature.hyperbolic(0.1), 0, 0, 100, until_error=True)
