@@ -29,14 +29,13 @@ whose attempt is rejected draws again in the next round
 (resolve_block, which cevians.sample_cevian_configs shares). The
 attempt itself (synthesis, model measurements, rejection tests,
 validation) is one function, run on floats or on float64 columns
-(columns.py). On the
-columns numpy does only + - * / and sqrt, which IEEE 754 rounds
-correctly; every other function maps `math` over the column, since
-numpy's sin, atan2, asinh and the rest differ from `math` in the last
-bit on a share of inputs. Powers count as such a function: x ** 2 on a
-Python float is C pow, which differs from x * x (and from numpy's
-x ** 2, a square) on about 1 input in 1,200, so the half-angle square
-is m.pow.
+(columns.py). On the columns numpy does only + - * / and sqrt, which
+IEEE 754 rounds correctly; every other function maps `math` over the
+column, since numpy's sin, atan2, asinh and the rest differ from `math`
+in the last bit on a share of inputs. Powers count as such a function:
+x ** 2 on a Python float is C pow, which differs from x * x (and from
+numpy's x ** 2, a square) on about 1 input in 1,200, so the half-angle
+square is m.pow.
 """
 
 from __future__ import annotations
@@ -238,13 +237,15 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
     indices are left (or, adaptive, while every attempt is accepted), so
     no attempt is made that a loop over the indices would not make, and
     more as they thin out (or are seen rejected), so that a few
-    stragglers do not cost a round each. With until_error the caller stops at the first index that
-    fails, as a loop over the indices would: the indices past a failed
-    one are dropped, and the lowest unresolved index, once rejected,
-    makes all its remaining attempts in the next round, so that a
-    sampler that rejects everything fails in two rounds rather than
-    `attempts`. Dropped indices are in neither the rows nor the errors
-    of the block.
+    stragglers do not cost a round each.
+
+    With until_error the caller stops at the first index that fails, as
+    a loop over the indices would: the indices past a failed one are
+    dropped, and while every attempt so far was rejected, the lowest
+    unresolved index makes all its remaining attempts in the next round,
+    so that a sampler that rejects everything fails in two rounds rather
+    than `attempts`. Dropped indices are in neither the rows nor the
+    errors of the block.
     """
     indices = _index_column(seed, start, stop)
     active = np.arange(stop - start)
