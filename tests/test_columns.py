@@ -209,7 +209,7 @@ def test_geodesic_sphere_triangles_on_columns_are_the_scalar_ones():
 def test_prism_figures_on_columns_are_the_scalar_figures(k):
     geometry = Curvature.hyperbolic(k)
     rng = np.random.default_rng(11)
-    rows = [tuple(rng.uniform(0.05, 3.0, 2)) for _ in range(60)]
+    rows = [tuple(rng.uniform(0.05, 3.0, 2).tolist()) for _ in range(60)]
     rows += [(0.0, 1.0), (1.0, 40.0), (800.0, 1.0), (25.0, 25.0)]
 
     def erect(m, a, b):
@@ -225,7 +225,7 @@ def test_prism_figures_on_columns_are_the_scalar_figures(k):
 @pytest.mark.parametrize("height, k", ((1.0, 1.0), (0.3, 2.0), (1e-170, 1e-170)), ids=repr)
 def test_horosphere_triangles_on_columns_are_the_scalar_ones(height, k):
     rng = np.random.default_rng(12)
-    rows = [tuple(rng.uniform(-2.0, 2.0, 6) * k) for _ in range(60)]
+    rows = [tuple((rng.uniform(-2.0, 2.0, 6) * k).tolist()) for _ in range(60)]
     rows += [(0.0, 0.0, 0.0, 0.0, 1.0, 1.0),        # coincident vertices
              (0.0, 0.0, 1.0, 1.0, 2.0, 2.0),        # collinear vertices
              (0.0, 0.0, 1.0, 0.0, 0.5, 1e-300),     # a needle
@@ -250,16 +250,15 @@ def _cevian_figure(geometry, m, *c):
 @pytest.mark.parametrize("geometry", (EUC, SPH, Curvature.spherical(3.0)), ids=repr)
 def test_cevian_feet_on_columns_are_the_scalar_feet(geometry):
     rng = np.random.default_rng(13)
-    width = 8 if geometry is EUC else 12
+    # sphere points are drawn about one pole, so most triangles are small
+    center = np.zeros(2) if geometry is EUC else np.array([0.0, 0.0, 3.0])
     rows = []
     for _ in range(60):
-        row = rng.normal(size=width) + np.tile((0.0, 0.0, 3.0), 4)[:width]
-        # O half way to the centroid, so most rows are interior
-        for i in range(width // 4):
-            row[width - width // 4 + i] = 0.5 * row[width - width // 4 + i] + 0.5 * np.mean(
-                row[i:width - width // 4:width // 4])
-        rows.append(tuple(row))
-    d = width // 4
+        vertices = rng.normal(size=(3, len(center))) + center
+        # O half way between a random point and the centroid: mostly interior
+        o = 0.5 * (rng.normal(size=len(center)) + center) + 0.5 * vertices.mean(axis=0)
+        rows.append(tuple(np.concatenate([vertices.ravel(), o]).tolist()))
+    d = len(center)
     rows += [rows[0][:d] + rows[0][:d] + rows[0][2 * d:],      # coincident vertices
              rows[1][:3 * d] + rows[1][:d]]                     # O at a vertex
     m = _rowwise(lambda m, *c: _cevian_figure(geometry, m, *c), rows)
