@@ -80,7 +80,7 @@ def _where(cond, x, y):
     return x if cond else y
 
 
-def _call(fn, *args, dtype=None):
+def _call(fn, *args):
     return fn(*args)
 
 
