@@ -380,15 +380,12 @@ def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
 
 
 def sample_cevian_configs(geometry: Curvature, seed: int, start: int, stop: int, *,
-                          max_side: float = 2.0, attempts: int = 128,
-                          until_error: bool = False) -> Block:
+                          max_side: float = 2.0, attempts: int = 128) -> Block:
     """sample_cevian_config for every index in [start, stop): a Block
-    whose figure is a CevianConfig of columns. With until_error the
-    indices past the first that raises may be left out of the block
-    (sampling.resolve_block)."""
+    whose figure is a CevianConfig of columns. The indices past the
+    first that raises may be left out of the block, as a loop over the
+    indices stops there (sampling.resolve_block, until_error)."""
     bounds, attempt = _cevian_plan(geometry, max_side)
-    # the first attempt is accepted almost always where k >= 1, and
-    # rarely where k < 1, where the radii exceed the sides allowed
     return resolve_block(seed, start, stop, bounds, attempt, attempts,
                          functools.partial(_exhausted, attempts), rejected=_REJECTED,
-                         until_error=until_error, adaptive=True)
+                         until_error=True)

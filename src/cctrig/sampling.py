@@ -57,8 +57,9 @@ DEFAULT_MIN_ANGLE = 1e-3
 DEFAULT_MAX_SIDE = 10.0  # units of k
 DEFAULT_MIN_SIDE = 0.05  # units of k
 DEFAULT_ATTEMPTS = 128
-#: rows a round of resolve_block aims at, and its most attempts per index
-_BATCH_ROWS = 512
+#: what a round of resolve_block costs beside its rows, in rows of
+#: attempts, and the most attempts an index makes in one round
+_ROUND_COST = 1024
 _MAX_TRIES = 16
 # spherical side cap (units of k), just under the quarter circumference;
 # a geodesic ball of this radius is convex and inside an open hemisphere
@@ -206,23 +207,20 @@ class Block:
     errors: dict
 
 
-def _tries(width: int, resolved: int, tried: int, adaptive: bool) -> int:
+def _tries(width: int, resolved: int, tried: int) -> int:
     """Attempts each of `width` unresolved indices makes in the next
-    round. By default enough to fill _BATCH_ROWS rows. Adaptive, the
-    number that resolves indices at the least cost, where a round costs
-    as much as _BATCH_ROWS rows and an attempt is accepted at the rate
-    resolved / tried seen so far: one while every attempt is accepted,
-    and one before any is seen."""
-    if not adaptive:
-        return min(max(1, _BATCH_ROWS // width), _MAX_TRIES)
-    rejected = 1.0 - resolved / tried if resolved else 0.0
+    round: the number that resolves them at the least cost per index
+    resolved, where a round costs _ROUND_COST rows beside its own and an
+    attempt is accepted at the rate (resolved + 1) / (tried + 1) seen so
+    far. One before any attempt is seen and while every attempt is
+    accepted, up to _MAX_TRIES while nearly every one is rejected."""
+    rejected = 1.0 - (resolved + 1) / (tried + 1)
     return min(range(1, _MAX_TRIES + 1),
-               key=lambda r: (_BATCH_ROWS + width * r) / (1.0 - rejected ** r))
+               key=lambda r: (_ROUND_COST + width * r) / (1.0 - rejected ** r))
 
 
 def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: int,
-                  exhausted, *, rejected=(), until_error: bool = False,
-                  adaptive: bool = False) -> Block:
+                  exhausted, *, rejected=(), until_error: bool = False) -> Block:
     """The first accepted attempt of every index in [start, stop), as a
     per-index rejection loop takes it.
 
@@ -233,19 +231,18 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
     `attempts` rejections the error exhausted().
 
     Each round runs the next attempts of every index still unresolved as
-    one block of rows, as many per index as _tries gives: one while many
-    indices are left (or, adaptive, while every attempt is accepted), so
-    no attempt is made that a loop over the indices would not make, and
-    more as they thin out (or are seen rejected), so that a few
-    stragglers do not cost a round each.
+    one block of rows, as many per index as _tries gives: one in the
+    first round, so a sampler that accepts its first attempts makes no
+    attempt that a loop over the indices would not make, and more as the
+    rejections seen make another round dearer than the extra rows.
 
     With until_error the caller stops at the first index that fails, as
     a loop over the indices would: the indices past a failed one are
     dropped, and while every attempt so far was rejected, the lowest
-    unresolved index makes all its remaining attempts in the next round,
-    so that a sampler that rejects everything fails in two rounds rather
-    than `attempts`. Dropped indices are in neither the rows nor the
-    errors of the block.
+    unresolved index alone makes all its remaining attempts in the next
+    round, so that a sampler that rejects everything fails in two rounds
+    rather than `attempts`. Dropped indices are in neither the rows nor
+    the errors of the block.
     """
     indices = _index_column(seed, start, stop)
     active = np.arange(stop - start)
@@ -261,47 +258,42 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
             active = active[active < min(errors)]
         if not len(active):
             break
-        width = len(active)
-        tries = min(attempts - made, _tries(width, resolved, tried, adaptive))
-        lead = attempts - made - tries if until_error and made and not resolved else 0
-        # row r * width + i is attempt made + r of active index i; the
-        # lowest index's remaining attempts follow in order
+        lead = until_error and made and not resolved
+        batch = active[:1] if lead else active
+        width = len(batch)
+        tries = attempts - made if lead else min(attempts - made,
+                                                 _tries(width, resolved, tried))
+        # row r * width + i is attempt made + r of index batch[i]
         columns = [u.reshape(-1) for u in _block_uniforms(
-            seed, indices[active], made * len(bounds), bounds, tries)]
-        if lead:
-            extra = _block_uniforms(seed, indices[active[:1]], (made + tries) * len(bounds),
-                                    bounds, lead)
-            columns = [np.concatenate((c, u.reshape(-1))) for c, u in zip(columns, extra)]
-        total = tries * width + lead
-        with Columns(np.arange(total)) as m:
+            seed, indices[batch], made * len(bounds), bounds, tries)]
+        with Columns(np.arange(tries * width)) as m:
             figure = attempt(*columns, m)
         # per row: 0 rejected, 1 accepted, 2 raised
-        outcome = np.zeros(total, dtype=np.int8)
+        outcome = np.zeros(tries * width, dtype=np.int8)
         if figure is not None:
             outcome[m.rows[~m.dead]] = 1
         outcome[[r for r, e in m.errors.items() if not isinstance(e, rejected)]] = 2
-        grid = outcome[:tries * width].reshape(tries, width) != 0
+        grid = outcome.reshape(tries, width) != 0
         first = np.argmax(grid, axis=0)
         done = grid[first, np.arange(width)]
         row = first * width + np.arange(width)
         resolved += int(done.sum())
         tried += int(np.where(done, first + 1, tries).sum())
-        if lead and not done[0]:
-            later = np.flatnonzero(outcome[tries * width:])
-            if len(later):
-                row[0] = tries * width + later[0]
-            else:
-                errors[int(active[0])] = exhausted()
-            done[0] = True
         ends = np.where(done, outcome[row], 0)
         took = ends == 1
         if took.any():
-            taken.append(active[took])
+            taken.append(batch[took])
             parts.append(take(figure, np.searchsorted(m.rows, row[took])))
-        for pos, r in zip(active[ends == 2].tolist(), row[ends == 2].tolist()):
+        for pos, r in zip(batch[ends == 2].tolist(), row[ends == 2].tolist()):
             errors[pos] = m.errors[r]
-        made += tries
-        active = active[~done]
+        if lead:
+            # the lowest index has made all its attempts
+            if not done[0]:
+                errors[int(batch[0])] = exhausted()
+            active = active[1:]
+        else:
+            made += tries
+            active = active[~done]
     rows = np.concatenate(taken) if taken else np.zeros(0, dtype=np.intp)
     order = np.argsort(rows)
     return Block(rows[order], take(join(parts), order) if parts else None, errors)

@@ -138,6 +138,28 @@ def _center_rays(g, center: ModelPoint, attempts: int = RAY_ATTEMPTS) -> tuple[R
     raise DomainError(f"no acceptable ray triple after {attempts} attempts")
 
 
+def _walk(n: int, needed: int, kept, skipped, sampled: dict, evaluated: dict):
+    """What a loop over the n positions of a block does, in order: the
+    first `needed` positions among `kept` that it uses, and the error it
+    stops at before it has them all, or None. It skips a position whose
+    error in `sampled` is one of the `skipped` types and stops at any
+    other error, in `sampled` or else in `evaluated`."""
+    kept = set(kept.tolist())
+    used = []
+    for pos in range(n):
+        if len(used) == needed:
+            break
+        error = sampled.get(pos)
+        if isinstance(error, skipped):
+            continue
+        error = error or evaluated.get(pos)
+        if error is not None:
+            return used, error
+        if pos in kept:
+            used.append(pos)
+    return used, None
+
+
 def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
     k = cfg.curvature.k
     center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
@@ -154,25 +176,19 @@ def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
             block, directions = center_ray_triangles(sphere, cfg.seed, index, stop)
             with Columns(block.rows) as m:
                 residuals = spherical_residuals(block.figure, m)
-            used = []
-            for pos in range(stop - index):
-                if produced == cfg.samples:
-                    break
-                # the loop skips an index whose rays or triangle fail, but
-                # none of the evaluator's errors
-                if isinstance(block.errors.get(pos), _SKIPPED):
-                    continue
-                error = block.errors.get(pos) or m.errors.get(pos)
-                if error is not None:
-                    raise error
-                used.append(pos)
-                if produced < _ARC_CHECK_PAIRS:
-                    d0, d1 = (tuple(directions[r, :, pos].tolist()) for r in (0, 1))
-                    arc = intrinsic_arc_length(sphere, sphere.point_toward(d0),
-                                               sphere.point_toward(d1))
-                    angle = tangent_angle(center, d0, d1)
-                    arc_checks.append(arc - sphere.effective_radius * angle)
-                produced += 1
+            # the loop skips an index whose rays or triangle fail, but
+            # none of the evaluator's errors
+            used, error = _walk(stop - index, cfg.samples - produced, block.rows,
+                                _SKIPPED, block.errors, m.errors)
+            for pos in used[:max(0, _ARC_CHECK_PAIRS - produced)]:
+                d0, d1 = (tuple(directions[r, :, pos].tolist()) for r in (0, 1))
+                arc = intrinsic_arc_length(sphere, sphere.point_toward(d0),
+                                           sphere.point_toward(d1))
+                angle = tangent_angle(center, d0, d1)
+                arc_checks.append(arc - sphere.effective_radius * angle)
+            if error is not None:
+                raise error
+            produced += len(used)
             for r in residuals:
                 per.setdefault(r.relation_id, []).append(
                     r.residual[np.searchsorted(block.rows, used)])
@@ -202,28 +218,18 @@ def _suite_horosphere(cfg: SuiteConfig) -> list[CheckRow]:
         with Columns(np.arange(stop - index)) as m:
             t = horosphere_triangle(k, pts[0:2], pts[2:4], pts[4:6], k, m)
             keep = m.reject((m.min(*t.angles()) < 1e-3) | (m.min(*t.sides()) < 1e-3 * k))
-        kept = set(m.rows.tolist())
         residuals, evaluated = [], {}
         if keep is not None:
             with Columns(m.rows) as e:
                 residuals = euclidean_residuals(*keep(t), e)
             evaluated = e.errors
-        used = []
-        for pos in range(stop - index):
-            if produced == cfg.samples:
-                break
-            # the loop skips an index whose triangle is refused or
-            # rejected, but none of the evaluator's errors
-            error = m.errors.get(pos)
-            if isinstance(error, (DomainError, DegenerateError)):
-                continue
-            if error is None:
-                error = evaluated.get(pos)
-            if error is not None:
-                raise error
-            if pos in kept:
-                used.append(pos)
-                produced += 1
+        # the loop skips an index whose triangle is refused or rejected,
+        # but none of the evaluator's errors
+        used, error = _walk(stop - index, cfg.samples - produced, m.rows,
+                            (DomainError, DegenerateError), m.errors, evaluated)
+        if error is not None:
+            raise error
+        produced += len(used)
         for r in residuals:
             per.setdefault("horo_" + r.relation_id.removeprefix("euc_"), []).append(
                 r.residual[np.searchsorted(m.rows, used)])
@@ -364,7 +370,7 @@ def _suite_cevians(cfg: SuiteConfig) -> list[CheckRow]:
         for start in range(0, cfg.samples, _BLOCK):
             stop = min(start + _BLOCK, cfg.samples)
             block = sample_cevian_configs(geom, cfg.seed, base + j * _SUB + start,
-                                          base + j * _SUB + stop, until_error=True)
+                                          base + j * _SUB + stop)
             sampled[name] += _evaluated(block, cevian_residual).tolist()
     rows.append(make_row("cev_euclidean_sampled", sampled["euclidean"],
                          _tol(cfg, 1e-9)))

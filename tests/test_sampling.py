@@ -360,30 +360,11 @@ def _cevian_block_outcomes(block):
 _CEVIAN_SCALES = (1e-3, 0.1, 0.5, 1.0, 10.0, 1e5)
 
 
-@pytest.mark.parametrize("kind", ("euclidean", "spherical", "hyperbolic"))
-@pytest.mark.parametrize("k", _CEVIAN_SCALES, ids=repr)
-@pytest.mark.parametrize("attempts", (1, 128))
-def test_block_cevian_sampler_is_the_per_index_sampler(kind, k, attempts):
-    # the flat sampler does not depend on k; its cases differ by seed
-    geometry = EUC if kind == "euclidean" else getattr(Curvature, kind)(k)
-    seed, start, n = _CEVIAN_SCALES.index(k), 9 << 28, 24
-    block = sample_cevian_configs(geometry, seed, start, start + n, attempts=attempts)
-    got = _cevian_block_outcomes(block)
-    assert sorted(got) == list(range(n))
-    assert [got[pos] for pos in range(n)] == [
-        _cevian_outcome(geometry, seed, start + i, attempts=attempts) for i in range(n)]
-
-
-@pytest.mark.parametrize("geometry, attempts", (
-    (Curvature.spherical(0.5), 12), (Curvature.hyperbolic(0.5), 16),
-    (Curvature.hyperbolic(1e-3), 128), (SPH, 1)), ids=repr)
-def test_cevian_block_until_error_stops_where_the_loop_stops(geometry, attempts):
-    seed, start, n = 4, 3 << 28, 60
+def _assert_cevian_block_is_the_loop(geometry, seed, start, n, attempts):
     expected = [_cevian_outcome(geometry, seed, start + i, attempts=attempts)
                 for i in range(n)]
     failing = [i for i, e in enumerate(expected) if type(e[0]) is type]
-    block = sample_cevian_configs(geometry, seed, start, start + n, attempts=attempts,
-                                  until_error=True)
+    block = sample_cevian_configs(geometry, seed, start, start + n, attempts=attempts)
     got = _cevian_block_outcomes(block)
     # every position up to the first failure is there, and what is there
     # is what the loop gives
@@ -391,6 +372,24 @@ def test_cevian_block_until_error_stops_where_the_loop_stops(geometry, attempts)
     assert set(range(stop)) <= set(got)
     assert all(got[pos] == expected[pos] for pos in got)
     assert min(block.errors, default=None) == (failing[0] if failing else None)
+
+
+@pytest.mark.parametrize("kind", ("euclidean", "spherical", "hyperbolic"))
+@pytest.mark.parametrize("k", _CEVIAN_SCALES, ids=repr)
+@pytest.mark.parametrize("attempts", (1, 128))
+def test_block_cevian_sampler_is_the_per_index_sampler(kind, k, attempts):
+    # the flat sampler does not depend on k; its cases differ by seed
+    geometry = EUC if kind == "euclidean" else getattr(Curvature, kind)(k)
+    _assert_cevian_block_is_the_loop(geometry, _CEVIAN_SCALES.index(k), 9 << 28, 24,
+                                     attempts)
+
+
+@pytest.mark.parametrize("geometry, attempts", (
+    (Curvature.spherical(0.5), 12), (Curvature.hyperbolic(0.5), 16),
+    (Curvature.hyperbolic(1e-3), 128), (SPH, 1)), ids=repr)
+def test_cevian_block_until_error_stops_where_the_loop_stops(geometry, attempts):
+    # failures part way into the block, after some indices were accepted
+    _assert_cevian_block_is_the_loop(geometry, 4, 3 << 28, 60, attempts)
 
 
 def test_a_sampler_that_rejects_everything_fails_in_two_rounds(monkeypatch):
@@ -405,7 +404,7 @@ def test_a_sampler_that_rejects_everything_fails_in_two_rounds(monkeypatch):
         return original(seed, indices, first, bounds, tries)
 
     monkeypatch.setattr(sampling, "_block_uniforms", counted)
-    block = sample_cevian_configs(Curvature.hyperbolic(0.1), 0, 0, 100, until_error=True)
+    block = sample_cevian_configs(Curvature.hyperbolic(0.1), 0, 0, 100)
     assert list(block.errors) == [0] and len(block.rows) == 0
     assert str(block.errors[0]) == "no acceptable cevian configuration after 128 attempts"
     assert sum(drawn) <= 2 * 100 + 128
