@@ -207,6 +207,17 @@ def test_an_underflowing_scale_stops_sphere_model_with_exit_2(capsys):
         "error": "domain", "message": "float division by zero"}
 
 
+def test_an_overflowing_scale_stops_sphere_model_at_the_arc_check(capsys):
+    # at k = 1e300 the squared hyperboloid coordinates overflow, the arc
+    # length is nan and its row refuses the residual
+    code, out, err = _run(capsys, "verify", "sphere-model", "--samples", "3",
+                          "--curvature-scale", "1e300")
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "domain",
+        "message": "non-finite residual in relation gsph_rho0.1_effective_radius"}
+
+
 def test_cevians_stop_at_the_first_index_no_draw_accepts(capsys):
     # at k = 0.1 the cevian sampler rejects every hyperbolic draw; the
     # run stops at the first index, as a loop over the indices does

@@ -106,6 +106,44 @@ def test_intrinsic_arc_length_bits_are_pinned(k, rho, expected):
     assert intrinsic_arc_length(sphere, p, q).hex() == expected
 
 
+# more pins, one per way a coordinate column of the trace can behave:
+# off the origin the frame has nonzero time components; directions in a
+# coordinate plane leave one spatial coordinate constant along the arc;
+# and where the squared hyperboloid coordinates overflow (rho / k near
+# 700, or k = 1e300) the frame and the length are nan
+_OFF_ORIGIN = (1.3, 0.4, -0.7, 0.5)
+_AT_ORIGIN = (1.0, 0.0, 0.0, 0.0)
+_PLANAR_DIRECTIONS = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.3, 0.7, 0.0))
+_PINNED_COLUMN_ARCS = (
+    (_OFF_ORIGIN, 0.001, 0.1, _ARC_DIRECTIONS, '0x1.3ee6fec5c6805p-13'),
+    (_OFF_ORIGIN, 0.001, 1.0, _ARC_DIRECTIONS, '0x1.d3b028b6ae84bp-10'),
+    (_OFF_ORIGIN, 0.001, 5.0, _ARC_DIRECTIONS, '0x1.cd68ea4cf3f7ap-4'),
+    (_OFF_ORIGIN, 1.0, 0.1, _ARC_DIRECTIONS, '0x1.376d94cd23d95p-3'),
+    (_OFF_ORIGIN, 1.0, 1.0, _ARC_DIRECTIONS, '0x1.c8ba07c2666dbp+0'),
+    (_OFF_ORIGIN, 1.0, 5.0, _ARC_DIRECTIONS, '0x1.c29874cf26400p+6'),
+    (_OFF_ORIGIN, 1000.0, 0.1, _ARC_DIRECTIONS, '0x1.3021035055025p+7'),
+    (_OFF_ORIGIN, 1000.0, 1.0, _ARC_DIRECTIONS, '0x1.be05ab93d8073p+10'),
+    (_OFF_ORIGIN, 1000.0, 5.0, _ARC_DIRECTIONS, '0x1.b808e2124b5a6p+16'),
+    (_AT_ORIGIN, 1.0, 1.0, _PLANAR_DIRECTIONS, '0x1.5ec39e70e00b1p+0'),
+    (_OFF_ORIGIN, 1.0, 1.0, _PLANAR_DIRECTIONS, '0x1.b4e1b3e82c825p+0'),
+    (_AT_ORIGIN, 0.001, 700.0, _ARC_DIRECTIONS, 'nan'),
+    (_OFF_ORIGIN, 0.001, 700.0, _ARC_DIRECTIONS, 'nan'),
+    (_AT_ORIGIN, 1000.0, 709.0, _ARC_DIRECTIONS, 'nan'),
+    (_OFF_ORIGIN, 1.0, 709.0, _ARC_DIRECTIONS, 'nan'),
+    (_AT_ORIGIN, 1e300, 0.1, _ARC_DIRECTIONS, 'nan'),
+    (_OFF_ORIGIN, 1e300, 0.1, _ARC_DIRECTIONS, 'nan'),
+)
+
+
+@pytest.mark.parametrize("coords, k, rho, directions, expected", _PINNED_COLUMN_ARCS)
+def test_intrinsic_arc_length_bits_are_pinned_on_every_column_path(
+        coords, k, rho, directions, expected):
+    sphere = GeodesicSphere(ModelPoint.hyperboloid(coords, k), rho * k)
+    p, q = (sphere.point_toward(d) for d in directions)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert intrinsic_arc_length(sphere, p, q).hex() == expected
+
+
 @pytest.mark.parametrize("n", (1, 3, 1024, 4096))
 def test_strided_fine_trace_is_the_coarse_trace(n):
     # the step delta/(4n) is delta/n scaled by a power of two, so every

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cctrig import (Curvature, DegenerateError, DomainError,
@@ -93,6 +94,33 @@ _PINNED_AMBIENT = (
 @pytest.mark.parametrize("args, expected", _PINNED_AMBIENT)
 def test_ambient_polyline_length_bits_are_pinned(args, expected):
     assert ambient_polyline_length(*args).hex() == expected
+
+
+# more pins: chords that tie (every chart step is the same), chords
+# that are not finite, and the extreme scales k = 1e-300 and 1e300
+_PINNED_AMBIENT_CHORDS = (
+    ((1.0, (0.0, 0.0), (1.0, 0.0), 1.0), '0x1.0000000000001p+0'),
+    ((1.0, (0.0, 0.0), (0.75, -0.75), 1.0), '0x1.0f876ccdf6cd9p+0'),
+    ((2.0, (-3.0, 1.0), (5.0, 1.0), 1.5), '0x1.8000000000000p+2'),
+    ((1.0, (0.0, 0.0), (math.inf, 0.0), 1.0), 'nan'),
+    ((1.0, (0.0, 0.0), (math.inf, math.inf), 1.0), 'nan'),
+    ((1.0, (0.0, 0.0), (math.nan, 1.0), 1.0), 'nan'),
+    ((1.0, (-1e308, 0.0), (1e308, 1e308), 1.0), 'nan'),
+    ((1.0, (0.0, -1.7e308), (1.0, 1.7e308), 1.0), 'nan'),
+    ((1e308, (0.0, 0.0), (1e308, 1e308), 1e308), 'nan'),
+    ((1e-300, (1e-300, -2e-300), (-1.5e-300, 0.5e-300), 1e-300), '0x1.2f1182b89d559p-995'),
+    ((1e-300, (0.0, 0.0), (1e-300, 0.0), 1e-300), '0x1.56e1fc2f8f359p-997'),
+    ((1e300, (1e300, -2e300), (-1.5e300, 0.5e300), 1e300), '0x1.51e0a53801e96p+998'),
+    ((1e300, (0.0, 0.0), (3e300, 4e300), 1e300), '0x1.ddd4baa009303p+998'),
+    ((1e300, (-1.7e308, 0.0), (1.7e308, 1.0), 1e300), 'nan'),
+)
+
+
+@pytest.mark.parametrize("args, expected", _PINNED_AMBIENT_CHORDS)
+def test_ambient_polyline_length_bits_are_pinned_for_tied_and_non_finite_chords(
+        args, expected):
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert ambient_polyline_length(*args).hex() == expected
 
 
 def _reference_ambient_length(height, p, q, k=1.0, base_segments=1024):
