@@ -11,6 +11,7 @@ lengths, which is what the polyline integration measures.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -171,6 +172,17 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
     second and every trace point and Richardson-extrapolated. The
     strided traces are bit for bit the coarse ones: the angle step
     delta/(4n) is delta/n scaled by a power of two.
+
+    Only the coordinates that move are traced, bit for bit as the full
+    trace. A coordinate whose frame components are both 0.0 is constant
+    when cosh(rho/k)·o and k·sinh(rho/k) are finite, so its squared
+    differences are +0, and adding or subtracting +0 leaves a squared
+    chord unchanged; at the origin center this drops the time axis. The
+    center term is dropped where o is 0.0: cosh is finite (math.cosh
+    raises rather than overflow), the term is ±0, and ±0 changes no
+    difference beyond the sign of a zero, which its square loses. Without
+    the time axis nothing is subtracted: the sum of squares is +0 or
+    more, or nan, and the clamp at 0 would return it unchanged.
     """
     k = sphere.center.k
     for x in (p, q):
@@ -189,17 +201,47 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
     e2 = tuple(wi / n for wi in w)
 
     ch, sh = math.cosh(sphere.radius / k), math.sinh(sphere.radius / k)
+    ksh = k * sh
     fine = 4 * base_segments
     theta = np.linspace(0.0, delta, fine + 1)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    # one coordinate column per hyperboloid axis, time axis first
-    cols = [ch * o + (k * sh) * (cos_t * u + sin_t * v)
-            for o, u, v in zip(sphere.center.coords, e1, e2)]
+    sin_t = np.sin(theta)
+    cos_t = np.cos(theta, out=theta)
+    # one column ch·o + ksh·(cos θ·u + sin θ·v) per moving hyperboloid
+    # axis, time axis first; a unit tangent has a nonzero spatial
+    # component, so at least one spatial axis moves
+    frame = [(ch * o, o, u, v) for o, u, v in zip(sphere.center.coords, e1, e2)]
+    moving = [not (u == 0.0 and v == 0.0 and math.isfinite(cho) and math.isfinite(ksh))
+              for cho, o, u, v in frame]
+    cols = np.empty((sum(moving), fine + 1))
+    part = np.empty(fine + 1)
+    for col, (cho, o, u, v) in zip(cols, itertools.compress(frame, moving)):
+        np.multiply(cos_t, u, out=col)
+        np.add(col, np.multiply(sin_t, v, out=part), out=col)
+        np.multiply(col, ksh, out=col)
+        if o != 0.0:
+            np.add(col, cho, out=col)
+    time, space = (cols[0], cols[1:]) if moving[0] else (None, cols)
+    diff, hops = np.empty(fine), np.empty(fine)
 
     def polyline(n_seg: int) -> float:
-        d0, d1, d2, d3 = (np.diff(col[::fine // n_seg]) for col in cols)
-        msq = d1 * d1 + d2 * d2 + d3 * d3 - d0 * d0
-        hops = 2.0 * k * np.arcsinh(0.5 * np.sqrt(np.maximum(msq, 0.0)) / k)
-        return float(np.sum(hops))
+        step = fine // n_seg
+        d, msq = diff[:n_seg], hops[:n_seg]
+        first, *rest = space
+        np.subtract(first[step::step], first[:-1:step], out=msq)
+        np.multiply(msq, msq, out=msq)
+        for col in rest:
+            np.subtract(col[step::step], col[:-1:step], out=d)
+            np.add(msq, np.multiply(d, d, out=d), out=msq)
+        if time is not None:
+            np.subtract(time[step::step], time[:-1:step], out=d)
+            np.subtract(msq, np.multiply(d, d, out=d), out=msq)
+            np.maximum(msq, 0.0, out=msq)
+        # the hop 2k·asinh(sqrt(msq)·0.5 / k), one operation at a time
+        np.sqrt(msq, out=msq)
+        np.multiply(msq, 0.5, out=msq)
+        np.divide(msq, k, out=msq)
+        np.arcsinh(msq, out=msq)
+        np.multiply(msq, 2.0 * k, out=msq)
+        return float(np.sum(msq))
 
     return richardson_length(polyline, base_segments)

@@ -76,7 +76,14 @@ def ambient_polyline_length(height: float, p, q, k: float = 1.0, *,
     and every second of them are the coarser levels' points bit for bit,
     since i/(4n) and (i/4)/n round the same quotient. Points and their
     differences are exact IEEE operations in numpy too; the hops stay on
-    `math`, whose hypot and asinh numpy's do not match in the last bits."""
+    `math`, whose hypot and asinh numpy's do not match in the last bits.
+
+    The chords of a level differ only by the rounding of the points, so
+    a few distinct chords repeat many times. The hop is computed once per
+    distinct chord, keyed by the bits of its two components, and fsum
+    gets the same hops in the same order as one hop per chord would give
+    it: equal bits give equal hops, and chords with unequal bits, two
+    nans among them, are never merged (hypot(inf, nan) is inf)."""
     if not (math.isfinite(height) and height > 0.0):
         raise DomainError(f"horosphere height must be positive, got {height}")
     px, py = float(p[0]), float(p[1])
@@ -89,7 +96,28 @@ def ambient_polyline_length(height: float, p, q, k: float = 1.0, *,
 
     def polyline(n_seg: int) -> float:
         step = fine // n_seg
-        chords = map(math.hypot, np.diff(xs[::step]).tolist(), np.diff(ys[::step]).tolist())
-        return math.fsum([two_k * math.asinh(0.5 * s / height) for s in chords])
+        ix, cx = _ranks((xs[step::step] - xs[:-1:step]).view(np.uint64))
+        iy, cy = _ranks((ys[step::step] - ys[:-1:step]).view(np.uint64))
+        pair = ix * len(cy) + iy
+        pairs = _distinct(pair)
+        chords = map(math.hypot, cx[pairs // len(cy)].view(np.float64).tolist(),
+                     cy[pairs % len(cy)].view(np.float64).tolist())
+        hops = np.array([two_k * math.asinh(0.5 * s / height) for s in chords])
+        return math.fsum(hops[np.searchsorted(pairs, pair)].tolist())
 
     return richardson_length(polyline, base_segments)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, sorted."""
+    a = np.sort(a)
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
+def _ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's index among the distinct values of a, and those values."""
+    values = _distinct(a)
+    return np.searchsorted(values, a), values

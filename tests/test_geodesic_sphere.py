@@ -193,6 +193,26 @@ def test_intrinsic_arc_length_equals_the_per_level_trace():
         assert intrinsic_arc_length(sphere, p, q) == _reference_arc_length(sphere, p, q)
 
 
+@pytest.mark.parametrize("k", (1e-3, 0.1, 1.0, 10.0, 100.0, 1e5))
+def test_intrinsic_arc_length_equals_the_per_level_trace_on_random_frames(k):
+    # centers off the origin move the time axis, and directions in a
+    # coordinate plane hold a spatial axis constant
+    g = sample_stream(17, round(math.log10(k) * 10) + 100)
+    for i in range(8):
+        r = float(g.uniform(0.0, 2.0)) if i % 2 else 0.0
+        axis = g.normal(size=3)
+        axis *= math.sinh(r) / np.linalg.norm(axis)
+        center = ModelPoint.hyperboloid((math.cosh(r), *axis.tolist()), k)
+        sphere = GeodesicSphere(center, float(g.choice((0.1, 1.0, 5.0))) * k)
+        directions = g.normal(size=(2, 4))
+        if i % 4 >= 2:
+            directions[:, 1 + i % 3] = 0.0
+        p, q = (sphere.point_toward(tuple(d.tolist())) for d in directions)
+        for n in (1, 7, 64, 4096):
+            expected = _reference_arc_length(sphere, p, q, n)
+            assert intrinsic_arc_length(sphere, p, q, base_segments=n) == expected
+
+
 def test_point_toward_lands_on_the_sphere():
     sphere = GeodesicSphere(ORIGIN, 2.5)
     p = sphere.point_toward((0.0, 0.6, 0.8, 0.0))

@@ -155,6 +155,20 @@ def test_ambient_length_equals_the_per_level_walk():
             _reference_ambient_length(height, p, q, k)
 
 
+@pytest.mark.parametrize("k", (1e-3, 0.1, 1.0, 10.0, 100.0, 1e5))
+def test_ambient_length_equals_the_per_level_walk_on_random_chords(k):
+    # a chord along a chart axis makes every step of one component tie
+    g = sample_stream(25, round(math.log10(k) * 10) + 100)
+    for i in range(8):
+        height = float(k * 10.0 ** g.uniform(-1.0, 1.0))
+        p, q = g.uniform(-2.0 * k, 2.0 * k, size=(2, 2))
+        if i % 4 >= 2:
+            q[i % 2] = p[i % 2]
+        for n in (1, 7, 64, 1024):
+            expected = _reference_ambient_length(height, p, q, k, n)
+            assert ambient_polyline_length(height, p, q, k, base_segments=n) == expected
+
+
 def test_degenerate_charts_are_rejected():
     with pytest.raises(DegenerateError):
         horosphere_triangle(1.0, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))
