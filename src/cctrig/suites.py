@@ -30,7 +30,8 @@ from .columns import FLOATS, Columns
 from .correspondence import (euclidean_limit_slope,
                              imaginary_substitution_residuals, rescaling_check)
 from .curvature import Curvature
-from .errors import DegenerateError, DomainError, InfeasibleError
+from .errors import (DegenerateError, DomainError, InfeasibleError,
+                     SamplingError)
 from .geodesic_sphere import (RAY_ATTEMPTS, GeodesicSphere, _ray_directions,
                               center_ray_triangles, intrinsic_arc_length)
 from .horosphere import (ambient_polyline_length, horosphere_triangle,
@@ -41,8 +42,8 @@ from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals, spherical_right_residuals)
 from .report import (MIN_ABOVE, CheckRow, ResidualReport, SuiteConfig,
                      make_row)
-from .sampling import (Block, sample_right_triangles, sample_stream,
-                       sample_triangle, sample_triangles)
+from .sampling import (DEFAULT_ATTEMPTS, Block, sample_right_triangles,
+                       sample_stream, sample_triangle, sample_triangles)
 from .solvers import solve_from_sss
 from .triangle import angle_excess
 
@@ -207,8 +208,15 @@ def _suite_horosphere(cfg: SuiteConfig) -> list[CheckRow]:
     per: dict[str, list] = {}
     produced = 0
     index = 0
+    # as the samplers give an index DEFAULT_ATTEMPTS attempts, the suite
+    # draws at most DEFAULT_ATTEMPTS indices per sample: where every
+    # triangle is refused (chart tangents underflow at tiny k) it stops
+    budget = DEFAULT_ATTEMPTS * cfg.samples
     while produced < cfg.samples:
-        stop = index + min(cfg.samples - produced, _BLOCK)
+        if index == budget:
+            raise SamplingError(f"{produced} of {cfg.samples} horosphere triangles "
+                                f"accepted in {budget} draws")
+        stop = index + min(cfg.samples - produced, _BLOCK, budget - index)
         # each index's six chart coordinates from its own stream, by
         # Generator.uniform: it refuses a range that overflows (k above
         # about 4.5e307), and perfbench's traced accept ratio counts

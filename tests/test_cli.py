@@ -1,13 +1,16 @@
 """Command-line interface: solving, tabulation, verification, exit codes."""
 
+import contextlib
 import json
 import math
+import signal
 import subprocess
 import sys
 
 import pytest
 
 from cctrig.cli import main
+from cctrig.suites import SUITE_NAMES
 
 ARCCOSH_2 = "1.3169578969248168"
 HALF_PI = "1.5707963267948966"
@@ -227,6 +230,47 @@ def test_cevians_stop_at_the_first_index_no_draw_accepts(capsys):
     assert json.loads(err.strip().splitlines()[-1]) == {
         "error": "domain",
         "message": "no acceptable cevian configuration after 128 attempts"}
+
+
+def test_horosphere_stops_where_every_triangle_is_refused(capsys):
+    # the chart tangents underflow at k = 1e-300, so no draw gives a
+    # triangle; the suite stops after DEFAULT_ATTEMPTS draws per sample
+    code, out, err = _run(capsys, "verify", "horosphere", "--samples", "3",
+                          "--curvature-scale", "1e-300")
+    assert code == 3 and out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "sampling",
+        "message": "0 of 3 horosphere triangles accepted in 384 draws"}
+
+
+@contextlib.contextmanager
+def _wall_clock_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("scale", ("1e-300", "1e-170", "1e300"))
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_suite_keeps_the_exit_contract_at_extreme_scales(capsys, suite, scale):
+    with _wall_clock_limit(20.0):
+        code, out, err = _run(capsys, "verify", suite, "--samples", "3",
+                              "--curvature-scale", scale)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
+    else:
+        assert json.loads(out)["suite"] == suite
 
 
 def test_missing_values_are_a_usage_error(capsys):
