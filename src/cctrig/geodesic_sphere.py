@@ -11,7 +11,6 @@ lengths, which is what the polyline integration measures.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -206,27 +205,27 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
     theta = np.linspace(0.0, delta, fine + 1)
     sin_t = np.sin(theta)
     cos_t = np.cos(theta, out=theta)
-    # one column ch·o + ksh·(cos θ·u + sin θ·v) per moving hyperboloid
-    # axis, time axis first; a unit tangent has a nonzero spatial
-    # component, so at least one spatial axis moves
-    frame = [(ch * o, o, u, v) for o, u, v in zip(sphere.center.coords, e1, e2)]
-    moving = [not (u == 0.0 and v == 0.0 and math.isfinite(cho) and math.isfinite(ksh))
-              for cho, o, u, v in frame]
-    cols = np.empty((sum(moving), fine + 1))
+    # the column ch·o + ksh·(cos θ·u + sin θ·v) of each hyperboloid axis
+    # that moves; a unit tangent has a nonzero spatial component, so
+    # some spatial axis moves
+    cols = {}
     part = np.empty(fine + 1)
-    for col, (cho, o, u, v) in zip(cols, itertools.compress(frame, moving)):
-        np.multiply(cos_t, u, out=col)
+    for axis, (o, u, v) in enumerate(zip(sphere.center.coords, e1, e2)):
+        cho = ch * o
+        if u == 0.0 and v == 0.0 and math.isfinite(cho) and math.isfinite(ksh):
+            continue
+        col = cols[axis] = np.multiply(cos_t, u)
         np.add(col, np.multiply(sin_t, v, out=part), out=col)
         np.multiply(col, ksh, out=col)
         if o != 0.0:
             np.add(col, cho, out=col)
-    time, space = (cols[0], cols[1:]) if moving[0] else (None, cols)
+    time = cols.pop(0, None)
+    first, *rest = cols.values()
     diff, hops = np.empty(fine), np.empty(fine)
 
     def polyline(n_seg: int) -> float:
         step = fine // n_seg
         d, msq = diff[:n_seg], hops[:n_seg]
-        first, *rest = space
         np.subtract(first[step::step], first[:-1:step], out=msq)
         np.multiply(msq, msq, out=msq)
         for col in rest:
@@ -236,7 +235,7 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
             np.subtract(time[step::step], time[:-1:step], out=d)
             np.subtract(msq, np.multiply(d, d, out=d), out=msq)
             np.maximum(msq, 0.0, out=msq)
-        # the hop 2k·asinh(sqrt(msq)·0.5 / k), one operation at a time
+        # 2.0 * k * arcsinh(0.5 * sqrt(msq) / k), rounded in that order
         np.sqrt(msq, out=msq)
         np.multiply(msq, 0.5, out=msq)
         np.divide(msq, k, out=msq)

@@ -213,6 +213,18 @@ def test_intrinsic_arc_length_equals_the_per_level_trace_on_random_frames(k):
             assert intrinsic_arc_length(sphere, p, q, base_segments=n) == expected
 
 
+def test_negative_squared_chords_clamp_as_in_the_per_level_trace():
+    # on a small sphere 9 k from the origin the rounding of the large
+    # coordinates makes thousands of squared chords negative
+    k, r = 1e-3, 9.0
+    center = ModelPoint.hyperboloid(
+        (math.cosh(r), math.sinh(r) / 3.0, 2.0 * math.sinh(r) / 3.0,
+         2.0 * math.sinh(r) / 3.0), k)
+    sphere = GeodesicSphere(center, 1e-4 * k)
+    p, q = (sphere.point_toward(d) for d in _ARC_DIRECTIONS)
+    assert intrinsic_arc_length(sphere, p, q) == _reference_arc_length(sphere, p, q)
+
+
 def test_point_toward_lands_on_the_sphere():
     sphere = GeodesicSphere(ORIGIN, 2.5)
     p = sphere.point_toward((0.0, 0.6, 0.8, 0.0))
