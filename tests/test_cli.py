@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from cctrig import suites
 from cctrig.cli import main
 from cctrig.suites import SUITE_NAMES
 
@@ -271,6 +272,27 @@ def test_every_suite_keeps_the_exit_contract_at_extreme_scales(capsys, suite, sc
         assert set(json.loads(lines[0])) == {"error", "message"}
     else:
         assert json.loads(out)["suite"] == suite
+
+
+def _verify_in_blocks(capsys, monkeypatch, block, *argv):
+    """A csv verify run with `block` sample indices per block: its exit
+    code, stdout and stderr lines other than the elapsed-time comment."""
+    monkeypatch.setattr(suites, "_BLOCK", block)
+    code, out, err = _run(capsys, "verify", *argv, "--format", "csv")
+    return code, out, [line for line in err.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("scale", ("0.5", "1", "10", "1e-300"))
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_block_edges_move_no_output(capsys, monkeypatch, suite, scale):
+    # 40 samples cross many block edges at 1 and 7 indices a block:
+    # sphere-model's 16 arc checks span several blocks, and at 1e-300
+    # horosphere's draw budget runs out across them
+    argv = (suite, "--samples", "40", "--curvature-scale", scale)
+    whole = _verify_in_blocks(capsys, monkeypatch, 4096, *argv)
+    assert whole[0] in (0, 1, 2, 3)
+    for block in (1, 7):
+        assert _verify_in_blocks(capsys, monkeypatch, block, *argv) == whole
 
 
 def test_missing_values_are_a_usage_error(capsys):
