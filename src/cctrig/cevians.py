@@ -34,7 +34,8 @@ from .curvature import Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError
 from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint,
                      _cross3, geodesic_point, model_distance, tangent_toward)
-from .sampling import Block, _uniforms, resolve_block, sample_stream
+from .sampling import (DEFAULT_ATTEMPTS, Block, _uniforms, resolve_block,
+                       sample_stream)
 
 #: Relative floor below which O is considered to lie on a side or vertex.
 DEGENERACY_TOL = 1e-12
@@ -355,7 +356,8 @@ def _exhausted(attempts: int) -> DomainError:
 
 
 def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
-                         max_side: float = 2.0, attempts: int = 128) -> CevianConfig:
+                         max_side: float = 2.0,
+                         attempts: int = DEFAULT_ATTEMPTS) -> CevianConfig:
     """Draw a well-conditioned triangle with a strictly interior O.
 
     Vertices are drawn directly on the model around its reference point,
@@ -380,7 +382,8 @@ def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
 
 
 def sample_cevian_configs(geometry: Curvature, seed: int, start: int, stop: int, *,
-                          max_side: float = 2.0, attempts: int = 128) -> Block:
+                          max_side: float = 2.0,
+                          attempts: int = DEFAULT_ATTEMPTS) -> Block:
     """sample_cevian_config for every index in [start, stop): a Block
     whose figure is a CevianConfig of columns. The indices past the
     first that raises may be left out of the block, as a loop over the

@@ -11,6 +11,7 @@ lengths, which is what the polyline integration measures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,15 +23,14 @@ from .errors import DegenerateError, DomainError
 from .models import (Model, ModelPoint, Ray, _edot, _spacelike_norm,
                      minkowski_dot, model_distance, richardson_length,
                      tangent_angle, tangent_toward)
-from .sampling import Block, sample_stream
+from .sampling import DEFAULT_ATTEMPTS, Block, resolve_block, sample_stream
 from .triangle import TriangleData
 
 # rays closer than this (or to pi minus this) give no usable triangle
 MIN_RAY_SEPARATION = 1e-6
-#: attempts of a random center-ray triple, and the largest |cos| it
-#: allows between two of its rays
-RAY_ATTEMPTS = 128
+#: the largest |cos| a random center-ray triple allows between two rays
 _MAX_RAY_COS = math.cos(0.05)
+_NO_RAYS = f"no acceptable ray triple after {DEFAULT_ATTEMPTS} attempts"
 
 
 @dataclass(frozen=True)
@@ -112,52 +112,50 @@ def _ray_directions(z, m):
     return keep(d0, d1, d2)
 
 
+def _center_rays(g, center: ModelPoint) -> tuple[Ray, Ray, Ray]:
+    """Three well-separated random rays at `center` from the normals of
+    stream g: the per-index form of center_ray_triangles' rays."""
+    for _ in range(DEFAULT_ATTEMPTS):
+        dirs = _ray_directions(g.normal(size=9).tolist(), FLOATS)
+        if dirs is not None:
+            return tuple(Ray.at(center, (0.0, *d)) for d in dirs)
+    raise DomainError(_NO_RAYS)
+
+
 def center_ray_triangles(sphere: GeodesicSphere, seed: int, start: int,
                          stop: int) -> tuple[Block, np.ndarray]:
     """The triangles cut by random center-ray triples, one per index of
-    [start, stop), with the ray directions (3, 4, stop - start).
+    [start, stop), and the ray directions of its rows (3, 4, rows).
 
-    Index i draws normals from sample_stream(seed, i), nine per attempt,
-    until _ray_directions accepts them; the indices still unaccepted
-    draw in the next round. The rays and their triangle are computed on
-    columns. Block.errors holds the first error of every index without a
-    triangle, including the exhausted attempt budget.
+    Index i takes the rays _center_rays draws from sample_stream(seed,
+    i), as sampling.resolve_block resolves a block: each round continues
+    the normals of every unresolved index's stream, nine per attempt,
+    and the streams are built once. The rays and their triangle are
+    computed on columns. Block.errors holds the first error of every
+    index without a triangle, including the exhausted attempt budget.
     """
     center = sphere.center
-    n = stop - start
     streams = [sample_stream(seed, i) for i in range(start, stop)]
-    directions = np.empty((3, 4, n))
-    errors: dict[int, Exception] = {}
-    over = np.zeros(n, dtype=bool)  # drawn or failed
-    active = np.arange(n)
-    for _ in range(RAY_ATTEMPTS):
-        if not len(active):
-            break
-        z = np.array([streams[i].normal(size=9) for i in active.tolist()]).T.copy()
-        with Columns(active) as m:
-            dirs = _ray_directions(list(z), m)
-            rays = None if dirs is None else [Ray.at(center, (0.0, *d), m) for d in dirs]
-        errors.update(m.errors)
-        over[list(m.errors)] = True
-        if rays is not None:
-            ok = ~m.dead
-            rows = m.rows[ok]
-            for r, ray in enumerate(rays):
-                for c, column in enumerate(ray.direction):
-                    directions[r, c, rows] = column[ok]
-            over[rows] = True
-        active = active[~over[active]]
-    failure = f"no acceptable ray triple after {RAY_ATTEMPTS} attempts"
-    errors.update((pos, DomainError(failure)) for pos in active.tolist())
 
-    rows = np.flatnonzero(over)
-    rows = rows[[pos not in errors for pos in rows.tolist()]]
-    rays = tuple(Ray(center, tuple(directions[r][:, rows])) for r in range(3))
-    with Columns(rows) as m:
-        t = geodesic_sphere_triangle(sphere, rays, m)
-    errors.update(m.errors)
+    def normals(batch, made, tries):
+        # (position, attempt, normal) to a column per normal
+        z = np.array([streams[pos].normal(size=(tries, 9)) for pos in batch.tolist()])
+        return list(z.transpose(2, 1, 0).reshape(9, -1))
+
+    def rays(*draws):
+        *z, m = draws
+        dirs = _ray_directions(z, m)
+        return None if dirs is None else tuple(Ray.at(center, (0.0, *d), m) for d in dirs)
+
+    drawn = resolve_block(seed, start, stop, None, rays, DEFAULT_ATTEMPTS,
+                          functools.partial(DomainError, _NO_RAYS), draw=normals)
+    if drawn.figure is None:
+        return drawn, np.zeros((3, 4, 0))
+    with Columns(drawn.rows) as m:
+        t = geodesic_sphere_triangle(sphere, drawn.figure, m)
     alive = ~m.dead
-    return Block(m.rows[alive], take(t, alive), errors), directions
+    directions = np.array([ray.direction for ray in drawn.figure])[:, :, alive]
+    return Block(m.rows[alive], take(t, alive), drawn.errors | m.errors), directions
 
 
 def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *,

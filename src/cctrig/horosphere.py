@@ -9,7 +9,8 @@ what the verification suite checks, alongside an ambient polyline
 cross-check that the scaled chart length really is the induced length.
 
 horosphere_triangle takes its elementary functions from `m`
-(columns.py), so it measures one triangle or a block of them.
+(columns.py), so it measures one triangle or a block of them;
+chart_triangles draws and measures a block.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import math
 
 import numpy as np
 
-from .columns import FLOATS
+from .columns import FLOATS, Columns
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError
 from .models import ModelPoint, model_angle, model_distance, richardson_length
+from .sampling import Block, sample_stream
 from .triangle import TriangleData
 
 
@@ -55,6 +57,25 @@ def horosphere_triangle(height: float, p1, p2, p3, k: float = 1.0,
     if bad is not False:
         m.refuse(bad, DegenerateError, "collinear vertices on the horosphere")
     return TriangleData(a, b, c, A, B, C, Curvature.euclidean()).validate(m)
+
+
+def chart_triangles(k: float, seed: int, start: int, stop: int) -> Block:
+    """Random triangles on the horosphere z = k of scale k, one per index
+    of [start, stop), with their chart vertices uniform on [-2k, 2k)^2.
+
+    Each index draws its six chart coordinates from its own stream with
+    Generator.uniform, which refuses a range that overflows (k above
+    about 4.5e307); perfbench's traced accept ratio counts these streams
+    as the draws. A triangle with an angle under 1e-3 or a side under
+    1e-3 k gives no row; Block.errors holds the error of each index
+    horosphere_triangle refuses.
+    """
+    pts = np.array([sample_stream(seed, i).uniform(-2.0 * k, 2.0 * k, size=6)
+                    for i in range(start, stop)]).T.copy()
+    with Columns(np.arange(stop - start)) as m:
+        t = horosphere_triangle(k, pts[0:2], pts[2:4], pts[4:6], k, m)
+        keep = m.reject((m.min(*t.angles()) < 1e-3) | (m.min(*t.sides()) < 1e-3 * k))
+    return Block(m.rows, None if keep is None else keep(t)[0], m.errors)
 
 
 def intrinsic_distance(height: float, p, q, k: float = 1.0) -> float:

@@ -26,13 +26,14 @@ numpy Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy
 as 1, 2, 3", SC'11), keyed as sample_stream keys it, hands every index
 of the block the words of its own stream that a round needs; an index
 whose attempt is rejected draws again in the next round
-(resolve_block, which cevians.sample_cevian_configs shares). The
-attempt itself (synthesis, model measurements, rejection tests,
-validation) is one function, run on floats or on float64 columns
-(columns.py). On the columns numpy does only + - * / and sqrt, which
-IEEE 754 rounds correctly; every other function maps `math` over the
-column, since numpy's sin, atan2, asinh and the rest differ from `math`
-in the last bit on a share of inputs. Powers count as such a function:
+(resolve_block, which cevians.sample_cevian_configs shares, and
+geodesic_sphere.center_ray_triangles with normals from each index's
+own Generator). The attempt itself (synthesis, model measurements,
+rejection tests, validation) is one function, run on floats or on
+float64 columns (columns.py). On the columns numpy does only + - * /
+and sqrt, which IEEE 754 rounds correctly; every other function maps
+`math` over the column, since numpy's sin, atan2, asinh and the rest
+differ from `math` in the last bit on a share of inputs. Powers count as such a function:
 x ** 2 on a Python float is C pow, which differs from x * x (and from
 numpy's x ** 2, a square) on about 1 input in 1,200, so the half-angle
 square is m.pow.
@@ -220,13 +221,18 @@ def _tries(width: int, resolved: int, tried: int) -> int:
 
 
 def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: int,
-                  exhausted, *, rejected=(), until_error: bool = False) -> Block:
+                  exhausted, *, rejected=(), until_error: bool = False,
+                  draw=None) -> Block:
     """The first accepted attempt of every index in [start, stop), as a
     per-index rejection loop takes it.
 
-    Attempt j of an index draws the uniforms j * len(bounds) on of its
-    stream and runs attempt(*uniforms, m). It is rejected where it gives
-    no row or raises one of the `rejected` errors; the index takes its
+    Attempt j of an index runs attempt(*draws, m) on its draws: by
+    default the uniforms j * len(bounds) on of its stream. Where `draw`
+    is given it hands them over instead, and `bounds` is unused:
+    draw(positions, made, tries) gives one column per argument of
+    attempt, whose row r * len(positions) + i holds attempt made + r of
+    the index at position i. An attempt is rejected where it gives no
+    row or raises one of the `rejected` errors; the index takes its
     first attempt that was accepted or raised another error, and after
     `attempts` rejections the error exhausted().
 
@@ -245,6 +251,10 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
     the errors of the block.
     """
     indices = _index_column(seed, start, stop)
+    if draw is None:
+        def draw(batch, made, tries):
+            return [u.reshape(-1) for u in _block_uniforms(
+                seed, indices[batch], made * len(bounds), bounds, tries)]
     active = np.arange(stop - start)
     made = 0  # attempts made by every index still active
     taken, parts = [], []
@@ -263,11 +273,8 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
         width = len(batch)
         tries = attempts - made if lead else min(attempts - made,
                                                  _tries(width, resolved, tried))
-        # row r * width + i is attempt made + r of index batch[i]
-        columns = [u.reshape(-1) for u in _block_uniforms(
-            seed, indices[batch], made * len(bounds), bounds, tries)]
         with Columns(np.arange(tries * width)) as m:
-            figure = attempt(*columns, m)
+            figure = attempt(*draw(batch, made, tries), m)
         # per row: 0 rejected, 1 accepted, 2 raised
         outcome = np.zeros(tries * width, dtype=np.int8)
         if figure is not None:

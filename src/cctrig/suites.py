@@ -3,17 +3,23 @@
 Each suite draws its own deterministic sample stream (counter-based, so
 execution order never matters), feeds the models' measurements through
 the relation evaluators, and aggregates absolute residuals into report
-rows. Every sampled figure is drawn and measured on float64 columns over
-blocks of sample indices (columns.py), with the values and errors of a
-loop over the indices: the triangles of the spherical, hyperbolic,
-euclidean, substitution, sphere-model and horosphere suites, the prisms
-and the sampled cevian configurations. What stays per sample is the arc
-and ambient length checks of sphere-model and horosphere, the limits
-suite and the fixed cevian figures. Row tolerances default to the
-documented per-row targets and scale proportionally when the configured
-base tolerance is changed; structural thresholds (the limit-slope window
-and the cevian sensitivity floor) are fixed properties of the
-mathematics and do not scale.
+rows. Every sampled suite runs on one driver, _sampled. The suite's
+draw gives the figures of a block of sample indices on float64 columns
+(a sampling.Block, columns.py) and its evaluator a column per relation
+on them; the driver keeps the values and errors of a loop over the
+indices. It stops at the first index whose draw or evaluation raises,
+once the indices before it are taken (sphere-model measures its arcs on
+them first). sphere-model and horosphere pass over an index whose draw
+gives no triangle or raises a _SKIPPED error instead. Every suite draws
+at most DEFAULT_ATTEMPTS indices per sample, the attempts a sampler
+gives one index, so a suite that passes over every index stops with a
+SamplingError. What stays per sample is the arc and ambient length
+checks of sphere-model and horosphere, the limits suite and the fixed
+cevian figures. Row tolerances default to the documented per-row
+targets and scale proportionally when the configured base tolerance is
+changed; structural thresholds (the limit-slope window and the cevian
+sensitivity floor) are fixed properties of the mathematics and do not
+scale.
 """
 
 from __future__ import annotations
@@ -26,17 +32,16 @@ import numpy as np
 
 from .cevians import (cevian_feet, cevian_residual, perturbed_residual,
                       sample_cevian_configs)
-from .columns import FLOATS, Columns
+from .columns import Columns
 from .correspondence import (euclidean_limit_slope,
                              imaginary_substitution_residuals, rescaling_check)
 from .curvature import Curvature
-from .errors import (DegenerateError, DomainError, InfeasibleError,
-                     SamplingError)
-from .geodesic_sphere import (RAY_ATTEMPTS, GeodesicSphere, _ray_directions,
-                              center_ray_triangles, intrinsic_arc_length)
-from .horosphere import (ambient_polyline_length, horosphere_triangle,
+from .errors import DegenerateError, DomainError, SamplingError
+from .geodesic_sphere import (GeodesicSphere, center_ray_triangles,
+                              intrinsic_arc_length)
+from .horosphere import (ambient_polyline_length, chart_triangles,
                          intrinsic_distance)
-from .models import Model, ModelPoint, Ray, tangent_angle
+from .models import Model, ModelPoint, tangent_angle
 from .prism import build_prism, parallelism_match, replay_residuals
 from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals, spherical_right_residuals)
@@ -47,13 +52,7 @@ from .sampling import (DEFAULT_ATTEMPTS, Block, sample_right_triangles,
 from .solvers import solve_from_sss
 from .triangle import angle_excess
 
-SUITE_NAMES = ("spherical", "hyperbolic", "euclidean", "sphere-model",
-               "horosphere", "prism", "substitution", "limits", "cevians")
-
 _BASE_TOLERANCE = 1e-9
-#: Disjoint Philox stream bases, keyed by suite so a suite produces the
-#: same rows alone and inside `all`.
-_STREAM_BASE = {name: (i + 1) << 32 for i, name in enumerate(SUITE_NAMES)}
 #: Sub-stream stride inside one suite.
 _SUB = 1 << 28
 
@@ -69,185 +68,137 @@ _SENSITIVITY_FLOOR = 1e-4    # perturbed-residual floor; structural
 _SENSITIVITY_DELTA = 1e-3
 #: sample indices per block of the column engine
 _BLOCK = 4096
-#: errors on which the sphere-model loop skips to the next index
-_SKIPPED = (DomainError, DegenerateError, InfeasibleError)
+#: draw errors on which sphere-model and horosphere pass over an index
+_SKIPPED = (DomainError, DegenerateError)
 
 
 def _tol(cfg: SuiteConfig, default: float) -> float:
     return default * (cfg.tolerance / _BASE_TOLERANCE)
 
 
-def _evaluated(block: Block, evaluate):
-    """evaluate(block.figure, m) on the rows of a block. Where an index
-    failed, in the sampler or in evaluate, the error of the first one is
-    raised, as a loop over the indices stops there."""
-    errors = dict(block.errors)
-    result = None
-    if block.figure is not None:
-        with Columns(block.rows) as m:
-            result = evaluate(block.figure, m=m)
-        errors.update(m.errors)
-    if errors:
-        raise errors[min(errors)]
-    return result
+def _sampled(cfg: SuiteConfig, suite: str, draw, evaluate, stream: int = 0,
+             skipped=(), check=None) -> dict[str, list]:
+    """Each relation's values over cfg.samples sampled figures, by
+    relation id, from stream index _STREAM_BASE[suite] + stream * _SUB on.
 
-
-def _sampled_rows(cfg: SuiteConfig, base: int, draw, evaluator, tolerance: float,
-                  name=lambda rid: rid) -> list[CheckRow]:
-    """One row per relation of `evaluator` over cfg.samples triangles,
-    drawn and evaluated a block of indices at a time: `draw(seed,
-    start, stop)` returns a sampling.Block."""
+    A block of _BLOCK indices at a time, draw(seed, start, stop) gives a
+    sampling.Block and evaluate(figure, m) a column per relation id over
+    its rows. The rows used are those a loop over the indices uses: it
+    passes over an index that gave no figure or whose draw raised one of
+    the `skipped` errors, and stops at any other error, in the draw or in
+    evaluate. check(figure, used), where given, sees each block's figure
+    and the rows of it used before that error is raised. Past
+    DEFAULT_ATTEMPTS indices drawn per sample it raises SamplingError.
+    """
+    base = _STREAM_BASE[suite] + stream * _SUB
+    budget = base + DEFAULT_ATTEMPTS * cfg.samples
     per: dict[str, list] = {}
-    for start in range(0, cfg.samples, _BLOCK):
-        stop = min(start + _BLOCK, cfg.samples)
-        residuals = _evaluated(draw(cfg.seed, base + start, base + stop), evaluator)
-        for r in residuals:
-            per.setdefault(name(r.relation_id), []).append(r.residual)
+    needed, start = cfg.samples, base
+    while needed:
+        if start == budget:
+            raise SamplingError(f"{cfg.samples - needed} of {cfg.samples} {suite} "
+                                f"triangles accepted in {budget - base} draws")
+        stop = start + min(needed, _BLOCK, budget - start)
+        block = draw(cfg.seed, start, stop)
+        errors = {pos: e for pos, e in block.errors.items() if not isinstance(e, skipped)}
+        values = {}
+        if block.figure is not None:
+            with Columns(block.rows) as m:
+                values = evaluate(block.figure, m)
+            errors.update(m.errors)
+        # an evaluator drops only rows that raised (m.live), all past the
+        # first error, so the rows before it keep their places
+        used = np.flatnonzero(block.rows < min(errors, default=stop - start))
+        if check is not None:
+            check(block.figure, used)
+        for rid, column in values.items():
+            per.setdefault(rid, []).append(column[used])
+        needed -= len(used)
+        if needed and errors:
+            raise errors[min(errors)]
+        start = stop
     # complex substitution residuals aggregate by magnitude, abs(z)
-    return [make_row(rid, np.concatenate(vals).tolist(), _tol(cfg, tolerance))
-            for rid, vals in per.items()]
+    return {rid: np.concatenate(columns).tolist() for rid, columns in per.items()}
+
+
+def _residuals(evaluator, name=lambda rid: rid):
+    """evaluate for _sampled: the evaluator's residuals by `name` of
+    their relation ids."""
+    return lambda t, m: {name(r.relation_id): r.residual for r in evaluator(t, m=m)}
+
+
+def _sampled_rows(cfg: SuiteConfig, suite: str, draw, evaluator, tolerance: float,
+                  stream: int = 0, name=lambda rid: rid) -> list[CheckRow]:
+    """One row per relation of `evaluator` over cfg.samples triangles."""
+    return [make_row(rid, values, _tol(cfg, tolerance)) for rid, values in
+            _sampled(cfg, suite, draw, _residuals(evaluator, name), stream).items()]
 
 
 def _suite_spherical(cfg: SuiteConfig) -> list[CheckRow]:
     geom = Curvature.spherical(cfg.curvature.k)
-    base = _STREAM_BASE["spherical"]
-    return (_sampled_rows(cfg, base, functools.partial(sample_triangles, geom),
+    return (_sampled_rows(cfg, "spherical", functools.partial(sample_triangles, geom),
                           spherical_residuals, 1e-9)
-            + _sampled_rows(cfg, base + _SUB, functools.partial(sample_right_triangles, geom),
-                            spherical_right_residuals, 1e-10))
+            + _sampled_rows(cfg, "spherical", functools.partial(sample_right_triangles, geom),
+                            spherical_right_residuals, 1e-10, stream=1))
 
 
 def _suite_hyperbolic(cfg: SuiteConfig) -> list[CheckRow]:
     geom = Curvature.hyperbolic(cfg.curvature.k)
-    return _sampled_rows(cfg, _STREAM_BASE["hyperbolic"],
-                         functools.partial(sample_triangles, geom), hyperbolic_residuals, 1e-9)
+    return _sampled_rows(cfg, "hyperbolic", functools.partial(sample_triangles, geom),
+                         hyperbolic_residuals, 1e-9)
 
 
 def _suite_euclidean(cfg: SuiteConfig) -> list[CheckRow]:
-    return _sampled_rows(cfg, _STREAM_BASE["euclidean"],
+    return _sampled_rows(cfg, "euclidean",
                          functools.partial(sample_triangles, Curvature.euclidean()),
                          euclidean_residuals, 1e-9)
 
 
-def _center_rays(g, center: ModelPoint, attempts: int = RAY_ATTEMPTS) -> tuple[Ray, Ray, Ray]:
-    """Three well-separated random rays at the hyperboloid origin
-    (center_ray_triangles draws the same rays for a block of indices)."""
-    for _ in range(attempts):
-        dirs = _ray_directions(g.normal(size=9).tolist(), FLOATS)
-        if dirs is not None:
-            return tuple(Ray.at(center, (0.0, *d)) for d in dirs)
-    raise DomainError(f"no acceptable ray triple after {attempts} attempts")
-
-
-def _walk(n: int, needed: int, kept, skipped, sampled: dict, evaluated: dict):
-    """What a loop over the n positions of a block does, in order: the
-    first `needed` positions among `kept` that it uses, and the error it
-    stops at before it has them all, or None. It skips a position whose
-    error in `sampled` is one of the `skipped` types and stops at any
-    other error, in `sampled` or else in `evaluated`."""
-    kept = set(kept.tolist())
-    used = []
-    for pos in range(n):
-        if len(used) == needed:
-            break
-        error = sampled.get(pos)
-        if isinstance(error, skipped):
-            continue
-        error = error or evaluated.get(pos)
-        if error is not None:
-            return used, error
-        if pos in kept:
-            used.append(pos)
-    return used, None
+def _ray_triangles(sphere: GeodesicSphere, seed: int, start: int, stop: int) -> Block:
+    """center_ray_triangles as one Block: its figure is the triangle and
+    the ray directions of its rows."""
+    block, directions = center_ray_triangles(sphere, seed, start, stop)
+    figure = None if block.figure is None else (block.figure, directions)
+    return Block(block.rows, figure, block.errors)
 
 
 def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
     k = cfg.curvature.k
     center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
-    base = _STREAM_BASE["sphere-model"]
+    residuals = _residuals(spherical_residuals, lambda rid: rid.removeprefix("sph_"))
     rows: list[CheckRow] = []
     for level, (rho, label) in enumerate(_GEODESIC_SPHERE_RADII):
         sphere = GeodesicSphere(center, rho * k)
-        per: dict[str, list] = {}
-        arc_checks: list[float] = []
-        produced = 0
-        index = base + level * _SUB
-        while produced < cfg.samples:
-            stop = index + min(cfg.samples - produced, _BLOCK)
-            block, directions = center_ray_triangles(sphere, cfg.seed, index, stop)
-            with Columns(block.rows) as m:
-                residuals = spherical_residuals(block.figure, m)
-            # the loop skips an index whose rays or triangle fail, but
-            # none of the evaluator's errors
-            used, error = _walk(stop - index, cfg.samples - produced, block.rows,
-                                _SKIPPED, block.errors, m.errors)
-            for pos in used[:max(0, _ARC_CHECK_PAIRS - produced)]:
-                d0, d1 = (tuple(directions[r, :, pos].tolist()) for r in (0, 1))
+        arcs: list[float] = []
+
+        def check_arcs(figure, used):
+            # the first triangles used also measure the arc between two
+            # of their vertices, against the sphere's effective radius
+            for row in used[:_ARC_CHECK_PAIRS - len(arcs)].tolist():
+                d0, d1 = (tuple(figure[1][r, :, row].tolist()) for r in (0, 1))
                 arc = intrinsic_arc_length(sphere, sphere.point_toward(d0),
                                            sphere.point_toward(d1))
                 angle = tangent_angle(center, d0, d1)
-                arc_checks.append(arc - sphere.effective_radius * angle)
-            if error is not None:
-                raise error
-            produced += len(used)
-            for r in residuals:
-                per.setdefault(r.relation_id, []).append(
-                    r.residual[np.searchsorted(block.rows, used)])
-            index = stop
-        rows += [make_row(f"gsph_rho{label}_{rid.removeprefix('sph_')}",
-                          np.concatenate(vals).tolist(), _tol(cfg, 1e-9))
-                 for rid, vals in per.items()]
-        rows.append(make_row(f"gsph_rho{label}_effective_radius", arc_checks,
-                             _tol(cfg, 1e-7)))
+                arcs.append(arc - sphere.effective_radius * angle)
+
+        per = _sampled(cfg, "sphere-model", functools.partial(_ray_triangles, sphere),
+                       lambda figure, m: residuals(figure[0], m), level, _SKIPPED, check_arcs)
+        rows += [make_row(f"gsph_rho{label}_{rid}", values, _tol(cfg, 1e-9))
+                 for rid, values in per.items()]
+        rows.append(make_row(f"gsph_rho{label}_effective_radius", arcs, _tol(cfg, 1e-7)))
     return rows
 
 
 def _suite_horosphere(cfg: SuiteConfig) -> list[CheckRow]:
     k = cfg.curvature.k
-    base = _STREAM_BASE["horosphere"]
-    per: dict[str, list] = {}
-    produced = 0
-    index = 0
-    # as the samplers give an index DEFAULT_ATTEMPTS attempts, the suite
-    # draws at most DEFAULT_ATTEMPTS indices per sample: where every
-    # triangle is refused (chart tangents underflow at tiny k) it stops
-    budget = DEFAULT_ATTEMPTS * cfg.samples
-    while produced < cfg.samples:
-        if index == budget:
-            raise SamplingError(f"{produced} of {cfg.samples} horosphere triangles "
-                                f"accepted in {budget} draws")
-        stop = index + min(cfg.samples - produced, _BLOCK, budget - index)
-        # each index's six chart coordinates from its own stream, by
-        # Generator.uniform: it refuses a range that overflows (k above
-        # about 4.5e307), and perfbench's traced accept ratio counts
-        # these streams as the samples drawn
-        pts = np.array([sample_stream(cfg.seed, base + i).uniform(-2.0 * k, 2.0 * k, size=6)
-                        for i in range(index, stop)]).T.copy()
-        with Columns(np.arange(stop - index)) as m:
-            t = horosphere_triangle(k, pts[0:2], pts[2:4], pts[4:6], k, m)
-            keep = m.reject((m.min(*t.angles()) < 1e-3) | (m.min(*t.sides()) < 1e-3 * k))
-        residuals, evaluated = [], {}
-        if keep is not None:
-            with Columns(m.rows) as e:
-                residuals = euclidean_residuals(*keep(t), e)
-            evaluated = e.errors
-        # the loop skips an index whose triangle is refused or rejected,
-        # but none of the evaluator's errors
-        used, error = _walk(stop - index, cfg.samples - produced, m.rows,
-                            (DomainError, DegenerateError), m.errors, evaluated)
-        if error is not None:
-            raise error
-        produced += len(used)
-        for r in residuals:
-            per.setdefault("horo_" + r.relation_id.removeprefix("euc_"), []).append(
-                r.residual[np.searchsorted(m.rows, used)])
-        index = stop
-    per = {rid: np.concatenate(vals).tolist() for rid, vals in per.items()}
+    residuals = _residuals(euclidean_residuals, lambda rid: "horo_" + rid.removeprefix("euc_"))
+    per = _sampled(cfg, "horosphere", functools.partial(chart_triangles, k), residuals,
+                   skipped=_SKIPPED)
     rows = [make_row("horo_angle_sum", per.pop("horo_angle_sum"), _tol(cfg, 1e-9))]
-    rows += [make_row(rid, vals, _tol(cfg, 1e-10)) for rid, vals in per.items()]
+    rows += [make_row(rid, values, _tol(cfg, 1e-10)) for rid, values in per.items()]
     ambient: list[float] = []
     for i in range(_AMBIENT_CHECK_PAIRS):
-        g = sample_stream(cfg.seed, base + _SUB + i)
+        g = sample_stream(cfg.seed, _STREAM_BASE["horosphere"] + _SUB + i)
         p, q = g.uniform(-2.0 * k, 2.0 * k, size=(2, 2))
         ambient.append(ambient_polyline_length(k, p, q, k)
                        - intrinsic_distance(k, p, q, k))
@@ -257,7 +208,6 @@ def _suite_horosphere(cfg: SuiteConfig) -> list[CheckRow]:
 
 def _suite_prism(cfg: SuiteConfig) -> list[CheckRow]:
     geom = Curvature.hyperbolic(cfg.curvature.k)
-    base = _STREAM_BASE["prism"]
 
     def measure(t, m):
         fig = build_prism(t, m)
@@ -267,23 +217,18 @@ def _suite_prism(cfg: SuiteConfig) -> list[CheckRow]:
                  "prism_parallelism_match": parallelism_match(fig, m)}
                 | {r.relation_id: r.residual for r in replay_residuals(fig, m)})
 
-    per: dict[str, list] = {}
-    for start in range(0, cfg.samples, _BLOCK):
-        stop = min(start + _BLOCK, cfg.samples)
-        block = sample_right_triangles(geom, cfg.seed, base + start, base + stop)
-        for rid, values in _evaluated(block, measure).items():
-            per.setdefault(rid, []).append(values)
+    per = _sampled(cfg, "prism", functools.partial(sample_right_triangles, geom), measure)
     tolerance = {"prism_ideal_alignment": 1e-10}
-    return [make_row(rid, np.concatenate(vals).tolist(), _tol(cfg, tolerance.get(rid, 1e-8)))
-            for rid, vals in per.items()]
+    return [make_row(rid, values, _tol(cfg, tolerance.get(rid, 1e-8)))
+            for rid, values in per.items()]
 
 
 def _suite_substitution(cfg: SuiteConfig) -> list[CheckRow]:
     geom = Curvature.hyperbolic(cfg.curvature.k)
-    return _sampled_rows(cfg, _STREAM_BASE["substitution"],
+    return _sampled_rows(cfg, "substitution",
                          functools.partial(sample_triangles, geom, max_side=3.0),
                          imaginary_substitution_residuals, 1e-9,
-                         lambda rid: "sub_" + rid.removeprefix("sph_"))
+                         name=lambda rid: "sub_" + rid.removeprefix("sph_"))
 
 
 def _suite_limits(cfg: SuiteConfig) -> list[CheckRow]:
@@ -353,7 +298,6 @@ def _canonical_cevian_configs(k: float):
 
 def _suite_cevians(cfg: SuiteConfig) -> list[CheckRow]:
     k = cfg.curvature.k
-    base = _STREAM_BASE["cevians"]
     medians, incenter, octant, skew = _canonical_cevian_configs(k)
     rows = [make_row("cev_euclidean_medians", [cevian_residual(medians)],
                      _tol(cfg, 1e-12)),
@@ -361,10 +305,6 @@ def _suite_cevians(cfg: SuiteConfig) -> list[CheckRow]:
                      _tol(cfg, 1e-12)),
             make_row("cev_spherical_octant", [r - 2.0 for r in octant.ratios()],
                      _tol(cfg, 1e-9))]
-    geoms = (("euclidean", Curvature.euclidean()),
-             ("spherical", Curvature.spherical(k)),
-             ("hyperbolic", Curvature.hyperbolic(k)))
-    sampled: dict[str, list[float]] = {name: [] for name, _ in geoms}
     # Sensitivity is checked on fixed oblique configurations only: their
     # cevians cross the perturbed side at an angle, so a foot slide of
     # delta changes the residual at first order. A configuration whose
@@ -374,18 +314,14 @@ def _suite_cevians(cfg: SuiteConfig) -> list[CheckRow]:
     perturbed: list[float] = [perturbed_residual(medians, _SENSITIVITY_DELTA),
                               perturbed_residual(incenter, _SENSITIVITY_DELTA),
                               perturbed_residual(skew, _SENSITIVITY_DELTA)]
-    for j, (name, geom) in enumerate(geoms):
-        for start in range(0, cfg.samples, _BLOCK):
-            stop = min(start + _BLOCK, cfg.samples)
-            block = sample_cevian_configs(geom, cfg.seed, base + j * _SUB + start,
-                                          base + j * _SUB + stop)
-            sampled[name] += _evaluated(block, cevian_residual).tolist()
-    rows.append(make_row("cev_euclidean_sampled", sampled["euclidean"],
-                         _tol(cfg, 1e-9)))
-    rows.append(make_row("cev_spherical_sampled", sampled["spherical"],
-                         _tol(cfg, 1e-9)))
-    rows.append(make_row("cev_hyperbolic_conjecture", sampled["hyperbolic"],
-                         None, conjecture=True))
+    euclidean, spherical, hyperbolic = (
+        _sampled(cfg, "cevians", functools.partial(sample_cevian_configs, geom),
+                 lambda c, m: {"cev": cevian_residual(c, m)}, stream)["cev"]
+        for stream, geom in enumerate((Curvature.euclidean(), Curvature.spherical(k),
+                                       Curvature.hyperbolic(k))))
+    rows.append(make_row("cev_euclidean_sampled", euclidean, _tol(cfg, 1e-9)))
+    rows.append(make_row("cev_spherical_sampled", spherical, _tol(cfg, 1e-9)))
+    rows.append(make_row("cev_hyperbolic_conjecture", hyperbolic, None, conjecture=True))
     rows.append(make_row("cev_perturbation", perturbed, _SENSITIVITY_FLOOR,
                          comparison=MIN_ABOVE))
     return rows
@@ -402,6 +338,10 @@ _SUITE_FUNCS = {
     "limits": _suite_limits,
     "cevians": _suite_cevians,
 }
+SUITE_NAMES = tuple(_SUITE_FUNCS)
+#: Disjoint Philox stream bases, keyed by suite so a suite produces the
+#: same rows alone and inside `all`.
+_STREAM_BASE = {name: (i + 1) << 32 for i, name in enumerate(SUITE_NAMES)}
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> ResidualReport:

@@ -11,14 +11,14 @@ import pytest
 from cctrig import (Curvature, DomainError, GeodesicSphere, Model, ModelPoint,
                     SamplingError, angle_excess, geodesic_sphere_triangle,
                     sample_cevian_config, sample_right_triangle, sample_stream,
-                    sample_triangle, spherical_right_residuals, suites)
+                    sample_triangle, spherical_right_residuals)
 from cctrig.cevians import sample_cevian_configs
-from cctrig.geodesic_sphere import center_ray_triangles
+from cctrig import geodesic_sphere
+from cctrig.geodesic_sphere import _center_rays, center_ray_triangles
 from cctrig.sampling import (DEFAULT_MAX_SIDE, DEFAULT_MIN_ANGLE,
                              DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP, _philox_blocks,
                              _uniforms, block_random, sample_right_triangles,
                              sample_triangles)
-from cctrig.suites import _center_rays
 
 SPH = Curvature.spherical()
 HYP = Curvature.hyperbolic()
@@ -215,7 +215,7 @@ def _numpy_center_directions(g, attempts=128):
 def test_center_rays_match_the_numpy_draws(monkeypatch):
     # Ray.at is the same deterministic map on both sides; stub it out to
     # compare the directions it is handed, over 10^5 triples of one stream
-    monkeypatch.setattr(suites, "Ray", SimpleNamespace(at=lambda base, d: d))
+    monkeypatch.setattr(geodesic_sphere, "Ray", SimpleNamespace(at=lambda base, d: d))
     ours, reference = sample_stream(13, 0), sample_stream(13, 0)
     for _ in range(100_000):
         assert _center_rays(ours, _ORIGIN) == _numpy_center_directions(reference)
