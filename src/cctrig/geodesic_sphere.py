@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from .columns import FLOATS, Columns, take
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError
 from .models import (Model, ModelPoint, Ray, _edot, _spacelike_norm,
-                     minkowski_dot, model_distance, richardson_length,
-                     tangent_angle, tangent_toward)
+                     check_segments, minkowski_dot, model_distance,
+                     richardson_length, tangent_angle, tangent_toward)
 from .sampling import DEFAULT_ATTEMPTS, Block, resolve_block, sample_stream
 from .triangle import TriangleData
 
@@ -31,6 +32,9 @@ MIN_RAY_SEPARATION = 1e-6
 #: the largest |cos| a random center-ray triple allows between two rays
 _MAX_RAY_COS = math.cos(0.05)
 _NO_RAYS = f"no acceptable ray triple after {DEFAULT_ATTEMPTS} attempts"
+#: each thread's arc trace buffers, kept from one intrinsic_arc_length
+#: call to the next
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,14 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
     difference beyond the sign of a zero, which its square loses. Without
     the time axis nothing is subtracted: the sum of squares is +0 or
     more, or nan, and the clamp at 0 would return it unchanged.
+
+    The trace's buffers persist per thread (_arc_workspace). At the
+    default 4096 segments a trace array is 131,080 bytes, just over
+    glibc's 128 KiB mmap threshold, so fresh arrays cost an mmap each,
+    faulted in page by page: 224 minor faults per call. Per thread,
+    since numpy releases the GIL inside its loops.
     """
+    check_segments(base_segments)
     k = sphere.center.k
     for x in (p, q):
         d = model_distance(sphere.center, x)
@@ -200,26 +211,28 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
     ch, sh = math.cosh(sphere.radius / k), math.sinh(sphere.radius / k)
     ksh = k * sh
     fine = 4 * base_segments
-    theta = np.linspace(0.0, delta, fine + 1)
-    sin_t = np.sin(theta)
-    cos_t = np.cos(theta, out=theta)
+    ramp, cos_t, sin_t, diff, hops, *columns = _arc_workspace(fine)
+    # np.linspace(0.0, delta, fine + 1) by linspace's own arithmetic for
+    # a nonzero step, which delta >= MIN_RAY_SEPARATION ensures
+    np.multiply(ramp, delta / fine, out=cos_t)
+    cos_t[-1] = delta
+    np.sin(cos_t, out=sin_t)
+    np.cos(cos_t, out=cos_t)
     # the column ch·o + ksh·(cos θ·u + sin θ·v) of each hyperboloid axis
     # that moves; a unit tangent has a nonzero spatial component, so
     # some spatial axis moves
     cols = {}
-    part = np.empty(fine + 1)
     for axis, (o, u, v) in enumerate(zip(sphere.center.coords, e1, e2)):
         cho = ch * o
         if u == 0.0 and v == 0.0 and math.isfinite(cho) and math.isfinite(ksh):
             continue
-        col = cols[axis] = np.multiply(cos_t, u)
-        np.add(col, np.multiply(sin_t, v, out=part), out=col)
+        col = cols[axis] = np.multiply(cos_t, u, out=columns[axis])
+        np.add(col, np.multiply(sin_t, v, out=diff), out=col)
         np.multiply(col, ksh, out=col)
         if o != 0.0:
             np.add(col, cho, out=col)
     time = cols.pop(0, None)
     first, *rest = cols.values()
-    diff, hops = np.empty(fine), np.empty(fine)
 
     def polyline(n_seg: int) -> float:
         step = fine // n_seg
@@ -242,3 +255,15 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
         return float(np.sum(msq))
 
     return richardson_length(polyline, base_segments)
+
+
+
+def _arc_workspace(fine: int) -> np.ndarray:
+    """This thread's buffers for an arc trace of fine + 1 points: nine
+    rows, the angle ramp 0, 1, ..., fine first. Each thread keeps one
+    trace size; a call at another size replaces it."""
+    ws = getattr(_workspace, "arc", None)
+    if ws is None or ws.shape[1] != fine + 1:
+        ws = _workspace.arc = np.empty((9, fine + 1))
+        ws[0] = np.arange(fine + 1)
+    return ws

@@ -22,7 +22,8 @@ import numpy as np
 from .columns import FLOATS, Columns
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError
-from .models import ModelPoint, model_angle, model_distance, richardson_length
+from .models import (ModelPoint, check_segments, model_angle, model_distance,
+                     richardson_length)
 from .sampling import Block, sample_stream
 from .triangle import TriangleData
 
@@ -107,6 +108,7 @@ def ambient_polyline_length(height: float, p, q, k: float = 1.0, *,
     nans among them, are never merged (hypot(inf, nan) is inf)."""
     if not (math.isfinite(height) and height > 0.0):
         raise DomainError(f"horosphere height must be positive, got {height}")
+    check_segments(base_segments)
     px, py = float(p[0]), float(p[1])
     dx, dy = float(q[0]) - px, float(q[1]) - py
     fine = 4 * base_segments

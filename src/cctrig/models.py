@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -85,6 +86,14 @@ def _scale(u, t):
 def _spacelike_norm(w, m=FLOATS) -> float:
     """Length of a spacelike Minkowski vector, clipped at 0 for rounding."""
     return m.sqrt(m.max(-minkowski_dot(w, w), 0.0))
+
+
+def check_segments(base_segments) -> None:
+    """Refuse a base segment count of a Richardson length kernel that is
+    not an integer of at least 1."""
+    if (isinstance(base_segments, bool) or not isinstance(base_segments, numbers.Integral)
+            or base_segments < 1):
+        raise DomainError(f"base_segments must be an integer >= 1, got {base_segments!r}")
 
 
 def richardson_length(polyline, base_segments: int) -> float:

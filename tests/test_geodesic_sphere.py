@@ -1,6 +1,8 @@
 """Geodesic spheres in hyperbolic space carry round-sphere geometry."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -155,6 +157,16 @@ def test_strided_fine_trace_is_the_coarse_trace(n):
             assert fine[::step].tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", (1, 3, 1024, 4096))
+def test_scaled_ramp_is_linspace(n):
+    # the kernel's grid: the ramp 0..4n times delta/(4n), its last
+    # point set to delta, as np.linspace does for a nonzero step
+    for delta in (1e-6, 0.1, 1.0, math.pi / 3.0, 2.0, math.pi - 1e-6):
+        grid = np.arange(4 * n + 1.0) * (delta / (4 * n))
+        grid[-1] = delta
+        assert grid.tobytes() == np.linspace(0.0, delta, 4 * n + 1).tobytes()
+
+
 def _reference_arc_length(sphere, p, q, base_segments=4096):
     # one (n + 1, 4) point trace per refinement level
     k = sphere.center.k
@@ -223,6 +235,88 @@ def test_negative_squared_chords_clamp_as_in_the_per_level_trace():
     sphere = GeodesicSphere(center, 1e-4 * k)
     p, q = (sphere.point_toward(d) for d in _ARC_DIRECTIONS)
     assert intrinsic_arc_length(sphere, p, q) == _reference_arc_length(sphere, p, q)
+
+
+@pytest.mark.parametrize("n", (-1, 0, 2.5, 4096.0, True, None, "64"))
+def test_arc_length_refuses_bad_segment_counts(n):
+    sphere = GeodesicSphere(ORIGIN, 1.0)
+    p, q = (sphere.point_toward(d) for d in _ARC_DIRECTIONS)
+    with pytest.raises(DomainError, match="base_segments"):
+        intrinsic_arc_length(sphere, p, q, base_segments=n)
+
+
+def test_arc_length_takes_numpy_integer_segment_counts():
+    sphere = GeodesicSphere(ORIGIN, 1.0)
+    p, q = (sphere.point_toward(d) for d in _ARC_DIRECTIONS)
+    assert (intrinsic_arc_length(sphere, p, q, base_segments=np.int64(7))
+            == intrinsic_arc_length(sphere, p, q, base_segments=7))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's mmap page faults")
+def test_arc_traces_fault_no_pages_after_warm_up():
+    # fresh trace arrays of 131,080 bytes are each an mmap, faulted in
+    # page by page: about 224 faults per call without the kept buffers
+    resource = pytest.importorskip("resource")
+    sphere = GeodesicSphere(ModelPoint.hyperboloid(_OFF_ORIGIN, 1.0), 1.0)
+    p, q = (sphere.point_toward(d) for d in _ARC_DIRECTIONS)
+    intrinsic_arc_length(sphere, p, q)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(16):
+        intrinsic_arc_length(sphere, p, q)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 32
+
+
+def test_reused_trace_buffers_change_no_bit():
+    # one thread's buffers serve calls at every segment count, after
+    # calls that raise and a call whose trace is nan; an off-origin
+    # center moves the time column, which the origin center leaves stale
+    spheres = [GeodesicSphere(ModelPoint.hyperboloid(c, k), rho * k)
+               for c, k, rho in ((_AT_ORIGIN, 1.0, 1.0), (_OFF_ORIGIN, 1e-3, 5.0),
+                                 (_AT_ORIGIN, 1e3, 0.1))]
+    arcs = [(s, *(s.point_toward(d) for d in _ARC_DIRECTIONS)) for s in spheres]
+    huge = GeodesicSphere(ModelPoint.hyperboloid(_OFF_ORIGIN, 1.0), 709.0)
+    nan_arc = (huge, *(huge.point_toward(d) for d in _ARC_DIRECTIONS))
+    sphere, p, _ = arcs[0]
+    off = ModelPoint.hyperboloid((math.cosh(2.0), math.sinh(2.0), 0.0, 0.0), 1.0)
+    for n in (4096, 7, 1, 64, 4096):
+        for arc in arcs:
+            expected = _reference_arc_length(*arc, n)
+            assert intrinsic_arc_length(*arc, base_segments=n).hex() == expected.hex()
+        with pytest.raises(DomainError):
+            intrinsic_arc_length(sphere, p, off, base_segments=n)
+        with pytest.raises(DegenerateError):
+            intrinsic_arc_length(sphere, p, p, base_segments=n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert intrinsic_arc_length(*nan_arc, base_segments=n).hex() == "nan"
+            assert _reference_arc_length(*nan_arc, n).hex() == "nan"
+
+
+def test_threads_keep_their_own_trace_buffers():
+    # numpy releases the GIL inside its loops, so two threads sharing
+    # one set of buffers would overwrite each other's traces
+    arcs = []
+    for i in range(48):
+        g = sample_stream(18, i)
+        k = float(10.0 ** g.uniform(-3.0, 3.0))
+        coords = _OFF_ORIGIN if i % 2 else _AT_ORIGIN
+        sphere = GeodesicSphere(ModelPoint.hyperboloid(coords, k),
+                                float(g.choice((0.1, 1.0, 5.0))) * k)
+        directions = g.normal(size=(2, 4))
+        arcs.append((sphere, *(sphere.point_toward(tuple(d.tolist())) for d in directions)))
+    serial = [intrinsic_arc_length(*arc).hex() for arc in arcs]
+    barrier = threading.Barrier(2)
+    traced = [None, None]
+
+    def trace(t):
+        barrier.wait()
+        traced[t] = [intrinsic_arc_length(*arc).hex() for arc in arcs[t::2]]
+
+    threads = [threading.Thread(target=trace, args=(t,)) for t in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert traced == [serial[0::2], serial[1::2]]
 
 
 def test_point_toward_lands_on_the_sphere():

@@ -169,6 +169,12 @@ def test_ambient_length_equals_the_per_level_walk_on_random_chords(k):
             assert ambient_polyline_length(height, p, q, k, base_segments=n) == expected
 
 
+@pytest.mark.parametrize("n", (-1, 0, 2.5, 1024.0, True, None, "64"))
+def test_ambient_length_refuses_bad_segment_counts(n):
+    with pytest.raises(DomainError, match="base_segments"):
+        ambient_polyline_length(1.0, (0.0, 0.0), (1.0, 0.5), base_segments=n)
+
+
 def test_degenerate_charts_are_rejected():
     with pytest.raises(DegenerateError):
         horosphere_triangle(1.0, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))
