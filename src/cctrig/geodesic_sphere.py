@@ -162,6 +162,17 @@ def center_ray_triangles(sphere: GeodesicSphere, seed: int, start: int,
     return Block(m.rows[alive], take(t, alive), drawn.errors | m.errors), directions
 
 
+def _arc_workspace(fine: int) -> np.ndarray:
+    """This thread's buffers for an arc trace of fine + 1 points: nine
+    rows, the angle ramp 0, 1, ..., fine first. Each thread keeps one
+    trace size; a call at another size replaces it."""
+    ws = getattr(_workspace, "arc", None)
+    if ws is None or ws.shape[1] != fine + 1:
+        ws = _workspace.arc = np.empty((9, fine + 1))
+        ws[0] = np.arange(fine + 1)
+    return ws
+
+
 def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *,
                          base_segments: int = 4096) -> float:
     """Length of the intrinsic geodesic (great-circle arc) of the sphere
@@ -188,8 +199,11 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
     The trace's buffers persist per thread (_arc_workspace). At the
     default 4096 segments a trace array is 131,080 bytes, just over
     glibc's 128 KiB mmap threshold, so fresh arrays cost an mmap each,
-    faulted in page by page: 224 minor faults per call. Per thread,
-    since numpy releases the GIL inside its loops.
+    faulted in page by page: 224 minor faults per call. They are per
+    thread because numpy releases the GIL inside its loops, so threads
+    tracing into one shared set would overwrite each other's traces.
+    A base_segments that is not an integer of at least 1 raises
+    DomainError.
     """
     check_segments(base_segments)
     k = sphere.center.k
@@ -255,15 +269,3 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
         return float(np.sum(msq))
 
     return richardson_length(polyline, base_segments)
-
-
-
-def _arc_workspace(fine: int) -> np.ndarray:
-    """This thread's buffers for an arc trace of fine + 1 points: nine
-    rows, the angle ramp 0, 1, ..., fine first. Each thread keeps one
-    trace size; a call at another size replaces it."""
-    ws = getattr(_workspace, "arc", None)
-    if ws is None or ws.shape[1] != fine + 1:
-        ws = _workspace.arc = np.empty((9, fine + 1))
-        ws[0] = np.arange(fine + 1)
-    return ws

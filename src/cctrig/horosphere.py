@@ -105,7 +105,10 @@ def ambient_polyline_length(height: float, p, q, k: float = 1.0, *,
     distinct chord, keyed by the bits of its two components, and fsum
     gets the same hops in the same order as one hop per chord would give
     it: equal bits give equal hops, and chords with unequal bits, two
-    nans among them, are never merged (hypot(inf, nan) is inf)."""
+    nans among them, are never merged (hypot(inf, nan) is inf).
+
+    A base_segments that is not an integer of at least 1 raises
+    DomainError."""
     if not (math.isfinite(height) and height > 0.0):
         raise DomainError(f"horosphere height must be positive, got {height}")
     check_segments(base_segments)

@@ -148,23 +148,17 @@ def test_intrinsic_arc_length_bits_are_pinned_on_every_column_path(
 
 @pytest.mark.parametrize("n", (1, 3, 1024, 4096))
 def test_strided_fine_trace_is_the_coarse_trace(n):
+    # the kernel's grid is the ramp 0..4n times delta/(4n) with its last
+    # point set to delta, np.linspace's arithmetic for a nonzero step;
     # the step delta/(4n) is delta/n scaled by a power of two, so every
     # fourth (second) node of the 4n-segment grid is the n (2n) grid
     for delta in (1e-6, 0.1, 1.0, math.pi / 3.0, 2.0, math.pi - 1e-6):
-        fine = np.linspace(0.0, delta, 4 * n + 1)
+        fine = np.arange(4 * n + 1.0) * (delta / (4 * n))
+        fine[-1] = delta
+        assert fine.tobytes() == np.linspace(0.0, delta, 4 * n + 1).tobytes()
         for step, coarse in ((4, n), (2, 2 * n)):
             expected = np.linspace(0.0, delta, coarse + 1)
             assert fine[::step].tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("n", (1, 3, 1024, 4096))
-def test_scaled_ramp_is_linspace(n):
-    # the kernel's grid: the ramp 0..4n times delta/(4n), its last
-    # point set to delta, as np.linspace does for a nonzero step
-    for delta in (1e-6, 0.1, 1.0, math.pi / 3.0, 2.0, math.pi - 1e-6):
-        grid = np.arange(4 * n + 1.0) * (delta / (4 * n))
-        grid[-1] = delta
-        assert grid.tobytes() == np.linspace(0.0, delta, 4 * n + 1).tobytes()
 
 
 def _reference_arc_length(sphere, p, q, base_segments=4096):
@@ -312,10 +306,16 @@ def test_threads_keep_their_own_trace_buffers():
         traced[t] = [intrinsic_arc_length(*arc).hex() for arc in arcs[t::2]]
 
     threads = [threading.Thread(target=trace, args=(t,)) for t in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert traced == [serial[0::2], serial[1::2]]
 
 
