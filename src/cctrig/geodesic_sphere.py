@@ -24,7 +24,7 @@ from .errors import DegenerateError, DomainError
 from .models import (Model, ModelPoint, Ray, _edot, _spacelike_norm,
                      check_segments, minkowski_dot, model_distance,
                      richardson_length, tangent_angle, tangent_toward)
-from .sampling import DEFAULT_ATTEMPTS, Block, resolve_block, sample_stream
+from .sampling import DEFAULT_ATTEMPTS, Block, resolve_block
 from .triangle import TriangleData
 
 # rays closer than this (or to pi minus this) give no usable triangle
@@ -32,6 +32,8 @@ MIN_RAY_SEPARATION = 1e-6
 #: the largest |cos| a random center-ray triple allows between two rays
 _MAX_RAY_COS = math.cos(0.05)
 _NO_RAYS = f"no acceptable ray triple after {DEFAULT_ATTEMPTS} attempts"
+#: the uniform bounds of a center-ray attempt: z and phi of each ray
+_RAY_BOUNDS = ((-1.0, 1.0), (0.0, 2.0 * math.pi)) * 3
 #: each thread's arc trace buffers, kept from one intrinsic_arc_length
 #: call to the next
 _workspace = threading.local()
@@ -99,16 +101,16 @@ def geodesic_sphere_triangle(sphere: GeodesicSphere, rays: tuple[Ray, Ray, Ray],
     return TriangleData(a, b, c, A, B, C, Curvature.spherical(1.0)).validate(m)
 
 
-def _ray_directions(z, m):
-    """Three well-separated unit directions from nine normal draws, or
-    None where the draws are rejected."""
-    dirs = (z[0:3], z[3:6], z[6:9])
-    norms = [m.sqrt(x * x + y * y + w * w) for x, y, w in dirs]
-    keep = m.reject(m.min(*norms) < 1e-6)
-    if keep is None:
-        return None
-    dirs, norms = keep(dirs, norms)
-    d0, d1, d2 = ([c / n for c in d] for d, n in zip(dirs, norms))
+def _ray_directions(z0, phi0, z1, phi1, z2, phi2, m):
+    """Three well-separated unit directions (z, r cos phi, r sin phi),
+    r = sqrt((1 - z)(1 + z)), one per (z, phi) pair, or None where they
+    are rejected. Uniform z on [-1, 1) and phi on [0, 2 pi) give a
+    uniform point on the unit sphere (Archimedes)."""
+    dirs = []
+    for z, phi in ((z0, phi0), (z1, phi1), (z2, phi2)):
+        r = m.sqrt((1.0 - z) * (1.0 + z))
+        dirs.append((z, r * m.cos(phi), r * m.sin(phi)))
+    d0, d1, d2 = dirs
     sep = m.max(abs(_edot(d0, d1, m)), abs(_edot(d0, d2, m)), abs(_edot(d1, d2, m)))
     keep = m.reject(sep > _MAX_RAY_COS)
     if keep is None:
@@ -116,50 +118,28 @@ def _ray_directions(z, m):
     return keep(d0, d1, d2)
 
 
-def _center_rays(g, center: ModelPoint) -> tuple[Ray, Ray, Ray]:
-    """Three well-separated random rays at `center` from the normals of
-    stream g: the per-index form of center_ray_triangles' rays."""
-    for _ in range(DEFAULT_ATTEMPTS):
-        dirs = _ray_directions(g.normal(size=9).tolist(), FLOATS)
-        if dirs is not None:
-            return tuple(Ray.at(center, (0.0, *d)) for d in dirs)
-    raise DomainError(_NO_RAYS)
-
-
-def center_ray_triangles(sphere: GeodesicSphere, seed: int, start: int,
-                         stop: int) -> tuple[Block, np.ndarray]:
+def center_ray_triangles(sphere: GeodesicSphere, seed: int, start: int, stop: int) -> Block:
     """The triangles cut by random center-ray triples, one per index of
-    [start, stop), and the ray directions of its rows (3, 4, rows).
+    [start, stop): a Block whose figure is the triangle and the ray
+    directions of its rows (3, 4, rows).
 
-    Index i takes the rays _center_rays draws from sample_stream(seed,
-    i), as sampling.resolve_block resolves a block: each round continues
-    the normals of every unresolved index's stream, nine per attempt,
-    and the streams are built once. The rays and their triangle are
-    computed on columns. Block.errors holds the first error of every
-    index without a triangle, including the exhausted attempt budget.
+    Attempt j of index i runs _ray_directions on uniforms 6j to 6j + 5
+    of sample_stream(seed, i) over _RAY_BOUNDS, as sampling.resolve_block
+    resolves a block; the rays and their triangle are computed on
+    columns. Block.errors holds the first error of every index without a
+    triangle, including the exhausted attempt budget.
     """
     center = sphere.center
-    streams = [sample_stream(seed, i) for i in range(start, stop)]
-
-    def normals(batch, made, tries):
-        # (position, attempt, normal) to a column per normal
-        z = np.array([streams[pos].normal(size=(tries, 9)) for pos in batch.tolist()])
-        return list(z.transpose(2, 1, 0).reshape(9, -1))
-
-    def rays(*draws):
-        *z, m = draws
-        dirs = _ray_directions(z, m)
-        return None if dirs is None else tuple(Ray.at(center, (0.0, *d), m) for d in dirs)
-
-    drawn = resolve_block(seed, start, stop, None, rays, DEFAULT_ATTEMPTS,
-                          functools.partial(DomainError, _NO_RAYS), draw=normals)
+    drawn = resolve_block(seed, start, stop, _RAY_BOUNDS, _ray_directions, DEFAULT_ATTEMPTS,
+                          functools.partial(DomainError, _NO_RAYS))
     if drawn.figure is None:
-        return drawn, np.zeros((3, 4, 0))
+        return drawn
     with Columns(drawn.rows) as m:
-        t = geodesic_sphere_triangle(sphere, drawn.figure, m)
+        rays = tuple(Ray.at(center, (0.0, *d), m) for d in drawn.figure)
+        t = geodesic_sphere_triangle(sphere, rays, m)
     alive = ~m.dead
-    directions = np.array([ray.direction for ray in drawn.figure])[:, :, alive]
-    return Block(m.rows[alive], take(t, alive), drawn.errors | m.errors), directions
+    directions = np.array([ray.direction for ray in rays])[:, :, alive]
+    return Block(m.rows[alive], (take(t, alive), directions), drawn.errors | m.errors)
 
 
 def _arc_workspace(fine: int) -> np.ndarray:

@@ -14,26 +14,28 @@ coordinates use two-term rearrangements (difference angle plus a
 half-angle square) so nearly-degenerate draws lose nothing to
 cancellation.
 
-Uniform draws. Attempt j of an index takes uniforms 3j, 3j + 1 and
-3j + 2 of the index's stream (the right-triangle sampler takes uniforms
-0 and 1), each mapped to lo + (hi - lo) * u, the arithmetic of
-Generator.uniform(lo, hi). The per-index samplers draw them with one
-g.random(n) call per attempt, as Python floats.
+Uniform draws. Attempt j of an index takes uniforms jn to jn + n - 1
+of the index's stream, one per bound of its sampler (n is 3 for a
+triangle, 2 for the legs of a right triangle, 6 for a center-ray triple
+and 10 for a cevian configuration), each mapped to lo + (hi - lo) * u,
+the arithmetic of Generator.uniform(lo, hi). The per-index samplers draw
+them with one g.random(n) call per attempt, as Python floats.
 
-Blocks. sample_triangles and sample_right_triangles draw a range of
-indices at once, bit for bit what the per-index samplers return. A
-numpy Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy
-as 1, 2, 3", SC'11), keyed as sample_stream keys it, hands every index
-of the block the words of its own stream that a round needs; an index
-whose attempt is rejected draws again in the next round
-(resolve_block, which cevians.sample_cevian_configs shares, and
-geodesic_sphere.center_ray_triangles with normals from each index's
-own Generator). The attempt itself (synthesis, model measurements,
-rejection tests, validation) is one function, run on floats or on
-float64 columns (columns.py). On the columns numpy does only + - * /
-and sqrt, which IEEE 754 rounds correctly; every other function maps
-`math` over the column, since numpy's sin, atan2, asinh and the rest
-differ from `math` in the last bit on a share of inputs. Powers count as such a function:
+Blocks. sample_triangles, sample_right_triangles,
+cevians.sample_cevian_configs and geodesic_sphere.center_ray_triangles
+draw a range of indices at once, bit for bit what a loop over the
+indices running the same attempt on those floats returns. A numpy
+Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1,
+2, 3", SC'11), keyed as sample_stream keys it, hands every index of the
+block the words of its own stream that a round needs, so a block builds
+no Generator; an index whose attempt is rejected draws again in the
+next round of resolve_block, the one rejection loop of every block
+sampler. The attempt itself (synthesis, model measurements, rejection
+tests, validation) is one function, run on floats or on float64 columns
+(columns.py). On the columns numpy does only + - * / and sqrt, which
+IEEE 754 rounds correctly; every other function maps `math` over the
+column, since numpy's sin, atan2, asinh and the rest differ from `math`
+in the last bit on a share of inputs. Powers count as such a function:
 x ** 2 on a Python float is C pow, which differs from x * x (and from
 numpy's x ** 2, a square) on about 1 input in 1,200, so the half-angle
 square is m.pow.
@@ -221,20 +223,16 @@ def _tries(width: int, resolved: int, tried: int) -> int:
 
 
 def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: int,
-                  exhausted, *, rejected=(), until_error: bool = False,
-                  draw=None) -> Block:
+                  exhausted, *, rejected=(), until_error: bool = False) -> Block:
     """The first accepted attempt of every index in [start, stop), as a
     per-index rejection loop takes it.
 
-    Attempt j of an index runs attempt(*draws, m) on its draws: by
-    default the uniforms j * len(bounds) on of its stream. Where `draw`
-    is given it hands them over instead, and `bounds` is unused:
-    draw(positions, made, tries) gives one column per argument of
-    attempt, whose row r * len(positions) + i holds attempt made + r of
-    the index at position i. An attempt is rejected where it gives no
-    row or raises one of the `rejected` errors; the index takes its
-    first attempt that was accepted or raised another error, and after
-    `attempts` rejections the error exhausted().
+    Attempt j of an index runs attempt(*draws, m) on uniforms
+    j * len(bounds) to (j + 1) * len(bounds) - 1 of its stream, one per
+    (lo, hi) in bounds, as _uniforms maps them. An attempt is rejected
+    where it gives no row or raises one of the `rejected` errors; the
+    index takes its first attempt that was accepted or raised another
+    error, and after `attempts` rejections the error exhausted().
 
     Each round runs the next attempts of every index still unresolved as
     one block of rows, as many per index as _tries gives: one in the
@@ -251,10 +249,6 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
     the errors of the block.
     """
     indices = _index_column(seed, start, stop)
-    if draw is None:
-        def draw(batch, made, tries):
-            return [u.reshape(-1) for u in _block_uniforms(
-                seed, indices[batch], made * len(bounds), bounds, tries)]
     active = np.arange(stop - start)
     made = 0  # attempts made by every index still active
     taken, parts = [], []
@@ -273,8 +267,10 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
         width = len(batch)
         tries = attempts - made if lead else min(attempts - made,
                                                  _tries(width, resolved, tried))
+        # row r * width + i holds attempt made + r of the index at batch[i]
+        draws = _block_uniforms(seed, indices[batch], made * len(bounds), bounds, tries)
         with Columns(np.arange(tries * width)) as m:
-            figure = attempt(*draw(batch, made, tries), m)
+            figure = attempt(*[u.reshape(-1) for u in draws], m)
         # per row: 0 rejected, 1 accepted, 2 raised
         outcome = np.zeros(tries * width, dtype=np.int8)
         if figure is not None:
@@ -447,7 +443,7 @@ def _right_plan(geometry: Curvature, min_leg: float, max_leg: float | None):
     return ((min_leg, max_leg),) * 2
 
 
-def _right_triangle(a, b, geometry: Curvature, m) -> TriangleData:
+def _right_triangle(a, b, m, *, geometry: Curvature) -> TriangleData:
     """The right triangle (right angle at C) with legs a, b in units of k."""
     k = geometry.k
     sn, cs, eps = m.trig[geometry.kind]
@@ -476,17 +472,18 @@ def sample_right_triangle(geometry: Curvature, seed: int, index: int = 0, *,
     twelve significant digits.
     """
     bounds = _right_plan(geometry, min_leg, max_leg)
-    a, b = _uniforms(sample_stream(seed, index), bounds)
-    return _right_triangle(a, b, geometry, FLOATS)
+    return _right_triangle(*_uniforms(sample_stream(seed, index), bounds), FLOATS,
+                           geometry=geometry)
 
 
 def sample_right_triangles(geometry: Curvature, seed: int, start: int, stop: int, *,
                            min_leg: float = DEFAULT_MIN_SIDE,
                            max_leg: float | None = None) -> Block:
-    """sample_right_triangle for every index in [start, stop). The
-    right angle C stays the constant pi/2 rather than a column."""
+    """sample_right_triangle for every index in [start, stop), one
+    attempt each: every leg pair gives a triangle or raises, so none is
+    rejected. The right angle C stays the constant pi/2 rather than a
+    column."""
     bounds = _right_plan(geometry, min_leg, max_leg)
-    a, b = (u[0] for u in _block_uniforms(seed, _index_column(seed, start, stop), 0, bounds))
-    with Columns(np.arange(stop - start)) as m:
-        t = _right_triangle(a, b, geometry, m)
-    return Block(m.rows[~m.dead], take(t, ~m.dead), m.errors)
+    return resolve_block(seed, start, stop, bounds,
+                         functools.partial(_right_triangle, geometry=geometry), 1,
+                         functools.partial(SamplingError, _rejection_failure(geometry, 1)))

@@ -47,7 +47,7 @@ from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals, spherical_right_residuals)
 from .report import (MIN_ABOVE, CheckRow, ResidualReport, SuiteConfig,
                      make_row)
-from .sampling import (DEFAULT_ATTEMPTS, Block, sample_right_triangles,
+from .sampling import (DEFAULT_ATTEMPTS, sample_right_triangles,
                        sample_stream, sample_triangle, sample_triangles)
 from .solvers import solve_from_sss
 from .triangle import angle_excess
@@ -154,14 +154,6 @@ def _suite_euclidean(cfg: SuiteConfig) -> list[CheckRow]:
                          euclidean_residuals, 1e-9)
 
 
-def _ray_triangles(sphere: GeodesicSphere, seed: int, start: int, stop: int) -> Block:
-    """center_ray_triangles as one Block: its figure is the triangle and
-    the ray directions of its rows."""
-    block, directions = center_ray_triangles(sphere, seed, start, stop)
-    figure = None if block.figure is None else (block.figure, directions)
-    return Block(block.rows, figure, block.errors)
-
-
 def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
     k = cfg.curvature.k
     center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
@@ -173,15 +165,16 @@ def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
 
         def check_arcs(figure, used):
             # the first triangles used also measure the arc between two
-            # of their vertices, against the sphere's effective radius
+            # of their vertices, against the sphere's effective radius,
+            # in units of k
             for row in used[:_ARC_CHECK_PAIRS - len(arcs)].tolist():
                 d0, d1 = (tuple(figure[1][r, :, row].tolist()) for r in (0, 1))
                 arc = intrinsic_arc_length(sphere, sphere.point_toward(d0),
                                            sphere.point_toward(d1))
                 angle = tangent_angle(center, d0, d1)
-                arcs.append(arc - sphere.effective_radius * angle)
+                arcs.append((arc - sphere.effective_radius * angle) / k)
 
-        per = _sampled(cfg, "sphere-model", functools.partial(_ray_triangles, sphere),
+        per = _sampled(cfg, "sphere-model", functools.partial(center_ray_triangles, sphere),
                        lambda figure, m: residuals(figure[0], m), level, _SKIPPED, check_arcs)
         rows += [make_row(f"gsph_rho{label}_{rid}", values, _tol(cfg, 1e-9))
                  for rid, values in per.items()]

@@ -222,6 +222,15 @@ def test_an_overflowing_scale_stops_sphere_model_at_the_arc_check(capsys):
         "message": "non-finite residual in relation gsph_rho0.1_effective_radius"}
 
 
+@pytest.mark.parametrize("e", (-300, -10, -1, 1, 10, 300))
+def test_sphere_model_prints_the_same_at_every_power_of_two_scale(capsys, e):
+    # every sphere-model row is dimensionless and scaling k by 2^e is
+    # exact, so the report must not move
+    argv = ("verify", "sphere-model", "--samples", "200", "--format", "csv")
+    unit = _run(capsys, *argv)[:2]
+    assert _run(capsys, *argv, "--curvature-scale", repr(2.0 ** e))[:2] == unit
+
+
 def test_cevians_stop_at_the_first_index_no_draw_accepts(capsys):
     # at k = 0.1 the cevian sampler rejects every hyperbolic draw; the
     # run stops at the first index, as a loop over the indices does

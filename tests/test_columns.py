@@ -213,7 +213,7 @@ def test_prism_figures_on_columns_are_the_scalar_figures(k):
     rows += [(0.0, 1.0), (1.0, 40.0), (800.0, 1.0), (25.0, 25.0)]
 
     def erect(m, a, b):
-        figure = build_prism(_right_triangle(a, b, geometry, m), m)
+        figure = build_prism(_right_triangle(a, b, m, geometry=geometry), m)
         return figure, parallelism_match(figure, m), replay_residuals(figure, m)
 
     _rowwise(erect, rows)

@@ -1,21 +1,22 @@
 """Deterministic model-backed triangle sampling."""
 
+import dataclasses
 import math
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cctrig import (Curvature, DomainError, GeodesicSphere, Model, ModelPoint,
-                    SamplingError, angle_excess, geodesic_sphere_triangle,
+                    Ray, SamplingError, angle_excess, geodesic_sphere_triangle,
                     sample_cevian_config, sample_right_triangle, sample_stream,
                     sample_triangle, spherical_right_residuals)
 from cctrig.cevians import sample_cevian_configs
-from cctrig import geodesic_sphere
-from cctrig.geodesic_sphere import _center_rays, center_ray_triangles
-from cctrig.sampling import (DEFAULT_MAX_SIDE, DEFAULT_MIN_ANGLE,
+from cctrig.columns import FLOATS
+from cctrig.geodesic_sphere import _RAY_BOUNDS, _ray_directions, center_ray_triangles
+from cctrig.sampling import (DEFAULT_ATTEMPTS, DEFAULT_MAX_SIDE, DEFAULT_MIN_ANGLE,
                              DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP, _philox_blocks,
                              _uniforms, block_random, sample_right_triangles,
                              sample_triangles)
@@ -186,41 +187,6 @@ def test_samplers_hand_out_python_floats(geometry):
         assert _all_floats(cfg.ratios())
 
 
-_ORIGIN = ModelPoint(Model.HYPERBOLOID, (1.0, 0.0, 0.0, 0.0), 1.0)
-
-
-def test_center_rays_hand_out_python_floats():
-    for i in range(20):
-        for ray in _center_rays(sample_stream(5, i), _ORIGIN):
-            assert _all_floats(ray.direction) and _all_floats(ray.base.coords)
-
-
-def _numpy_center_directions(g, attempts=128):
-    """Reference for _center_rays: the same draws with numpy norms and
-    BLAS cosines for the separation test, returning the directions."""
-    for _ in range(attempts):
-        dirs = g.normal(size=(3, 3))
-        norms = np.sqrt((dirs * dirs).sum(axis=1))
-        if norms.min() < 1e-6:
-            continue
-        dirs = dirs / norms[:, None]
-        cosines = dirs @ dirs.T
-        sep = max(abs(cosines[0, 1]), abs(cosines[0, 2]), abs(cosines[1, 2]))
-        if sep > math.cos(0.05):
-            continue
-        return tuple((0.0, *map(float, d)) for d in dirs)
-    raise DomainError("no acceptable ray triple")
-
-
-def test_center_rays_match_the_numpy_draws(monkeypatch):
-    # Ray.at is the same deterministic map on both sides; stub it out to
-    # compare the directions it is handed, over 10^5 triples of one stream
-    monkeypatch.setattr(geodesic_sphere, "Ray", SimpleNamespace(at=lambda base, d: d))
-    ours, reference = sample_stream(13, 0), sample_stream(13, 0)
-    for _ in range(100_000):
-        assert _center_rays(ours, _ORIGIN) == _numpy_center_directions(reference)
-
-
 # ------------------------------------------------------------ block draws
 
 _KEY_EDGES = (0, 1, 2 ** 32 - 1, 2 ** 63, 2 ** 64 - 1)
@@ -317,21 +283,50 @@ def test_block_samplers_refuse_what_the_per_index_samplers_refuse():
             call()
 
 
+def _per_index_rays(seed, index, center):
+    """The rays a loop over one index takes: _ray_directions on floats
+    from the uniforms of its stream, attempt after attempt, and the
+    number of attempts it made."""
+    g = sample_stream(seed, index)
+    for made in range(1, DEFAULT_ATTEMPTS + 1):
+        dirs = _ray_directions(*_uniforms(g, _RAY_BOUNDS), FLOATS)
+        if dirs is not None:
+            return tuple(Ray.at(center, (0.0, *d)) for d in dirs), made
+    raise AssertionError("no ray triple accepted")
+
+
 @pytest.mark.parametrize("k, radius", ((1.0, 0.1), (10.0, 50.0)))
 def test_center_ray_triangles_are_the_per_index_rays(k, radius):
-    # _center_rays and geodesic_sphere_triangle, index by index, are the
-    # reference for the block form
+    # the per-index loop and geodesic_sphere_triangle, index by index,
+    # are the reference for the block form
     center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
     sphere = GeodesicSphere(center, radius)
     seed, start, n = 21, 3 << 32, 400
-    block, directions = center_ray_triangles(sphere, seed, start, start + n)
+    block = center_ray_triangles(sphere, seed, start, start + n)
     assert block.rows.tolist() == list(range(n)) and not block.errors
-    triangles = _block_outcomes(block, n)
+    triangle, directions = block.figure
+    triangles = _block_outcomes(dataclasses.replace(block, figure=triangle), n)
+    attempts = []
     for i in range(n):
-        rays = _center_rays(sample_stream(seed, start + i), center)
+        rays, made = _per_index_rays(seed, start + i, center)
+        attempts.append(made)
         assert [tuple(x.hex() for x in r.direction) for r in rays] == \
             [tuple(float(x).hex() for x in directions[r, :, i]) for r in range(3)]
         assert triangles[i] == _triangle_hex(geodesic_sphere_triangle(sphere, rays))
+    assert max(attempts) > 1  # some triple is rejected: the next round runs
+
+
+def test_center_ray_directions_are_uniform_on_the_sphere():
+    # z uniform on [-1, 1) and phi on [0, 2 pi) is the uniform point on
+    # the sphere; the separation rule keeps each ray's law, by symmetry
+    center = ModelPoint(Model.HYPERBOLOID, (1.0, 0.0, 0.0, 0.0), 1.0)
+    block = center_ray_triangles(GeodesicSphere(center, 1.0), 3, 0, 100_000)
+    directions = block.figure[1]
+    assert directions.shape == (3, 4, 100_000)
+    for _, z, x, y in directions:
+        phi = np.arctan2(y, x) % (2.0 * math.pi)
+        assert stats.kstest(z, stats.uniform(-1.0, 2.0).cdf).pvalue > 1e-3
+        assert stats.kstest(phi, stats.uniform(0.0, 2.0 * math.pi).cdf).pvalue > 1e-3
 
 
 def _cevian_hex(config, i=None):
