@@ -1,12 +1,18 @@
 """Triangle solvers: closed-form cases, round trips, infeasibility."""
 
+import importlib.util
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from cctrig import (Curvature, DegenerateError, DomainError, InfeasibleError,
                     SimilarityError, sample_triangle, solve_from_aaa,
                     solve_from_asa, solve_from_sas, solve_from_sss)
+from cctrig.cli import main
+from cctrig.curvature import GeometryKind
 
 SPH = Curvature.spherical()
 HYP = Curvature.hyperbolic()
@@ -18,6 +24,10 @@ PI_3 = 1.0471975511965979
 A_OCTANT_HALF = 0.9553166181245093
 
 GEOMETRIES = (SPH, EUC, HYP)
+#: the benchmark's solve scales; powers of two, so scaling is exact
+SCALES = (0.5, 1.0, 4.0)
+#: allowed roundings against the mpmath reference, times (1 + condition)
+REFERENCE_ULPS = 64.0
 
 
 def _assert_close(t, u, tol=1e-10):
@@ -155,3 +165,83 @@ def test_half_angle_squares_are_correctly_rounded_products():
     qm = c_sum * c_sum + math.sin(B) * math.sin(C) * (s_half * s_half)
     qp = s_sum * s_sum - math.sin(B) * math.sin(C) * (s_half * s_half)
     assert solve_from_asa(SPH, B, a, C).A == 2.0 * math.atan2(math.sqrt(qm), math.sqrt(qp))
+
+
+@pytest.fixture(scope="module")
+def mpref():
+    """The benchmark's 50-digit mpmath reference, loaded from its file."""
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "mpref.py"
+    spec = importlib.util.spec_from_file_location("mpref", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reference_misses(mpref, geometry, mode, values, solver, graded="abcABC"):
+    """The `graded` elements of `solver(geometry, *values)` that miss mpmath."""
+    kind, k = geometry.kind.value, geometry.k
+    t = solver(geometry, *values)
+    exact = mpref.solve(kind, k, mode, values)
+    kappa = mpref.condition(lambda *v: mpref.solve(kind, k, mode, v), values)
+    return [f"{mode} {kind} k={k} {values}: {name} = {got!r}, reference "
+            f"{float(ref)!r} (kappa {kap:.3g})"
+            for name, got, ref, kap in zip("abcABC", t.sides() + t.angles(), exact, kappa)
+            if name in graded and not mpref.agrees(got, ref, kap, REFERENCE_ULPS)]
+
+
+def _sliver(rng, kind, needle):
+    """Sides in units of k of a needle or a flat triangle, drawn as the
+    benchmark's solve-batch draws its slivers."""
+    cap = 1.4 if kind is GeometryKind.SPHERICAL else 4.0
+    t = 10.0 ** rng.uniform(-6.0, -2.0)
+    if needle:
+        b = rng.uniform(0.2, cap)
+        a = b * t
+        return a, b, b + a * rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 0.9)
+    b, c = rng.uniform(0.1, cap / 2.0), rng.uniform(0.1, cap / 2.0)
+    return (b + c) * (1.0 - t), b, c
+
+
+@pytest.mark.parametrize("kind", list(GeometryKind), ids=lambda g: g.value)
+def test_asa_on_slivers_agrees_with_mpmath(mpref, kind):
+    # each sliver's mpmath angles, rounded, give three ASA inputs, one
+    # per side; every element of every solve is graded
+    rng = random.Random(1301)
+    misses = []
+    for k in SCALES:
+        geometry = Curvature(kind, k)
+        for i in range(10):
+            sides = tuple(x * k for x in _sliver(rng, kind, needle=i % 2 == 0))
+            A, B, C = (float(x) for x in mpref.solve(kind.value, k, "sss", sides)[3:])
+            a, b, c = sides
+            for values in ((B, a, C), (C, b, A), (A, c, B)):
+                misses += _reference_misses(mpref, geometry, "asa", values, solve_from_asa)
+    assert misses == []
+
+
+def test_spherical_sas_near_pi_agrees_with_mpmath(mpref):
+    # a = pi k - O(1e-6 .. 1e-2): the enclosed side's sine is near 0, so
+    # an arcsine of it loses most of its digits. Only the sides are
+    # graded: solve_from_sas takes its angles from solve_from_sss of the
+    # rounded sides, and on these near-flat triangles even exact angles of
+    # the rounded sides miss the reference by up to about 400 roundings
+    rng = random.Random(1302)
+    misses = []
+    for k in SCALES:
+        for _ in range(20):
+            b = rng.uniform(1.0, 2.0)
+            c = math.pi - b - 10.0 ** rng.uniform(-6.0, -2.0)
+            A = math.pi - 10.0 ** rng.uniform(-6.0, -2.0)
+            misses += _reference_misses(mpref, Curvature.spherical(k), "sas",
+                                        (b * k, A, c * k), solve_from_sas, graded="abc")
+    assert misses == []
+
+
+def test_asa_rays_that_diverge_are_infeasible(capsys):
+    with pytest.raises(InfeasibleError):
+        solve_from_asa(HYP, 0.6, 30.0, 0.6)
+    code = main(["solve", "--geometry", "hyperbolic", "--mode", "asa", "0.6", "30", "0.6"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "infeasible"
