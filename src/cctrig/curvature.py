@@ -24,9 +24,7 @@ few per-model steps which the sign alone does not decide:
   * the sphere dot product sums with math.fsum, the Minkowski product
     subtracts term by term;
   * model_distance keeps atan2 of cross and dot products on the sphere
-    and the chordal asinh form on the hyperboloid;
-  * solve_from_asa keeps per-sign half-angle products and its switch
-    from atanh to acosh for long hyperbolic sides.
+    and the chordal asinh form on the hyperboloid.
 """
 
 from __future__ import annotations
@@ -58,15 +56,6 @@ class Curvature:
     def __post_init__(self):
         if not (math.isfinite(self.k) and self.k > 0.0):
             raise DomainError(f"curvature scale must be positive and finite, got {self.k}")
-
-    @property
-    def K(self) -> float:
-        """Sectional curvature: +1/k^2, 0, or -1/k^2."""
-        if self.kind is GeometryKind.SPHERICAL:
-            return 1.0 / (self.k * self.k)
-        if self.kind is GeometryKind.HYPERBOLIC:
-            return -1.0 / (self.k * self.k)
-        return 0.0
 
     @staticmethod
     def spherical(k: float = 1.0) -> Curvature:

@@ -108,15 +108,13 @@ def build_prism(base: TriangleData, m=FLOATS) -> PrismFigure:
     horospherical = horosphere_triangle(k, charts[0], charts[1], charts[2], k, m)
 
     # frame centered at B: measure the direction-sphere triangle k m n
-    # (k up the axis, m toward A, n toward C) with exact unit tangents
-    origin = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
-    a_in_b = ModelPoint(Model.HYPERBOLOID,
-                        (k * m.cosh(cu), k * m.sinh(cu), 0.0, 0.0), k)
-    axis_a_in_b = Ray.at(a_in_b, (0.0, 0.0, 0.0, 1.0), m)
-    ray_k = asymptotic_ray(origin, axis_a_in_b, m)
-    ray_m = Ray.at(origin, (0.0, 1.0, 0.0, 0.0), m)
-    ray_n = Ray.at(origin, (0.0, m.cos(base.B), m.sin(base.B), 0.0), m)
-    sphere = GeodesicSphere(origin, k)
+    # (k up the axis, m toward A, n toward C) with exact unit tangents.
+    # B sits where pa sits in A's frame and A where pb sits, at distance c
+    axis_a_in_b = Ray.at(pb, (0.0, 0.0, 0.0, 1.0), m)
+    ray_k = asymptotic_ray(pa, axis_a_in_b, m)
+    ray_m = Ray.at(pa, (0.0, 1.0, 0.0, 0.0), m)
+    ray_n = Ray.at(pa, (0.0, m.cos(base.B), m.sin(base.B), 0.0), m)
+    sphere = GeodesicSphere(pa, k)
     spherical = geodesic_sphere_triangle(sphere, (ray_k, ray_n, ray_m), m)
 
     return PrismFigure(base, (pa, pb, pc), (axis_a, axis_b, axis_c),

@@ -5,9 +5,13 @@ relative accuracy for sliver triangles and for sides far below the
 curvature scale; arccos of a law-of-cosines ratio would lose half the
 digits there. The ambiguous side-side-angle case is not offered.
 
-Arguments to acos/asin/acosh may drift outside their domain by rounding;
-up to 4 ulps of spill is clamped, anything beyond means the requested
-triangle does not exist.
+Every inverse function here is atan2 or asinh. Both take any finite
+argument, so rounding cannot push one out of its domain and nothing is
+clamped. Where an angle or a spherical side may come near pi, it is
+2 atan2 of the square roots of its two half-versines, (1 - cos)/2 and
+(1 + cos)/2, each formed from half-angle products; an arcsine of the
+half-angle sine would lose most of its digits there. A half-versine that
+is not positive means the requested triangle does not exist.
 """
 
 from __future__ import annotations
@@ -17,28 +21,6 @@ import math
 from .curvature import CURVED_TRIG, Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError, SimilarityError
 from .triangle import TriangleData
-
-_CLAMP_SLACK = 4.0 * math.ulp(1.0)
-
-
-def _clamped_unit(x: float, what: str) -> float:
-    if x > 1.0:
-        if x > 1.0 + _CLAMP_SLACK:
-            raise InfeasibleError(f"{what} = {x} leaves [-1, 1] by more than rounding")
-        return 1.0
-    if x < -1.0:
-        if x < -1.0 - _CLAMP_SLACK:
-            raise InfeasibleError(f"{what} = {x} leaves [-1, 1] by more than rounding")
-        return -1.0
-    return x
-
-
-def _clamped_ge1(x: float, what: str) -> float:
-    if x < 1.0:
-        if x < 1.0 - _CLAMP_SLACK:
-            raise InfeasibleError(f"{what} = {x} falls below 1 by more than rounding")
-        return 1.0
-    return x
 
 
 def _check_angle(value: float, name: str) -> None:
@@ -101,11 +83,15 @@ def solve_from_sas(geometry: Curvature, b: float, A: float, c: float) -> Triangl
         # sn(a/2)^2 from the half-angle form of the law of cosines; the
         # square is a product, as x ** 2 is C pow, which rounds once more
         d = sn(0.5 * (b - c) / k)
-        root = math.sqrt(d * d + sn(b / k) * sn(c / k) * half * half)
+        sn_bc = sn(b / k) * sn(c / k)
+        qm = d * d + sn_bc * half * half
         if eps < 0.0:
-            a = 2.0 * k * math.asinh(root)
+            a = 2.0 * k * math.asinh(math.sqrt(qm))
         else:
-            a = 2.0 * k * math.asin(_clamped_unit(root, "sin(a/2) from the half-angle form"))
+            # cos(a/2)^2, the dual of solve_from_asa's (1 + cos A)/2
+            s_sum, c_half = math.cos(0.5 * (b + c) / k), math.cos(0.5 * A)
+            qp = s_sum * s_sum + sn_bc * c_half * c_half
+            a = 2.0 * k * math.atan2(math.sqrt(qm), math.sqrt(qp))
     try:
         return solve_from_sss(geometry, a, b, c)
     except InfeasibleError as exc:
@@ -120,62 +106,47 @@ def solve_from_asa(geometry: Curvature, B: float, a: float, C: float) -> Triangl
     _check_angle(C, "C")
     _check_side(a, "a", geometry)
     k = geometry.k
-    cosB, sinB = math.cos(B), math.sin(B)
-    cosC, sinC = math.cos(C), math.sin(C)
+    sinB, sinC = math.sin(B), math.sin(C)
 
     if geometry.kind is GeometryKind.EUCLIDEAN:
         A = math.pi - (B + C)
         if A <= 0.0:
             raise InfeasibleError(f"flat angles B + C = {B + C} leave nothing for A")
-        b = a * sinB / math.sin(A)
-        c = a * sinC / math.sin(A)
-        return TriangleData(a, b, c, A, B, C, geometry).validate()
+        # sin(B + C) is sin A without the rounding of pi - (B + C)
+        sinA = math.sin(B + C)
+        return TriangleData(a, a * sinB / sinA, a * sinC / sinA, A, B, C, geometry).validate()
 
     # The opposite angle comes from the dual law of cosines, but through
     # half-angle products: acos of the raw expression loses enough digits
     # on slivers for cot A in the cotangent relation to amplify past any
     # useful floor. The products keep 1 -/+ cos A fully accurate wherever
-    # the triangle is feasible. The sides come from the four-parts
-    # relation anchored to the given side (atan2/atanh form), except for
-    # long hyperbolic sides where atanh saturates and the plain cosh
-    # form is the well-conditioned one.
-    if geometry.kind is GeometryKind.HYPERBOLIC:
-        # squares as products: x ** 2 is C pow, which rounds one more time
-        sh_half, ch_half = math.sinh(0.5 * a / k), math.cosh(0.5 * a / k)
-        c_sum, s_diff = math.cos(0.5 * (B + C)), math.sin(0.5 * (B - C))
-        qm = c_sum * c_sum - sinB * sinC * (sh_half * sh_half)  # (1 - cos A)/2
-        qp = s_diff * s_diff + sinB * sinC * (ch_half * ch_half)  # (1 + cos A)/2
-        if qm <= 0.0:
-            raise InfeasibleError("the two rays diverge before meeting for "
-                                  f"B = {B}, a = {a}, C = {C}")
-        A = 2.0 * math.atan2(math.sqrt(qm), math.sqrt(qp))
-        sh = math.sinh(a / k)
-        sides = []
-        for sN, cN, sF, cF in ((sinB, cosB, sinC, cosC), (sinC, cosC, sinB, cosB)):
-            y = sN * sh
-            x = cN * sF + sN * cF * math.cosh(a / k)
-            if y >= x:
-                raise InfeasibleError("a far angle reaches its parallelism bound; "
-                                      "the rays no longer meet")
-            if y < 0.9 * x:
-                sides.append(k * math.atanh(y / x))
-            else:
-                cosA = max(1.0 - 2.0 * qm, -1.0)
-                sides.append(k * math.acosh(
-                    _clamped_ge1((cN + cosA * cF) / (math.sin(A) * sF), "cosh of a side")))
-        b, c = sides
-        return TriangleData(a, b, c, A, B, C, geometry).validate()
-
-    s_half = math.sin(0.5 * a / k)
-    c_sum, s_sum = math.cos(0.5 * (B + C)), math.sin(0.5 * (B + C))
-    qm = c_sum * c_sum + sinB * sinC * (s_half * s_half)  # (1 - cos A)/2
-    qp = s_sum * s_sum - sinB * sinC * (s_half * s_half)  # (1 + cos A)/2
-    if qm <= 0.0 or qp <= 0.0:
-        raise InfeasibleError(f"no spherical triangle for B = {B}, a = {a}, C = {C}")
-    A = 2.0 * math.atan2(math.sqrt(qm), math.sqrt(qp))
-    sn, cn = math.sin(a / k), math.cos(a / k)
-    b = k * math.atan2(sinB * sn, cosB * sinC + sinB * cosC * cn)
-    c = k * math.atan2(sinC * sn, cosC * sinB + sinC * cosB * cn)
+    # the triangle is feasible; squares are products, as x ** 2 is C pow,
+    # which rounds once more.
+    sn, cs, eps = CURVED_TRIG[geometry.kind]
+    sn_half, cs_half = sn(0.5 * a / k), cs(0.5 * a / k)
+    c_sum, s_diff = math.cos(0.5 * (B + C)), math.sin(0.5 * (B - C))
+    qm = c_sum * c_sum + eps * sinB * sinC * (sn_half * sn_half)  # (1 - cos A)/2
+    qp = s_diff * s_diff + sinB * sinC * (cs_half * cs_half)  # (1 + cos A)/2
+    # qm > 0 says the two lines meet. On the hyperboloid they meet on the
+    # rays' side only if B + C < pi, as a triangle's angles sum below pi
+    if qm <= 0.0 or (eps < 0.0 and B + C >= math.pi):
+        raise InfeasibleError("the two rays diverge before meeting for "
+                              f"B = {B}, a = {a}, C = {C}")
+    rm, rp = math.sqrt(qm), math.sqrt(qp)
+    A = 2.0 * math.atan2(rm, rp)
+    # A rounds to pi, and sinA to 0, once both angles are below about 1e-162
+    _check_angle(A, "A")
+    sn_a = sn(a / k)
+    if eps > 0.0:
+        # the four-parts relation anchored to the given side
+        cosB, cosC, cs_a = math.cos(B), math.cos(C), cs(a / k)
+        b = k * math.atan2(sinB * sn_a, cosB * sinC + sinB * cosC * cs_a)
+        c = k * math.atan2(sinC * sn_a, cosC * sinB + sinC * cosB * cs_a)
+    else:
+        # the law of sines, whose sinh b asinh takes at any size; the
+        # four-parts form would need atanh, whose argument must stay below 1
+        sinA = 2.0 * rm * rp / (qm + qp)
+        b, c = k * math.asinh(sn_a * sinB / sinA), k * math.asinh(sn_a * sinC / sinA)
     return TriangleData(a, b, c, A, B, C, geometry).validate()
 
 

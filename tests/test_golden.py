@@ -140,15 +140,15 @@ DIGESTS = {
     "solve_sph_sas_json":
         "f92105b03d7d75009213301fdfa508148539eb187af071948429007552817b32",
     "solve_sph_asa_json":
-        "130f2af9a50747bee39653fa443ab56a73a4c1efeb0693537c1ee83078cefa48",
+        "6eef04bb1d477f4da641ab7dd6aefa3652c0d02b2314e78d847d1047c54f8a4b",
     "solve_sph_aaa_json":
         "626e9f37d3d6fafd7aaa5fa6ddbe194b1385513ff5c17b2e0f2fb12fd714058a",
     "solve_hyp_sas_json":
         "35634d4eba4a84a111b4394c7aca832ded79a59239a14a266fe6e18a93728836",
     "solve_hyp_asa_json":
-        "d8b0f5f43c56dd4e4088b02b61f7aea4bbf394dae4ab59a673ae418b7ec6bb79",
+        "09b8b58e27a99646b344b6c5c169da9b9dc3a3d62f239c0284e2da1cbc183a08",
     "solve_hyp_asa_long_json":
-        "d293befc5c6b37cc5ca1cc447cd648231447c7d4524e31a3b11ff6aba874a199",
+        "bf904ec3e9dd82ae85f91425b38de26996f3f060fa2970baec1dd1fbc0878868",
     "solve_hyp_aaa_json":
         "a50e250862c50c9a042c3ee26a5bbb2d6103de9aee109783952a0b5a85a288a8",
     "parallelism_k0.5":

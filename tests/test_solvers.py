@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from cctrig import (Curvature, DegenerateError, DomainError, InfeasibleError,
-                    SimilarityError, sample_triangle, solve_from_aaa,
-                    solve_from_asa, solve_from_sas, solve_from_sss)
+from cctrig import (Curvature, DegenerateError, DomainError, GeometryKind,
+                    InfeasibleError, SimilarityError, sample_triangle,
+                    solve_from_aaa, solve_from_asa, solve_from_sas, solve_from_sss)
 from cctrig.cli import main
-from cctrig.curvature import GeometryKind
 
 SPH = Curvature.spherical()
 HYP = Curvature.hyperbolic()
@@ -128,8 +127,10 @@ def test_aaa_excess_sign_is_enforced():
 
 
 def test_asa_rejects_flat_angles_that_leave_nothing():
-    with pytest.raises(InfeasibleError):
-        solve_from_asa(EUC, 1.6, 1.0, 1.6)
+    # on the hyperboloid the two lines still meet, behind the given side
+    for geometry in (EUC, HYP):
+        with pytest.raises(InfeasibleError):
+            solve_from_asa(geometry, 1.6, 0.01, 1.6)
 
 
 def test_bad_values_raise_domain_errors():
@@ -141,6 +142,8 @@ def test_bad_values_raise_domain_errors():
         solve_from_sas(HYP, 1.0, math.pi, 1.0)
     with pytest.raises(DomainError):
         solve_from_asa(HYP, 0.0, 1.0, 0.5)
+    with pytest.raises(DomainError):
+        solve_from_asa(HYP, 1e-170, 1.0, 1e-170)
 
 
 def test_near_degenerate_thin_triangle_still_solves():
@@ -159,11 +162,13 @@ def test_half_angle_squares_are_correctly_rounded_products():
     assert solve_from_sas(HYP, b, A, c).a == a
 
     B, a, C = 0.6953412425772116, 0.5146268513145105, 0.6772521776712273
-    s_half, c_sum, s_sum = math.sin(0.5 * a), math.cos(0.5 * (B + C)), math.sin(0.5 * (B + C))
-    assert (math.pow(s_half, 2), math.pow(c_sum, 2), math.pow(s_sum, 2)) != (
-        s_half * s_half, c_sum * c_sum, s_sum * s_sum)
+    s_half, c_half = math.sin(0.5 * a), math.cos(0.5 * a)
+    c_sum, s_diff = math.cos(0.5 * (B + C)), math.sin(0.5 * (B - C))
+    assert (math.pow(s_half, 2), math.pow(c_half, 2), math.pow(c_sum, 2),
+            math.pow(s_diff, 2)) != (s_half * s_half, c_half * c_half, c_sum * c_sum,
+                                     s_diff * s_diff)
     qm = c_sum * c_sum + math.sin(B) * math.sin(C) * (s_half * s_half)
-    qp = s_sum * s_sum - math.sin(B) * math.sin(C) * (s_half * s_half)
+    qp = s_diff * s_diff + math.sin(B) * math.sin(C) * (c_half * c_half)
     assert solve_from_asa(SPH, B, a, C).A == 2.0 * math.atan2(math.sqrt(qm), math.sqrt(qp))
 
 
