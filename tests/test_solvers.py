@@ -7,6 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cctrig import (Curvature, DegenerateError, DomainError, GeometryKind,
                     InfeasibleError, SimilarityError, sample_triangle,
@@ -27,11 +28,21 @@ GEOMETRIES = (SPH, EUC, HYP)
 SCALES = (0.5, 1.0, 4.0)
 #: allowed roundings against the mpmath reference, times (1 + condition)
 REFERENCE_ULPS = 64.0
+#: longest side, in units of k, that the SAS properties draw
+SAS_SIDE_CAPS = {GeometryKind.SPHERICAL: 3.0, GeometryKind.EUCLIDEAN: 6.0,
+                 GeometryKind.HYPERBOLIC: 6.0}
 
 
 def _assert_close(t, u, tol=1e-10):
     for x, y in zip(t.sides() + t.angles(), u.sides() + u.angles()):
         assert abs(x - y) < tol
+
+
+def _assert_round_trip(t, u, given):
+    """u, solved from t's `given` elements, returns them bit for bit and
+    the others within _assert_close's tolerance."""
+    _assert_close(t, u)
+    assert [getattr(u, name) for name in given] == [getattr(t, name) for name in given]
 
 
 def test_sss_hyperbolic_equilateral():
@@ -69,28 +80,28 @@ def test_aaa_hyperbolic_equilateral():
 def test_sss_round_trip_on_sampled_triangles(geometry):
     for i in range(150):
         t = sample_triangle(geometry, seed=11, index=i, max_side=5.0)
-        _assert_close(t, solve_from_sss(geometry, t.a, t.b, t.c))
+        _assert_round_trip(t, solve_from_sss(geometry, t.a, t.b, t.c), "abc")
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: g.kind.value)
 def test_sas_round_trip_on_sampled_triangles(geometry):
     for i in range(150):
         t = sample_triangle(geometry, seed=11, index=i, max_side=5.0)
-        _assert_close(t, solve_from_sas(geometry, t.b, t.A, t.c))
+        _assert_round_trip(t, solve_from_sas(geometry, t.b, t.A, t.c), "bAc")
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: g.kind.value)
 def test_asa_round_trip_on_sampled_triangles(geometry):
     for i in range(150):
         t = sample_triangle(geometry, seed=11, index=i, max_side=5.0)
-        _assert_close(t, solve_from_asa(geometry, t.B, t.a, t.C))
+        _assert_round_trip(t, solve_from_asa(geometry, t.B, t.a, t.C), "BaC")
 
 
 @pytest.mark.parametrize("geometry", (SPH, HYP), ids=lambda g: g.kind.value)
 def test_aaa_round_trip_on_sampled_triangles(geometry):
     for i in range(150):
         t = sample_triangle(geometry, seed=11, index=i, max_side=5.0)
-        _assert_close(t, solve_from_aaa(geometry, t.A, t.B, t.C))
+        _assert_round_trip(t, solve_from_aaa(geometry, t.A, t.B, t.C), "ABC")
 
 
 def test_curvature_scale_consistency():
@@ -183,8 +194,8 @@ def mpref():
     return module
 
 
-def _reference_misses(mpref, geometry, mode, values, solver, graded="abcABC"):
-    """The `graded` elements of `solver(geometry, *values)` that miss mpmath."""
+def _reference_misses(mpref, geometry, mode, values, solver):
+    """The elements of `solver(geometry, *values)` that miss mpmath."""
     kind, k = geometry.kind.value, geometry.k
     t = solver(geometry, *values)
     exact = mpref.solve(kind, k, mode, values)
@@ -192,7 +203,7 @@ def _reference_misses(mpref, geometry, mode, values, solver, graded="abcABC"):
     return [f"{mode} {kind} k={k} {values}: {name} = {got!r}, reference "
             f"{float(ref)!r} (kappa {kap:.3g})"
             for name, got, ref, kap in zip("abcABC", t.sides() + t.angles(), exact, kappa)
-            if name in graded and not mpref.agrees(got, ref, kap, REFERENCE_ULPS)]
+            if not mpref.agrees(got, ref, kap, REFERENCE_ULPS)]
 
 
 def _sliver(rng, kind, needle):
@@ -209,9 +220,12 @@ def _sliver(rng, kind, needle):
 
 
 @pytest.mark.parametrize("kind", list(GeometryKind), ids=lambda g: g.value)
-def test_asa_on_slivers_agrees_with_mpmath(mpref, kind):
-    # each sliver's mpmath angles, rounded, give three ASA inputs, one
-    # per side; every element of every solve is graded
+@pytest.mark.parametrize("mode", ("asa", "sas"))
+def test_sliver_solves_agree_with_mpmath(mpref, mode, kind):
+    # each sliver's sides and mpmath angles, rounded, give three inputs,
+    # one per side (ASA) or per vertex (SAS); every element of every
+    # solve is graded
+    solver = solve_from_asa if mode == "asa" else solve_from_sas
     rng = random.Random(1301)
     misses = []
     for k in SCALES:
@@ -220,17 +234,16 @@ def test_asa_on_slivers_agrees_with_mpmath(mpref, kind):
             sides = tuple(x * k for x in _sliver(rng, kind, needle=i % 2 == 0))
             A, B, C = (float(x) for x in mpref.solve(kind.value, k, "sss", sides)[3:])
             a, b, c = sides
-            for values in ((B, a, C), (C, b, A), (A, c, B)):
-                misses += _reference_misses(mpref, geometry, "asa", values, solve_from_asa)
+            inputs = {"asa": ((B, a, C), (C, b, A), (A, c, B)),
+                      "sas": ((b, A, c), (c, B, a), (a, C, b))}[mode]
+            for values in inputs:
+                misses += _reference_misses(mpref, geometry, mode, values, solver)
     assert misses == []
 
 
 def test_spherical_sas_near_pi_agrees_with_mpmath(mpref):
     # a = pi k - O(1e-6 .. 1e-2): the enclosed side's sine is near 0, so
-    # an arcsine of it loses most of its digits. Only the sides are
-    # graded: solve_from_sas takes its angles from solve_from_sss of the
-    # rounded sides, and on these near-flat triangles even exact angles of
-    # the rounded sides miss the reference by up to about 400 roundings
+    # an arcsine of it loses most of its digits
     rng = random.Random(1302)
     misses = []
     for k in SCALES:
@@ -239,8 +252,39 @@ def test_spherical_sas_near_pi_agrees_with_mpmath(mpref):
             c = math.pi - b - 10.0 ** rng.uniform(-6.0, -2.0)
             A = math.pi - 10.0 ** rng.uniform(-6.0, -2.0)
             misses += _reference_misses(mpref, Curvature.spherical(k), "sas",
-                                        (b * k, A, c * k), solve_from_sas, graded="abc")
+                                        (b * k, A, c * k), solve_from_sas)
     assert misses == []
+
+
+@st.composite
+def _sas_inputs(draw, scale):
+    """(geometry, (b, A, c)): k from `scale`, each side 10^U(-3, log10
+    cap) times k, and A at least 1e-3 away from 0 and pi."""
+    kind = draw(st.sampled_from(list(GeometryKind)))
+    k = draw(scale)
+    top = math.log10(SAS_SIDE_CAPS[kind])
+    b, c = (10.0 ** draw(st.floats(-3.0, top)) * k for _ in "bc")
+    return Curvature(kind, k), (b, draw(st.floats(1e-3, math.pi - 1e-3)), c)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_sas_inputs(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)))
+def test_sas_agrees_with_mpmath_across_scales(mpref, inputs):
+    geometry, values = inputs
+    assert _reference_misses(mpref, geometry, "sas", values, solve_from_sas) == []
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_sas_inputs(st.just(1.0)), st.integers(-60, 60))
+def test_sas_scales_exactly_with_k(inputs, e):
+    # multiplying by 2^e is exact, so the solve at k = 2^e must be the
+    # solve at k = 1 with its sides scaled
+    geometry, (b, A, c) = inputs
+    s = 2.0 ** e
+    t = solve_from_sas(geometry, b, A, c)
+    u = solve_from_sas(Curvature(geometry.kind, s), b * s, A, c * s)
+    assert u.sides() == tuple(x * s for x in t.sides())
+    assert u.angles() == t.angles()
 
 
 def test_asa_rays_that_diverge_are_infeasible(capsys):
