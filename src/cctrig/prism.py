@@ -36,10 +36,8 @@ from .horosphere import horosphere_triangle
 from .models import (Model, ModelPoint, Ray, asymptotic_ray, hyperboloid_to_half_space,
                      ideal_direction)
 from .parallelism import inverse_parallelism, parallelism_angle
-from .relations import RelationResidual, hyperbolic_residuals
+from .relations import RIGHT_ANGLE_TOL, RelationResidual, hyperbolic_residuals
 from .triangle import TriangleData
-
-RIGHT_ANGLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -85,15 +85,14 @@ def spherical_residuals(t: TriangleData, m=FLOATS) -> list[RelationResidual]:
     return [RelationResidual(rid, v) for rid, v in zip(SPHERICAL_RELATIONS, values)]
 
 
-def spherical_right_residuals(t: TriangleData, right_angle_tol: float = RIGHT_ANGLE_TOL,
-                              m=FLOATS) -> list[RelationResidual]:
+def spherical_right_residuals(t: TriangleData, m=FLOATS) -> list[RelationResidual]:
     """Residuals of the right-triangle specialization (right angle at C):
 
         sin a = sin A sin c,   cos B = cos b sin A,   cos c = cos a cos b.
     """
     _check_kind(t, GeometryKind.SPHERICAL, "spherical_right_residuals")
     t.validate(m)
-    bad = abs(t.C - math.pi / 2.0) > right_angle_tol
+    bad = abs(t.C - math.pi / 2.0) > RIGHT_ANGLE_TOL
     if bad is not False:
         m.refuse(bad, DomainError, "right angle at C required, got C = {}", t.C)
     k = t.geometry.k
