@@ -1,17 +1,17 @@
 """Triangle solvers (SSS, SAS, ASA, AAA) for the three geometries.
 
-Angle extraction goes through half-angle tangent forms, which keep full
-relative accuracy for sliver triangles and for sides far below the
-curvature scale; arccos of a law-of-cosines ratio would lose half the
-digits there. The ambiguous side-side-angle case is not offered.
-
-Every inverse function here is atan2 or asinh. Both take any finite
-argument, so rounding cannot push one out of its domain and nothing is
-clamped. Where an angle or a spherical side may come near pi, it is
-2 atan2 of the square roots of its two half-versines, (1 - cos)/2 and
-(1 + cos)/2, each formed from half-angle products; an arcsine of the
-half-angle sine would lose most of its digits there. A half-versine that
-is not positive means the requested triangle does not exist.
+Each solver returns its given elements as given and forms the others in
+one path. Every inverse is atan2 or asinh, which take any finite
+argument, so nothing is clamped. Angles from sides go through half-angle
+tangents and SAS angles through the four-parts relation with denominator
+sn(c - b) + 2 sn(b) cs(c) sin^2(A/2): neither cancels on slivers or on
+sides far below the curvature scale, where arccos of a law-of-cosines
+ratio loses half the digits. Where a cosine law gives an angle or a
+spherical side, it is 2 atan2 of the square roots of its half-versines
+(1 - cos)/2 and (1 + cos)/2, each formed from half-angle products, which
+keeps its digits near 0 and pi; a half-versine that is not positive means
+the requested triangle does not exist. The ambiguous side-side-angle case
+is not offered.
 """
 
 from __future__ import annotations
@@ -63,41 +63,40 @@ def solve_from_sss(geometry: Curvature, a: float, b: float, c: float) -> Triangl
 
 
 def solve_from_sas(geometry: Curvature, b: float, A: float, c: float) -> TriangleData:
-    """Solve from two sides and the angle between them.
+    """Solve from two sides and the angle between them; A is returned as given.
 
-    The enclosed side comes from the half-angle form of the law of
-    cosines (no cancellation when A is small and b is near c); the
-    angles are then delegated to solve_from_sss, so the returned angle
-    at the given vertex is the recomputed one and the SSS round trip is
-    consistent by construction.
+    a comes from the half-angle law of cosines. B is atan2(sin A sn(b),
+    sn(c - b) + 2 sn(b) cs(c) sin^2(A/2)), the four-parts relation with a
+    two-term denominator (sides in units of k), and C is the same with b
+    and c swapped.
     """
     _check_side(b, "b", geometry)
     _check_side(c, "c", geometry)
     _check_angle(A, "A")
-    k = geometry.k
-    half = math.sin(0.5 * A)
     if geometry.kind is GeometryKind.EUCLIDEAN:
+        # the flat member of the family: cs^2 + 0 sn^2 = 1
+        sn, cs, eps, k = (lambda x: x), (lambda x: 1.0), 0.0, 1.0
+    else:
+        (sn, cs, eps), k = CURVED_TRIG[geometry.kind], geometry.k
+    half, sinA = math.sin(0.5 * A), math.sin(A)
+    sn_b, sn_c, sn_cb = sn(b / k), sn(c / k), sn((c - b) / k)
+    if eps == 0.0:
         a = math.hypot(b - c, 2.0 * math.sqrt(b * c) * half)
     else:
-        sn, _, eps = CURVED_TRIG[geometry.kind]
-        # sn(a/2)^2 from the half-angle form of the law of cosines; the
-        # square is a product, as x ** 2 is C pow, which rounds once more
-        d = sn(0.5 * (b - c) / k)
-        sn_bc = sn(b / k) * sn(c / k)
+        # sn(a/2)^2 from the half-angle form of the law of cosines; squares
+        # are products, as x ** 2 is C pow, which rounds once more
+        d, sn_bc = sn(0.5 * (b - c) / k), sn_b * sn_c
         qm = d * d + sn_bc * half * half
         if eps < 0.0:
             a = 2.0 * k * math.asinh(math.sqrt(qm))
         else:
-            # cos(a/2)^2, the dual of solve_from_asa's (1 + cos A)/2
             s_sum, c_half = math.cos(0.5 * (b + c) / k), math.cos(0.5 * A)
-            qp = s_sum * s_sum + sn_bc * c_half * c_half
+            qp = s_sum * s_sum + sn_bc * c_half * c_half  # cos(a/2)^2
             a = 2.0 * k * math.atan2(math.sqrt(qm), math.sqrt(qp))
-    try:
-        return solve_from_sss(geometry, a, b, c)
-    except InfeasibleError as exc:
-        # the computed side always satisfies the flat/hyperbolic triangle
-        # inequality; only the spherical perimeter bound can trip here
-        raise DomainError(f"result side a = {a} puts the triangle out of range: {exc}") from exc
+    s2 = half * half
+    B = math.atan2(sinA * sn_b, sn_cb + 2.0 * sn_b * cs(c / k) * s2)
+    C = math.atan2(sinA * sn_c, -sn_cb + 2.0 * sn_c * cs(b / k) * s2)
+    return TriangleData(a, b, c, A, B, C, geometry).validate()
 
 
 def solve_from_asa(geometry: Curvature, B: float, a: float, C: float) -> TriangleData:

@@ -132,19 +132,19 @@ DIGESTS = {
     "solve_hyp_sss_human":
         "66c1ce50731eaa697030a650af2a600dbfce1abeba3481d1bc38edb27947c31e",
     "solve_euc_sas_json":
-        "ceff96e0fbe10e17b7a3af5636d3cc717c3a9a38e68405e081b12b307966fc3c",
+        "a03468709a7625648551e6595156ec3ec4a9d5da844d2f82495ba614abf396a2",
     "solve_euc_sas_csv":
-        "c16b2810d3da1d3319705562352095edd34ce01af00dce7876910a7bea11721a",
+        "a88a166be82f005aab3e17d6db658f4d365e3bacb25b9b10da936672fbda7f6e",
     "solve_euc_sas_human":
-        "4bed84796c49119fffba4a2739323cd4db30a87d7f582992137847a6a61baa00",
+        "5ffa657a0c5d23b9838a5935f18b2703c184e4cd2280866cea3d173fd203ff1b",
     "solve_sph_sas_json":
-        "f92105b03d7d75009213301fdfa508148539eb187af071948429007552817b32",
+        "06325230bfc4b74548c6ff7eec5f4fbe860cce73ebbc012bb3c23f8cd574e4d7",
     "solve_sph_asa_json":
         "6eef04bb1d477f4da641ab7dd6aefa3652c0d02b2314e78d847d1047c54f8a4b",
     "solve_sph_aaa_json":
         "626e9f37d3d6fafd7aaa5fa6ddbe194b1385513ff5c17b2e0f2fb12fd714058a",
     "solve_hyp_sas_json":
-        "35634d4eba4a84a111b4394c7aca832ded79a59239a14a266fe6e18a93728836",
+        "9f5bf4cb2a52bc48472bcb4a4bfd610ffc7cbbf0a6edde61c7b584ed1947c072",
     "solve_hyp_asa_json":
         "09b8b58e27a99646b344b6c5c169da9b9dc3a3d62f239c0284e2da1cbc183a08",
     "solve_hyp_asa_long_json":
