@@ -9,11 +9,14 @@ written once and takes its elementary functions from a namespace `m`:
   sample of a block.
 
 Column rule, which keeps every value bit for bit that of FLOATS: numpy
-does only + - * / and sqrt, which IEEE 754 rounds correctly, so they
-give the bits of the scalar operation. Every other function (sin, atan2,
-hypot, asinh, pow, ...) maps the `math` or `cmath` function over the
-column element by element; numpy's own versions differ from `math` in
-the last bit on a share of inputs. fsum of two or three terms is the
+does + - * / and sqrt, which IEEE 754 rounds correctly, so they give
+the bits of the scalar operation, and sin and cos, whose numpy versions
+give `math`'s bits (a premise tests/test_columns.py checks on a fixed
+spread of inputs; a column holding ±inf maps `math`, which raises
+there). Every other function (tan, atan2, hypot, asinh, pow, ...) maps
+the `math` or `cmath` function over the column element by element;
+numpy's own versions differ from `math` in the last bit on a share of
+inputs. fsum of two or three terms is the
 exception: Columns.fsum computes it exactly with + and -. Complex values
 stay Python `complex` in object columns: numpy's complex128 multiply
 and divide round differently from Python's. A float division by zero
@@ -219,8 +222,15 @@ class Columns:
                 raise first
             return np.array(values, dtype=dtype)
 
-    def sin(self, x): return self.map(math.sin, x)
-    def cos(self, x): return self.map(math.cos, x)
+    def _unless_inf(self, ufunc, fn, x):
+        # ufunc on a column without ±inf, where it gives fn's bits; fn
+        # mapped otherwise, since math raises at ±inf where numpy gives nan
+        if type(x) is np.ndarray and not np.isinf(x).any():
+            return ufunc(x)
+        return self.map(fn, x)
+
+    def sin(self, x): return self._unless_inf(np.sin, math.sin, x)
+    def cos(self, x): return self._unless_inf(np.cos, math.cos, x)
     def tan(self, x): return self.map(math.tan, x)
     def sinh(self, x): return self.map(math.sinh, x)
     def cosh(self, x): return self.map(math.cosh, x)

@@ -32,10 +32,11 @@ no Generator; an index whose attempt is rejected draws again in the
 next round of resolve_block, the one rejection loop of every block
 sampler. The attempt itself (synthesis, model measurements, rejection
 tests, validation) is one function, run on floats or on float64 columns
-(columns.py). On the columns numpy does only + - * / and sqrt, which
-IEEE 754 rounds correctly; every other function maps `math` over the
-column, since numpy's sin, atan2, asinh and the rest differ from `math`
-in the last bit on a share of inputs. Powers count as such a function:
+(columns.py). On the columns numpy does + - * / and sqrt, which IEEE
+754 rounds correctly, and sin and cos, which give `math`'s bits; every
+other function maps `math` over the column, since numpy's tan, atan2,
+asinh and the rest differ from `math` in the last bit on a share of
+inputs. Powers count as such a function:
 x ** 2 on a Python float is C pow, which differs from x * x (and from
 numpy's x ** 2, a square) on about 1 input in 1,200, so the half-angle
 square is m.pow.

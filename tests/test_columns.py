@@ -120,6 +120,48 @@ def test_mapped_functions_record_the_row_that_raises():
     assert m.dead.tolist() == [False, True, False]
 
 
+def _sin_cos_spread():
+    """Inputs on which a vectorized sin or cos most easily misses math's
+    bits: signed zeros, subnormals, |x| from 1e-300 to 1e300, and points
+    within a few ulps of multiples of pi/2, including the double nearest
+    a multiple of pi/2 (6381956970095103 * 2**797, Muller)."""
+    rng = np.random.default_rng(19)
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+    subnormals = rng.integers(1, 2 ** 52, 200) * 2.0 ** -1074
+    multiples = np.concatenate([np.arange(1.0, 2_001.0), 2.0 ** np.arange(11.0, 1000.0, 7.0)])
+    near = np.append(multiples * (math.pi / 2.0), 6381956970095103.0 * 2.0 ** 797)
+    steps = [near]
+    for _ in range(3):
+        steps = [np.nextafter(steps[0], -np.inf)] + steps + [np.nextafter(steps[-1], np.inf)]
+    spread = np.concatenate([[0.0, 5e-324, 2.0 ** -1022, 1e-300, 1.0, 1e300, 1.7976931348623157e308],
+                             magnitudes, subnormals, *steps])
+    return np.concatenate([spread, -spread])
+
+
+@pytest.mark.parametrize("ufunc, fn", ((np.sin, math.sin), (np.cos, math.cos)),
+                         ids=("sin", "cos"))
+def test_numpy_sin_and_cos_give_math_bits(ufunc, fn):
+    # the column rule takes sin and cos from numpy on this premise alone;
+    # a numpy build whose bits differ fails here, by name. Offsets and
+    # lengths move the inputs across the vector loops' lanes and tails
+    x = _sin_cos_spread()
+    expected = np.array([fn(v) for v in x.tolist()])
+    for start, stop in ((0, None), (1, None), (3, -5), (7, 16)):
+        got = ufunc(x[start:stop])
+        assert got.tobytes() == expected[start:stop].tobytes()
+
+
+def test_column_sin_and_cos_are_the_scalar_ones_on_nan_and_inf():
+    rows = [(v,) for v in (0.5, -0.0, math.nan, math.inf, 1e300, -math.inf, 2.0, -math.nan)]
+    for name in ("sin", "cos"):
+        m = _rowwise(lambda m, x: getattr(m, name)(x), rows)
+        assert sorted(m.errors) == [3, 5]
+    # a column without an infinity goes to numpy, which keeps nan rows
+    with Columns(np.arange(3)) as m:
+        out = m.sin(np.array([math.nan, 1.0, -0.0]))
+    assert not m.errors and math.isnan(out[0]) and _bits(out[2]) == _bits(-0.0)
+
+
 def test_max_and_min_keep_the_builtins_nan_rule():
     nan = math.nan
     for args in ((nan, 1.0, 2.0), (1.0, nan, 2.0), (2.0, 1.0, nan), (-0.0, 0.0, -0.0)):
