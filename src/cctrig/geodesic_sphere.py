@@ -145,12 +145,14 @@ def center_ray_triangles(sphere: GeodesicSphere, seed: int, start: int, stop: in
 def _arc_workspace(fine: int) -> np.ndarray:
     """This thread's buffers for an arc trace of fine + 1 points: nine
     rows, the angle ramp 0, 1, ..., fine first. Each thread keeps one
-    trace size; a call at another size replaces it."""
+    buffer, grown to the largest trace it has made and never shrunk; a
+    call gets views of its first fine + 1 columns, whose ramp is the
+    same prefix at every size."""
     ws = getattr(_workspace, "arc", None)
-    if ws is None or ws.shape[1] != fine + 1:
+    if ws is None or ws.shape[1] < fine + 1:
         ws = _workspace.arc = np.empty((9, fine + 1))
         ws[0] = np.arange(fine + 1)
-    return ws
+    return ws[:, :fine + 1]
 
 
 def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *,
@@ -176,10 +178,11 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *
     the time axis nothing is subtracted: the sum of squares is +0 or
     more, or nan, and the clamp at 0 would return it unchanged.
 
-    The trace's buffers persist per thread (_arc_workspace). At the
-    default 4096 segments a trace array is 131,080 bytes, just over
-    glibc's 128 KiB mmap threshold, so fresh arrays cost an mmap each,
-    faulted in page by page: 224 minor faults per call. They are per
+    The trace's buffers persist per thread (_arc_workspace), and calls
+    at several segment counts share them. At the default 4096 segments
+    a trace array is 131,080 bytes, just over glibc's 128 KiB mmap
+    threshold, so fresh arrays cost an mmap each, faulted in page by
+    page: 224 minor faults per call. They are per
     thread because numpy releases the GIL inside its loops, so threads
     tracing into one shared set would overwrite each other's traces.
     A base_segments that is not an integer of at least 1 raises

@@ -56,7 +56,18 @@ _BASE_TOLERANCE = 1e-9
 #: Sub-stream stride inside one suite.
 _SUB = 1 << 28
 
-_GEODESIC_SPHERE_RADII = ((0.1, "0.1"), (1.0, "1"), (5.0, "5"))
+#: each geodesic sphere's radius in units of k, its row label and the
+#: base_segments of its arc checks. The radii are fixed multiples of k,
+#: so the trace error does not depend on k. Worst relative error of the
+#: suite's arcs (k in {0.1, 1, 100}, seeds 1 and 2, 96 arcs per radius)
+#: against mpmath's k sinh(rho/k) times the 50-digit angle at the center:
+#:   rho = 0.1k: 4.2e-16 at 4096, 6.6e-16 at 128, 8.1e-16 at 64, 2.8e-14 at 32
+#:   rho = 1k:   6.0e-16 at 4096, 5.7e-16 at 512, 7.3e-16 at 256, 5.2e-15 at 128
+#:   rho = 5k:   3.1e-13 at 4096, 2.0e-11 at 2048, 1.2e-9 at 1024
+#: Each count is one doubling past the coarsest at the rounding floor, a
+#: 64-fold margin on the O(h^6) truncation term. At 5k, sinh(5) ~ 74
+#: stretches the step, truncation still dominates, and 4096 stays.
+_GEODESIC_SPHERE_RADII = ((0.1, "0.1", 128), (1.0, "1", 512), (5.0, "5", 4096))
 _ARC_CHECK_PAIRS = 16
 _AMBIENT_CHECK_PAIRS = 8
 _LIMIT_SHAPES = 10
@@ -159,7 +170,7 @@ def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
     center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
     residuals = _residuals(spherical_residuals, lambda rid: rid.removeprefix("sph_"))
     rows: list[CheckRow] = []
-    for level, (rho, label) in enumerate(_GEODESIC_SPHERE_RADII):
+    for level, (rho, label, segments) in enumerate(_GEODESIC_SPHERE_RADII):
         sphere = GeodesicSphere(center, rho * k)
         arcs: list[float] = []
 
@@ -170,7 +181,7 @@ def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
             for row in used[:_ARC_CHECK_PAIRS - len(arcs)].tolist():
                 d0, d1 = (tuple(figure[1][r, :, row].tolist()) for r in (0, 1))
                 arc = intrinsic_arc_length(sphere, sphere.point_toward(d0),
-                                           sphere.point_toward(d1))
+                                           sphere.point_toward(d1), base_segments=segments)
                 angle = tangent_angle(center, d0, d1)
                 arcs.append((arc - sphere.effective_radius * angle) / k)
 

@@ -7,10 +7,12 @@ import threading
 import numpy as np
 import pytest
 
-from cctrig import (DegenerateError, DomainError, GeodesicSphere, Model,
-                    ModelPoint, Ray, geodesic_sphere_triangle,
-                    intrinsic_arc_length, model_distance, sample_stream,
+from cctrig import (Curvature, DegenerateError, DomainError, GeodesicSphere,
+                    Model, ModelPoint, Ray, SuiteConfig,
+                    geodesic_sphere_triangle, intrinsic_arc_length,
+                    model_distance, run_suite, sample_stream,
                     spherical_residuals, tangent_angle)
+from cctrig import suites
 from cctrig.geodesic_sphere import _tangent_part
 from cctrig.models import _spacelike_norm, richardson_length, tangent_toward
 
@@ -81,6 +83,58 @@ def test_intrinsic_arc_length_matches_effective_radius():
         angle = tangent_angle(ORIGIN, rays[0].direction, rays[1].direction)
         arc = intrinsic_arc_length(sphere, p, q)
         assert abs(arc - sphere.effective_radius * angle) < 1e-7
+
+
+def _suite_arcs(monkeypatch, k, seed):
+    """The arcs sphere-model measures at k: (sphere, p, q, base_segments)
+    of each intrinsic_arc_length call, 16 per sphere."""
+    arcs = []
+
+    def record(sphere, p, q, *, base_segments=4096):
+        arcs.append((sphere, p, q, base_segments))
+        return intrinsic_arc_length(sphere, p, q, base_segments=base_segments)
+
+    monkeypatch.setattr(suites, "intrinsic_arc_length", record)
+    run_suite("sphere-model", SuiteConfig(seed=seed, samples=16,
+                                          curvature=Curvature.hyperbolic(k)))
+    return arcs
+
+
+def _mpmath_arc(sphere, p, q):
+    """k sinh(rho/k) times the angle at the center between the spatial
+    parts of p and q, to 50 digits, for a center at the origin."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        k = mpmath.mpf(sphere.center.k)
+        u, v = ([mpmath.mpf(x) for x in point.coords[1:]] for point in (p, q))
+        cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                 u[0] * v[1] - u[1] * v[0])
+        angle = mpmath.atan2(mpmath.sqrt(sum(c * c for c in cross)),
+                             sum(a * b for a, b in zip(u, v)))
+        return k * mpmath.sinh(mpmath.mpf(sphere.radius) / k) * angle
+
+
+@pytest.mark.parametrize("k", (1e-3, 0.1, 1.0, 10.0, 1e5), ids=repr)
+def test_suite_arcs_agree_with_mpmath_at_each_spheres_count(monkeypatch, k):
+    # the counts of suites._GEODESIC_SPHERE_RADII: 128 segments at
+    # rho = 0.1k and 512 at 1k reach the rounding floor; 5k keeps the
+    # default 4096, whose bits the suite's arcs keep
+    counts = {rho: n for rho, _, n in suites._GEODESIC_SPHERE_RADII}
+    assert counts == {0.1: 128, 1.0: 512, 5.0: 4096}
+    worst = {rho: 0.0 for rho in counts}
+    for seed in (7, 42):
+        arcs = _suite_arcs(monkeypatch, k, seed)
+        assert len(arcs) == 3 * 16
+        for sphere, p, q, n in arcs:
+            rho, = (r for r in counts if sphere.radius == r * k)
+            assert n == counts[rho]
+            arc = intrinsic_arc_length(sphere, p, q, base_segments=n)
+            reference = _mpmath_arc(sphere, p, q)
+            worst[rho] = max(worst[rho], float(abs(arc - reference) / reference))
+            if rho == 5.0:
+                assert arc.hex() == intrinsic_arc_length(sphere, p, q).hex()
+    assert worst[0.1] < 2e-15 and worst[1.0] < 2e-15
+    assert worst[5.0] < 1e-12
 
 
 # float.hex of intrinsic_arc_length(GeodesicSphere(center, rho * k), p, q)
@@ -249,14 +303,20 @@ def test_arc_length_takes_numpy_integer_segment_counts():
 @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's mmap page faults")
 def test_arc_traces_fault_no_pages_after_warm_up():
     # fresh trace arrays of 131,080 bytes are each an mmap, faulted in
-    # page by page: about 224 faults per call without the kept buffers
+    # page by page: about 224 faults per call without the kept buffers.
+    # sphere-model alternates 128, 512 and 4096 segments; a buffer
+    # replaced at each change of size faulted about 290 pages over the
+    # 48 calls below
     resource = pytest.importorskip("resource")
     sphere = GeodesicSphere(ModelPoint.hyperboloid(_OFF_ORIGIN, 1.0), 1.0)
     p, q = (sphere.point_toward(d) for d in _ARC_DIRECTIONS)
-    intrinsic_arc_length(sphere, p, q)
+    counts = (128, 512, 4096)
+    for n in counts:
+        intrinsic_arc_length(sphere, p, q, base_segments=n)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(16):
-        intrinsic_arc_length(sphere, p, q)
+        for n in counts:
+            intrinsic_arc_length(sphere, p, q, base_segments=n)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 32
 
 

@@ -72,7 +72,7 @@ CASES = _cases()
 
 DIGESTS = {
     "verify_all_1000_json":
-        "58db024de4f10ec0ae69bcec9a47679dfa8b40efdeed3d2c8a1aef125ad0b06c",
+        "11de18f4dc3af6b11916a22abe6a4773d34d9086ae08f0e4e380627655261328",
     "verify_spherical_k0.5_csv":
         "ba70a767676f9da44b696cc6a03a8b0299468967d5f1b46a773bb14368863371",
     "verify_spherical_k10_csv":
@@ -86,9 +86,9 @@ DIGESTS = {
     "verify_euclidean_k10_csv":
         "5aceeff9f736373ec2c9688d617b701ff128104633b8e320c13e738fd64e5140",
     "verify_sphere-model_k0.5_csv":
-        "8419d498860be58173dd8740b2f1500c24ffcda67853763a39998ea905650e26",
+        "cff83af7765fe67ba2b6e276cc094a9a2ca6b983f1a611f84a036d242f98d1d8",
     "verify_sphere-model_k10_csv":
-        "542cdb86934edd81b40da41aabf996c5495b87fa41b8e92a1e20d6a64dd3f9b6",
+        "0f2fb0b142215067ece85b0024eb3fc4ea4cbbb2e4fe5f66cfe25520c4d7ca67",
     "verify_horosphere_k0.5_csv":
         "26d43007a6d681d3e191bccadad87c836f0730d498816324c9daec0bc1e9e757",
     "verify_horosphere_k10_csv":
@@ -118,7 +118,7 @@ DIGESTS = {
     "verify_substitution_3000_csv":
         "0953c6e2e13ee26cc145029918a119cdeee7de6b793f0f8eb8d8f6838ece5fc2",
     "verify_sphere-model_3000_csv":
-        "d13397cb9e1b5f44f44580a379f0f15eefbd95ab31d7299a5cc1266bad3e0cf3",
+        "56870f7ae1885c0321daa5347e9869e05edb7cd4869006c4edb1b1fdae671246",
     "verify_cevians_3000_csv":
         "88bdaeaba8b3c846960c3ec183798fd1dcb0f701d0a5332dddf2e82a2a2923b7",
     "verify_prism_3000_csv":
