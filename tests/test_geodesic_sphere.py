@@ -347,7 +347,8 @@ def test_reused_trace_buffers_change_no_bit():
 
 def test_threads_keep_their_own_trace_buffers():
     # numpy releases the GIL inside its loops, so two threads sharing
-    # one set of buffers would overwrite each other's traces
+    # one set of buffers would overwrite each other's traces; the counts
+    # mix, as in sphere-model, so buffers grow while the other thread traces
     arcs = []
     for i in range(48):
         g = sample_stream(18, i)
@@ -357,13 +358,18 @@ def test_threads_keep_their_own_trace_buffers():
                                 float(g.choice((0.1, 1.0, 5.0))) * k)
         directions = g.normal(size=(2, 4))
         arcs.append((sphere, *(sphere.point_toward(tuple(d.tolist())) for d in directions)))
-    serial = [intrinsic_arc_length(*arc).hex() for arc in arcs]
+    counts = (128, 512, 4096)
+
+    def length(i):
+        return intrinsic_arc_length(*arcs[i], base_segments=counts[i % 3]).hex()
+
+    serial = [length(i) for i in range(len(arcs))]
     barrier = threading.Barrier(2)
     traced = [None, None]
 
     def trace(t):
         barrier.wait()
-        traced[t] = [intrinsic_arc_length(*arc).hex() for arc in arcs[t::2]]
+        traced[t] = [length(i) for i in range(t, len(arcs), 2)]
 
     threads = [threading.Thread(target=trace, args=(t,)) for t in range(2)]
     interval = sys.getswitchinterval()
