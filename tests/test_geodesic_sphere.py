@@ -86,13 +86,14 @@ def test_intrinsic_arc_length_matches_effective_radius():
 
 
 def _suite_arcs(monkeypatch, k, seed):
-    """The arcs sphere-model measures at k: (sphere, p, q, base_segments)
-    of each intrinsic_arc_length call, 16 per sphere."""
+    """The arcs sphere-model measures at k: (sphere, p, q, base_segments,
+    length) of each intrinsic_arc_length call, 16 per sphere."""
     arcs = []
 
     def record(sphere, p, q, *, base_segments=4096):
-        arcs.append((sphere, p, q, base_segments))
-        return intrinsic_arc_length(sphere, p, q, base_segments=base_segments)
+        arc = intrinsic_arc_length(sphere, p, q, base_segments=base_segments)
+        arcs.append((sphere, p, q, base_segments, arc))
+        return arc
 
     monkeypatch.setattr(suites, "intrinsic_arc_length", record)
     run_suite("sphere-model", SuiteConfig(seed=seed, samples=16,
@@ -125,10 +126,9 @@ def test_suite_arcs_agree_with_mpmath_at_each_spheres_count(monkeypatch, k):
     for seed in (7, 42):
         arcs = _suite_arcs(monkeypatch, k, seed)
         assert len(arcs) == 3 * 16
-        for sphere, p, q, n in arcs:
+        for sphere, p, q, n, arc in arcs:
             rho, = (r for r in counts if sphere.radius == r * k)
             assert n == counts[rho]
-            arc = intrinsic_arc_length(sphere, p, q, base_segments=n)
             reference = _mpmath_arc(sphere, p, q)
             worst[rho] = max(worst[rho], float(abs(arc - reference) / reference))
             if rho == 5.0:
