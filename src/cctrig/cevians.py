@@ -16,6 +16,9 @@ Feet are constructed, not tested: given O, each foot is the closed-form
 intersection of the vertex-through-O geodesic with the opposite side
 (line intersection on the plane, cross products of great-circle normals
 on the sphere, and the signature-adjusted analogue on the hyperboloid).
+Both curved feet are oriented by one rule, the sign of their model
+product with the sum of the side's endpoints: it keeps the foot on the
+side's arc on the sphere and on the upper sheet of the hyperboloid.
 
 The construction, the sampler attempt and the residuals take their
 elementary functions from `m` (columns.py): FLOATS for one
@@ -33,7 +36,7 @@ from .columns import FLOATS
 from .curvature import Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError
 from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint,
-                     _cross3, geodesic_point, model_distance, tangent_toward)
+                     _add, _cross3, geodesic_point, model_distance, tangent_toward)
 from .sampling import (DEFAULT_ATTEMPTS, Block, _uniforms, resolve_block,
                        sample_stream)
 
@@ -124,43 +127,44 @@ def _plane_foot(vertex, through, seg_start, seg_end, m=FLOATS) -> tuple[float, f
 
 def _curved_foot(geometry: Curvature, vertex, through, seg_start, seg_end,
                  m=FLOATS) -> ModelPoint:
-    """Intersection of two geodesic planes through the model center.
+    """Intersection of the geodesic vertex->through with the side
+    seg_start->seg_end, on the sphere or the hyperboloid.
 
-    Both the sphere and the hyperboloid realize geodesics as central
-    plane sections; with signature (+,-,-) the hyperboloid plane of p, q
-    has Minkowski normal J(p x q), and lowering indices turns every side
-    and intersection test into the same Euclidean cross/triple products
-    used on the sphere. The direction common to both planes is the
-    double cross product below; sheet (or hemisphere-arc) selection
-    happens in the caller.
+    Both models realize geodesics as central plane sections; with
+    signature (+,-,-) the hyperboloid plane of p, q has Minkowski normal
+    J(p x q), and lowering indices turns every side and intersection
+    test into the same Euclidean cross products used on the sphere. The
+    direction u common to both planes is the double cross product
+    below, scaled to length k by the model's own product <u, u>. One
+    rule orients it: u is flipped where <u, seg_start + seg_end> < 0.
+    On the sphere that keeps the intersection on the side's arc, which
+    is at most pi k long, rather than its antipode; on the hyperboloid
+    it keeps the upper sheet, as a timelike u has the sign of u_0
+    against the timelike seg_start + seg_end.
     """
-    n1 = _cross3(vertex, through)
-    n2 = _cross3(seg_start, seg_end)
-    u = _cross3(n1, n2)
+    model = MODEL_FOR_KIND[geometry.kind]
+    dot = CURVED_METRIC[model][0]
+    u = _cross3(_cross3(vertex, through), _cross3(seg_start, seg_end))
     k = geometry.k
-    if geometry.kind is GeometryKind.SPHERICAL:
-        norm = m.sqrt(m.fsum([c * c for c in u]))
+    q = dot(u, u, m)
+    norm = m.sqrt(m.max(q, 0.0))
+    if model is Model.SPHERE:
         bad = norm <= DEGENERACY_TOL * k * k * k
-        if bad is not False:
-            m.refuse(bad, InfeasibleError, "cevian geodesic coincides with the opposite side")
-        return ModelPoint(Model.SPHERE, tuple([c * (k / norm) for c in u]), k)
-    q = u[0] * u[0] - u[1] * u[1] - u[2] * u[2]
-    bad = q <= 0.0
+        failure = "cevian geodesic coincides with the opposite side"
+    else:
+        bad = q <= 0.0
+        failure = "cevian and opposite side meet outside the hyperbolic plane"
     if bad is not False:
-        m.refuse(bad, InfeasibleError,
-                 "cevian and opposite side meet outside the hyperbolic plane")
-    r = k / m.sqrt(m.max(q, 0.0))  # the rows with q <= 0 are refused
-    r = m.where(u[0] < 0.0, -r, r)
-    return ModelPoint(Model.HYPERBOLOID, tuple([c * r for c in u]), k)
+        m.refuse(bad, InfeasibleError, failure)
+    r = k / norm  # the rows with norm 0 are refused
+    r = m.where(dot(u, _add(seg_start, seg_end), m) < 0.0, -r, r)
+    return ModelPoint(model, tuple([c * r for c in u]), k)
 
 
 def _betweenness(geometry: Curvature, foot: ModelPoint, start: ModelPoint,
-                 end: ModelPoint, side_len: float, m=FLOATS, arms=None) -> None:
-    """Refuse a foot off its side: `arms` are its distances from start
-    and to end, where the caller has them."""
-    if arms is None:
-        arms = (model_distance(start, foot, m), model_distance(foot, end, m))
-    gap = (arms[0] + arms[1]) - side_len
+                 end: ModelPoint, side_len: float, m=FLOATS) -> None:
+    """Refuse a foot off its side."""
+    gap = (model_distance(start, foot, m) + model_distance(foot, end, m)) - side_len
     bad = abs(gap) > BETWEENNESS_TOL * (side_len + geometry.k)
     if bad is not False:
         m.refuse(bad, InfeasibleError, "cevian foot falls outside the opposite side")
@@ -206,25 +210,13 @@ def cevian_feet(geometry: Curvature, A: ModelPoint, B: ModelPoint,
 
     feet = []
     for vertex, start, end in ((A, B, C), (B, C, A), (C, A, B)):
-        arms = None
         if geometry.kind is GeometryKind.EUCLIDEAN:
             foot = ModelPoint.plane(
                 *_plane_foot(vertex.coords, O.coords, start.coords, end.coords, m))
         else:
             foot = _curved_foot(geometry, vertex.coords, O.coords,
                                 start.coords, end.coords, m)
-            if geometry.kind is GeometryKind.SPHERICAL:
-                # of the two antipodal intersections, keep the one on the arc
-                flipped = ModelPoint(Model.SPHERE, tuple([-c for c in foot.coords]), k)
-                arms = (model_distance(start, foot, m), model_distance(foot, end, m))
-                flipped_arms = (model_distance(start, flipped, m),
-                                model_distance(flipped, end, m))
-                flip = arms[0] + arms[1] > flipped_arms[0] + flipped_arms[1]
-                foot = ModelPoint(Model.SPHERE, tuple([
-                    m.where(flip, f, c) for f, c in zip(flipped.coords, foot.coords)]), k)
-                arms = tuple([m.where(flip, f, a) for f, a in zip(flipped_arms, arms)])
-        side_len = model_distance(start, end, m)
-        _betweenness(geometry, foot, start, end, side_len, m, arms)
+        _betweenness(geometry, foot, start, end, model_distance(start, end, m), m)
         feet.append(foot)
 
     ratios = []

@@ -143,6 +143,21 @@ def test_feet_lie_between_the_side_endpoints():
             assert abs(gap) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ("spherical", "hyperbolic"))
+@pytest.mark.parametrize("k", (0.5, 1.0, 1e3), ids=repr)
+def test_curved_feet_do_not_depend_on_the_vertex_order(kind, k):
+    # the sampler draws counter-clockwise triangles only; read clockwise,
+    # every cross product in the construction changes sign and the
+    # orientation rule must turn each foot back onto its side
+    geometry = getattr(Curvature, kind)(k)
+    for index in range(8):
+        cfg = sample_cevian_config(geometry, 5, index)
+        back = cevian_feet(geometry, cfg.A, cfg.C, cfg.B, cfg.O)
+        assert (back.foot_a, back.foot_b, back.foot_c) == (cfg.foot_a, cfg.foot_c,
+                                                           cfg.foot_b)
+        assert back.ratios() == (cfg.ratio_a, cfg.ratio_c, cfg.ratio_b)
+
+
 def test_interior_point_is_required():
     a = ModelPoint.plane(0.2, 3.1)
     b = ModelPoint.plane(4.0, -0.5)

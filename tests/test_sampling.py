@@ -355,11 +355,12 @@ def _cevian_block_outcomes(block):
 _CEVIAN_SCALES = (1e-3, 0.1, 0.5, 1.0, 10.0, 1e5)
 
 
-def _assert_cevian_block_is_the_loop(geometry, seed, start, n, attempts):
-    expected = [_cevian_outcome(geometry, seed, start + i, attempts=attempts)
+def _assert_cevian_block_is_the_loop(geometry, seed, start, n, attempts, **kwargs):
+    expected = [_cevian_outcome(geometry, seed, start + i, attempts=attempts, **kwargs)
                 for i in range(n)]
     failing = [i for i, e in enumerate(expected) if type(e[0]) is type]
-    block = sample_cevian_configs(geometry, seed, start, start + n, attempts=attempts)
+    block = sample_cevian_configs(geometry, seed, start, start + n, attempts=attempts,
+                                  **kwargs)
     got = _cevian_block_outcomes(block)
     # every position up to the first failure is there, and what is there
     # is what the loop gives
@@ -367,6 +368,7 @@ def _assert_cevian_block_is_the_loop(geometry, seed, start, n, attempts):
     assert set(range(stop)) <= set(got)
     assert all(got[pos] == expected[pos] for pos in got)
     assert min(block.errors, default=None) == (failing[0] if failing else None)
+    return failing
 
 
 @pytest.mark.parametrize("kind", ("euclidean", "spherical", "hyperbolic"))
@@ -379,12 +381,15 @@ def test_block_cevian_sampler_is_the_per_index_sampler(kind, k, attempts):
                                      attempts)
 
 
-@pytest.mark.parametrize("geometry, attempts", (
-    (Curvature.spherical(0.5), 12), (Curvature.hyperbolic(0.5), 16),
-    (Curvature.hyperbolic(1e-3), 128), (SPH, 1)), ids=repr)
-def test_cevian_block_until_error_stops_where_the_loop_stops(geometry, attempts):
-    # failures part way into the block, after some indices were accepted
-    _assert_cevian_block_is_the_loop(geometry, 4, 3 << 28, 60, attempts)
+@pytest.mark.parametrize("geometry, attempts, max_side", (
+    (Curvature.spherical(0.5), 12, 2.0), (Curvature.hyperbolic(0.5), 16, 2.0),
+    (Curvature.hyperbolic(1e-3), 128, 2.0), (SPH, 2, 8.0)), ids=repr)
+def test_cevian_block_until_error_stops_where_the_loop_stops(geometry, attempts, max_side):
+    # the loop fails in every case: at index 0 for hyperbolic k = 1e-3, part
+    # way into the block, after some indices were accepted, for the others
+    failing = _assert_cevian_block_is_the_loop(geometry, 4, 3 << 28, 60, attempts,
+                                               max_side=max_side)
+    assert failing
 
 
 def test_a_sampler_that_rejects_everything_fails_in_two_rounds(monkeypatch):
