@@ -10,6 +10,8 @@ plane. Conventions:
     satisfy <v, v> = -1 and <v, point> = 0.
   * Sphere points are 3-vectors with |x| = k.
   * Half-space points are (x, y, z) with z > 0 and metric (k/z) |dx|.
+    The chart offers distances and the maps to and from the hyperboloid;
+    tangents (so model angles), rays and geodesic flow are not offered.
   * Plane points are (x, y).
 
 Distances use chord-based forms (asinh/atan2 of a difference vector)
@@ -217,7 +219,8 @@ def _unit_tangent(p: ModelPoint, v, failure: str, m=FLOATS) -> tuple[float, ...]
 
 
 def tangent_toward(p: ModelPoint, q: ModelPoint, m=FLOATS) -> tuple[float, ...]:
-    """Unit initial tangent at p of the geodesic running to q."""
+    """Unit initial tangent at p of the geodesic running to q. Not
+    offered for the half-space chart, nor is model_angle."""
     _same_chart(p, q, "tangent_toward")
     if p.model is Model.PLANE:
         w = _sub(q.coords, p.coords)
@@ -229,30 +232,7 @@ def tangent_toward(p: ModelPoint, q: ModelPoint, m=FLOATS) -> tuple[float, ...]:
     if p.model in CURVED_METRIC:
         return _unit_tangent(p, q.coords,
                              "tangent_toward is undefined for equal or antipodal points", m)
-    return _half_space_tangent(p, q)
-
-
-def _half_space_tangent(p: ModelPoint, q: ModelPoint) -> tuple[float, float, float]:
-    # geodesics are vertical lines or circles centered on the boundary;
-    # reduce to the vertical plane through both points
-    px, py, pz = p.coords
-    qx, qy, qz = q.coords
-    hx, hy = qx - px, qy - py
-    h = math.hypot(hx, hy)
-    if h == 0.0:
-        if qz == pz:
-            raise DomainError("tangent_toward needs distinct points")
-        s = 1.0 if qz > pz else -1.0
-        return (0.0, 0.0, s * pz / p.k)
-    ux, uy = hx / h, hy / h
-    uc = 0.5 * (h * h + qz * qz - pz * pz) / h  # circle center along the u-axis
-    tu, tz = pz, uc  # perpendicular to the radius (-uc, pz)
-    if tu * h + tz * (qz - pz) < 0.0:
-        tu, tz = -tu, -tz
-    n = math.hypot(tu, tz)
-    # hyperbolic-unit tangent has Euclidean length z/k in this chart
-    s = pz / (p.k * n)
-    return (tu * s * ux, tu * s * uy, tz * s)
+    raise DomainError("tangents are not offered in the half-space chart")
 
 
 def tangent_angle(p: ModelPoint, u, v, m=FLOATS) -> float:
@@ -302,8 +282,8 @@ class Ray:
     @staticmethod
     def at(base: ModelPoint, direction, m=FLOATS) -> Ray:
         """Build a ray, projecting the direction into the tangent space at
-        the base and normalizing it."""
-        k = base.k
+        the base and normalizing it. Not offered for the half-space
+        chart."""
         if base.model is Model.PLANE:
             n = _enorm(direction)
             if n == 0.0:
@@ -312,10 +292,7 @@ class Ray:
         if base.model in CURVED_METRIC:
             return Ray(base, _unit_tangent(base, direction,
                                            "ray direction has no tangent component", m))
-        n = _enorm(direction)
-        if n == 0.0:
-            raise DomainError("ray direction must be nonzero")
-        return Ray(base, _scale(tuple(direction), base.coords[2] / (k * n)))
+        raise DomainError("rays are not offered in the half-space chart")
 
     def point_at(self, t: float) -> ModelPoint:
         return geodesic_point(self.base, self.direction, t)

@@ -202,6 +202,22 @@ def test_mixed_charts_are_rejected():
                        ModelPoint.sphere((2.0, 0.0, 0.0), 2.0))
 
 
+def test_the_half_space_chart_offers_no_tangents_angles_or_rays():
+    # distances and the isometry are its only measurements; geodesic_point
+    # already refuses it
+    p = ModelPoint.half_space(0.0, 0.0, 1.0)
+    q = ModelPoint.half_space(1.0, 0.0, 2.0)
+    r = ModelPoint.half_space(0.0, 1.0, 0.5)
+    with pytest.raises(DomainError, match="half-space chart"):
+        tangent_toward(p, q)
+    with pytest.raises(DomainError, match="half-space chart"):
+        model_angle(p, q, r)
+    with pytest.raises(DomainError, match="half-space chart"):
+        Ray.at(p, (1.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="half-space chart"):
+        geodesic_point(p, (0.0, 0.0, 1.0), 1.0)
+
+
 def test_ideal_direction_needs_the_hyperboloid():
     ray = Ray.at(ModelPoint.plane(0.0, 0.0), (1.0, 0.0))
     with pytest.raises(DomainError):
