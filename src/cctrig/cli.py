@@ -138,11 +138,10 @@ def _cmd_parallelism(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = SuiteConfig(seed=args.seed, samples=args.samples, tolerance=args.tol,
-                      curvature=Curvature.hyperbolic(args.curvature_scale),
-                      output_format=args.output_format)
+                      curvature=Curvature.hyperbolic(args.curvature_scale))
     report = run_suite(args.suite, cfg)
-    _emit(render(report, cfg.output_format), args.out)
-    if cfg.output_format != "human":
+    _emit(render(report, args.output_format), args.out)
+    if args.output_format != "human":
         print(f"# suite {report.suite}: {report.elapsed_seconds:.3f} s elapsed",
               file=sys.stderr)
     return 0 if report.passed else 1

@@ -45,7 +45,6 @@ class SuiteConfig:
     samples: int = 10000
     tolerance: float = 1e-9
     curvature: Curvature = field(default_factory=Curvature.hyperbolic)
-    output_format: str = "json"
 
     def __post_init__(self) -> None:
         if not (isinstance(self.samples, int) and self.samples >= 1):
@@ -54,8 +53,6 @@ class SuiteConfig:
             raise DomainError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if self.output_format not in ("json", "csv", "human"):
-            raise DomainError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,6 @@ def test_suite_config_validation():
     cfg = SuiteConfig()
     assert (cfg.seed, cfg.samples, cfg.tolerance) == (42, 10000, 1e-9)
     assert cfg.curvature.kind.value == "hyperbolic"
-    assert cfg.output_format == "json"
     with pytest.raises(DomainError):
         SuiteConfig(samples=0)
     with pytest.raises(DomainError):
@@ -78,8 +77,6 @@ def test_suite_config_validation():
         SuiteConfig(tolerance=0.0)
     with pytest.raises(DomainError):
         SuiteConfig(tolerance=math.inf)
-    with pytest.raises(DomainError):
-        SuiteConfig(output_format="xml")
 
 
 def test_report_passed_ignores_conjecture_rows():
