@@ -33,9 +33,7 @@ from .models import (Model, ModelPoint, Ray, asymptotic_ray,
                      hyperboloid_to_half_space, ideal_direction,
                      model_angle, model_distance, tangent_angle,
                      tangent_toward)
-from .parallelism import (cos_parallelism, inverse_parallelism,
-                          parallelism_angle, sin_parallelism,
-                          tan_parallelism)
+from .parallelism import inverse_parallelism, parallelism_angle
 from .prism import PrismFigure, build_prism, replay_residuals
 from .relations import (RelationResidual, euclidean_residuals,
                         hyperbolic_residuals, spherical_residuals,

@@ -1,7 +1,8 @@
 """The elementary functions the shared kernels are handed.
 
-Each sampler attempt, model measurement and relation evaluator is
-written once and takes its elementary functions from a namespace `m`:
+Each sampler attempt, model measurement and relation evaluator, and the
+angle of parallelism, is written once and takes its elementary
+functions from a namespace `m`:
 
 * FLOATS runs the code on Python floats with `math`, one sample per
   call, exactly as plain scalar code would;
@@ -13,13 +14,14 @@ does + - * / and sqrt, which IEEE 754 rounds correctly, so they give
 the bits of the scalar operation, and sin and cos, whose numpy versions
 give `math`'s bits (a premise tests/test_columns.py checks on a fixed
 spread of inputs; a column holding ±inf maps `math`, which raises
-there). Every other function (tan, atan2, hypot, asinh, pow, ...) maps
-the `math` or `cmath` function over the column element by element;
-numpy's own versions differ from `math` in the last bit on a share of
-inputs. fsum of two or three terms is the
-exception: Columns.fsum computes it exactly with + and -. Complex values
-stay Python `complex` in object columns: numpy's complex128 multiply
-and divide round differently from Python's. A float division by zero
+there). Every other function (tan, sinh, cosh, tanh, asinh, atan, atan2,
+exp, log, hypot, pow, csin, ccos) maps the `math` or `cmath` function
+over the column element by element, a row whose call raises recording
+its error; numpy's own versions differ from `math` in the last bit on a
+share of inputs. fsum of two or three terms is the exception:
+Columns.fsum computes it exactly with + and -. Complex values stay
+Python `complex` in object columns: numpy's complex128 multiply and
+divide round differently from Python's. A float division by zero
 raises, where numpy gives inf or nan: the kernels divide only by values
 their checks keep nonzero, or divide with m.div, which refuses the rows
 whose divisor is zero with Python's ZeroDivisionError.
@@ -44,8 +46,9 @@ Comparisons, `abs` and the operators | and & act the same on floats and
 columns; m.not_, m.max and m.min stand for `not`, `max` and `min`, with
 the builtins' handling of nan (max and min keep the earlier argument
 unless a later one compares greater or smaller), and m.where(c, x, y)
-for `x if c else y`. m.map(fn, *args) calls a scalar function row by
-row (on floats, once), for functions not worth writing over `m`.
+for `x if c else y`, which evaluates both x and y. m.isfinite and
+m.isinf are `math`'s tests. No function of this package is called row
+by row: what a kernel needs beyond these is itself written over `m`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ import types
 import numpy as np
 
 from .curvature import CURVED_TRIG, GeometryKind
-from .errors import GeometryError
 
 
 def _refuse(bad, error, template, *args):
@@ -83,10 +85,6 @@ def _where(cond, x, y):
     return x if cond else y
 
 
-def _call(fn, *args):
-    return fn(*args)
-
-
 #: the scalar namespace: math on Python floats. It is a module object:
 #: Python loads module attributes as fast as math.sin, and those of a
 #: SimpleNamespace about 35 ns slower, which the scalar functions would
@@ -94,20 +92,21 @@ def _call(fn, *args):
 FLOATS = types.ModuleType("FLOATS", "math on Python floats, for the shared kernels")
 vars(FLOATS).update(
     sin=math.sin, cos=math.cos, tan=math.tan, sinh=math.sinh,
-    cosh=math.cosh, tanh=math.tanh, asinh=math.asinh, atan2=math.atan2,
-    hypot=math.hypot, pow=math.pow, sqrt=math.sqrt, fsum=math.fsum,
-    isfinite=math.isfinite, csin=cmath.sin, ccos=cmath.cos,
-    cisfinite=cmath.isfinite, max=max, min=min, not_=operator.not_,
-    where=_where, div=operator.truediv, map=_call, refuse=_refuse, reject=_reject,
-    live=_live, trig=CURVED_TRIG)
+    cosh=math.cosh, tanh=math.tanh, asinh=math.asinh, atan=math.atan,
+    atan2=math.atan2, exp=math.exp, log=math.log, hypot=math.hypot,
+    pow=math.pow, sqrt=math.sqrt, fsum=math.fsum, isfinite=math.isfinite,
+    isinf=math.isinf, csin=cmath.sin, ccos=cmath.cos, cisfinite=cmath.isfinite,
+    max=max, min=min, not_=operator.not_, where=_where, div=operator.truediv,
+    refuse=_refuse, reject=_reject, live=_live, trig=CURVED_TRIG)
 
 
 def _fsum_of(*terms):
     return math.fsum(terms)
 
 
-#: the errors a mapped call raises for its row alone
-_ROW_ERRORS = (ArithmeticError, ValueError, GeometryError)
+#: the errors a mapped call raises for its row alone: math's range and
+#: domain errors
+_ROW_ERRORS = (ArithmeticError, ValueError)
 #: terms whose magnitudes sum to at most this cannot overflow the exact
 #: sums of Columns.fsum
 _EXACT_SUM_BOUND = 2.0 ** 1000
@@ -192,13 +191,13 @@ class Columns:
             self.errors[int(self.rows[i])] = error
             self.dead[i] = True
 
-    def map(self, fn, *args, dtype=np.float64):
-        """fn mapped over the rows; constant arguments are repeated.
+    def _map(self, fn, *args, dtype=np.float64):
+        """The `math` or `cmath` function fn mapped over the rows;
+        constant arguments are repeated.
 
         A row whose call raises an ArithmeticError or ValueError (math's
-        range and domain errors) or a GeometryError (this package's own)
-        records it and gets nan, so the error surfaces from the row that
-        raised it, as on floats.
+        range and domain errors) records it and gets nan, so the error
+        surfaces from the row that raised it, as on floats.
         """
         columns = [a for a in args if type(a) is np.ndarray]
         if not columns:
@@ -227,21 +226,24 @@ class Columns:
         # mapped otherwise, since math raises at ±inf where numpy gives nan
         if type(x) is np.ndarray and not np.isinf(x).any():
             return ufunc(x)
-        return self.map(fn, x)
+        return self._map(fn, x)
 
     def sin(self, x): return self._unless_inf(np.sin, math.sin, x)
     def cos(self, x): return self._unless_inf(np.cos, math.cos, x)
-    def tan(self, x): return self.map(math.tan, x)
-    def sinh(self, x): return self.map(math.sinh, x)
-    def cosh(self, x): return self.map(math.cosh, x)
-    def tanh(self, x): return self.map(math.tanh, x)
-    def asinh(self, x): return self.map(math.asinh, x)
-    def atan2(self, y, x): return self.map(math.atan2, y, x)
-    def hypot(self, x, y): return self.map(math.hypot, x, y)
-    def pow(self, x, y): return self.map(math.pow, x, y)
-    def csin(self, z): return self.map(cmath.sin, z, dtype=object)
-    def ccos(self, z): return self.map(cmath.cos, z, dtype=object)
-    def cisfinite(self, z): return self.map(cmath.isfinite, z, dtype=bool)
+    def tan(self, x): return self._map(math.tan, x)
+    def sinh(self, x): return self._map(math.sinh, x)
+    def cosh(self, x): return self._map(math.cosh, x)
+    def tanh(self, x): return self._map(math.tanh, x)
+    def asinh(self, x): return self._map(math.asinh, x)
+    def atan(self, x): return self._map(math.atan, x)
+    def atan2(self, y, x): return self._map(math.atan2, y, x)
+    def exp(self, x): return self._map(math.exp, x)
+    def log(self, x): return self._map(math.log, x)
+    def hypot(self, x, y): return self._map(math.hypot, x, y)
+    def pow(self, x, y): return self._map(math.pow, x, y)
+    def csin(self, z): return self._map(cmath.sin, z, dtype=object)
+    def ccos(self, z): return self._map(cmath.cos, z, dtype=object)
+    def cisfinite(self, z): return self._map(cmath.isfinite, z, dtype=bool)
 
     def fsum(self, terms):
         """math.fsum of the terms, row by row.
@@ -260,7 +262,7 @@ class Columns:
         # one test for every term of every row: nan fails it
         if len(terms) not in (2, 3) or not _EXACT_SUM_BOUND >= np.maximum.reduce(
                 sum(map(np.abs, terms)), initial=0.0):
-            return self.map(_fsum_of, *terms)
+            return self._map(_fsum_of, *terms)
         if len(terms) == 2:
             return (terms[0] + terms[1]) + 0.0
         a, b, c = terms
@@ -277,7 +279,7 @@ class Columns:
         # math.sqrt raises below zero where numpy gives nan
         if type(x) is np.ndarray and not (x < 0.0).any():
             return np.sqrt(x)
-        return self.map(math.sqrt, x)
+        return self._map(math.sqrt, x)
 
     def div(self, x, y):
         """x / y, where the rows whose y is zero raise ZeroDivisionError
@@ -290,6 +292,7 @@ class Columns:
         return np.divide(x, y)
 
     isfinite = staticmethod(np.isfinite)
+    isinf = staticmethod(np.isinf)
     not_ = staticmethod(np.logical_not)
     where = staticmethod(np.where)
 

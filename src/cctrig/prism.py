@@ -18,9 +18,9 @@ point is (1, 0, 0, 1) and the horosphere is the plane z = k of the
 half-space chart), and the spherical triangle in the frame centered at
 B (where the three unit tangents have closed-form components).
 
-build_prism and replay_residuals take their elementary functions from
-`m` (columns.py): on a base triangle of columns with a Columns namespace
-they build one figure per row.
+build_prism, parallelism_match and replay_residuals take their
+elementary functions from `m` (columns.py): on a base triangle of
+columns with a Columns namespace they build one figure per row.
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ def parallelism_match(figure: PrismFigure, m=FLOATS):
     on the spherical cut, and the angles the cuts share with the base."""
     base, sph = figure.base, figure.spherical
     geom = base.geometry
-    return m.max(abs(sph.b - m.map(parallelism_angle, base.c, geom)),
-                 abs(sph.c - m.map(parallelism_angle, base.a, geom)),
-                 abs(sph.B - m.map(parallelism_angle, base.b, geom)),
+    return m.max(abs(sph.b - parallelism_angle(base.c, geom, m)),
+                 abs(sph.c - parallelism_angle(base.a, geom, m)),
+                 abs(sph.B - parallelism_angle(base.b, geom, m)),
                  abs(sph.a - base.B),
                  abs(figure.horospherical.A - base.A))
 
@@ -141,9 +141,9 @@ def replay_residuals(figure: PrismFigure, m=FLOATS) -> list[RelationResidual]:
     sph = figure.spherical
     hor = figure.horospherical
     recovered = TriangleData(
-        a=m.map(inverse_parallelism, sph.c, curv),
-        b=m.map(inverse_parallelism, sph.B, curv),
-        c=m.map(inverse_parallelism, sph.b, curv),
+        a=inverse_parallelism(sph.c, curv, m),
+        b=inverse_parallelism(sph.B, curv, m),
+        c=inverse_parallelism(sph.b, curv, m),
         A=0.5 * math.pi - hor.B,
         B=sph.a,
         C=0.5 * math.pi,

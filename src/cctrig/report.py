@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .curvature import Curvature
 from .errors import DomainError
 
@@ -37,6 +39,11 @@ CSV_HEADER = ("suite,relation_id,samples,max_abs_residual,mean_abs_residual,"
               "conjecture,pass")
 
 
+def _is_int(value) -> bool:
+    """An int and not a bool, which reports would print as True or False."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Knobs shared by every verification suite."""
@@ -47,9 +54,9 @@ class SuiteConfig:
     curvature: Curvature = field(default_factory=Curvature.hyperbolic)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.samples, int) and self.samples >= 1):
+        if not (_is_int(self.samples) and self.samples >= 1):
             raise DomainError(f"samples must be a positive integer, got {self.samples}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
             raise DomainError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
@@ -91,14 +98,19 @@ def make_row(relation_id: str, values, tolerance: float | None, *,
              comparison: str = MAX_BELOW, conjecture: bool = False) -> CheckRow:
     """Aggregate absolute residuals into one report row.
 
-    p99 is the ceil(0.99 n)-th order statistic. Conjecture rows take no
-    verdict; otherwise the flag compares the extreme value against the
-    tolerance strictly.
+    `values` is a column or a sequence of floats, or of complex values,
+    which aggregate by their magnitude abs(z). p99 is the ceil(0.99 n)-th
+    order statistic. Conjecture rows take no verdict; otherwise the flag
+    compares the extreme value against the tolerance strictly.
     """
-    mags = sorted(abs(v) for v in values)
+    mags = np.abs(np.asarray(values))
+    if mags.dtype == object:  # an object column of Python complex values
+        mags = mags.astype(np.float64)
+    # np.sort puts inf and nan last
+    mags = np.sort(mags).tolist()
     if not mags:
         raise DomainError(f"no samples for relation {relation_id}")
-    if not all(math.isfinite(m) for m in mags):
+    if not math.isfinite(mags[-1]):
         raise DomainError(f"non-finite residual in relation {relation_id}")
     n = len(mags)
     p99 = mags[math.ceil(0.99 * n) - 1]

@@ -88,7 +88,7 @@ def _tol(cfg: SuiteConfig, default: float) -> float:
 
 
 def _sampled(cfg: SuiteConfig, suite: str, draw, evaluate, stream: int = 0,
-             skipped=(), check=None) -> dict[str, list]:
+             skipped=(), check=None) -> dict[str, np.ndarray]:
     """Each relation's values over cfg.samples sampled figures, by
     relation id, from stream index _STREAM_BASE[suite] + stream * _SUB on.
 
@@ -128,8 +128,7 @@ def _sampled(cfg: SuiteConfig, suite: str, draw, evaluate, stream: int = 0,
         if needed and errors:
             raise errors[min(errors)]
         start = stop
-    # complex substitution residuals aggregate by magnitude, abs(z)
-    return {rid: np.concatenate(columns).tolist() for rid, columns in per.items()}
+    return {rid: np.concatenate(columns) for rid, columns in per.items()}
 
 
 def _residuals(evaluator, name=lambda rid: rid):
