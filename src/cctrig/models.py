@@ -22,6 +22,11 @@ digits.
 The measurements take their elementary functions from `m` (columns.py):
 FLOATS by default, or a Columns block, whose model points hold one
 float64 column per coordinate.
+
+ModelPoint and Ray, built per sample and rebuilt by columns.take/join
+for every block, are plain dataclasses for the reason TriangleData is
+(triangle.py): they compare by value, are not hashable, and are never
+changed after they are built.
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ MODEL_FOR_KIND = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class ModelPoint:
     """A point of one concrete model.
 
@@ -272,7 +277,7 @@ def geodesic_point(p: ModelPoint, direction, t: float) -> ModelPoint:
     raise DomainError("geodesic flow is not offered in the half-space chart")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Ray:
     """A geodesic ray: base point plus unit tangent (model metric)."""
 

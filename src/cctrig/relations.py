@@ -21,6 +21,10 @@ against the literal parallelism-angle route at the 1e-12 level.
 Every evaluator takes its elementary functions from `m` (columns.py):
 on a triangle of float64 columns with a Columns namespace it returns one
 residual column per relation, bit for bit the per-triangle values.
+
+RelationResidual, built three or four times per evaluation, is a plain
+dataclass for the reason TriangleData is (triangle.py): it compares by
+value, is not hashable, and is never changed after it is built.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .triangle import TriangleData
 RIGHT_ANGLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass
 class RelationResidual:
     relation_id: str
     residual: float

@@ -107,12 +107,14 @@ def solve_from_asa(geometry: Curvature, B: float, a: float, C: float) -> Triangl
     k = geometry.k
     sinB, sinC = math.sin(B), math.sin(C)
 
+    # no sine or cosine is taken of B + C: near pi it amplifies the sum's
+    # rounding, so angle-addition products give the functions of the sum
+    # and of the difference instead
     if geometry.kind is GeometryKind.EUCLIDEAN:
         A = math.pi - (B + C)
         if A <= 0.0:
             raise InfeasibleError(f"flat angles B + C = {B + C} leave nothing for A")
-        # sin(B + C) is sin A without the rounding of pi - (B + C)
-        sinA = math.sin(B + C)
+        sinA = sinB * math.cos(C) + math.cos(B) * sinC  # sin(B + C) = sin A
         return TriangleData(a, a * sinB / sinA, a * sinC / sinA, A, B, C, geometry).validate()
 
     # The opposite angle comes from the dual law of cosines, but through
@@ -123,7 +125,9 @@ def solve_from_asa(geometry: Curvature, B: float, a: float, C: float) -> Triangl
     # which rounds once more.
     sn, cs, eps = CURVED_TRIG[geometry.kind]
     sn_half, cs_half = sn(0.5 * a / k), cs(0.5 * a / k)
-    c_sum, s_diff = math.cos(0.5 * (B + C)), math.sin(0.5 * (B - C))
+    sB, cB = math.sin(0.5 * B), math.cos(0.5 * B)
+    sC, cC = math.sin(0.5 * C), math.cos(0.5 * C)
+    c_sum, s_diff = cB * cC - sB * sC, sB * cC - cB * sC  # cos((B + C)/2), sin((B - C)/2)
     qm = c_sum * c_sum + eps * sinB * sinC * (sn_half * sn_half)  # (1 - cos A)/2
     qp = s_diff * s_diff + sinB * sinC * (cs_half * cs_half)  # (1 + cos A)/2
     # qm > 0 says the two lines meet. On the hyperboloid they meet on the

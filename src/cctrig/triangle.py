@@ -1,4 +1,11 @@
-"""Triangle data shared by the relation evaluators and solvers."""
+"""Triangle data shared by the relation evaluators and solvers.
+
+TriangleData is a plain dataclass, not a frozen one: every solve builds
+one, and columns.take/join rebuild it for every block, where a frozen
+dataclass's __init__ would make one object.__setattr__ call per field.
+It compares by value and is not hashable. The package never changes a
+field of one after building it.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ from .curvature import Curvature, GeometryKind
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@dataclass
 class TriangleData:
     """Sides a, b, c, opposite angles A, B, C, and the ambient geometry.
 

@@ -287,6 +287,45 @@ def test_sas_scales_exactly_with_k(inputs, e):
     assert u.angles() == t.angles()
 
 
+def _asa_values(mpref, geometry, sas_values):
+    """(B, a, C) of the triangle that the SAS values give, rounded from
+    mpmath's solution."""
+    a, _, _, _, B, C = mpref.solve(geometry.kind.value, geometry.k, "sas", sas_values)
+    return float(B), float(a), float(C)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_sas_inputs(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)))
+def test_asa_agrees_with_mpmath_across_scales(mpref, inputs):
+    # one angle near pi: B + C rounded before a sine or cosine loses the
+    # digits that angle-addition products keep
+    geometry, values = inputs
+    values = _asa_values(mpref, geometry, values)
+    assert _reference_misses(mpref, geometry, "asa", values, solve_from_asa) == []
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_sas_inputs(st.just(1.0)), st.integers(-60, 60))
+def test_asa_scales_exactly_with_k(mpref, inputs, e):
+    geometry, values = inputs
+    B, a, C = _asa_values(mpref, geometry, values)
+    s = 2.0 ** e
+    t = solve_from_asa(geometry, B, a, C)
+    u = solve_from_asa(Curvature(geometry.kind, s), B, a * s, C)
+    assert u.sides() == tuple(x * s for x in t.sides())
+    assert u.angles() == t.angles()
+
+
+def test_asa_near_pi_keeps_its_digits():
+    # B near pi: sin(B + C) and cos((B + C)/2) of the rounded sum left b
+    # 2.3e-14 and 3.8e-14 below its exact value, 1.0 in both
+    assert solve_from_asa(EUC, 3.133772333349264, 0.9990000305479704,
+                          7.820240529099084e-06).b == 1.0
+    b = solve_from_asa(HYP, 3.1376812697727376, 0.9990000076394131,
+                       3.3282594646722188e-06).b
+    assert abs(b - 1.0) <= 2.0 * math.ulp(1.0)
+
+
 def test_asa_rays_that_diverge_are_infeasible(capsys):
     with pytest.raises(InfeasibleError):
         solve_from_asa(HYP, 0.6, 30.0, 0.6)
