@@ -107,8 +107,8 @@ def _fsum_of(*terms):
 #: the errors a mapped call raises for its row alone: math's range and
 #: domain errors
 _ROW_ERRORS = (ArithmeticError, ValueError)
-#: terms whose magnitudes sum to at most this cannot overflow the exact
-#: sums of Columns.fsum
+#: terms whose magnitudes sum to at most this cannot overflow an exact
+#: sum (Columns.fsum's, or math.fsum's partials over any order of terms)
 _EXACT_SUM_BOUND = 2.0 ** 1000
 
 
@@ -253,8 +253,11 @@ class Columns:
         round-to-odd sum of Boldo and Melquiond ("Emulation of FMA and
         correctly rounded sums: proved algorithms using rounding to
         odd", IEEE Trans. Computers 57, 2008), which rounds a + b + c
-        once as fsum does. fsum's +0.0 for a zero sum is kept. Other
-        rows (non-finite, near overflow) and other counts map math.fsum.
+        once as fsum does; its odd rounding runs only on a block where
+        some row's v is inexact. fsum's +0.0 for a zero sum is kept.
+        Other rows (non-finite, or terms whose magnitudes sum to 2**1000
+        or more, where fsum may overflow on the way, as on 1e308 + 1e308
+        - 1e308) and other counts map math.fsum.
         """
         terms = list(terms)
         if not any(type(t) is np.ndarray for t in terms):
@@ -269,10 +272,11 @@ class Columns:
         uh, ul = _two_sum(b, c)
         th, tl = _two_sum(a, uh)
         v, ve = _two_sum(tl, ul)
-        # round v to odd: an inexact v with an even last bit steps
-        # toward the exact value
-        even = (v.view(np.int64) & 1) == 0
-        v = np.where((ve != 0.0) & even, np.nextafter(v, np.copysign(np.inf, ve)), v)
+        if ve.any():
+            # round v to odd: an inexact v with an even last bit steps
+            # toward the exact value
+            even = (v.view(np.int64) & 1) == 0
+            v = np.where((ve != 0.0) & even, np.nextafter(v, np.copysign(np.inf, ve)), v)
         return (th + v) + 0.0
 
     def sqrt(self, x):

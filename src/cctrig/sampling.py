@@ -115,39 +115,55 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-# Philox4x64-10 constants (Random123): round multipliers and key bumps
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+# Philox4x64-10 constants (Random123): the round multipliers of lanes 0
+# and 2, their 32-bit halves, and the key bumps, each shaped (2, 1, 1)
+# to run against the two multiply lanes as one array. They are written
+# out: computing them would run numpy's integer loops on import, whose
+# pages then count toward the resident memory of every program.
+_PHILOX_M = np.array([[[0xD2E7470EE14C6C93]], [[0xCA5A826395121157]]], dtype=np.uint64)
+_PHILOX_M_LO = np.array([[[0xE14C6C93]], [[0x95121157]]], dtype=np.uint64)
+_PHILOX_M_HI = np.array([[[0xD2E7470E]], [[0xCA5A8263]]], dtype=np.uint64)
+_PHILOX_W = np.array([[[0x9E3779B97F4A7C15]], [[0xBB67AE8584CAA73B]]], dtype=np.uint64)
+_PHILOX_ROUNDS = np.array(range(10), dtype=np.uint64).reshape(10, 1, 1, 1)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-
-
-def _mulhilo(a: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * x, from 32-bit
-    halves (numpy's uint64 products wrap)."""
-    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    ll, lh, hl = a_lo * x_lo, a_lo * x_hi, a_hi * x_lo
-    carry = ((ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)) >> _SHIFT32
-    return a_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + carry, a * x
 
 
 def _philox_blocks(counters: np.ndarray, seed: int, indices: np.ndarray) -> tuple:
     """The four output words of counter block c of every stream keyed
     (seed, index), for each c in `counters`: four uint64 arrays of shape
-    (len(counters), len(indices))."""
-    shape = (len(counters), len(indices))
-    c0 = np.broadcast_to(counters[:, None], shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    k0, k1 = np.uint64(seed), indices
-    with np.errstate(over="ignore"):  # the key bumps wrap, as they should
-        for r in range(10):
-            if r:
-                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
+    (len(counters), len(indices)).
+
+    Lanes 0 and 2 are multiplied, so they are held as one array
+    (2, len(counters), len(indices)) against the two multipliers, and so
+    are lanes 1 and 3; the ten rounds' key words come from one broadcast
+    (the bumps wrap, as they should). The 128-bit products are formed
+    from 32-bit halves, since numpy's uint64 products wrap.
+    """
+    mul = np.zeros((2, len(counters), len(indices)), dtype=np.uint64)
+    mul[0] = counters[:, None]
+    odd = np.zeros_like(mul)
+    key = np.empty((2, 1, len(indices)), dtype=np.uint64)
+    key[0], key[1] = seed, indices
+    keys = key + _PHILOX_ROUNDS * _PHILOX_W
+    for round_key in keys:
+        # the lanes' 32-bit halves become the carry and the high word in
+        # place, so that a round holds about as many arrays as one lane did
+        carry, hi = mul & _LOW32, mul >> _SHIFT32
+        lh, hl = _PHILOX_M_LO * hi, _PHILOX_M_HI * carry
+        carry *= _PHILOX_M_LO
+        carry >>= _SHIFT32
+        carry += lh & _LOW32
+        carry += hl & _LOW32
+        carry >>= _SHIFT32
+        hi *= _PHILOX_M_HI
+        hi += lh >> _SHIFT32
+        hi += hl >> _SHIFT32
+        hi += carry
+        # lane 0 takes lane 2's high word and lane 2 lane 0's; lanes 1
+        # and 3 take the low words the same way round
+        mul, odd = hi[::-1] ^ odd ^ round_key, (_PHILOX_M * mul)[::-1]
+    return mul[0], odd[0], mul[1], odd[1]
 
 
 def _index_column(seed: int, start: int, stop: int) -> np.ndarray:

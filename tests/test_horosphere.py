@@ -169,6 +169,49 @@ def test_ambient_length_equals_the_per_level_walk_on_random_chords(k):
             assert ambient_polyline_length(height, p, q, k, base_segments=n) == expected
 
 
+def _length_outcome(length, height, p, q, k, n):
+    """The length as bits, or the type and message of what it raises."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return length(height, p, q, k, base_segments=n).hex()
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def _edge_chords(k, g):
+    p, q = g.uniform(-2.0, 2.0, size=(2, 2)) * k
+    yield p, q
+    yield p, (p[0], q[1])  # along a chart axis: every x step ties
+    yield p, (q[0], p[1])
+    yield p + 1e6 * k, q + 1e6 * k  # far off the origin
+    yield (math.inf, p[1]), q
+    yield p, (q[0], math.nan)
+    yield p, (-math.inf, math.inf)
+
+
+@pytest.mark.parametrize("k", (1e-300, 1e-3, 1.0, 1e5, 1e300, 4e307))
+def test_counted_ambient_sums_are_the_gathered_sums_at_the_edges(k):
+    g = sample_stream(26, round(math.log10(k)) + 400)
+    for p, q in _edge_chords(k, g):
+        for n in (1, 7, 1024):
+            args = (k, p, q, k, n)
+            assert _length_outcome(ambient_polyline_length, *args) == \
+                _length_outcome(_reference_ambient_length, *args)
+
+
+@pytest.mark.parametrize("k, n", ((4e307, 1024), (4e307, 1), (1e301, 1024)))
+def test_counted_ambient_sums_keep_the_gathered_sum_near_overflow(k, n):
+    # finite hops whose total passes 2**1000: at 4e307 and 1024 segments
+    # fsum overflows on the way, elsewhere it does not
+    p, q = (0.0, 0.0), (4.0 * n, 0.0)  # chords of 1, 2 and 4 at height 1
+    hop = 2.0 * k * math.asinh(0.5)
+    assert math.isfinite(hop) and 4 * n * hop > 2.0 ** 1000
+    args = (1.0, p, q, k, n)
+    got = _length_outcome(ambient_polyline_length, *args)
+    assert got == _length_outcome(_reference_ambient_length, *args)
+    assert (got == (OverflowError, "intermediate overflow in fsum")) is (n == 1024 and k == 4e307)
+
+
 @pytest.mark.parametrize("n", (-1, 0, 2.5, 1024.0, True, None, "64"))
 def test_ambient_length_refuses_bad_segment_counts(n):
     with pytest.raises(DomainError, match="base_segments"):

@@ -203,6 +203,31 @@ def test_vectorised_philox_matches_numpy_philox():
             assert words == reference.tolist()
 
 
+def test_vectorised_philox_matches_numpy_philox_over_the_cevian_window():
+    # counter blocks 1-40 are the 160 words a cevian block may draw
+    indices = np.array(_KEY_EDGES, dtype=np.uint64)
+    counters = np.arange(1, 41, dtype=np.uint64)
+    for seed in _KEY_EDGES:
+        lanes = _philox_blocks(counters, seed, indices)
+        for j, index in enumerate(_KEY_EDGES):
+            words = [int(lanes[w % 4][w // 4, j]) for w in range(160)]
+            reference = np.random.Philox(key=seed + (index << 64)).random_raw(160)
+            assert words == reference.tolist()
+
+
+def test_block_random_is_generator_random_at_every_offset_and_count():
+    seed, indices = 2 ** 64 - 1, np.array((0, 3, 2 ** 63, 2 ** 64 - 1), dtype=np.uint64)
+    streams = [sample_stream(seed, index).random(167).tolist()
+               for index in indices.tolist()]
+    for first in range(8):
+        for count in range(1, 161):
+            block = block_random(seed, indices, first, count)
+            assert block.shape == (count, len(indices))
+            for j, drawn in enumerate(streams):
+                assert [x.hex() for x in block[:, j].tolist()] == \
+                    [x.hex() for x in drawn[first:first + count]]
+
+
 def _hex_rows(columns):
     return [tuple(float(c[i]).hex() for c in columns) for i in range(len(columns[0]))]
 
