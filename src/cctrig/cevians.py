@@ -32,9 +32,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .columns import FLOATS
 from .curvature import Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError
+from .floats import FLOATS
 from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint,
                      _add, _cross3, geodesic_point, model_distance, tangent_toward)
 from .sampling import (DEFAULT_ATTEMPTS, Block, _uniforms, resolve_block,

@@ -8,6 +8,9 @@ similarity-underdetermined data). Geometry errors print one JSON line
 with the error kind and message on stderr; so do the arithmetic and
 value errors of math functions pushed past their range, reported as
 domain errors.
+
+`solve` and `parallelism` run on `math` alone, and this module loads no
+numpy: `verify` imports the suites, and numpy with them, when it runs.
 """
 
 from __future__ import annotations
@@ -18,18 +21,16 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .curvature import Curvature
 from .errors import (DegenerateError, DomainError, GeometryError,
                      InfeasibleError, SamplingError, SimilarityError)
 from .parallelism import parallelism_angle
 from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals)
-from .report import SuiteConfig, _csv_cell, _f17, _finite, _json_scalar, render
+from .report import (SUITE_NAMES, SuiteConfig, _csv_cell, _f17, _finite,
+                     _json_scalar, render)
 from .solvers import (solve_from_aaa, solve_from_asa, solve_from_sas,
                       solve_from_sss)
-from .suites import SUITE_NAMES, run_suite
 from .triangle import TriangleData, angle_excess
 
 _SOLVERS = {"sss": solve_from_sss, "sas": solve_from_sas,
@@ -122,6 +123,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) for num >= 2, bit for bit: i * step
+    + start, or (i / div) * delta + start where step underflows to 0,
+    and stop itself last."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
+
+
 def _cmd_parallelism(args: argparse.Namespace) -> int:
     if not (0.0 <= args.p_min < args.p_max) or not math.isfinite(args.p_max):
         raise DomainError(f"need 0 <= p_min < p_max, got "
@@ -130,13 +143,15 @@ def _cmd_parallelism(args: argparse.Namespace) -> int:
         raise DomainError(f"need at least 2 steps, got {args.steps}")
     geometry = Curvature.hyperbolic(args.curvature_scale)
     lines = ["p,parallelism_angle"]
-    for p in np.linspace(args.p_min, args.p_max, args.steps):
-        lines.append(f"{_f17(float(p))},{_f17(parallelism_angle(float(p), geometry))}")
+    for p in _linspace(args.p_min, args.p_max, args.steps):
+        lines.append(f"{_f17(p)},{_f17(parallelism_angle(p, geometry))}")
     _emit("\n".join(lines), args.out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import run_suite  # loads numpy, which solve never needs
+
     cfg = SuiteConfig(seed=args.seed, samples=args.samples, tolerance=args.tol,
                       curvature=Curvature.hyperbolic(args.curvature_scale))
     report = run_suite(args.suite, cfg)

@@ -5,9 +5,12 @@ angle of parallelism, is written once and takes its elementary
 functions from a namespace `m`:
 
 * FLOATS runs the code on Python floats with `math`, one sample per
-  call, exactly as plain scalar code would;
+  call, exactly as plain scalar code would. It is defined in floats.py,
+  which loads no numpy, and is importable from here too;
 * a Columns instance runs the same code on float64 columns, one row per
-  sample of a block.
+  sample of a block. This module holds Columns and its helpers take and
+  join, and loads numpy: only the block paths (sampling,
+  geodesic_sphere, horosphere and suites) import it.
 
 Column rule, which keeps every value bit for bit that of FLOATS: numpy
 does + - * / and sqrt, which IEEE 754 rounds correctly, so they give
@@ -56,48 +59,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
-import types
 
 import numpy as np
 
-from .curvature import CURVED_TRIG, GeometryKind
-
-
-def _refuse(bad, error, template, *args):
-    if bad:
-        raise error(template.format(*args))
-
-
-def _keep_all(*values):
-    return values
-
-
-def _reject(bad):
-    return None if bad else _keep_all
-
-
-def _live(value):
-    return value
-
-
-def _where(cond, x, y):
-    return x if cond else y
-
-
-#: the scalar namespace: math on Python floats. It is a module object:
-#: Python loads module attributes as fast as math.sin, and those of a
-#: SimpleNamespace about 35 ns slower, which the scalar functions would
-#: pay on every call
-FLOATS = types.ModuleType("FLOATS", "math on Python floats, for the shared kernels")
-vars(FLOATS).update(
-    sin=math.sin, cos=math.cos, tan=math.tan, sinh=math.sinh,
-    cosh=math.cosh, tanh=math.tanh, asinh=math.asinh, atan=math.atan,
-    atan2=math.atan2, exp=math.exp, log=math.log, hypot=math.hypot,
-    pow=math.pow, sqrt=math.sqrt, fsum=math.fsum, isfinite=math.isfinite,
-    isinf=math.isinf, csin=cmath.sin, ccos=cmath.cos, cisfinite=cmath.isfinite,
-    max=max, min=min, not_=operator.not_, where=_where, div=operator.truediv,
-    refuse=_refuse, reject=_reject, live=_live, trig=CURVED_TRIG)
+from .curvature import GeometryKind
+from .floats import FLOATS  # noqa: F401  (importable from here as well)
 
 
 def _fsum_of(*terms):

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import FLOATS
 from .curvature import Curvature, GeometryKind
 from .errors import DomainError
+from .floats import FLOATS
 from .relations import SPHERICAL_RELATIONS, general_spherical_system
 from .solvers import solve_from_sss
 from .triangle import TriangleData, angle_excess

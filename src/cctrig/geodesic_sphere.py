@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import FLOATS, Columns, take
+from .columns import Columns, take
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError
+from .floats import FLOATS
 from .models import (Model, ModelPoint, Ray, _edot, _spacelike_norm,
                      check_segments, minkowski_dot, model_distance,
                      richardson_length, tangent_angle, tangent_toward)

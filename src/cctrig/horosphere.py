@@ -19,9 +19,10 @@ import math
 
 import numpy as np
 
-from .columns import _EXACT_SUM_BOUND, FLOATS, Columns
+from .columns import _EXACT_SUM_BOUND, Columns
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError
+from .floats import FLOATS
 from .models import (ModelPoint, check_segments, model_angle, model_distance,
                      richardson_length)
 from .sampling import Block, sample_stream

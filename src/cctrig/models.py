@@ -37,9 +37,9 @@ import numbers
 import operator
 from dataclasses import dataclass
 
-from .columns import FLOATS
 from .curvature import CURVED_TRIG, GeometryKind
 from .errors import DomainError
+from .floats import FLOATS
 
 
 class Model(enum.Enum):

@@ -20,9 +20,9 @@ value per row, and refuse a row with the error the scalar call raises.
 
 import math
 
-from .columns import FLOATS
 from .curvature import Curvature, GeometryKind
 from .errors import DomainError
+from .floats import FLOATS
 
 HALF_PI = math.pi / 2.0
 LN_2 = math.log(2.0)

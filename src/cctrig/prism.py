@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .columns import FLOATS
 from .curvature import GeometryKind
 from .errors import DomainError
+from .floats import FLOATS
 from .geodesic_sphere import GeodesicSphere, geodesic_sphere_triangle
 from .horosphere import horosphere_triangle
 from .models import (Model, ModelPoint, Ray, asymptotic_ray, hyperboloid_to_half_space,

@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .columns import FLOATS
 from .curvature import GeometryKind
 from .errors import DomainError
+from .floats import FLOATS
 from .triangle import TriangleData
 
 # |C - pi/2| allowed when a relation requires a right angle

@@ -19,12 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .curvature import Curvature
 from .errors import DomainError
 
 SCHEMA_VERSION = 1
+
+#: the verification suites, in the order `verify all` runs them; the
+#: order also fixes each suite's random stream (suites._STREAM_BASE)
+SUITE_NAMES = ("spherical", "hyperbolic", "euclidean", "sphere-model", "horosphere",
+               "prism", "substitution", "limits", "cevians")
 
 #: Row semantics: either the largest residual must stay below tolerance,
 #: or (for sensitivity rows) the smallest value must stay above it.
@@ -103,6 +106,8 @@ def make_row(relation_id: str, values, tolerance: float | None, *,
     order statistic. Conjecture rows take no verdict; otherwise the flag
     compares the extreme value against the tolerance strictly.
     """
+    import numpy as np  # here, so that importing this module loads no numpy
+
     mags = np.abs(np.asarray(values))
     if mags.dtype == object:  # an object column of Python complex values
         mags = mags.astype(np.float64)

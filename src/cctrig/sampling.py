@@ -50,9 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import FLOATS, Columns, join, take
+from .columns import Columns, join, take
 from .curvature import Curvature, GeometryKind
 from .errors import DomainError, SamplingError
+from .floats import FLOATS
 from .models import (MODEL_FOR_KIND, ModelPoint, _synthesized_point,
                      model_angle, model_distance)
 from .triangle import TriangleData

@@ -45,8 +45,8 @@ from .models import Model, ModelPoint, tangent_angle
 from .prism import build_prism, parallelism_match, replay_residuals
 from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals, spherical_right_residuals)
-from .report import (MIN_ABOVE, CheckRow, ResidualReport, SuiteConfig,
-                     make_row)
+from .report import (MIN_ABOVE, SUITE_NAMES, CheckRow, ResidualReport,
+                     SuiteConfig, make_row)
 from .sampling import (DEFAULT_ATTEMPTS, sample_right_triangles,
                        sample_stream, sample_triangle, sample_triangles)
 from .solvers import solve_from_sss
@@ -330,18 +330,8 @@ def _suite_cevians(cfg: SuiteConfig) -> list[CheckRow]:
     return rows
 
 
-_SUITE_FUNCS = {
-    "spherical": _suite_spherical,
-    "hyperbolic": _suite_hyperbolic,
-    "euclidean": _suite_euclidean,
-    "sphere-model": _suite_sphere_model,
-    "horosphere": _suite_horosphere,
-    "prism": _suite_prism,
-    "substitution": _suite_substitution,
-    "limits": _suite_limits,
-    "cevians": _suite_cevians,
-}
-SUITE_NAMES = tuple(_SUITE_FUNCS)
+#: each suite's function, _suite_<name> with "-" read as "_"
+_SUITE_FUNCS = {name: globals()["_suite_" + name.replace("-", "_")] for name in SUITE_NAMES}
 #: Disjoint Philox stream bases, keyed by suite so a suite produces the
 #: same rows alone and inside `all`.
 _STREAM_BASE = {name: (i + 1) << 32 for i, name in enumerate(SUITE_NAMES)}

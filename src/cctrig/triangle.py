@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .columns import FLOATS
 from .curvature import Curvature, GeometryKind
 from .errors import DomainError
+from .floats import FLOATS
 
 
 @dataclass
