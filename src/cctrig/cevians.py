@@ -37,8 +37,7 @@ from .errors import DegenerateError, DomainError, InfeasibleError
 from .floats import FLOATS
 from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint,
                      _add, _cross3, geodesic_point, model_distance, tangent_toward)
-from .sampling import (DEFAULT_ATTEMPTS, Block, _uniforms, resolve_block,
-                       sample_stream)
+from .sampling import DEFAULT_ATTEMPTS, Block, resolve_block, resolve_index
 
 #: Relative floor below which O is considered to lie on a side or vertex.
 DEGENERACY_TOL = 1e-12
@@ -361,16 +360,8 @@ def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
     index's stream.
     """
     bounds, attempt = _cevian_plan(geometry, max_side)
-    g = sample_stream(seed, index)
-    for _ in range(attempts):
-        draws = _uniforms(g, bounds)
-        try:
-            cfg = attempt(*draws, FLOATS)
-        except _REJECTED:
-            continue
-        if cfg is not None:
-            return cfg
-    raise _exhausted(attempts)
+    return resolve_index(seed, index, bounds, attempt, attempts,
+                         functools.partial(_exhausted, attempts), rejected=_REJECTED)
 
 
 def sample_cevian_configs(geometry: Curvature, seed: int, start: int, stop: int, *,

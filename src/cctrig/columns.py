@@ -62,7 +62,7 @@ import math
 
 import numpy as np
 
-from .curvature import GeometryKind
+from .curvature import TRIG, GeometryKind
 from .floats import FLOATS  # noqa: F401  (importable from here as well)
 
 
@@ -140,7 +140,8 @@ class Columns:
         #: block position -> the first error its row raised
         self.errors: dict[int, Exception] = {}
         self.trig = {GeometryKind.SPHERICAL: (self.sin, self.cos, 1.0),
-                     GeometryKind.HYPERBOLIC: (self.sinh, self.cosh, -1.0)}
+                     GeometryKind.HYPERBOLIC: (self.sinh, self.cosh, -1.0),
+                     GeometryKind.EUCLIDEAN: TRIG[GeometryKind.EUCLIDEAN]}
         self._errstate = np.errstate(all="ignore")
 
     def __enter__(self) -> Columns:

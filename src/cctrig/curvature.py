@@ -5,14 +5,19 @@ kernel consumes sides in units of k, so rescaling (k, lengths) to
 (lam*k, lam*lengths) leaves all angles unchanged; a verification suite
 checks that invariance rather than assuming it.
 
-Sign convention. The two curved geometries are one family with sign
-eps = +1 (spherical) or -1 (hyperbolic). Their generalized sine and
-cosine sn/cs are sin/cos and sinh/cosh, so that cs(x)^2 + eps sn(x)^2 = 1
-and the imaginary-side substitution sin(ix) = i sinh x, cos(ix) = cosh x
-carries one formula to the other. The concrete models pair with them:
-the sphere uses the Euclidean dot product, the hyperboloid the Minkowski
-product of signature (+, -, -, ...), and a unit tangent v has
-eps <v, v> = 1 in either. CURVED_TRIG holds (sn, cs, eps) per kind.
+Sign convention. The three geometries are one family with sign
+eps = +1 (spherical), 0 (Euclidean) or -1 (hyperbolic). Their
+generalized sine and cosine sn/cs are sin/cos, x/1 and sinh/cosh, so
+that cs(x)^2 + eps sn(x)^2 = 1; the imaginary-side substitution
+sin(ix) = i sinh x, cos(ix) = cosh x carries one curved formula to the
+other, and the plane is the flat member between them. The curved models
+pair with them: the sphere uses the Euclidean dot product, the
+hyperboloid the Minkowski product of signature (+, -, -, ...), and a
+unit tangent v has eps <v, v> = 1 in either. CURVED_TRIG holds
+(sn, cs, eps) for the two curved kinds and TRIG for all three; the
+kernels take TRIG as m.trig (floats.py, columns.py). A flat point built
+as a curved one, (k cs(x), ...), lies on the plane x0 = k, which is
+how the flat member shares the curved constructions.
 
 Each shared formula keeps the arithmetic of the per-geometry copies it
 replaced, step for step, so the report bytes do not move. That pins a
@@ -48,7 +53,9 @@ class GeometryKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Curvature:
-    """Geometry kind plus the length scale k (ignored when Euclidean)."""
+    """Geometry kind plus the length scale k. The flat formulas are
+    homogeneous in k, so on the plane k sets only the units of sampled
+    sides; Curvature.euclidean() takes k = 1."""
 
     kind: GeometryKind
     k: float = 1.0
@@ -75,3 +82,5 @@ CURVED_TRIG = {
     GeometryKind.SPHERICAL: (math.sin, math.cos, 1.0),
     GeometryKind.HYPERBOLIC: (math.sinh, math.cosh, -1.0),
 }
+#: every kind -> (sn, cs, eps): the curved pair and the flat member
+TRIG = {**CURVED_TRIG, GeometryKind.EUCLIDEAN: (lambda x: x, lambda x: 1.0, 0.0)}

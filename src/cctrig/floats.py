@@ -9,7 +9,7 @@ import math
 import operator
 import types
 
-from .curvature import CURVED_TRIG
+from .curvature import TRIG
 
 
 def _refuse(bad, error, template, *args):
@@ -45,4 +45,4 @@ vars(FLOATS).update(
     pow=math.pow, sqrt=math.sqrt, fsum=math.fsum, isfinite=math.isfinite,
     isinf=math.isinf, csin=cmath.sin, ccos=cmath.cos, cisfinite=cmath.isfinite,
     max=max, min=min, not_=operator.not_, where=_where, div=operator.truediv,
-    refuse=_refuse, reject=_reject, live=_live, trig=CURVED_TRIG)
+    refuse=_refuse, reject=_reject, live=_live, trig=TRIG)

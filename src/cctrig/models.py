@@ -180,10 +180,14 @@ class ModelPoint:
 
 
 def _synthesized_point(model: Model, coords, k: float, m=FLOATS) -> ModelPoint:
-    """A point of a curved model from coordinates built on its surface:
-    sphere points are renormalized, hyperboloid points kept as built."""
+    """A point of a model from coordinates (x0, x, y) built on its
+    surface: sphere points are renormalized, hyperboloid points kept as
+    built, and flat points, which lie on x0 = k, put on the plane as
+    (x, y)."""
     if model is Model.SPHERE:
         return ModelPoint.sphere(coords, k, m)
+    if model is Model.PLANE:
+        return ModelPoint.plane(coords[1], coords[2])
     return ModelPoint(model, coords, k)
 
 

@@ -4,30 +4,34 @@ Every sample index owns a counter-based random stream, so suites can be
 evaluated in any order (or split across processes) and still reproduce
 bit-identical triangles for a fixed seed.
 
-Accuracy note. Each sampled triangle is synthesized three times from
-the same exact parameters (b, c, A), once per vertex, and every angle
-is measured at the origin of its own frame, where tangent projection is
-exact. Measuring the far angles in a single frame instead would cost a
-factor e^(2 max_side) of rounding amplification and cannot reach the
-residual floors the verification suites assert. The far-vertex
-coordinates use two-term rearrangements (difference angle plus a
-half-angle square) so nearly-degenerate draws lose nothing to
-cancellation.
+Accuracy note. Each sampled triangle, of every kind, is synthesized
+three times from the same exact parameters (b, c, A), once per vertex,
+by one attempt written over the (sn, cs, eps) family of curvature.py,
+and every angle is measured at the origin of its own frame, where
+tangent projection is exact. The plane is the member eps = 0: its
+points are built as (k, x, y) and land on the plane model as (x, y).
+Measuring the far angles in a single frame instead would cost a factor
+e^(2 max_side) of rounding amplification and cannot reach the residual
+floors the verification suites assert. The far-vertex coordinates use
+two-term rearrangements (difference angle plus a half-angle square) so
+nearly-degenerate draws lose nothing to cancellation.
 
 Uniform draws. Attempt j of an index takes uniforms jn to jn + n - 1
 of the index's stream, one per bound of its sampler (n is 3 for a
 triangle, 2 for the legs of a right triangle, 6 for a center-ray triple
 and 10 for a cevian configuration), each mapped to lo + (hi - lo) * u,
-the arithmetic of Generator.uniform(lo, hi). The per-index samplers draw
-them with one g.random(n) call per attempt, as Python floats.
+the arithmetic of Generator.uniform(lo, hi). The per-index samplers
+run one rejection loop, resolve_index, which draws them with one
+g.random(n) call per attempt, as Python floats; it is the reference
+that resolve_block reproduces on a block.
 
 Blocks. sample_triangles, sample_right_triangles,
 cevians.sample_cevian_configs and geodesic_sphere.center_ray_triangles
-draw a range of indices at once, bit for bit what a loop over the
-indices running the same attempt on those floats returns. A numpy
-Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1,
-2, 3", SC'11), keyed as sample_stream keys it, hands every index of the
-block the words of its own stream that a round needs, so a block builds
+draw a range of indices at once, bit for bit what resolve_index
+returns for each of them. A numpy Philox4x64-10 (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed as
+sample_stream keys it, hands every index of the block the words of its
+own stream that a round needs, so a block builds
 no Generator; an index whose attempt is rejected draws again in the
 next round of resolve_block, the one rejection loop of every block
 sampler. The attempt itself (synthesis, model measurements, rejection
@@ -54,8 +58,7 @@ from .columns import Columns, join, take
 from .curvature import Curvature, GeometryKind
 from .errors import DomainError, SamplingError
 from .floats import FLOATS
-from .models import (MODEL_FOR_KIND, ModelPoint, _synthesized_point,
-                     model_angle, model_distance)
+from .models import MODEL_FOR_KIND, _synthesized_point, model_angle, model_distance
 from .triangle import TriangleData
 
 DEFAULT_MIN_ANGLE = 1e-3
@@ -240,17 +243,32 @@ def _tries(width: int, resolved: int, tried: int) -> int:
                key=lambda r: (_ROUND_COST + width * r) / (1.0 - rejected ** r))
 
 
+def resolve_index(seed: int, index: int, bounds, attempt, attempts: int, exhausted, *,
+                  rejected=()):
+    """The first accepted attempt of one index: the per-index rejection
+    loop. Attempt j runs attempt(*draws, FLOATS) on uniforms
+    j * len(bounds) to (j + 1) * len(bounds) - 1 of the index's stream,
+    one per (lo, hi) in bounds, as _uniforms maps them. It is rejected
+    where it gives None or raises one of the `rejected` errors; the
+    index takes its first attempt that was accepted or raised another
+    error, and after `attempts` rejections the error exhausted()."""
+    g = sample_stream(seed, index)
+    for _ in range(attempts):
+        draws = _uniforms(g, bounds)
+        try:
+            figure = attempt(*draws, FLOATS)
+        except rejected:
+            continue
+        if figure is not None:
+            return figure
+    raise exhausted()
+
+
 def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: int,
                   exhausted, *, rejected=(), until_error: bool = False) -> Block:
-    """The first accepted attempt of every index in [start, stop), as a
-    per-index rejection loop takes it.
-
-    Attempt j of an index runs attempt(*draws, m) on uniforms
-    j * len(bounds) to (j + 1) * len(bounds) - 1 of its stream, one per
-    (lo, hi) in bounds, as _uniforms maps them. An attempt is rejected
-    where it gives no row or raises one of the `rejected` errors; the
-    index takes its first attempt that was accepted or raised another
-    error, and after `attempts` rejections the error exhausted().
+    """The first accepted attempt of every index in [start, stop), as
+    resolve_index takes it; the attempt runs on a Columns block, where a
+    row that gives no figure is rejected.
 
     Each round runs the next attempts of every index still unresolved as
     one block of rows, as many per index as _tries gives: one in the
@@ -320,31 +338,9 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
     return Block(rows[order], take(join(parts), order) if parts else None, errors)
 
 
-def _flat_attempt(b, c, A, m, *, geometry, min_angle, max_side):
+def _triangle_attempt(b, c, A, m, *, geometry, min_angle, cap, origin):
     """One attempt at the draws (b, c, A): the triangle measured on the
-    plane, or None where it is rejected."""
-    pa = ModelPoint.plane(0.0, 0.0)
-    pb = ModelPoint.plane(c, 0.0)
-    pc = ModelPoint.plane(b * m.cos(A), b * m.sin(A))
-    a_m = model_distance(pb, pc, m)
-    keep = m.reject((a_m > max_side) | (a_m < 1e-12))
-    if keep is None:
-        return None
-    pa, pb, pc, a_m = keep(pa, pb, pc, a_m)
-    angA = model_angle(pa, pb, pc, m)
-    angB = model_angle(pb, pc, pa, m)
-    angC = model_angle(pc, pa, pb, m)
-    keep = m.reject(m.min(angA, angB, angC) < min_angle)
-    if keep is None:
-        return None
-    pa, pb, pc, a_m, angA, angB, angC = keep(pa, pb, pc, a_m, angA, angB, angC)
-    return TriangleData(a_m, model_distance(pc, pa, m), model_distance(pa, pb, m),
-                        angA, angB, angC, geometry).validate(m)
-
-
-def _curved_attempt(b, c, A, m, *, geometry, min_angle, cap, origin):
-    """One attempt at the draws (b, c, A): the triangle measured on the
-    sphere or hyperboloid, or None where it is rejected."""
+    model of its kind, or None where it is rejected."""
     k = geometry.k
     model = origin.model
     sn, cs, eps = m.trig[geometry.kind]
@@ -393,10 +389,6 @@ def _triangle_plan(geometry: Curvature, min_angle: float, max_side: float,
     if not (0.0 < min_side < max_side):
         raise DomainError(f"need 0 < min_side < max_side, got ({min_side}, {max_side})")
     angles = (min_angle, math.pi - min_angle)
-    if geometry.kind is GeometryKind.EUCLIDEAN:
-        return (((min_side, max_side),) * 2 + (angles,),
-                functools.partial(_flat_attempt, geometry=geometry,
-                                  min_angle=min_angle, max_side=max_side))
     cap = min(max_side, SPHERE_SIDE_CAP) if geometry.kind is GeometryKind.SPHERICAL \
         else max_side
     if min_side >= cap:
@@ -405,13 +397,15 @@ def _triangle_plan(geometry: Curvature, min_angle: float, max_side: float,
     # every frame puts its own vertex at this origin
     origin = _synthesized_point(MODEL_FOR_KIND[geometry.kind], (k, 0.0, 0.0), k)
     return (((min_side, cap),) * 2 + (angles,),
-            functools.partial(_curved_attempt, geometry=geometry,
+            functools.partial(_triangle_attempt, geometry=geometry,
                               min_angle=min_angle, cap=cap, origin=origin))
 
 
-def _rejection_failure(geometry: Curvature, attempts: int) -> str:
+def _rejection_failure(geometry: Curvature, attempts: int):
+    """The error of an index whose `attempts` attempts were all rejected."""
     kind = "flat" if geometry.kind is GeometryKind.EUCLIDEAN else geometry.kind.value
-    return f"no {kind} triangle accepted in {attempts} attempts"
+    return functools.partial(SamplingError,
+                             f"no {kind} triangle accepted in {attempts} attempts")
 
 
 def sample_triangle(geometry: Curvature, seed: int, index: int = 0, *,
@@ -427,12 +421,8 @@ def sample_triangle(geometry: Curvature, seed: int, index: int = 0, *,
     rejected; the attempt budget bounds the rejection loop.
     """
     bounds, attempt = _triangle_plan(geometry, min_angle, max_side, min_side)
-    g = sample_stream(seed, index)
-    for _ in range(attempts):
-        t = attempt(*_uniforms(g, bounds), FLOATS)
-        if t is not None:
-            return t
-    raise SamplingError(_rejection_failure(geometry, attempts))
+    return resolve_index(seed, index, bounds, attempt, attempts,
+                         _rejection_failure(geometry, attempts))
 
 
 def sample_triangles(geometry: Curvature, seed: int, start: int, stop: int, *,
@@ -442,13 +432,12 @@ def sample_triangles(geometry: Curvature, seed: int, start: int, stop: int, *,
                      attempts: int = DEFAULT_ATTEMPTS) -> Block:
     """sample_triangle for every index in [start, stop)."""
     bounds, attempt = _triangle_plan(geometry, min_angle, max_side, min_side)
-    failure = _rejection_failure(geometry, attempts)
     return resolve_block(seed, start, stop, bounds, attempt, attempts,
-                         functools.partial(SamplingError, failure))
+                         _rejection_failure(geometry, attempts))
 
 
 def _right_plan(geometry: Curvature, min_leg: float, max_leg: float | None):
-    """The leg bounds of the right-triangle sampler."""
+    """The leg bounds of the right-triangle sampler and its attempt."""
     kind = geometry.kind
     if kind is GeometryKind.EUCLIDEAN:
         raise DomainError("flat right triangles need no curvature-aware sampler")
@@ -458,7 +447,7 @@ def _right_plan(geometry: Curvature, min_leg: float, max_leg: float | None):
         raise DomainError(f"spherical legs must stay below (pi/2) k, got cap {max_leg}")
     if not (0.0 < min_leg < max_leg):
         raise DomainError(f"need 0 < min_leg < max_leg, got ({min_leg}, {max_leg})")
-    return ((min_leg, max_leg),) * 2
+    return ((min_leg, max_leg),) * 2, functools.partial(_right_triangle, geometry=geometry)
 
 
 def _right_triangle(a, b, m, *, geometry: Curvature) -> TriangleData:
@@ -489,9 +478,8 @@ def sample_right_triangle(geometry: Curvature, seed: int, index: int = 0, *,
     constructions conditioned like cosh(hypotenuse)^2 retain at least
     twelve significant digits.
     """
-    bounds = _right_plan(geometry, min_leg, max_leg)
-    return _right_triangle(*_uniforms(sample_stream(seed, index), bounds), FLOATS,
-                           geometry=geometry)
+    bounds, attempt = _right_plan(geometry, min_leg, max_leg)
+    return resolve_index(seed, index, bounds, attempt, 1, _rejection_failure(geometry, 1))
 
 
 def sample_right_triangles(geometry: Curvature, seed: int, start: int, stop: int, *,
@@ -501,7 +489,5 @@ def sample_right_triangles(geometry: Curvature, seed: int, start: int, stop: int
     attempt each: every leg pair gives a triangle or raises, so none is
     rejected. The right angle C stays the constant pi/2 rather than a
     column."""
-    bounds = _right_plan(geometry, min_leg, max_leg)
-    return resolve_block(seed, start, stop, bounds,
-                         functools.partial(_right_triangle, geometry=geometry), 1,
-                         functools.partial(SamplingError, _rejection_failure(geometry, 1)))
+    bounds, attempt = _right_plan(geometry, min_leg, max_leg)
+    return resolve_block(seed, start, stop, bounds, attempt, 1, _rejection_failure(geometry, 1))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .curvature import CURVED_TRIG, Curvature, GeometryKind
+from .curvature import CURVED_TRIG, TRIG, Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError, SimilarityError
 from .triangle import TriangleData
 
@@ -33,6 +33,26 @@ def _check_side(value: float, name: str, geometry: Curvature) -> None:
         raise DomainError(f"side {name} must be positive and finite, got {value}")
     if geometry.kind is GeometryKind.SPHERICAL and value >= math.pi * geometry.k:
         raise DomainError(f"spherical side {name} must stay below pi*k, got {value}")
+
+
+#: the least normal double, and the power of two that scales the
+#: factors of a root's sum back into the normal range
+_TINY = 2.0 ** -1022
+_SCALE = 2.0 ** 600
+
+
+def _root_sum(d: float, x: float, y: float, h: float) -> float:
+    """sqrt(d d + x y h h) for x, y > 0, where x y or the sum may leave
+    the normal range, as they do for SAS sides far below or above k.
+    There d, x and y are scaled by 2^600 or 2^-600, h joins each of x
+    and y before they meet, and the root is scaled back, all exactly;
+    elsewhere it is the plain root, bit for bit."""
+    q = d * d + x * y * h * h
+    if _TINY <= q < math.inf:
+        return math.sqrt(q)
+    s = _SCALE if q < _TINY else 1.0 / _SCALE
+    d, xh, yh = d * s, x * s * h, y * s * h
+    return math.sqrt(d * d + xh * yh) / s
 
 
 def solve_from_sss(geometry: Curvature, a: float, b: float, c: float) -> TriangleData:
@@ -50,12 +70,8 @@ def solve_from_sss(geometry: Curvature, a: float, b: float, c: float) -> Triangl
     if kind is GeometryKind.SPHERICAL and 2.0 * s >= 2.0 * math.pi * k:
         raise InfeasibleError(f"spherical perimeter {2.0 * s} reaches 2*pi*k; no such triangle")
 
-    if kind is GeometryKind.EUCLIDEAN:
-        f = lambda x: x
-    else:
-        sn = CURVED_TRIG[kind][0]
-        f = lambda x: sn(x / k)
-    fs, fsa, fsb, fsc = f(s), f(sa), f(sb), f(sc)
+    sn = TRIG[kind][0]
+    fs, fsa, fsb, fsc = sn(s / k), sn(sa / k), sn(sb / k), sn(sc / k)
     A = 2.0 * math.atan2(math.sqrt(fsb * fsc), math.sqrt(fs * fsa))
     B = 2.0 * math.atan2(math.sqrt(fsc * fsa), math.sqrt(fs * fsb))
     C = 2.0 * math.atan2(math.sqrt(fsa * fsb), math.sqrt(fs * fsc))
@@ -73,26 +89,22 @@ def solve_from_sas(geometry: Curvature, b: float, A: float, c: float) -> Triangl
     _check_side(b, "b", geometry)
     _check_side(c, "c", geometry)
     _check_angle(A, "A")
-    if geometry.kind is GeometryKind.EUCLIDEAN:
-        # the flat member of the family: cs^2 + 0 sn^2 = 1
-        sn, cs, eps, k = (lambda x: x), (lambda x: 1.0), 0.0, 1.0
-    else:
-        (sn, cs, eps), k = CURVED_TRIG[geometry.kind], geometry.k
+    (sn, cs, eps), k = TRIG[geometry.kind], geometry.k
     half, sinA = math.sin(0.5 * A), math.sin(A)
     sn_b, sn_c, sn_cb = sn(b / k), sn(c / k), sn((c - b) / k)
     if eps == 0.0:
-        a = math.hypot(b - c, 2.0 * math.sqrt(b * c) * half)
+        # sqrt(b c), kept in range
+        a = math.hypot(b - c, 2.0 * _root_sum(0.0, b, c, 1.0) * half)
     else:
-        # sn(a/2)^2 from the half-angle form of the law of cosines; squares
+        # sn(a/2) from the half-angle form of the law of cosines; squares
         # are products, as x ** 2 is C pow, which rounds once more
-        d, sn_bc = sn(0.5 * (b - c) / k), sn_b * sn_c
-        qm = d * d + sn_bc * half * half
+        rm = _root_sum(sn(0.5 * (b - c) / k), sn_b, sn_c, half)
         if eps < 0.0:
-            a = 2.0 * k * math.asinh(math.sqrt(qm))
+            a = 2.0 * k * math.asinh(rm)
         else:
             s_sum, c_half = math.cos(0.5 * (b + c) / k), math.cos(0.5 * A)
-            qp = s_sum * s_sum + sn_bc * c_half * c_half  # cos(a/2)^2
-            a = 2.0 * k * math.atan2(math.sqrt(qm), math.sqrt(qp))
+            qp = s_sum * s_sum + sn_b * sn_c * c_half * c_half  # cos(a/2)^2
+            a = 2.0 * k * math.atan2(rm, math.sqrt(qp))
     s2 = half * half
     B = math.atan2(sinA * sn_b, sn_cb + 2.0 * sn_b * cs(c / k) * s2)
     C = math.atan2(sinA * sn_c, -sn_cb + 2.0 * sn_c * cs(b / k) * s2)

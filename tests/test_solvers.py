@@ -13,6 +13,7 @@ from cctrig import (Curvature, DegenerateError, DomainError, GeometryKind,
                     InfeasibleError, SimilarityError, sample_triangle,
                     solve_from_aaa, solve_from_asa, solve_from_sas, solve_from_sss)
 from cctrig.cli import main
+from cctrig.sampling import sample_triangles
 
 SPH = Curvature.spherical()
 HYP = Curvature.hyperbolic()
@@ -333,3 +334,38 @@ def test_asa_rays_that_diverge_are_infeasible(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert json.loads(err.strip().splitlines()[-1])["error"] == "infeasible"
+
+
+@pytest.mark.parametrize("geometry, values", [
+    (SPH, (1e-160, 1.0, 1e-160)), (HYP, (1e-160, 1.0, 1e-160)),
+    (EUC, (1e-160, 1.0, 1e-160)), (EUC, (1e160, 1.0, 1e160))],
+    ids=("spherical_tiny", "hyperbolic_tiny", "euclidean_tiny", "euclidean_huge"))
+def test_sas_keeps_its_digits_at_both_ends_of_the_double_range(mpref, monkeypatch,
+                                                                geometry, values):
+    # sn(b) sn(c), b c on the plane, is subnormal at 1e-160 and overflows
+    # at 1e160. At 50 digits the reference cannot tell cos(1e-160) from
+    # 1; at 1,400 it can
+    monkeypatch.setattr(mpref, "DIGITS", 1400)
+    assert _reference_misses(mpref, geometry, "sas", values, solve_from_sas) == []
+
+
+def test_flat_sampled_angles_agree_with_mpmath(mpref):
+    # every angle of 500 indices on each of two seeds, drawn one index at
+    # a time and as a block, graded in roundings times (1 + condition)
+    # against the law of cosines on the triangle's own measured sides
+    grades = []
+    for seed in (1, 2):
+        block = sample_triangles(EUC, seed, 0, 500)
+        assert block.rows.tolist() == list(range(500)) and block.errors == {}
+        for i in range(500):
+            t = sample_triangle(EUC, seed, i)
+            assert tuple(getattr(block.figure, name)[i] for name in "abcABC") == \
+                t.sides() + t.angles()
+            exact = mpref.solve("euclidean", 1.0, "sss", t.sides())
+            kappa = mpref.condition(lambda *s: mpref.solve("euclidean", 1.0, "sss", s),
+                                    t.sides())
+            for got, ref, kap in zip(t.angles(), exact[3:], kappa[3:]):
+                assert mpref.agrees(got, ref, kap, REFERENCE_ULPS)
+                with mpref.mp.workdps(mpref.DIGITS):
+                    grades.append(float(abs(got - ref) / (mpref.EPS * (1.0 + kap) * abs(ref))))
+    assert max(grades) <= 2.0
