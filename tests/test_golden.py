@@ -72,7 +72,7 @@ CASES = _cases()
 
 DIGESTS = {
     "verify_all_1000_json":
-        "11de18f4dc3af6b11916a22abe6a4773d34d9086ae08f0e4e380627655261328",
+        "1b3dc02e2d02ee2aca8d79031bc5c099f92915a2ee8d3ace452298e5ec1f17a5",
     "verify_spherical_k0.5_csv":
         "ba70a767676f9da44b696cc6a03a8b0299468967d5f1b46a773bb14368863371",
     "verify_spherical_k10_csv":
@@ -82,9 +82,9 @@ DIGESTS = {
     "verify_hyperbolic_k10_csv":
         "f19d36981390fb3b8b4729921594a03f7446f270b3b91dc7a151acd39135c8be",
     "verify_euclidean_k0.5_csv":
-        "5aceeff9f736373ec2c9688d617b701ff128104633b8e320c13e738fd64e5140",
+        "f7f3f009cd5b272f0195ab43c52079a3694820fd93dc3b6d3e72f329c9c9d48c",
     "verify_euclidean_k10_csv":
-        "5aceeff9f736373ec2c9688d617b701ff128104633b8e320c13e738fd64e5140",
+        "f7f3f009cd5b272f0195ab43c52079a3694820fd93dc3b6d3e72f329c9c9d48c",
     "verify_sphere-model_k0.5_csv":
         "cff83af7765fe67ba2b6e276cc094a9a2ca6b983f1a611f84a036d242f98d1d8",
     "verify_sphere-model_k10_csv":
@@ -114,7 +114,7 @@ DIGESTS = {
     "verify_hyperbolic_3000_csv":
         "8628fda5878c383aa2540736cc883aab8242cabbd93421e413457c2cb628c652",
     "verify_euclidean_3000_csv":
-        "97a92a410a7fb2f86712658ef084392ef376c6867cb3e3a1aa00cf00099da484",
+        "34764f8b9d7320ad70519e2e442bfda6037fa43e680b51c58d108d19aa3d9b85",
     "verify_substitution_3000_csv":
         "0953c6e2e13ee26cc145029918a119cdeee7de6b793f0f8eb8d8f6838ece5fc2",
     "verify_sphere-model_3000_csv":
