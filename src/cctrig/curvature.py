@@ -7,21 +7,22 @@ checks that invariance rather than assuming it.
 
 Sign convention. The three geometries are one family with sign
 eps = +1 (spherical), 0 (Euclidean) or -1 (hyperbolic). Their
-generalized sine and cosine sn/cs are sin/cos, x/1 and sinh/cosh, so
-that cs(x)^2 + eps sn(x)^2 = 1; the imaginary-side substitution
-sin(ix) = i sinh x, cos(ix) = cosh x carries one curved formula to the
-other, and the plane is the flat member between them. The curved models
-pair with them: the sphere uses the Euclidean dot product, the
-hyperboloid the Minkowski product of signature (+, -, -, ...), and a
-unit tangent v has eps <v, v> = 1 in either. CURVED_TRIG holds
-(sn, cs, eps) for the two curved kinds and TRIG for all three; the
-kernels take TRIG as m.trig (floats.py, columns.py). A flat point built
-as a curved one, (k cs(x), ...), lies on the plane x0 = k, which is
-how the flat member shares the curved constructions.
+generalized sine and cosine are sn = sin, cs = cos on the sphere,
+sn(x) = x, cs(x) = 1 on the plane and sn = sinh, cs = cosh on the
+hyperboloid, so that cs(x)^2 + eps sn(x)^2 = 1; the imaginary-side
+substitution sin(ix) = i sinh x, cos(ix) = cosh x carries one curved
+formula to the other, and the plane is the flat member between them.
+The curved models pair with them: the sphere uses the Euclidean dot
+product, the hyperboloid the Minkowski product of signature
+(+, -, -, ...), and a unit tangent v has eps <v, v> = 1 in either.
+CURVED_TRIG holds (sn, cs, eps) for the two curved kinds and TRIG for
+all three; the kernels take TRIG as m.trig (floats.py, columns.py). A
+flat point built as a curved one, (k cs(x), ...), lies on the plane
+x0 = k, which is how the flat member shares the curved constructions.
 
-Each shared formula keeps the arithmetic of the per-geometry copies it
-replaced, step for step, so the report bytes do not move. That pins a
-few per-model steps which the sign alone does not decide:
+Each shared curved formula keeps the arithmetic of the per-geometry
+copies it replaced, step for step, so the report bytes do not move.
+That pins a few per-model steps which the sign alone does not decide:
 
   * sphere points pass through ModelPoint.sphere, which renormalizes
     them; hyperboloid points synthesized on the sheet are built as they

@@ -31,10 +31,9 @@ draw a range of indices at once, bit for bit what resolve_index
 returns for each of them. A numpy Philox4x64-10 (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed as
 sample_stream keys it, hands every index of the block the words of its
-own stream that a round needs, so a block builds
-no Generator; an index whose attempt is rejected draws again in the
-next round of resolve_block, the one rejection loop of every block
-sampler. The attempt itself (synthesis, model measurements, rejection
+own stream that a round needs, so a block builds no Generator; an
+index whose attempt is rejected draws again in the next round of
+resolve_block, the one rejection loop of every block sampler. The attempt itself (synthesis, model measurements, rejection
 tests, validation) is one function, run on floats or on float64 columns
 (columns.py). On the columns numpy does + - * / and sqrt, which IEEE
 754 rounds correctly, and sin and cos, which give `math`'s bits; every
@@ -402,7 +401,7 @@ def _triangle_plan(geometry: Curvature, min_angle: float, max_side: float,
 
 
 def _rejection_failure(geometry: Curvature, attempts: int):
-    """The error of an index whose `attempts` attempts were all rejected."""
+    """exhausted() of an index whose `attempts` attempts were all rejected."""
     kind = "flat" if geometry.kind is GeometryKind.EUCLIDEAN else geometry.kind.value
     return functools.partial(SamplingError,
                              f"no {kind} triangle accepted in {attempts} attempts")
