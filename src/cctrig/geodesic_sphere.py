@@ -36,7 +36,7 @@ _NO_RAYS = f"no acceptable ray triple after {DEFAULT_ATTEMPTS} attempts"
 #: the uniform bounds of a center-ray attempt: z and phi of each ray
 _RAY_BOUNDS = ((-1.0, 1.0), (0.0, 2.0 * math.pi)) * 3
 #: each thread's arc trace buffers, kept from one intrinsic_arc_length
-#: call to the next
+#: call to the next (_arc_workspace)
 _workspace = threading.local()
 
 
@@ -59,9 +59,11 @@ class GeodesicSphere:
         k = self.center.k
         return k * math.sinh(self.radius / k)
 
-    def point_toward(self, direction) -> ModelPoint:
-        """The sphere point hit by the ray from the center along `direction`."""
-        return Ray.at(self.center, direction).point_at(self.radius)
+    def point_toward(self, direction, m=FLOATS) -> ModelPoint:
+        """The sphere point hit by the ray from the center along
+        `direction`; with a Columns namespace the direction and the point
+        hold coordinate columns."""
+        return Ray.at(self.center, direction, m).point_at(self.radius)
 
 
 def _tangent_part(direction, axis):
@@ -143,113 +145,174 @@ def center_ray_triangles(sphere: GeodesicSphere, seed: int, start: int, stop: in
     return Block(m.rows[alive], (take(t, alive), directions), drawn.errors | m.errors)
 
 
-def _arc_workspace(fine: int) -> np.ndarray:
-    """This thread's buffers for an arc trace of fine + 1 points: nine
-    rows, the angle ramp 0, 1, ..., fine first. Each thread keeps one
-    buffer, grown to the largest trace it has made and never shrunk; a
-    call gets views of its first fine + 1 columns, whose ramp is the
-    same prefix at every size."""
+def _arc_workspace(rows: int, fine: int):
+    """This thread's buffers for tracing `rows` arcs of fine + 1 points:
+    the angle ramp 0, 1, ..., fine, then eight flat buffers of rows ×
+    (fine + 1) doubles (cos, sin, differences, hops and four coordinate
+    columns). Each thread keeps one ramp and one buffer, each grown to
+    the largest trace it has made and never shrunk; a call gets views of
+    their prefixes, and the ramp is the same prefix at every size. The
+    buffer starts at _ARC_WORKSPACE doubles, so traces within that size
+    never replace it."""
+    points = fine + 1
+    ramp = getattr(_workspace, "ramp", None)
+    if ramp is None or len(ramp) < points:
+        ramp = _workspace.ramp = np.arange(float(points))
+    size = rows * points
     ws = getattr(_workspace, "arc", None)
-    if ws is None or ws.shape[1] < fine + 1:
-        ws = _workspace.arc = np.empty((9, fine + 1))
-        ws[0] = np.arange(fine + 1)
-    return ws[:, :fine + 1]
+    if ws is None or len(ws) < 8 * size:
+        ws = _workspace.arc = np.empty(max(8 * size, _ARC_WORKSPACE))
+    return ramp[:points], *(ws[i * size:(i + 1) * size] for i in range(8))
 
 
-def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, *,
-                         base_segments: int = 4096) -> float:
+def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, m=FLOATS, *,
+                         base_segments: int = 1024) -> float:
     """Length of the intrinsic geodesic (great-circle arc) of the sphere
-    between two of its points, by polyline integration.
+    between two of its points, by polyline integration. With a Columns
+    namespace p and q hold coordinate columns (as
+    GeodesicSphere.point_toward(direction, m) gives them) and the result
+    is a column, row i bit for bit the float call on row i's points.
 
-    The arc is traced once, at the finest of three refinement levels, in
-    the plane spanned by the center tangents toward p and q; chord hops
-    between consecutive trace points are summed over every fourth, every
-    second and every trace point and Richardson-extrapolated. The
-    strided traces are bit for bit the coarse ones: the angle step
-    delta/(4n) is delta/n scaled by a power of two.
+    A point off the sphere raises DomainError and coincident or
+    antipodal points DegenerateError, through m.refuse: a column records
+    them for their rows, whose lengths are then meaningless. A
+    base_segments that is not an integer of at least 1 raises
+    DomainError.
+
+    Each arc is traced once, at the finest of four refinement levels (n,
+    2n, 4n and 8n segments), in the plane spanned by the center tangents
+    toward p and q; chord hops between consecutive trace points are
+    summed over every eighth, fourth, second and every trace point and
+    Richardson-extrapolated. The strided traces are bit for bit the
+    coarse ones: the angle step delta/(8n) is delta/n scaled by a power
+    of two. A float call traces one row; a column call traces its rows
+    together, as many at once as _ARC_WORKSPACE holds.
 
     Only the coordinates that move are traced, bit for bit as the full
     trace. A coordinate whose frame components are both 0.0 is constant
     when cosh(rho/k)·o and k·sinh(rho/k) are finite, so its squared
     differences are +0, and adding or subtracting +0 leaves a squared
-    chord unchanged; at the origin center this drops the time axis. The
-    center term is dropped where o is 0.0: cosh is finite (math.cosh
-    raises rather than overflow), the term is ±0, and ±0 changes no
-    difference beyond the sign of a zero, which its square loses. Without
-    the time axis nothing is subtracted: the sum of squares is +0 or
-    more, or nan, and the clamp at 0 would return it unchanged.
+    chord unchanged; at the origin center this drops the time axis. A
+    coordinate is traced for every row where it moves in any, which
+    changes no row's bits for the same reason. The center term is
+    dropped where o is 0.0: cosh is finite (math.cosh raises rather than
+    overflow), the term is ±0, and ±0 changes no difference beyond the
+    sign of a zero, which its square loses. Without the time axis
+    nothing is subtracted: the sum of squares is +0 or more, or nan, and
+    the clamp at 0 would return it unchanged.
 
     The trace's buffers persist per thread (_arc_workspace), and calls
-    at several segment counts share them. At the default 4096 segments
-    a trace array is 131,080 bytes, just over glibc's 128 KiB mmap
-    threshold, so fresh arrays cost an mmap each, faulted in page by
-    page: 224 minor faults per call. They are per
-    thread because numpy releases the GIL inside its loops, so threads
-    tracing into one shared set would overwrite each other's traces.
-    A base_segments that is not an integer of at least 1 raises
-    DomainError.
+    at several segment counts and row counts share them: a trace array
+    past glibc's 128 KiB mmap threshold costs an mmap when it is fresh,
+    faulted in page by page. They are per thread because numpy releases
+    the GIL inside its loops, so threads tracing into one shared set
+    would overwrite each other's traces.
     """
     check_segments(base_segments)
-    k = sphere.center.k
+    center = sphere.center
     for x in (p, q):
-        d = model_distance(sphere.center, x)
-        if abs(d - sphere.radius) > 1e-9 * max(1.0, sphere.radius):
-            raise DomainError(f"point at center distance {d} is not on the sphere "
-                              f"of radius {sphere.radius}")
-    e1 = tangent_toward(sphere.center, p)
-    t2 = tangent_toward(sphere.center, q)
-    delta = tangent_angle(sphere.center, e1, t2)
-    if delta < MIN_RAY_SEPARATION or delta > math.pi - MIN_RAY_SEPARATION:
-        raise DegenerateError("points are coincident or antipodal on the sphere")
+        d = model_distance(center, x, m)
+        bad = abs(d - sphere.radius) > 1e-9 * max(1.0, sphere.radius)
+        if bad is not False:
+            m.refuse(bad, DomainError, "point at center distance {} is not on the sphere "
+                     "of radius {}", d, sphere.radius)
+    e1 = tangent_toward(center, p, m)
+    t2 = tangent_toward(center, q, m)
+    delta = tangent_angle(center, e1, t2, m)
+    bad = (delta < MIN_RAY_SEPARATION) | (delta > math.pi - MIN_RAY_SEPARATION)
+    if bad is not False:
+        m.refuse(bad, DegenerateError, "points are coincident or antipodal on the sphere")
     # tangent-metric Gram-Schmidt for the second frame vector
     w = _tangent_part(t2, e1)
-    n = _spacelike_norm(w)
+    n = _spacelike_norm(w, m)
     e2 = tuple(wi / n for wi in w)
+    k = center.k
+    try:
+        ch, sh = math.cosh(sphere.radius / k), math.sinh(sphere.radius / k)
+    except OverflowError as exc:
+        # every row still standing raises it, as its float call would
+        m.refuse(True, OverflowError, str(exc))
+        return delta * math.nan
+    # one row per arc: (e1, e2, delta) by nine rows
+    frame = np.array(np.broadcast_arrays(*e1, *e2, delta), dtype=float).reshape(9, -1)
+    lengths = _trace_arcs(center, ch, k * sh, frame[:4], frame[4:8], frame[8],
+                          base_segments)
+    return lengths if type(delta) is np.ndarray else float(lengths[0])
 
-    ch, sh = math.cosh(sphere.radius / k), math.sinh(sphere.radius / k)
-    ksh = k * sh
-    fine = 4 * base_segments
-    ramp, cos_t, sin_t, diff, hops, *columns = _arc_workspace(fine)
-    # np.linspace(0.0, delta, fine + 1) by linspace's own arithmetic for
-    # a nonzero step, which delta >= MIN_RAY_SEPARATION ensures
-    np.multiply(ramp, delta / fine, out=cos_t)
-    cos_t[-1] = delta
-    np.sin(cos_t, out=sin_t)
-    np.cos(cos_t, out=cos_t)
-    # the column ch·o + ksh·(cos θ·u + sin θ·v) of each hyperboloid axis
-    # that moves; a unit tangent has a nonzero spatial component, so
-    # some spatial axis moves
-    cols = {}
-    for axis, (o, u, v) in enumerate(zip(sphere.center.coords, e1, e2)):
-        cho = ch * o
-        if u == 0.0 and v == 0.0 and math.isfinite(cho) and math.isfinite(ksh):
-            continue
-        col = cols[axis] = np.multiply(cos_t, u, out=columns[axis])
-        np.add(col, np.multiply(sin_t, v, out=diff), out=col)
-        np.multiply(col, ksh, out=col)
-        if o != 0.0:
-            np.add(col, cho, out=col)
-    time = cols.pop(0, None)
-    first, *rest = cols.values()
 
-    def polyline(n_seg: int) -> float:
-        step = fine // n_seg
-        d, msq = diff[:n_seg], hops[:n_seg]
-        np.subtract(first[step::step], first[:-1:step], out=msq)
-        np.multiply(msq, msq, out=msq)
-        for col in rest:
-            np.subtract(col[step::step], col[:-1:step], out=d)
-            np.add(msq, np.multiply(d, d, out=d), out=msq)
-        if time is not None:
-            np.subtract(time[step::step], time[:-1:step], out=d)
-            np.subtract(msq, np.multiply(d, d, out=d), out=msq)
-            np.maximum(msq, 0.0, out=msq)
-        # 2.0 * k * arcsinh(0.5 * sqrt(msq) / k), rounded in that order
-        np.sqrt(msq, out=msq)
-        np.multiply(msq, 0.5, out=msq)
-        np.divide(msq, k, out=msq)
-        np.arcsinh(msq, out=msq)
-        np.multiply(msq, 2.0 * k, out=msq)
-        return float(np.sum(msq))
+#: the doubles of a thread's trace buffer: eight arrays of two rows at
+#: the default 1024 segments (1.05 MB; 1.11 MB with the angle ramp). A
+#: call traces as many rows at once as fit, and one row where none do:
+#: 31 at 64 segments, 2 at 1024. Two rows at a time trace sphere-model's
+#: 16 arcs at 1024 segments no slower than all 16 in one 8.4 MB trace
+#: (5.3 against 5.8 ms on a shared 2-vCPU machine)
+_ARC_WORKSPACE = 8 * 2 * (8 * 1024 + 1)
 
-    return richardson_length(polyline, base_segments)
+
+def _trace_arcs(center: ModelPoint, ch: float, ksh: float, e1, e2, delta,
+                base_segments: int) -> np.ndarray:
+    """The arc lengths of intrinsic_arc_length, one per row of the
+    frames e1, e2 (4, rows) and angles delta (rows): row i traces
+    ch·o + ksh·(cos θ·e1 + sin θ·e2) at θ = 0, delta/fine, ..., delta,
+    o the center's coordinates and fine = 8 base_segments."""
+    k = center.k
+    fine = 8 * base_segments
+    points = fine + 1
+    chunk = max(1, _ARC_WORKSPACE // (8 * points))
+    # the axes that move in some row, time last: its squares are subtracted
+    moving = [axis for axis, o in enumerate(center.coords)
+              if e1[axis].any() or e2[axis].any()
+              or not (math.isfinite(ch * o) and math.isfinite(ksh))]
+    if moving[:1] == [0]:
+        moving.append(moving.pop(0))
+    lengths = np.empty(len(delta))
+    for start in range(0, len(delta), chunk):
+        rows = slice(start, start + chunk)
+        angle = delta[rows]
+        count = len(angle)
+        ramp, cos_t, sin_t, diff, hops, *buffers = _arc_workspace(count, fine)
+        cos_t, sin_t = cos_t.reshape(count, points), sin_t.reshape(count, points)
+        # np.linspace(0.0, delta, fine + 1) by linspace's own arithmetic
+        # for a nonzero step, which delta >= MIN_RAY_SEPARATION ensures
+        np.multiply(ramp, (angle / fine)[:, None], out=cos_t)
+        cos_t[:, -1] = angle
+        np.sin(cos_t, out=sin_t)
+        np.cos(cos_t, out=cos_t)
+        columns = []
+        for axis, buffer in zip(moving, buffers):
+            o = center.coords[axis]
+            col = np.multiply(cos_t, e1[axis, rows, None], out=buffer.reshape(count, points))
+            np.add(col, np.multiply(sin_t, e2[axis, rows, None],
+                                    out=diff.reshape(count, points)), out=col)
+            np.multiply(col, ksh, out=col)
+            if o != 0.0:
+                np.add(col, ch * o, out=col)
+            columns.append(col)
+        time = columns.pop() if moving[-1] == 0 else None
+        # a unit tangent has a nonzero spatial component, so some spatial
+        # axis moves
+        first, *rest = columns
+
+        def polyline(n_seg: int) -> np.ndarray:
+            step = fine // n_seg
+            d = diff[:count * n_seg].reshape(count, n_seg)
+            msq = hops[:count * n_seg].reshape(count, n_seg)
+            np.subtract(first[:, step::step], first[:, :-1:step], out=msq)
+            np.multiply(msq, msq, out=msq)
+            for col in rest:
+                np.subtract(col[:, step::step], col[:, :-1:step], out=d)
+                np.add(msq, np.multiply(d, d, out=d), out=msq)
+            if time is not None:
+                np.subtract(time[:, step::step], time[:, :-1:step], out=d)
+                np.subtract(msq, np.multiply(d, d, out=d), out=msq)
+                np.maximum(msq, 0.0, out=msq)
+            # 2.0 * k * arcsinh(0.5 * sqrt(msq) / k), rounded in that order
+            np.sqrt(msq, out=msq)
+            np.multiply(msq, 0.5, out=msq)
+            np.divide(msq, k, out=msq)
+            np.arcsinh(msq, out=msq)
+            np.multiply(msq, 2.0 * k, out=msq)
+            return np.sum(msq, axis=1)
+
+        lengths[rows] = richardson_length(polyline, base_segments)
+    return lengths

@@ -105,15 +105,17 @@ def check_segments(base_segments) -> None:
 
 def richardson_length(polyline, base_segments: int) -> float:
     """Extrapolate a polyline length to the limit curve from
-    polyline(n) at n = base_segments, 2n and 4n segments. The chord error
-    is an even power series in the step, so eliminating h^2 and h^4
-    leaves O(h^6)."""
-    l1 = polyline(base_segments)
-    l2 = polyline(2 * base_segments)
-    l3 = polyline(4 * base_segments)
+    polyline(n) at n = base_segments, 2n, 4n and 8n segments (Romberg).
+    The chord error is an even power series in the step, so eliminating
+    h^2, h^4 and h^6 leaves O(h^8). A polyline that returns a column of
+    lengths is extrapolated row by row."""
+    l1, l2, l3, l4 = (polyline(scale * base_segments) for scale in (1, 2, 4, 8))
     r12 = (4.0 * l2 - l1) / 3.0
     r23 = (4.0 * l3 - l2) / 3.0
-    return (16.0 * r23 - r12) / 15.0
+    r34 = (4.0 * l4 - l3) / 3.0
+    r123 = (16.0 * r23 - r12) / 15.0
+    r234 = (16.0 * r34 - r23) / 15.0
+    return (64.0 * r234 - r123) / 63.0
 
 
 #: curved model -> (inner product, tangent-vector norm); see curvature.py

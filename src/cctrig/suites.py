@@ -13,8 +13,9 @@ them first). sphere-model and horosphere pass over an index whose draw
 gives no triangle or raises a _SKIPPED error instead. Every suite draws
 at most DEFAULT_ATTEMPTS indices per sample, the attempts a sampler
 gives one index, so a suite that passes over every index stops with a
-SamplingError. What stays per sample is the arc and ambient length
-checks of sphere-model and horosphere, the limits suite and the fixed
+SamplingError. sphere-model measures each sphere's 16 arcs in one
+intrinsic_arc_length call on columns. What stays per sample is the
+ambient length checks of horosphere, the limits suite and the fixed
 cevian figures. Row tolerances default to the documented per-row
 targets and scale proportionally when the configured base tolerance is
 changed; structural thresholds (the limit-slope window and the cevian
@@ -41,7 +42,7 @@ from .geodesic_sphere import (GeodesicSphere, center_ray_triangles,
                               intrinsic_arc_length)
 from .horosphere import (ambient_polyline_length, chart_triangles,
                          intrinsic_distance)
-from .models import Model, ModelPoint, tangent_angle
+from .models import Model, ModelPoint
 from .prism import build_prism, parallelism_match, replay_residuals
 from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals, spherical_right_residuals)
@@ -57,17 +58,19 @@ _BASE_TOLERANCE = 1e-9
 _SUB = 1 << 28
 
 #: each geodesic sphere's radius in units of k, its row label and the
-#: base_segments of its arc checks. The radii are fixed multiples of k,
-#: so the trace error does not depend on k. Worst relative error of the
-#: suite's arcs (k in {0.1, 1, 100}, seeds 1 and 2, 96 arcs per radius)
-#: against mpmath's k sinh(rho/k) times the 50-digit angle at the center:
-#:   rho = 0.1k: 4.2e-16 at 4096, 6.6e-16 at 128, 8.1e-16 at 64, 2.8e-14 at 32
-#:   rho = 1k:   6.0e-16 at 4096, 5.7e-16 at 512, 7.3e-16 at 256, 5.2e-15 at 128
-#:   rho = 5k:   3.1e-13 at 4096, 2.0e-11 at 2048, 1.2e-9 at 1024
+#: base_segments of its arc checks (Richardson over n, 2n, 4n and 8n
+#: segments). The radii are fixed multiples of k, so the trace error does
+#: not depend on k. Worst relative error of the suite's arcs (k in
+#: {0.1, 1, 100}, seeds 1 and 2, 96 arcs per radius) against mpmath's
+#: k sinh(rho/k) times the 50-digit angle at the center:
+#:   rho = 0.1k: 8.1e-16 at 64, 8.1e-16 at 32, 5.2e-16 at 16, 3.7e-15 at 8
+#:   rho = 1k:   8.9e-16 at 128, 7.2e-16 at 64, 6.6e-16 at 32, 1.6e-13 at 16
+#:   rho = 5k:   8.9e-16 at 2048, 1.6e-13 at 1024, 4.0e-11 at 512
 #: Each count is one doubling past the coarsest at the rounding floor, a
-#: 64-fold margin on the O(h^6) truncation term. At 5k, sinh(5) ~ 74
-#: stretches the step, truncation still dominates, and 4096 stays.
-_GEODESIC_SPHERE_RADII = ((0.1, "0.1", 128), (1.0, "1", 512), (5.0, "5", 4096))
+#: 256-fold margin on the O(h^8) truncation term. At 5k, sinh(5) ~ 74
+#: stretches the step: 2048 reaches the floor at twice the trace of
+#: 1024, which keeps the arcs within 2e-13.
+_GEODESIC_SPHERE_RADII = ((0.1, "0.1", 32), (1.0, "1", 64), (5.0, "5", 1024))
 _ARC_CHECK_PAIRS = 16
 _AMBIENT_CHECK_PAIRS = 8
 _LIMIT_SHAPES = 10
@@ -175,14 +178,19 @@ def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
 
         def check_arcs(figure, used):
             # the first triangles used also measure the arc between two
-            # of their vertices, against the sphere's effective radius,
-            # in units of k
-            for row in used[:_ARC_CHECK_PAIRS - len(arcs)].tolist():
-                d0, d1 = (tuple(figure[1][r, :, row].tolist()) for r in (0, 1))
-                arc = intrinsic_arc_length(sphere, sphere.point_toward(d0),
-                                           sphere.point_toward(d1), base_segments=segments)
-                angle = tangent_angle(center, d0, d1)
-                arcs.append((arc - sphere.effective_radius * angle) / k)
+            # of their vertices, in one call over their rows, against the
+            # sphere's effective radius times the center angle between
+            # them, the triangle's side c; in units of k
+            rows = used[:_ARC_CHECK_PAIRS - len(arcs)]
+            if not len(rows):
+                return
+            triangles, directions = figure
+            with Columns(np.arange(len(rows))) as m:
+                p, q = (sphere.point_toward(tuple(directions[r][:, rows]), m) for r in (0, 1))
+                arc = intrinsic_arc_length(sphere, p, q, m, base_segments=segments)
+            if m.errors:
+                raise m.errors[min(m.errors)]
+            arcs.extend(((arc - sphere.effective_radius * triangles.c[rows]) / k).tolist())
 
         per = _sampled(cfg, "sphere-model", functools.partial(center_ray_triangles, sphere),
                        lambda figure, m: residuals(figure[0], m), level, _SKIPPED, check_arcs)

@@ -12,7 +12,8 @@ from cctrig import (Curvature, DegenerateError, DomainError, GeodesicSphere,
                     geodesic_sphere_triangle, intrinsic_arc_length,
                     model_distance, run_suite, sample_stream,
                     spherical_residuals, tangent_angle)
-from cctrig import suites
+from cctrig import geodesic_sphere, suites
+from cctrig.columns import Columns
 from cctrig.geodesic_sphere import _tangent_part
 from cctrig.models import _spacelike_norm, richardson_length, tangent_toward
 
@@ -87,12 +88,13 @@ def test_intrinsic_arc_length_matches_effective_radius():
 
 def _suite_arcs(monkeypatch, k, seed):
     """The arcs sphere-model measures at k: (sphere, p, q, base_segments,
-    length) of each intrinsic_arc_length call, 16 per sphere."""
+    length) of each row of its intrinsic_arc_length calls, 16 per sphere."""
     arcs = []
 
-    def record(sphere, p, q, *, base_segments=4096):
-        arc = intrinsic_arc_length(sphere, p, q, base_segments=base_segments)
-        arcs.append((sphere, p, q, base_segments, arc))
+    def record(sphere, p, q, m, *, base_segments=1024):
+        arc = intrinsic_arc_length(sphere, p, q, m, base_segments=base_segments)
+        for i, length in enumerate(arc.tolist()):
+            arcs.append((sphere, _row_point(p, i), _row_point(q, i), base_segments, length))
         return arc
 
     monkeypatch.setattr(suites, "intrinsic_arc_length", record)
@@ -117,11 +119,11 @@ def _mpmath_arc(sphere, p, q):
 
 @pytest.mark.parametrize("k", (1e-3, 0.1, 1.0, 10.0, 1e5), ids=repr)
 def test_suite_arcs_agree_with_mpmath_at_each_spheres_count(monkeypatch, k):
-    # the counts of suites._GEODESIC_SPHERE_RADII: 128 segments at
-    # rho = 0.1k and 512 at 1k reach the rounding floor; 5k keeps the
-    # default 4096, whose bits the suite's arcs keep
+    # the counts of suites._GEODESIC_SPHERE_RADII: 32 segments at
+    # rho = 0.1k and 64 at 1k reach the rounding floor; 5k keeps the
+    # default 1024, whose bits the suite's arcs keep
     counts = {rho: n for rho, _, n in suites._GEODESIC_SPHERE_RADII}
-    assert counts == {0.1: 128, 1.0: 512, 5.0: 4096}
+    assert counts == {0.1: 32, 1.0: 64, 5.0: 1024}
     worst = {rho: 0.0 for rho in counts}
     for seed in (7, 42):
         arcs = _suite_arcs(monkeypatch, k, seed)
@@ -137,20 +139,129 @@ def test_suite_arcs_agree_with_mpmath_at_each_spheres_count(monkeypatch, k):
     assert worst[5.0] < 1e-12
 
 
+def test_sphere_model_measures_each_spheres_arcs_in_one_call(monkeypatch):
+    rows = []
+
+    def record(sphere, p, q, m, *, base_segments):
+        rows.append(len(m.rows))
+        return intrinsic_arc_length(sphere, p, q, m, base_segments=base_segments)
+
+    monkeypatch.setattr(suites, "intrinsic_arc_length", record)
+    run_suite("sphere-model", SuiteConfig(seed=42, samples=100))
+    assert rows == [16, 16, 16]
+
+
+def test_sphere_model_raises_the_first_refused_arcs_error(monkeypatch):
+    def refuse_two(sphere, p, q, m, *, base_segments):
+        arc = intrinsic_arc_length(sphere, p, q, m, base_segments=base_segments)
+        rows = np.arange(len(m.rows))
+        m.refuse(rows == 9, DomainError, "row 9")
+        m.refuse(rows == 4, DegenerateError, "row 4")
+        return arc
+
+    monkeypatch.setattr(suites, "intrinsic_arc_length", refuse_two)
+    with pytest.raises(DegenerateError, match="row 4"):
+        run_suite("sphere-model", SuiteConfig(seed=42, samples=100))
+
+
+def _row_point(point, i):
+    """Row i of a point of coordinate columns, as a float point."""
+    return ModelPoint(point.model, tuple(c[i].item() for c in point.coords), point.k)
+
+
+def _arc_outcome(sphere, p, q, n):
+    """The float call's length as bits, or the type and message of what
+    it raises."""
+    try:
+        return intrinsic_arc_length(sphere, p, q, base_segments=n).hex()
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def test_column_arcs_are_the_float_arcs_row_by_row():
+    # 12 spheres of 20 arcs at each radius and count of the suite's
+    # table, k = 2^U(-20, 20), centers at and off the origin, and in
+    # every other row directions in a coordinate plane (a coordinate the
+    # row holds constant moves in the next). The last six spheres have a
+    # coincident pair, an antipodal pair, a point off the sphere and a
+    # nan direction in their first four rows
+    g = sample_stream(19, 0)
+    rows = 20
+    checked = 0
+    for i in range(12):
+        k = float(2.0 ** g.uniform(-20.0, 20.0))
+        r = float(g.uniform(0.0, 2.0)) if i % 2 else 0.0
+        axis = g.normal(size=3)
+        axis *= math.sinh(r) / np.linalg.norm(axis)
+        center = ModelPoint.hyperboloid((math.cosh(r), *axis.tolist()), k)
+        rho, _, n = suites._GEODESIC_SPHERE_RADII[i % 3]
+        sphere = GeodesicSphere(center, rho * k)
+        directions = g.normal(size=(2, 4, rows))
+        if i % 4 >= 2:
+            directions[:, 1 + i % 3, ::2] = 0.0
+        special = i >= 6
+        if special:
+            directions[1, :, 0] = directions[0, :, 0]
+            directions[1, :, 1] = -directions[0, :, 1]
+            directions[0, 1, 3] = math.nan
+        with Columns(np.arange(rows)) as m:
+            p, q = (sphere.point_toward(tuple(d), m) for d in directions)
+        if special:
+            off = GeodesicSphere(center, 1.5 * rho * k).point_toward(tuple(directions[0, :, 2]))
+            p = ModelPoint(p.model, tuple(np.where(np.arange(rows) == 2, x, c)
+                                          for x, c in zip(off.coords, p.coords)), k)
+        with Columns(np.arange(rows)) as m:
+            arcs = intrinsic_arc_length(sphere, p, q, m, base_segments=n)
+        for row in range(rows):
+            p_row, q_row = _row_point(p, row), _row_point(q, row)
+            if not (special and row < 4):
+                assert p_row == sphere.point_toward(tuple(directions[0, :, row].tolist()))
+            expected = _arc_outcome(sphere, p_row, q_row, n)
+            if row in m.errors:
+                error = m.errors[row]
+                assert (type(error), str(error)) == expected
+            else:
+                assert arcs[row].hex() == expected
+            checked += 1
+        if special:
+            assert sorted(m.errors) == [0, 1, 2]
+            assert [type(m.errors[row]) for row in range(3)] == [
+                DegenerateError, DegenerateError, DomainError]
+            assert math.isnan(arcs[3]) and np.isfinite(arcs[3:]).sum() == rows - 4
+        else:
+            assert m.errors == {} and np.isfinite(arcs).all()
+    assert checked >= 200
+
+
+def test_column_arcs_refuse_every_row_left_where_cosh_overflows():
+    # past rho/k of about 710 no finite point lies on the sphere, but nan
+    # points pass both guards, and the float call raises OverflowError
+    # from cosh(rho/k); a finite point off the sphere raises first
+    sphere = GeodesicSphere(ORIGIN, 800.0)
+    off = ModelPoint.hyperboloid((math.cosh(1.0), math.sinh(1.0), 0.0, 0.0), 1.0)
+    p = ModelPoint(Model.HYPERBOLOID, tuple(np.array([math.nan, x]) for x in off.coords), 1.0)
+    q = ModelPoint(Model.HYPERBOLOID, (np.full(2, math.nan),) * 4, 1.0)
+    with Columns(np.arange(2)) as m:
+        intrinsic_arc_length(sphere, p, q, m)
+    assert [(type(m.errors[row]), str(m.errors[row])) for row in (0, 1)] == [
+        _arc_outcome(sphere, _row_point(p, row), _row_point(q, row), 1024) for row in (0, 1)]
+    assert type(m.errors[0]) is OverflowError and type(m.errors[1]) is DomainError
+
+
 # float.hex of intrinsic_arc_length(GeodesicSphere(center, rho * k), p, q)
 # for the fixed directions below; every bit is pinned, so a change in
 # how the polylines are traced must reproduce them exactly
 _ARC_DIRECTIONS = ((0.0, 0.6, 0.8, 0.0), (0.0, -0.2, 0.3, 0.9))
 _PINNED_ARCS = (
     (0.001, 0.1, '0x1.2fe708fe28a89p-13'),
-    (0.001, 1.0, '0x1.bdb0a47b8342bp-10'),
-    (0.001, 5.0, '0x1.b7b4ff2e25da6p-4'),
+    (0.001, 1.0, '0x1.bdb0a47b8342cp-10'),
+    (0.001, 5.0, '0x1.b7b4ff2e25dbfp-4'),
     (1.0, 0.1, '0x1.28c79ec833b4ap-3'),
-    (1.0, 1.0, '0x1.b33e80a09e2f1p+0'),
-    (1.0, 5.0, '0x1.ad66c13310f74p+6'),
+    (1.0, 1.0, '0x1.b33e80a09e2f0p+0'),
+    (1.0, 5.0, '0x1.ad66c13310f8cp+6'),
     (1000.0, 0.1, '0x1.21d2f10f827e7p+7'),
-    (1000.0, 1.0, '0x1.a90b099cda7a0p+10'),
-    (1000.0, 5.0, '0x1.a35658abde916p+16'),
+    (1000.0, 1.0, '0x1.a90b099cda7a2p+10'),
+    (1000.0, 5.0, '0x1.a35658abde92ep+16'),
 )
 
 
@@ -171,15 +282,15 @@ _OFF_ORIGIN = (1.3, 0.4, -0.7, 0.5)
 _AT_ORIGIN = (1.0, 0.0, 0.0, 0.0)
 _PLANAR_DIRECTIONS = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.3, 0.7, 0.0))
 _PINNED_COLUMN_ARCS = (
-    (_OFF_ORIGIN, 0.001, 0.1, _ARC_DIRECTIONS, '0x1.3ee6fec5c6805p-13'),
-    (_OFF_ORIGIN, 0.001, 1.0, _ARC_DIRECTIONS, '0x1.d3b028b6ae84bp-10'),
-    (_OFF_ORIGIN, 0.001, 5.0, _ARC_DIRECTIONS, '0x1.cd68ea4cf3f7ap-4'),
-    (_OFF_ORIGIN, 1.0, 0.1, _ARC_DIRECTIONS, '0x1.376d94cd23d95p-3'),
-    (_OFF_ORIGIN, 1.0, 1.0, _ARC_DIRECTIONS, '0x1.c8ba07c2666dbp+0'),
-    (_OFF_ORIGIN, 1.0, 5.0, _ARC_DIRECTIONS, '0x1.c29874cf26400p+6'),
-    (_OFF_ORIGIN, 1000.0, 0.1, _ARC_DIRECTIONS, '0x1.3021035055025p+7'),
-    (_OFF_ORIGIN, 1000.0, 1.0, _ARC_DIRECTIONS, '0x1.be05ab93d8073p+10'),
-    (_OFF_ORIGIN, 1000.0, 5.0, _ARC_DIRECTIONS, '0x1.b808e2124b5a6p+16'),
+    (_OFF_ORIGIN, 0.001, 0.1, _ARC_DIRECTIONS, '0x1.3ee6fec5c6804p-13'),
+    (_OFF_ORIGIN, 0.001, 1.0, _ARC_DIRECTIONS, '0x1.d3b028b6ae84cp-10'),
+    (_OFF_ORIGIN, 0.001, 5.0, _ARC_DIRECTIONS, '0x1.cd68ea4cf3f9dp-4'),
+    (_OFF_ORIGIN, 1.0, 0.1, _ARC_DIRECTIONS, '0x1.376d94cd23d94p-3'),
+    (_OFF_ORIGIN, 1.0, 1.0, _ARC_DIRECTIONS, '0x1.c8ba07c2666dcp+0'),
+    (_OFF_ORIGIN, 1.0, 5.0, _ARC_DIRECTIONS, '0x1.c29874cf26422p+6'),
+    (_OFF_ORIGIN, 1000.0, 0.1, _ARC_DIRECTIONS, '0x1.3021035055023p+7'),
+    (_OFF_ORIGIN, 1000.0, 1.0, _ARC_DIRECTIONS, '0x1.be05ab93d8071p+10'),
+    (_OFF_ORIGIN, 1000.0, 5.0, _ARC_DIRECTIONS, '0x1.b808e2124b5c6p+16'),
     (_AT_ORIGIN, 1.0, 1.0, _PLANAR_DIRECTIONS, '0x1.5ec39e70e00b1p+0'),
     (_OFF_ORIGIN, 1.0, 1.0, _PLANAR_DIRECTIONS, '0x1.b4e1b3e82c825p+0'),
     (_AT_ORIGIN, 0.001, 700.0, _ARC_DIRECTIONS, 'nan'),
@@ -200,22 +311,23 @@ def test_intrinsic_arc_length_bits_are_pinned_on_every_column_path(
         assert intrinsic_arc_length(sphere, p, q).hex() == expected
 
 
-@pytest.mark.parametrize("n", (1, 3, 1024, 4096))
+@pytest.mark.parametrize("n", (1, 3, 32, 64, 1024, 4096))
 def test_strided_fine_trace_is_the_coarse_trace(n):
-    # the kernel's grid is the ramp 0..4n times delta/(4n) with its last
+    # the kernel's grid is the ramp 0..8n times delta/(8n) with its last
     # point set to delta, np.linspace's arithmetic for a nonzero step;
-    # the step delta/(4n) is delta/n scaled by a power of two, so every
-    # fourth (second) node of the 4n-segment grid is the n (2n) grid
+    # the step delta/(8n) is delta/n scaled by a power of two, so every
+    # eighth (fourth, second) node of the 8n-segment grid is the n (2n,
+    # 4n) grid
     for delta in (1e-6, 0.1, 1.0, math.pi / 3.0, 2.0, math.pi - 1e-6):
-        fine = np.arange(4 * n + 1.0) * (delta / (4 * n))
+        fine = np.arange(8 * n + 1.0) * (delta / (8 * n))
         fine[-1] = delta
-        assert fine.tobytes() == np.linspace(0.0, delta, 4 * n + 1).tobytes()
-        for step, coarse in ((4, n), (2, 2 * n)):
+        assert fine.tobytes() == np.linspace(0.0, delta, 8 * n + 1).tobytes()
+        for step, coarse in ((8, n), (4, 2 * n), (2, 4 * n)):
             expected = np.linspace(0.0, delta, coarse + 1)
             assert fine[::step].tobytes() == expected.tobytes()
 
 
-def _reference_arc_length(sphere, p, q, base_segments=4096):
+def _reference_arc_length(sphere, p, q, base_segments=1024):
     # one (n + 1, 4) point trace per refinement level
     k = sphere.center.k
     e1 = tangent_toward(sphere.center, p)
@@ -318,6 +430,25 @@ def test_arc_traces_fault_no_pages_after_warm_up():
         for n in counts:
             intrinsic_arc_length(sphere, p, q, base_segments=n)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 32
+
+
+def test_sphere_model_traces_in_one_kept_buffer_of_1_11_mb():
+    # a fresh thread's buffers: two rows at 1024 segments and the ramp of
+    # 8193 points, kept from the first arc of the first run to the last
+    # of the second
+    kept = []
+
+    def trace():
+        for _ in range(2):
+            run_suite("sphere-model", SuiteConfig(seed=42, samples=16))
+            ws = geodesic_sphere._workspace
+            kept.append((ws.arc, len(ws.arc) + len(ws.ramp)))
+
+    thread = threading.Thread(target=trace)
+    thread.start()
+    thread.join(timeout=60.0)
+    (first, size), (second, _) = kept
+    assert first is second and size == 8 * 2 * 8193 + 8193
 
 
 def test_reused_trace_buffers_change_no_bit():
