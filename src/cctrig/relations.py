@@ -69,15 +69,21 @@ def general_spherical_system(a, b, c, t: TriangleData, sin, cos, m=FLOATS) -> tu
 
     The side functions sin and cos are passed in: m.sin/m.cos at real
     sides give the spherical residuals, m.csin/m.ccos (cmath) at the
-    imaginary sides i a/k give the imaginary-side substitution.
+    imaginary sides i a/k give the imaginary-side substitution. Each
+    side's sine and cosine is taken once, in the order the relations
+    first use them, so a side function that raises does so on the same
+    call as when every use called it.
     """
     sinA, cosA = m.sin(t.A), m.cos(t.A)
     sinB, cosB = m.sin(t.B), m.cos(t.B)
     sinC, cosC = m.sin(t.C), m.cos(t.C)
-    return (sin(a) * sinB - sin(b) * sinA,
-            (cos(b) - cos(a) * cos(c)) - sin(a) * sin(c) * cosB,
-            cos(a) / sin(a) * sin(b) - (cosA / sinA * sinC + cos(b) * cosC),
-            cos(a) * sinB * sinC - (cosB * cosC + cosA))
+    sin_a, sin_b = sin(a), sin(b)
+    cos_b, cos_a, cos_c = cos(b), cos(a), cos(c)
+    sin_c = sin(c)
+    return (sin_a * sinB - sin_b * sinA,
+            (cos_b - cos_a * cos_c) - sin_a * sin_c * cosB,
+            cos_a / sin_a * sin_b - (cosA / sinA * sinC + cos_b * cosC),
+            cos_a * sinB * sinC - (cosB * cosC + cosA))
 
 
 def spherical_residuals(t: TriangleData, m=FLOATS) -> list[RelationResidual]:

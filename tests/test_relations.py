@@ -8,6 +8,7 @@ from cctrig import (Curvature, DomainError, TriangleData,
                     euclidean_residuals, hyperbolic_residuals,
                     parallelism_angle, sample_triangle, spherical_residuals,
                     spherical_right_residuals)
+from cctrig.relations import general_spherical_system
 
 SPH = Curvature.spherical()
 HYP = Curvature.hyperbolic()
@@ -107,3 +108,26 @@ def test_invalid_triangles_are_rejected():
                                          1.0, 1.0, 1.0, SPH))
     with pytest.raises(DomainError):
         hyperbolic_residuals(TriangleData(0.0, 1.0, 1.0, 0.5, 1.0, 1.0, HYP))
+
+
+def test_general_system_takes_each_sides_sine_and_cosine_once():
+    # the substitution suite passes cmath's sin and cos, mapped over
+    # object columns, as the side functions: each repeat would cost a
+    # map. The calls come in the order the relations first use them, so
+    # a side function that raises does so on the call it would if every
+    # use called it
+    t = sample_triangle(SPH, 1, 0)
+    a, b, c = t.sides()
+    assert len({a, b, c}) == 3
+    calls = []
+
+    def counted(name, fn):
+        def side_function(x):
+            calls.append((name, x))
+            return fn(x)
+        return side_function
+
+    values = general_spherical_system(a, b, c, t, counted("sin", math.sin),
+                                      counted("cos", math.cos))
+    assert calls == [("sin", a), ("sin", b), ("cos", b), ("cos", a), ("cos", c), ("sin", c)]
+    assert values == general_spherical_system(a, b, c, t, math.sin, math.cos)
