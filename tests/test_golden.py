@@ -72,7 +72,7 @@ CASES = _cases()
 
 DIGESTS = {
     "verify_all_1000_json":
-        "1b3dc02e2d02ee2aca8d79031bc5c099f92915a2ee8d3ace452298e5ec1f17a5",
+        "2301b50f957321c56336aa5ae9914b70c998e725e1089d0b5f8616fbee943620",
     "verify_spherical_k0.5_csv":
         "ba70a767676f9da44b696cc6a03a8b0299468967d5f1b46a773bb14368863371",
     "verify_spherical_k10_csv":
@@ -86,13 +86,13 @@ DIGESTS = {
     "verify_euclidean_k10_csv":
         "f7f3f009cd5b272f0195ab43c52079a3694820fd93dc3b6d3e72f329c9c9d48c",
     "verify_sphere-model_k0.5_csv":
-        "cff83af7765fe67ba2b6e276cc094a9a2ca6b983f1a611f84a036d242f98d1d8",
+        "8dc298197f82a7f38f01da7759409f990aae756856d012bf37fa0e1555388fdb",
     "verify_sphere-model_k10_csv":
-        "0f2fb0b142215067ece85b0024eb3fc4ea4cbbb2e4fe5f66cfe25520c4d7ca67",
+        "f7cef8c56c715caca146a997a8f9cb8e710456048f3399b1c60db32a1440af07",
     "verify_horosphere_k0.5_csv":
-        "26d43007a6d681d3e191bccadad87c836f0730d498816324c9daec0bc1e9e757",
+        "d1f07e6447e9508b53dd43ee9dbb3c6e868f288e418aafccb3f73a3dac4c46de",
     "verify_horosphere_k10_csv":
-        "e55b11a985a6d220bc3b973fe271a059223cf8ce25f7dd66feed19ce47039d5a",
+        "1c833b7121cb5f046d05a2ca7c033de30d4c1a0a28db8c2ff3e3ee0337b985e4",
     "verify_prism_k0.5_csv":
         "f9024db2ad346a556ce7b46aef2cdb4a5daf3d1b679ad7924f4d209b74d12966",
     "verify_prism_k10_csv":
@@ -118,13 +118,13 @@ DIGESTS = {
     "verify_substitution_3000_csv":
         "0953c6e2e13ee26cc145029918a119cdeee7de6b793f0f8eb8d8f6838ece5fc2",
     "verify_sphere-model_3000_csv":
-        "56870f7ae1885c0321daa5347e9869e05edb7cd4869006c4edb1b1fdae671246",
+        "5481e10d3e93518817c1e6bc3402ac15ceb4f2fee4d2979d854e5bc7528dc1b2",
     "verify_cevians_3000_csv":
         "88bdaeaba8b3c846960c3ec183798fd1dcb0f701d0a5332dddf2e82a2a2923b7",
     "verify_prism_3000_csv":
         "45748737a5fdcb7fd153fa74321b854c654992e245eb3ee86cb93503bb2508a7",
     "verify_horosphere_3000_csv":
-        "ded55b88f7f1bf161dc9883658130d18218b0c78f27b7a95700531002a7c8495",
+        "6c3b2c01cca9b24a689cc2e8e44c3565515d4ff24714f5f223bdff0730839f6b",
     "solve_hyp_sss_json":
         "f9cd9328524b1adfc0fd5885cf8cd4398cc0fa376e282728c8d2ec59f089e7dc",
     "solve_hyp_sss_csv":
