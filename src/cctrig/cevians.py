@@ -76,10 +76,11 @@ def _euler_form(ratios: tuple[float, float, float]) -> float:
     return ra * rb * rc - (ra + rb + rc + 2.0)
 
 
-def _triple(u, v, w, m=FLOATS) -> float:
-    return m.fsum((u[0] * (v[1] * w[2] - v[2] * w[1]),
-                   -u[1] * (v[0] * w[2] - v[2] * w[0]),
-                   u[2] * (v[0] * w[1] - v[1] * w[0])))
+def _triple(u, v, w) -> float:
+    # the cofactor expansion along u, summed left to right as _edot sums
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
 
 
 def _section_ratio(geometry: Curvature, vertex_arc: float, foot_arc: float,
@@ -193,10 +194,10 @@ def cevian_feet(geometry: Curvature, A: ModelPoint, B: ModelPoint,
         area_scale = m.hypot(*ab) * m.hypot(*ac)
     else:
         k3 = k * k * k  # 0 below k of about 1e-108
-        total = m.div(_triple(A.coords, B.coords, C.coords, m), k3)
-        weights = (m.div(_triple(O.coords, B.coords, C.coords, m), k3),
-                   m.div(_triple(A.coords, O.coords, C.coords, m), k3),
-                   m.div(_triple(A.coords, B.coords, O.coords, m), k3))
+        total = m.div(_triple(A.coords, B.coords, C.coords), k3)
+        weights = (m.div(_triple(O.coords, B.coords, C.coords), k3),
+                   m.div(_triple(A.coords, O.coords, C.coords), k3),
+                   m.div(_triple(A.coords, B.coords, O.coords), k3))
         area_scale = 1.0
     bad = (total == 0.0) | (abs(total) <= DEGENERACY_TOL * area_scale)
     if bad is not False:
@@ -305,7 +306,7 @@ def _cevian_attempt(r1, r2, r3, turn, j1, j2, j3, w1, w2, w3, m, *,
     k = geometry.k
     model = MODEL_FOR_KIND[geometry.kind]
     total = w1 + w2 + w3
-    wts = [w / total for w in (w1, w2, w3)]
+    wa, wb, wc = (w / total for w in (w1, w2, w3))
     points = []
     for r, third, jitter in zip((r1, r2, r3), _THIRDS, (j1, j2, j3)):
         th = turn + third + jitter
@@ -318,11 +319,11 @@ def _cevian_attempt(r1, r2, r3, turn, j1, j2, j3, w1, w2, w3, m, *,
             rho = m.hypot(x, y)
             s = sn(rho / k) * k / rho
             points.append(ModelPoint(model, (k * cs(rho / k), s * x, s * y), k))
+    # the weighted sum of the vertices, left to right
+    mix = [wa * x + wb * y + wc * z for x, y, z in zip(*(p.coords for p in points))]
     if model is Model.PLANE:
-        interior = ModelPoint.plane(sum(w * p.coords[0] for w, p in zip(wts, points)),
-                                    sum(w * p.coords[1] for w, p in zip(wts, points)))
+        interior = ModelPoint.plane(*mix)
     else:
-        mix = [m.fsum([w * p.coords[i] for w, p in zip(wts, points)]) for i in range(3)]
         n = m.sqrt(CURVED_METRIC[model][0](mix, mix, m))
         interior = ModelPoint(model, tuple([c * m.div(k, n) for c in mix]), k)
     a_pt, b_pt, c_pt = points

@@ -21,8 +21,9 @@ there). Every other function (tan, sinh, cosh, tanh, asinh, atan, atan2,
 exp, log, hypot, pow, csin, ccos) maps the `math` or `cmath` function
 over the column element by element, a row whose call raises recording
 its error; numpy's own versions differ from `math` in the last bit on a
-share of inputs. fsum of two or three terms is the exception:
-Columns.fsum computes it exactly with + and -. Complex values stay
+share of inputs. A sum of several terms, a dot product say, is written
+as a chain of + and -, rounded left to right on floats and columns
+alike; no kernel sums with math.fsum. Complex values stay
 Python `complex` in object columns: numpy's complex128 multiply and
 divide round differently from Python's. A float division by zero
 raises, where numpy gives inf or nan: the kernels divide only by values
@@ -66,23 +67,9 @@ from .curvature import TRIG, GeometryKind
 from .floats import FLOATS  # noqa: F401  (importable from here as well)
 
 
-def _fsum_of(*terms):
-    return math.fsum(terms)
-
-
 #: the errors a mapped call raises for its row alone: math's range and
 #: domain errors
 _ROW_ERRORS = (ArithmeticError, ValueError)
-#: terms whose magnitudes sum to at most this cannot overflow an exact
-#: sum (Columns.fsum's, or math.fsum's partials over any order of terms)
-_EXACT_SUM_BOUND = 2.0 ** 1000
-
-
-def _two_sum(a, b):
-    """s = a + b rounded and its exact error e: a + b = s + e (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
 
 
 def _row(value, i):
@@ -211,40 +198,6 @@ class Columns:
     def csin(self, z): return self._map(cmath.sin, z, dtype=object)
     def ccos(self, z): return self._map(cmath.cos, z, dtype=object)
     def cisfinite(self, z): return self._map(cmath.isfinite, z, dtype=bool)
-
-    def fsum(self, terms):
-        """math.fsum of the terms, row by row.
-
-        Two or three terms of moderate size are summed exactly in numpy:
-        a + b rounds the exact sum once, and three terms take the
-        round-to-odd sum of Boldo and Melquiond ("Emulation of FMA and
-        correctly rounded sums: proved algorithms using rounding to
-        odd", IEEE Trans. Computers 57, 2008), which rounds a + b + c
-        once as fsum does; its odd rounding runs only on a block where
-        some row's v is inexact. fsum's +0.0 for a zero sum is kept.
-        Other rows (non-finite, or terms whose magnitudes sum to 2**1000
-        or more, where fsum may overflow on the way, as on 1e308 + 1e308
-        - 1e308) and other counts map math.fsum.
-        """
-        terms = list(terms)
-        if not any(type(t) is np.ndarray for t in terms):
-            return math.fsum(terms)
-        # one test for every term of every row: nan fails it
-        if len(terms) not in (2, 3) or not _EXACT_SUM_BOUND >= np.maximum.reduce(
-                sum(map(np.abs, terms)), initial=0.0):
-            return self._map(_fsum_of, *terms)
-        if len(terms) == 2:
-            return (terms[0] + terms[1]) + 0.0
-        a, b, c = terms
-        uh, ul = _two_sum(b, c)
-        th, tl = _two_sum(a, uh)
-        v, ve = _two_sum(tl, ul)
-        if ve.any():
-            # round v to odd: an inexact v with an even last bit steps
-            # toward the exact value
-            even = (v.view(np.int64) & 1) == 0
-            v = np.where((ve != 0.0) & even, np.nextafter(v, np.copysign(np.inf, ve)), v)
-        return (th + v) + 0.0
 
     def sqrt(self, x):
         # math.sqrt raises below zero where numpy gives nan

@@ -20,15 +20,16 @@ all three; the kernels take TRIG as m.trig (floats.py, columns.py). A
 flat point built as a curved one, (k cs(x), ...), lies on the plane
 x0 = k, which is how the flat member shares the curved constructions.
 
-Each shared curved formula keeps the arithmetic of the per-geometry
-copies it replaced, step for step, so the report bytes do not move.
-That pins a few per-model steps which the sign alone does not decide:
+Both products are summed by one rule: term by term, left to right, the
+sphere's adding each term and the hyperboloid's subtracting all but the
+first, so floats and columns round them alike. Each shared curved
+formula keeps the arithmetic of the per-geometry copies it replaced,
+step for step, so the report bytes do not move. That pins two per-model
+steps which the sign alone does not decide:
 
   * sphere points pass through ModelPoint.sphere, which renormalizes
     them; hyperboloid points synthesized on the sheet are built as they
     are (renormalizing far sheet points adds noise, see ModelPoint);
-  * the sphere dot product sums with math.fsum, the Minkowski product
-    subtracts term by term;
   * model_distance keeps atan2 of cross and dot products on the sphere
     and the chordal asinh form on the hyperboloid.
 """

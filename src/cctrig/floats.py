@@ -42,7 +42,7 @@ vars(FLOATS).update(
     sin=math.sin, cos=math.cos, tan=math.tan, sinh=math.sinh,
     cosh=math.cosh, tanh=math.tanh, asinh=math.asinh, atan=math.atan,
     atan2=math.atan2, exp=math.exp, log=math.log, hypot=math.hypot,
-    pow=math.pow, sqrt=math.sqrt, fsum=math.fsum, isfinite=math.isfinite,
+    pow=math.pow, sqrt=math.sqrt, isfinite=math.isfinite,
     isinf=math.isinf, csin=cmath.sin, ccos=cmath.cos, cisfinite=cmath.isfinite,
     max=max, min=min, not_=operator.not_, where=_where, div=operator.truediv,
     refuse=_refuse, reject=_reject, live=_live, trig=TRIG)

@@ -52,6 +52,12 @@ class GeodesicSphere:
             raise DomainError("geodesic spheres need a 4-component hyperboloid center")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise DomainError(f"sphere radius must be positive and finite, got {self.radius}")
+        # past about 710 k no finite point lies on the sphere
+        try:
+            math.cosh(self.radius / self.center.k)
+        except OverflowError:
+            raise DomainError(f"sphere radius {self.radius} is too large for scale "
+                              f"{self.center.k}: cosh(radius/k) overflows") from None
 
     @property
     def effective_radius(self) -> float:
@@ -195,11 +201,11 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, m
     chord unchanged; at the origin center this drops the time axis. A
     coordinate is traced for every row where it moves in any, which
     changes no row's bits for the same reason. The center term is
-    dropped where o is 0.0: cosh is finite (math.cosh raises rather than
-    overflow), the term is ±0, and ±0 changes no difference beyond the
-    sign of a zero, which its square loses. Without the time axis
-    nothing is subtracted: the sum of squares is +0 or more, or nan, and
-    the clamp at 0 would return it unchanged.
+    dropped where o is 0.0: cosh is finite (GeodesicSphere refuses a
+    radius where it overflows), the term is ±0, and ±0 changes no
+    difference beyond the sign of a zero, which its square loses.
+    Without the time axis nothing is subtracted: the sum of squares is
+    +0 or more, or nan, and the clamp at 0 would return it unchanged.
 
     The trace's buffers persist per thread (_arc_workspace), and calls
     at several segment counts and row counts share them: a trace array
@@ -227,12 +233,7 @@ def intrinsic_arc_length(sphere: GeodesicSphere, p: ModelPoint, q: ModelPoint, m
     n = _spacelike_norm(w, m)
     e2 = tuple(wi / n for wi in w)
     k = center.k
-    try:
-        ch, sh = math.cosh(sphere.radius / k), math.sinh(sphere.radius / k)
-    except OverflowError as exc:
-        # every row still standing raises it, as its float call would
-        m.refuse(True, OverflowError, str(exc))
-        return delta * math.nan
+    ch, sh = math.cosh(sphere.radius / k), math.sinh(sphere.radius / k)
     # one row per arc: (e1, e2, delta) by nine rows
     frame = np.array(np.broadcast_arrays(*e1, *e2, delta), dtype=float).reshape(9, -1)
     lengths = _trace_arcs(center, ch, k * sh, frame[:4], frame[4:8], frame[8],

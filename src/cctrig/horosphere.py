@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .columns import _EXACT_SUM_BOUND, Columns
+from .columns import Columns
 from .curvature import Curvature
 from .errors import DegenerateError, DomainError
 from .floats import FLOATS
@@ -27,6 +27,10 @@ from .models import (ModelPoint, check_segments, model_angle, model_distance,
                      richardson_length)
 from .sampling import Block, sample_stream
 from .triangle import TriangleData
+
+#: terms whose magnitudes sum to less than this cannot overflow
+#: math.fsum's partials, over any order of the terms
+_EXACT_SUM_BOUND = 2.0 ** 1000
 
 
 def _chart_point(p) -> ModelPoint:

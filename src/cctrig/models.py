@@ -55,8 +55,9 @@ class Model(enum.Enum):
 
 def minkowski_dot(u, v, m=None) -> float:
     # the plane and space sheets have 3 and 4 components; the terms are
-    # subtracted one at a time, left to right. The product is arithmetic
-    # alone, so m is taken only to match _edot's signature.
+    # subtracted one at a time, left to right, as _edot adds them. The
+    # product is arithmetic alone; like _edot, it takes m only so that
+    # every entry of CURVED_METRIC is called alike.
     if len(u) == 4:
         return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
     if len(u) == 3:
@@ -64,12 +65,18 @@ def minkowski_dot(u, v, m=None) -> float:
     raise DomainError(f"Minkowski vectors have 3 or 4 components, got {len(u)}")
 
 
-def _edot(u, v, m=FLOATS) -> float:
-    return m.fsum(map(operator.mul, u, v))
+def _edot(u, v, m=None) -> float:
+    # the Euclidean twin of minkowski_dot, for any length: the terms are
+    # added one at a time, left to right, which IEEE 754 rounds the same
+    # on floats and on columns
+    s = u[0] * v[0]
+    for i in range(1, len(u)):
+        s = s + u[i] * v[i]
+    return s
 
 
 def _enorm(u, m=FLOATS) -> float:
-    return m.sqrt(m.fsum(map(operator.mul, u, u)))
+    return m.sqrt(_edot(u, u))
 
 
 def _cross3(u, v):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cctrig import suites
+from cctrig import geodesic_sphere, models, suites
 from cctrig.cli import main
 from cctrig.suites import SUITE_NAMES
 
@@ -180,6 +180,28 @@ def test_verify_failure_exits_1(capsys):
                         "--tol", "1e-30")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_a_wrong_sphere_product_fails_verify(capsys, monkeypatch):
+    # every binding of the sphere's dot product, off by one part in 1e6
+    def edot(u, v, m=None, _edot=models._edot):
+        return (1.0 + 1e-6) * _edot(u, v, m)
+
+    monkeypatch.setattr(models, "_edot", edot)
+    monkeypatch.setattr(geodesic_sphere, "_edot", edot)
+    monkeypatch.setitem(models.CURVED_METRIC, models.Model.SPHERE,
+                        (edot, models.CURVED_METRIC[models.Model.SPHERE][1]))
+    argv = ("--samples", "200", "--curvature-scale", "1")
+    code, out, _ = _run(capsys, "verify", "spherical", *argv)
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+    # the scaled product turns tan d into tan d / (1 + 1e-6) for every
+    # distance d, which leaves the cevian ratios of tangents as they are;
+    # the construction's betweenness check refuses the fixed figures
+    code, _, err = _run(capsys, "verify", "cevians", *argv)
+    assert code == 3
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "infeasible", "message": "cevian foot falls outside the opposite side"}
 
 
 def test_unknown_suite_is_a_usage_error(capsys):

@@ -12,7 +12,7 @@ from cctrig import (Curvature, DegenerateError, DomainError, GeodesicSphere,
                     model_distance, spherical_residuals,
                     spherical_right_residuals)
 from cctrig.cevians import cevian_feet, cevian_residual
-from cctrig.columns import FLOATS, Columns, _two_sum
+from cctrig.columns import FLOATS, Columns
 from cctrig.horosphere import horosphere_triangle
 from cctrig.prism import build_prism, parallelism_match, replay_residuals
 from cctrig.sampling import _right_triangle
@@ -62,96 +62,6 @@ def _rowwise(compute, rows):
            else _flat(out, int(np.searchsorted(m.rows, i))) for i in range(len(rows))]
     assert got == expected
     return m
-
-
-def _fsum_rows(n, rng):
-    """Triples on which rounding the sum once is easy to get wrong: dot
-    products, near cancellation, exact ties broken by a tiny third term,
-    wide exponents and subnormals."""
-    u, v = rng.normal(size=(3, n)), rng.normal(size=(3, n))
-    a = rng.uniform(1.0, 2.0, n)
-    half = np.spacing(a) / 2.0 * rng.choice([-1.0, 1.0], n)
-    tiny = rng.choice([-1.0, 0.0, 1.0], n) * 2.0 ** rng.integers(-160, -54, n)
-    wide = rng.normal(size=(3, n)) * 2.0 ** rng.integers(-1000, 1000, (3, n))
-    sub = rng.integers(-1000, 1000, (2, n)) * 2.0 ** -1074
-    return np.concatenate([
-        u * v,
-        np.stack([a, -a + rng.uniform(-1e-10, 1e-10, n), rng.uniform(-1e-17, 1e-17, n)]),
-        np.stack([a, half, tiny]),
-        wide,
-        np.stack([sub[0], sub[1], rng.normal(size=n) * 2.0 ** -1020]),
-    ], axis=1)
-
-
-def test_fsum_is_math_fsum_bit_for_bit():
-    triples = _fsum_rows(40_000, np.random.default_rng(17))
-    with Columns(np.arange(triples.shape[1])) as m:
-        three = m.fsum(list(triples))
-        two = m.fsum(list(triples[:2]))
-    lists = triples.tolist()
-    assert three.tolist() == [math.fsum(t) for t in zip(*lists)]
-    assert two.tolist() == [math.fsum(t) for t in zip(*lists[:2])]
-    # fsum gives +0.0 for a zero sum, where -0.0 + -0.0 is -0.0
-    with Columns(np.arange(2)) as m:
-        zero = m.fsum([np.array([-0.0, 1.0]), np.array([-0.0, -1.0])])
-    assert [math.copysign(1.0, z) for z in zero] == [1.0, 1.0]
-
-
-def test_fsum_out_of_range_rows_raise_what_fsum_raises():
-    terms = [np.array([1.0, math.inf, 1e308]), np.array([2.0, -math.inf, 1e308]),
-             np.array([3.0, 1.0, 0.0])]
-    with Columns(np.arange(3)) as m:
-        out = m.fsum(terms)
-    assert out[0] == 6.0
-    for i, call in ((1, lambda: math.fsum([math.inf, -math.inf, 1.0])),
-                    (2, lambda: math.fsum([1e308, 1e308, 0.0]))):
-        with pytest.raises(Exception) as excinfo:
-            call()
-        assert (type(m.errors[i]), str(m.errors[i])) == (excinfo.type, str(excinfo.value))
-
-
-def _fsum_outcomes(m, out, rows):
-    return [(type(m.errors[i]), str(m.errors[i])) if i in m.errors
-            else out[int(np.searchsorted(m.rows, i))].hex() for i in range(len(rows))]
-
-
-def _math_fsum_outcomes(rows):
-    outcomes = []
-    for row in rows:
-        try:
-            outcomes.append(math.fsum(row).hex())
-        except Exception as exc:
-            outcomes.append((type(exc), str(exc)))
-    return outcomes
-
-
-# (1, 2**-53, 2**-120) sums to just above a tie: only its odd rounding
-# lifts it to 1 + 2**-52, where a + b + c rounds to 1.0
-_EXACT_ROWS = ((0.5, 0.25, 0.125), (1.0, -1.0, 0.0), (-0.0, -0.0, -0.0),
-               (3.0, 2.0 ** 52, -1.0), (2.0 ** -1074, 2.0 ** -1073, 0.0), (1e300, 1e300, 0.0))
-_ONE_INEXACT_ROW = _EXACT_ROWS[:3] + ((1.0, 2.0 ** -53, 2.0 ** -120),) + _EXACT_ROWS[3:]
-
-
-@pytest.mark.parametrize("rows", (_EXACT_ROWS, _ONE_INEXACT_ROW), ids=("exact", "one-inexact"))
-def test_fsum_skips_odd_rounding_only_where_no_row_is_inexact(rows):
-    a, b, c = np.array(rows).T
-    uh, ul = _two_sum(b, c)
-    v, ve = _two_sum(_two_sum(a, uh)[1], ul)
-    assert np.count_nonzero(ve) == len(rows) - len(_EXACT_ROWS)
-    with Columns(np.arange(len(rows))) as m:
-        out = m.fsum([a, b, c])
-    assert _fsum_outcomes(m, out, rows) == _math_fsum_outcomes(rows)
-    assert math.fsum(_ONE_INEXACT_ROW[3]) == 1.0 + 2.0 ** -52
-
-
-def test_fsum_guard_is_a_magnitude_bound_not_a_finite_result():
-    # the exact sum of (1e308, 1e308, -1e308) is 1e308, but fsum's partial
-    # sum overflows first: the row must raise as fsum raises
-    rows = ((1.0, 2.0, 3.0), (1e308, 1e308, -1e308), (1.0, 2.0 ** -53, 2.0 ** -120))
-    with Columns(np.arange(len(rows))) as m:
-        out = m.fsum(list(np.array(rows).T))
-    assert _fsum_outcomes(m, out, rows) == _math_fsum_outcomes(rows)
-    assert (type(m.errors[1]), str(m.errors[1])) == (OverflowError, "intermediate overflow in fsum")
 
 
 def test_mapped_functions_record_the_row_that_raises():

@@ -1,6 +1,7 @@
 """Geodesic spheres in hyperbolic space carry round-sphere geometry."""
 
 import math
+import re
 import sys
 import threading
 
@@ -231,21 +232,6 @@ def test_column_arcs_are_the_float_arcs_row_by_row():
         else:
             assert m.errors == {} and np.isfinite(arcs).all()
     assert checked >= 200
-
-
-def test_column_arcs_refuse_every_row_left_where_cosh_overflows():
-    # past rho/k of about 710 no finite point lies on the sphere, but nan
-    # points pass both guards, and the float call raises OverflowError
-    # from cosh(rho/k); a finite point off the sphere raises first
-    sphere = GeodesicSphere(ORIGIN, 800.0)
-    off = ModelPoint.hyperboloid((math.cosh(1.0), math.sinh(1.0), 0.0, 0.0), 1.0)
-    p = ModelPoint(Model.HYPERBOLOID, tuple(np.array([math.nan, x]) for x in off.coords), 1.0)
-    q = ModelPoint(Model.HYPERBOLOID, (np.full(2, math.nan),) * 4, 1.0)
-    with Columns(np.arange(2)) as m:
-        intrinsic_arc_length(sphere, p, q, m)
-    assert [(type(m.errors[row]), str(m.errors[row])) for row in (0, 1)] == [
-        _arc_outcome(sphere, _row_point(p, row), _row_point(q, row), 1024) for row in (0, 1)]
-    assert type(m.errors[0]) is OverflowError and type(m.errors[1]) is DomainError
 
 
 # float.hex of intrinsic_arc_length(GeodesicSphere(center, rho * k), p, q)
@@ -556,3 +542,18 @@ def test_constructor_validation():
         GeodesicSphere(ORIGIN, 0.0)
     with pytest.raises(DomainError):
         GeodesicSphere(ModelPoint.hyperboloid((1.0, 0.0, 0.0)), 1.0)  # 3-comp
+
+
+def test_constructor_refuses_a_radius_where_cosh_overflows():
+    # past rho/k of about 710 no finite point lies on the sphere
+    last = float.fromhex("0x1.633ce8fb9f87dp+9")  # the largest x with finite cosh(x)
+    for k in (1.0, 2.0 ** -30, 2.0 ** 30):
+        center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
+        for rho in (math.nextafter(last, math.inf), 800.0, 1e200):
+            with pytest.raises(DomainError, match=re.escape(f"sphere radius {rho * k!r} is")):
+                GeodesicSphere(center, rho * k)
+        GeodesicSphere(center, last * k)
+    # at k = 1 the largest radius accepted gives finite points
+    sphere = GeodesicSphere(ORIGIN, last)
+    assert math.isfinite(sphere.effective_radius)
+    assert all(map(math.isfinite, sphere.point_toward((0.0, 0.6, 0.8, 0.0)).coords))

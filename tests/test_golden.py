@@ -72,11 +72,11 @@ CASES = _cases()
 
 DIGESTS = {
     "verify_all_1000_json":
-        "2301b50f957321c56336aa5ae9914b70c998e725e1089d0b5f8616fbee943620",
+        "5fca2259adbc7585c2c1ed5651bb6073a099fef6da1fe834e1cb19da9dc89170",
     "verify_spherical_k0.5_csv":
-        "ba70a767676f9da44b696cc6a03a8b0299468967d5f1b46a773bb14368863371",
+        "5c85b2cf8a5912280b19d34777faa76331d00769944aa5fed275620b74af10ec",
     "verify_spherical_k10_csv":
-        "9f5483850e1a491875556b8ffc888d0e59d1d417e159eee31ab687607e8c1513",
+        "022fe524ff30e1f34b95f89523174edd64034bb75fc6d2885e6cd0d0e019bbaa",
     "verify_hyperbolic_k0.5_csv":
         "c87b5f0644d25decf4372b05f5c76eda5edb1187539b5b6efdbfde78016e8aac",
     "verify_hyperbolic_k10_csv":
@@ -102,15 +102,15 @@ DIGESTS = {
     "verify_substitution_k10_csv":
         "dab571c0979710b0f0fe358953b97adaea54ef71033d3ead1f914118c6a9b903",
     "verify_limits_k0.5_csv":
-        "cd6f520a5a54e6caf7728eba692f4b4562bfcb3a6f1fad3d2bff83dcd0473cd0",
+        "90b7f5651f1c8051f5acea7194ceb28ecb62c2219bd6b175ad44af4893b1363c",
     "verify_limits_k10_csv":
-        "5e9215bd847985c29ed6e19fc953501ff543a3ad9feea17e81860029ed4b0b26",
+        "b6399781a098d9bb84704376ca0c8917a26c9e227e8de1d477e7dae5e06c9845",
     "verify_cevians_k0.5_csv":
-        "26c60c0c20f5352f527d1371900f66b44e7aed4ada32abb6b9a874743f48b368",
+        "f450757c79d3b4b1eecd8b59b9b15dcc0136e9011c761fd853294d9b244381d9",
     "verify_cevians_k10_csv":
-        "ab32d9baf6ef4b4958c0e2dc60e0998d111c8ebb6c3ef91f4932c050207663ea",
+        "fe5b2153259d8cc4b8b04eee68c08cb443588b711fe09725ff32af2e64614530",
     "verify_spherical_3000_csv":
-        "1e324b7e7184cb298c6967ada8f1eb5d808f0089ab8cb00b0d3fc3179129f8a3",
+        "8501dae4a96ce757eb24acf566b2a84c82aa8bd9256525f078b15bfd4a93fc8d",
     "verify_hyperbolic_3000_csv":
         "8628fda5878c383aa2540736cc883aab8242cabbd93421e413457c2cb628c652",
     "verify_euclidean_3000_csv":
@@ -120,7 +120,7 @@ DIGESTS = {
     "verify_sphere-model_3000_csv":
         "5481e10d3e93518817c1e6bc3402ac15ceb4f2fee4d2979d854e5bc7528dc1b2",
     "verify_cevians_3000_csv":
-        "88bdaeaba8b3c846960c3ec183798fd1dcb0f701d0a5332dddf2e82a2a2923b7",
+        "f0c2d31501c3f804e52fc8aae19c1cc5ec963da208e980bdb349c0bba7e96869",
     "verify_prism_3000_csv":
         "45748737a5fdcb7fd153fa74321b854c654992e245eb3ee86cb93503bb2508a7",
     "verify_horosphere_3000_csv":

@@ -235,7 +235,10 @@ def _ref_minkowski_dot(u, v):
 
 
 def _ref_edot(u, v):
-    return math.fsum(ui * vi for ui, vi in zip(u, v))
+    s = u[0] * v[0]
+    for i in range(1, len(u)):
+        s += u[i] * v[i]
+    return s
 
 
 def _ref_tangent_part(direction, axis):
@@ -272,6 +275,59 @@ def test_vector_helpers_match_the_generic_helpers(n):
         v = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n))
         for ours, reference in helpers:
             assert _bits(ours(u, v)) == _bits(reference(u, v))
+
+
+def _mp_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _mp_vector_angle(u, v):
+    """The angle between two 3-vectors, in mpmath's working precision."""
+    import mpmath
+    cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    return mpmath.atan2(mpmath.sqrt(_mp_dot(cross, cross)), _mp_dot(u, v))
+
+
+def _mp_tangent(p, q):
+    """The part of q orthogonal to p: the tangent at p toward q."""
+    t = _mp_dot(p, q) / _mp_dot(p, p)
+    return [qi - t * pi for pi, qi in zip(p, q)]
+
+
+def _sphere_kernel_errors(cases, seed):
+    """The worst errors of the sphere's model_distance and model_angle
+    over `cases` random triangles at k = 2^U(-20, 20), against 50 digits
+    evaluated from the same float coordinates: the distance of the first
+    two vertices in ulps of the reference, and the angle at the first in
+    units of 2^-52, the ulp of 1. The vertices are pairwise 0.1 to
+    pi - 0.1 rad apart."""
+    import mpmath
+    rng = random.Random(seed)
+    worst_distance = worst_angle = 0.0
+    done = 0
+    with mpmath.workdps(50):
+        while done < cases:
+            k = 2.0 ** rng.uniform(-20.0, 20.0)
+            a, b, c = (ModelPoint.sphere(tuple(rng.gauss(0.0, 1.0) for _ in range(3)), k)
+                       for _ in range(3))
+            at, p, q = ([mpmath.mpf(x) for x in v.coords] for v in (a, b, c))
+            apart = (_mp_vector_angle(at, p), _mp_vector_angle(at, q), _mp_vector_angle(p, q))
+            if not all(0.1 <= x <= math.pi - 0.1 for x in apart):
+                continue
+            done += 1
+            distance = k * apart[0]
+            worst_distance = max(worst_distance, float(
+                abs(model_distance(a, b) - distance) / math.ulp(float(distance))))
+            angle = _mp_vector_angle(_mp_tangent(at, p), _mp_tangent(at, q))
+            worst_angle = max(worst_angle, float(abs(model_angle(a, b, c) - angle)) / 2.0 ** -52)
+    return worst_distance, worst_angle
+
+
+def test_sphere_kernels_agree_with_mpmath():
+    pytest.importorskip("mpmath")
+    worst_distance, worst_angle = _sphere_kernel_errors(2000, 2026)
+    assert worst_distance <= 32.0
+    assert worst_angle <= 64.0
 
 
 @pytest.mark.parametrize("n", (2, 5))
