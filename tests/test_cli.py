@@ -264,6 +264,18 @@ def test_cevians_stop_at_the_first_index_no_draw_accepts(capsys):
         "message": "no acceptable cevian configuration after 128 attempts"}
 
 
+def test_cevians_stop_where_the_sphere_products_overflow(capsys):
+    # at k = 1e155 the octant's vertices have coordinates near k, whose
+    # squares overflow; the sums of products are not finite and the run
+    # stops at the first residual, as every non-finite residual does
+    code, out, err = _run(capsys, "verify", "cevians", "--samples", "3",
+                          "--curvature-scale", "1e155")
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "domain",
+        "message": "non-finite residual in relation cev_spherical_octant"}
+
+
 def test_horosphere_stops_where_every_triangle_is_refused(capsys):
     # the chart tangents underflow at k = 1e-300, so no draw gives a
     # triangle; the suite stops after DEFAULT_ATTEMPTS draws per sample

@@ -11,9 +11,10 @@ from cctrig import (Curvature, DegenerateError, DomainError, GeodesicSphere,
                     imaginary_substitution_residuals, model_angle,
                     model_distance, spherical_residuals,
                     spherical_right_residuals)
-from cctrig.cevians import cevian_feet, cevian_residual
+from cctrig.cevians import _triple, cevian_feet, cevian_residual
 from cctrig.columns import FLOATS, Columns
 from cctrig.horosphere import horosphere_triangle
+from cctrig.models import _edot, _enorm, minkowski_dot
 from cctrig.prism import build_prism, parallelism_match, replay_residuals
 from cctrig.sampling import _right_triangle
 
@@ -62,6 +63,64 @@ def _rowwise(compute, rows):
            else _flat(out, int(np.searchsorted(m.rows, i))) for i in range(len(rows))]
     assert got == expected
     return m
+
+
+def _product_rows(n, count, rng):
+    """Rows of two n-vectors, u then v, on which a sum of products is easy
+    to round in more than one way: near cancellation, ties broken by a
+    tiny last term, wide exponents, subnormals and signed zeros."""
+    u, v = rng.normal(size=(2, count, n))
+    a = rng.uniform(1.0, 2.0, count)
+    near = u.copy()
+    near[:, 1] = -a + rng.uniform(-1e-10, 1e-10, count)
+    near[:, 0] = a
+    tie = u.copy()
+    tie[:, 0], tie[:, 1] = a, np.spacing(a) / 2.0 * rng.choice([-1.0, 1.0], count)
+    tie[:, -1] *= 2.0 ** rng.integers(-160, -54, count)
+    ones = np.ones((count, n))
+    wide = u * 2.0 ** rng.integers(-500, 500, (count, n))
+    sub = rng.integers(-1000, 1000, (count, n)) * 2.0 ** -1074
+    rows = np.concatenate([
+        np.concatenate([u, v], axis=1),
+        np.concatenate([near, ones], axis=1),
+        np.concatenate([tie, ones], axis=1),
+        np.concatenate([wide, v], axis=1),
+        np.concatenate([sub, ones], axis=1),
+    ])
+    zeros = [(-0.0,) * n + (1.0,) * n, (-0.0,) * n + (-1.0,) * n, (0.0, -0.0) * n]
+    return [tuple(r) for r in rows.tolist()] + zeros
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_edot_on_columns_is_the_float_edot_bit_for_bit(n):
+    # both paths add the products left to right, so IEEE 754 rounds every
+    # row alike; a zero sum keeps its sign on both, as -0.0 + -0.0 does
+    rows = _product_rows(n, 2_000, np.random.default_rng(17 + n))
+    m = _rowwise(lambda m, *c: (_edot(c[:n], c[n:], m), _enorm(c[:n], m)), rows)
+    assert not m.errors
+    assert math.copysign(1.0, _edot((-0.0,) * n, (1.0,) * n)) == -1.0
+
+
+def test_minkowski_dot_and_the_cevian_triple_on_columns_are_the_float_ones():
+    rows4 = _product_rows(4, 2_000, np.random.default_rng(23))
+    _rowwise(lambda m, *c: minkowski_dot(c[:4], c[4:], m), rows4)
+    rows3 = _product_rows(3, 2_000, np.random.default_rng(29))
+    _rowwise(lambda m, *c: minkowski_dot(c[:3], c[3:], m), rows3)
+    triples = [r + s[:3] for r, s in zip(rows3, reversed(rows3))]
+    m = _rowwise(lambda m, *c: _triple(c[0:3], c[3:6], c[6:9]), triples)
+    assert not m.errors
+
+
+def test_out_of_range_products_give_one_non_finite_value_on_both_paths():
+    # no row raises: an overflowing product is inf, and inf - inf is nan
+    rows = ((1.0, 2.0, 3.0, 4.0), (1e200, 1e200, 1e200, -1e200),
+            (1e300, 1e300, 1e10, 1e10), (math.inf, 1.0, 0.0, 1.0),
+            (math.inf, -math.inf, 1.0, 1.0))
+    m = _rowwise(lambda m, *c: _edot(c[:2], c[2:], m), rows)
+    assert not m.errors
+    assert [_edot(r[:2], r[2:]) for r in rows[:1]] == [11.0]
+    assert [math.isnan(_edot(r[:2], r[2:])) for r in rows[1:]] == [True, False, True, True]
+    assert _edot(rows[2][:2], rows[2][2:]) == math.inf
 
 
 def test_mapped_functions_record_the_row_that_raises():
