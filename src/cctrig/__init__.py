@@ -38,9 +38,8 @@ __version__ = "0.1.0"
 #: module, which is imported on the name's first access (PEP 562): the
 #: names above run on `math` alone, so `import cctrig` loads no numpy
 _LAZY = {name: module for module, names in (
-    ("cevians", "CevianConfig cevian_feet cevian_residual euclidean_cevian_residual "
-                "hyperbolic_cevian_conjecture_residual perturbed_residual "
-                "sample_cevian_config spherical_cevian_residual"),
+    ("cevians", "CevianConfig cevian_feet cevian_residual perturbed_residual "
+                "sample_cevian_config"),
     ("correspondence", "SUBSTITUTION_RELATIONS ComplexResidual LimitFit "
                        "RescalingReport euclidean_limit_slope "
                        "imaginary_substitution_residual "

@@ -3,14 +3,25 @@
 A cevian joins a vertex to a point of the opposite side. When the three
 cevians of a triangle pass through one interior point O, the ratios
 
-    r_X = f(dist(X, O)) / f(dist(O, foot_X))
+    r_X = tn(dist(X, O) / k) / tn(dist(O, foot_X) / k)
 
 satisfy the product-sum identity  r_a r_b r_c = r_a + r_b + r_c + 2,
-where f is the identity on the plane and the tangent on the sphere
-(tan of arc length over k). The analogous statement with f = tanh in
-hyperbolic geometry is not a theorem; the evaluator for it is provided
-as a measured conjecture and its residual is reported, never asserted
-to vanish.
+where tn = sn / cs is the tangent of the geometry (curvature.TRIG): tan
+on the sphere, tanh on the hyperboloid and the identity on the plane,
+whose points carry k = 1.
+
+Proof, for every sign eps at once. Take the Cayley-Klein chart centred
+at O: the Beltrami-Klein chart for eps = -1, the gnomonic chart for
+eps = +1, or the plane itself for eps = 0. Geodesics are straight lines
+in that chart, so the images of A, B, C, O and the feet form a Euclidean
+triangle whose three cevians meet at the centre, and Euclidean Euler
+holds for their chart lengths. Each cevian runs through the centre, and
+a point at distance d from O sits at chart radius k tn(d / k); vertex
+and foot lie on opposite sides of O, so each Euclidean ratio AO/OD
+equals tn(|AO| / k) / tn(|OD| / k). The gnomonic chart needs arcs below
+(pi/2) k, which the construction enforces. The cevians suite still
+records its hyperbolic row (cev_hyperbolic_conjecture) rather than
+asserting it, as its row set predates the proof.
 
 Feet are constructed, not tested: given O, each foot is the closed-form
 intersection of the vertex-through-O geodesic with the opposite side
@@ -20,7 +31,7 @@ Both curved feet are oriented by one rule, the sign of their model
 product with the sum of the side's endpoints: it keeps the foot on the
 side's arc on the sphere and on the upper sheet of the hyperboloid.
 
-The construction, the sampler attempt and the residuals take their
+The construction, the sampler attempt and the residual take their
 elementary functions from `m` (columns.py): FLOATS for one
 configuration, or a Columns block, where every point coordinate and
 ratio is a column with one row per configuration.
@@ -51,9 +62,10 @@ _THIRDS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
 @dataclass(frozen=True)
 class CevianConfig:
     """Three concurrent cevians: vertices, the common interior point,
-    the feet on the opposite sides, and the geometry's section ratios
-    (plain on the plane, tan-of-arc on the sphere, tanh-of-arc on the
-    hyperboloid)."""
+    the feet on the opposite sides, and the section ratios
+    tn(|XO| / k) / tn(|O foot_X| / k), whose Euler residual vanishes in
+    every geometry (plain ratios on the plane, tan of arc on the sphere,
+    tanh of arc on the hyperboloid)."""
 
     geometry: Curvature
     A: ModelPoint
@@ -83,18 +95,18 @@ def _triple(u, v, w) -> float:
             + u[2] * (v[0] * w[1] - v[1] * w[0]))
 
 
-def _section_ratio(geometry: Curvature, vertex_arc: float, foot_arc: float,
-                   m=FLOATS) -> float:
-    k = geometry.k
-    if geometry.kind is GeometryKind.EUCLIDEAN:
-        return m.div(vertex_arc, foot_arc)
+def _section_ratio(geometry: Curvature, k: float, vertex_arc: float,
+                   foot_arc: float, m=FLOATS) -> float:
+    """tn(vertex_arc / k) / tn(foot_arc / k), k being the radius of the
+    figure's points: 1 on the plane, where the ratio keeps the bits of
+    vertex_arc / foot_arc at every geometry k."""
     if geometry.kind is GeometryKind.SPHERICAL:
         half_pi_k = 0.5 * math.pi * k
         bad = (vertex_arc >= half_pi_k) | (foot_arc >= half_pi_k)
         if bad is not False:
             m.refuse(bad, DomainError, "cevian arc reaches the tangent pole (pi/2) k")
-        return m.div(m.tan(vertex_arc / k), m.tan(foot_arc / k))
-    return m.div(m.tanh(vertex_arc / k), m.tanh(foot_arc / k))
+    tn = m.trig[geometry.kind][3]
+    return m.div(tn(vertex_arc / k), tn(foot_arc / k))
 
 
 def _check_points(geometry: Curvature, points: tuple[ModelPoint, ...]) -> None:
@@ -226,54 +238,22 @@ def cevian_feet(geometry: Curvature, A: ModelPoint, B: ModelPoint,
         bad = (foot_arc <= DEGENERACY_TOL * k) | (vertex_arc <= DEGENERACY_TOL * k)
         if bad is not False:
             m.refuse(bad, DegenerateError, "O coincides with a vertex or a foot")
-        ratios.append(_section_ratio(geometry, vertex_arc, foot_arc, m))
+        ratios.append(_section_ratio(geometry, O.k, vertex_arc, foot_arc, m))
     return CevianConfig(geometry, A, B, C, O, feet[0], feet[1], feet[2],
                         ratios[0], ratios[1], ratios[2])
 
 
-def euclidean_cevian_residual(cfg: CevianConfig) -> float:
-    """Product-sum residual r_a r_b r_c - (r_a + r_b + r_c + 2) for plain
-    distance ratios; zero for concurrent Euclidean cevians."""
-    if cfg.geometry.kind is not GeometryKind.EUCLIDEAN:
-        raise DomainError("euclidean_cevian_residual needs a Euclidean configuration")
-    return _euler_form(cfg.ratios())
-
-
-def spherical_cevian_residual(cfg: CevianConfig) -> float:
-    """Product-sum residual of the tan-of-arc ratios; zero for concurrent
-    spherical cevians. Arcs at or beyond (pi/2) k are rejected when the
-    configuration is built, so the stored ratios are finite and positive."""
-    if cfg.geometry.kind is not GeometryKind.SPHERICAL:
-        raise DomainError("spherical_cevian_residual needs a spherical configuration")
-    return _euler_form(cfg.ratios())
-
-
-def hyperbolic_cevian_conjecture_residual(cfg: CevianConfig, m=FLOATS) -> float:
-    """Product-sum residual of the tanh-of-arc ratios.
-
-    This mirrors the spherical identity with tan replaced by tanh, but
-    no such theorem is claimed: the value is measured and reported.
-    Finiteness is the only assertion; it does vanish quadratically as
-    the configuration shrinks, since tanh and plain ratios then agree.
-    """
-    if cfg.geometry.kind is not GeometryKind.HYPERBOLIC:
-        raise DomainError("hyperbolic_cevian_conjecture_residual needs a "
-                          "hyperbolic configuration")
+def cevian_residual(cfg: CevianConfig, m=FLOATS) -> float:
+    """Product-sum residual r_a r_b r_c - (r_a + r_b + r_c + 2) of the
+    section ratios, zero for concurrent cevians in every geometry (see
+    the module docstring); a residual that is not finite is refused.
+    With a Columns namespace the configuration and its residual are
+    columns."""
     value = _euler_form(cfg.ratios())
     bad = m.not_(m.isfinite(value))
     if bad is not False:
-        m.refuse(bad, DomainError, "conjecture residual is not finite")
+        m.refuse(bad, DomainError, "cevian residual is not finite")
     return value
-
-
-def cevian_residual(cfg: CevianConfig, m=FLOATS) -> float:
-    """The geometry-matching residual of the configuration (a column of
-    them for a configuration of columns with a Columns namespace)."""
-    if cfg.geometry.kind is GeometryKind.EUCLIDEAN:
-        return euclidean_cevian_residual(cfg)
-    if cfg.geometry.kind is GeometryKind.SPHERICAL:
-        return spherical_cevian_residual(cfg)
-    return hyperbolic_cevian_conjecture_residual(cfg, m)
 
 
 def perturbed_residual(cfg: CevianConfig, delta: float) -> float:
@@ -282,7 +262,7 @@ def perturbed_residual(cfg: CevianConfig, delta: float) -> float:
 
     The displaced foot breaks concurrency, and the relation must notice:
     the returned residual grows linearly in delta. Ratio r_a is
-    re-measured as f(dist(A, O)) / f(dist(O, displaced foot)).
+    re-measured as tn(dist(A, O) / k) / tn(dist(O, displaced foot) / k).
     """
     if not (math.isfinite(delta) and delta != 0.0):
         raise DomainError("perturbation delta must be finite and nonzero")
@@ -293,7 +273,7 @@ def perturbed_residual(cfg: CevianConfig, delta: float) -> float:
     _betweenness(cfg.geometry, moved, cfg.B, cfg.C, side_len)
     vertex_arc = model_distance(cfg.A, cfg.O)
     foot_arc = model_distance(cfg.O, moved)
-    ratio_a = _section_ratio(cfg.geometry, vertex_arc, foot_arc)
+    ratio_a = _section_ratio(cfg.geometry, cfg.O.k, vertex_arc, foot_arc)
     return _euler_form((ratio_a, cfg.ratio_b, cfg.ratio_c))
 
 
@@ -315,7 +295,7 @@ def _cevian_attempt(r1, r2, r3, turn, j1, j2, j3, w1, w2, w3, m, *,
             points.append(ModelPoint.plane(x, y))
         else:
             # exponential map at the model's reference point
-            sn, cs, _ = m.trig[geometry.kind]
+            sn, cs, _, _ = m.trig[geometry.kind]
             rho = m.hypot(x, y)
             s = sn(rho / k) * k / rho
             points.append(ModelPoint(model, (k * cs(rho / k), s * x, s * y), k))

@@ -126,8 +126,8 @@ class Columns:
         self.dead = np.zeros(len(self.rows), dtype=bool)
         #: block position -> the first error its row raised
         self.errors: dict[int, Exception] = {}
-        self.trig = {GeometryKind.SPHERICAL: (self.sin, self.cos, 1.0),
-                     GeometryKind.HYPERBOLIC: (self.sinh, self.cosh, -1.0),
+        self.trig = {GeometryKind.SPHERICAL: (self.sin, self.cos, 1.0, self.tan),
+                     GeometryKind.HYPERBOLIC: (self.sinh, self.cosh, -1.0, self.tanh),
                      GeometryKind.EUCLIDEAN: TRIG[GeometryKind.EUCLIDEAN]}
         self._errstate = np.errstate(all="ignore")
 

@@ -15,10 +15,12 @@ formula to the other, and the plane is the flat member between them.
 The curved models pair with them: the sphere uses the Euclidean dot
 product, the hyperboloid the Minkowski product of signature
 (+, -, -, ...), and a unit tangent v has eps <v, v> = 1 in either.
-CURVED_TRIG holds (sn, cs, eps) for the two curved kinds and TRIG for
-all three; the kernels take TRIG as m.trig (floats.py, columns.py). A
-flat point built as a curved one, (k cs(x), ...), lies on the plane
-x0 = k, which is how the flat member shares the curved constructions.
+TRIG holds (sn, cs, eps, tn) for all three kinds, tn = sn / cs being
+the tangent (tan, tanh, the identity), and CURVED_TRIG (sn, cs, eps) for
+the two curved kinds; the kernels take TRIG as m.trig (floats.py,
+columns.py). A flat point built as a curved one, (k cs(x), ...), lies
+on the plane x0 = k, which is how the flat member shares the curved
+constructions.
 
 Both products are summed by one rule: term by term, left to right, the
 sphere's adding each term and the hyperboloid's subtracting all but the
@@ -79,10 +81,13 @@ class Curvature:
         return Curvature(GeometryKind.HYPERBOLIC, k)
 
 
-#: curved kind -> (sn, cs, eps); see the module docstring
-CURVED_TRIG = {
-    GeometryKind.SPHERICAL: (math.sin, math.cos, 1.0),
-    GeometryKind.HYPERBOLIC: (math.sinh, math.cosh, -1.0),
+#: every kind -> (sn, cs, eps, tn): the curved pairs and the flat member,
+#: with the tangent tn = sn / cs of each (tan, tanh, the identity)
+TRIG = {
+    GeometryKind.SPHERICAL: (math.sin, math.cos, 1.0, math.tan),
+    GeometryKind.HYPERBOLIC: (math.sinh, math.cosh, -1.0, math.tanh),
+    GeometryKind.EUCLIDEAN: (lambda x: x, lambda x: 1.0, 0.0, lambda x: x),
 }
-#: every kind -> (sn, cs, eps): the curved pair and the flat member
-TRIG = {**CURVED_TRIG, GeometryKind.EUCLIDEAN: (lambda x: x, lambda x: 1.0, 0.0)}
+#: curved kind -> (sn, cs, eps); see the module docstring
+CURVED_TRIG = {kind: TRIG[kind][:3] for kind in (GeometryKind.SPHERICAL,
+                                                  GeometryKind.HYPERBOLIC)}

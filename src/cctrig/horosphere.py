@@ -28,10 +28,6 @@ from .models import (ModelPoint, check_segments, model_angle, model_distance,
 from .sampling import Block, sample_stream
 from .triangle import TriangleData
 
-#: terms whose magnitudes sum to less than this cannot overflow
-#: math.fsum's partials, over any order of the terms
-_EXACT_SUM_BOUND = 2.0 ** 1000
-
 
 def _chart_point(p) -> ModelPoint:
     x, y = p
@@ -106,18 +102,7 @@ def ambient_polyline_length(height: float, p, q, k: float = 1.0, *,
     bit, since i/(8n) and (i/8)/n round the same quotient. Points and their
     differences are exact IEEE operations in numpy too; the hops stay on
     `math`, whose hypot and asinh numpy's do not match in the last bits.
-
-    The chords of a level differ only by the rounding of the points, so
-    a few distinct chords repeat many times. The hop is computed once per
-    distinct chord, keyed by the bits of its two components (chords with
-    unequal bits, two nans among them, are never merged; hypot(inf, nan)
-    is inf), and each distinct chord's count comes from one sort of the
-    keys. fsum gets each hop's exact power-of-two multiples, hop * 2**j
-    for every set bit j of its count: their exact total is the exact sum
-    of one hop per chord, so the correctly rounded sum is the same. Where
-    a hop is not finite or the total nears overflow (|hop| * count summed
-    reaches 2**1000), fsum gets one hop per chord in chord order instead,
-    whose nan, inf or error that order decides.
+    Each level's hops are summed with math.fsum in chord order.
 
     A base_segments that is not an integer of at least 1 raises
     DomainError."""
@@ -134,36 +119,8 @@ def ambient_polyline_length(height: float, p, q, k: float = 1.0, *,
 
     def polyline(n_seg: int) -> float:
         step = fine // n_seg
-        ix, cx = _ranks((xs[step::step] - xs[:-1:step]).view(np.uint64))
-        iy, cy = _ranks((ys[step::step] - ys[:-1:step]).view(np.uint64))
-        pair = ix * len(cy) + iy
-        pairs, counts = _runs(pair)
-        chords = map(math.hypot, cx[pairs // len(cy)].view(np.float64).tolist(),
-                     cy[pairs % len(cy)].view(np.float64).tolist())
-        hops = np.array([two_k * math.asinh(0.5 * s / height) for s in chords])
-        # nan and inf fail this test too
-        if (np.abs(hops) * counts).sum() < _EXACT_SUM_BOUND:
-            bits = np.arange(int(counts.max()).bit_length())
-            return math.fsum(np.ldexp(hops[:, None], bits)[
-                (counts[:, None] >> bits) & 1 == 1].tolist())
-        return math.fsum(hops[np.searchsorted(pairs, pair)].tolist())
+        chords = map(math.hypot, (xs[step::step] - xs[:-1:step]).tolist(),
+                     (ys[step::step] - ys[:-1:step]).tolist())
+        return math.fsum([two_k * math.asinh(0.5 * s / height) for s in chords])
 
     return richardson_length(polyline, base_segments)
-
-
-def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a 1-D array, sorted, and how often each
-    occurs (np.unique's results, which cost about ten times as much on a
-    level of 4096 chords)."""
-    a = np.sort(a)
-    edge = np.empty(len(a) + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(a[1:], a[:-1], out=edge[1:-1])
-    ends = edge.nonzero()[0]
-    return a[ends[:-1]], ends[1:] - ends[:-1]
-
-
-def _ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's index among the distinct values of a, and those values."""
-    values = _runs(a)[0]
-    return np.searchsorted(values, a), values

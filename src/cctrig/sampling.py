@@ -342,7 +342,7 @@ def _triangle_attempt(b, c, A, m, *, geometry, min_angle, cap, origin):
     model of its kind, or None where it is rejected."""
     k = geometry.k
     model = origin.model
-    sn, cs, eps = m.trig[geometry.kind]
+    sn, cs, eps, _ = m.trig[geometry.kind]
     s2 = m.pow(m.sin(0.5 * A), 2.0)
     sinA = m.sin(A)
     snb, csb, snc, csc = sn(b), cs(b), sn(c), cs(c)
@@ -452,14 +452,11 @@ def _right_plan(geometry: Curvature, min_leg: float, max_leg: float | None):
 def _right_triangle(a, b, m, *, geometry: Curvature) -> TriangleData:
     """The right triangle (right angle at C) with legs a, b in units of k."""
     k = geometry.k
-    sn, cs, eps = m.trig[geometry.kind]
+    sn, cs, eps, tn = m.trig[geometry.kind]
     sa, sb = sn(a), sn(b)
     # sn(c) from cs(c) = cs(a) cs(b), expanded with no cancellation
     sc = m.sqrt(sa * sa + sb * sb - eps * sa * sa * sb * sb)
-    if eps < 0.0:
-        c, tn = m.asinh(sc), m.tanh
-    else:
-        c, tn = m.atan2(sc, cs(a) * cs(b)), m.tan
+    c = m.asinh(sc) if eps < 0.0 else m.atan2(sc, cs(a) * cs(b))
     A = m.atan2(tn(a), sb)
     B = m.atan2(tn(b), sa)
     return TriangleData(a * k, b * k, c * k, A, B, math.pi / 2.0, geometry).validate(m)

@@ -89,7 +89,7 @@ def solve_from_sas(geometry: Curvature, b: float, A: float, c: float) -> Triangl
     _check_side(b, "b", geometry)
     _check_side(c, "c", geometry)
     _check_angle(A, "A")
-    (sn, cs, eps), k = TRIG[geometry.kind], geometry.k
+    (sn, cs, eps, _), k = TRIG[geometry.kind], geometry.k
     half, sinA = math.sin(0.5 * A), math.sin(A)
     sn_b, sn_c, sn_cb = sn(b / k), sn(c / k), sn((c - b) / k)
     if eps == 0.0:

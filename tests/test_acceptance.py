@@ -14,10 +14,9 @@ import numpy as np
 
 from cctrig import (Curvature, DegenerateError, DomainError, GeodesicSphere,
                     InfeasibleError, Model, ModelPoint, Ray, build_prism,
-                    cevian_feet, euclidean_cevian_residual,
+                    cevian_feet, cevian_residual,
                     euclidean_limit_slope, euclidean_residuals,
                     geodesic_sphere_triangle, horosphere_triangle,
-                    hyperbolic_cevian_conjecture_residual,
                     hyperbolic_residuals, imaginary_substitution_residuals,
                     intrinsic_arc_length, inverse_parallelism,
                     parallelism_angle, perturbed_residual, replay_residuals,
@@ -203,11 +202,11 @@ def test_criterion_09_cevians(capsys):
     medians = cevian_feet(EUC, ModelPoint.plane(0.0, 0.0),
                           ModelPoint.plane(4.0, 0.0), ModelPoint.plane(2.0, 6.0),
                           ModelPoint.plane(2.0, 2.0))
-    ok = euclidean_cevian_residual(medians) == 0.0   # exact 8 = 8
+    ok = cevian_residual(medians) == 0.0   # exact 8 = 8
     incenter = cevian_feet(EUC, ModelPoint.plane(0.0, 4.0),
                            ModelPoint.plane(3.0, 0.0), ModelPoint.plane(0.0, 0.0),
                            ModelPoint.plane(1.0, 1.0))
-    incenter_residual = abs(euclidean_cevian_residual(incenter))
+    incenter_residual = abs(cevian_residual(incenter))
     ok &= incenter_residual < 1e-12
     s = 1.0 / math.sqrt(3.0)
     octant = cevian_feet(SPH, ModelPoint(Model.SPHERE, (1.0, 0.0, 0.0), 1.0),
@@ -220,8 +219,7 @@ def test_criterion_09_cevians(capsys):
     ok &= response > 1e-4
     conjecture = 0.0
     for i in range(200):
-        value = hyperbolic_cevian_conjecture_residual(
-            sample_cevian_config(HYP, 42, 995000 + i))
+        value = cevian_residual(sample_cevian_config(HYP, 42, 995000 + i))
         ok &= math.isfinite(value)
         conjecture = max(conjecture, abs(value))
     _verdict(capsys, 9, ok, "cevians: medians exactly 8 = 8, incenter residual "
