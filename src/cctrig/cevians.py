@@ -23,13 +23,19 @@ equals tn(|AO| / k) / tn(|OD| / k). The gnomonic chart needs arcs below
 records its hyperbolic row (cev_hyperbolic_conjecture) rather than
 asserting it, as its row set predates the proof.
 
-Feet are constructed, not tested: given O, each foot is the closed-form
-intersection of the vertex-through-O geodesic with the opposite side
-(line intersection on the plane, cross products of great-circle normals
-on the sphere, and the signature-adjusted analogue on the hyperboloid).
-Both curved feet are oriented by one rule, the sign of their model
-product with the sum of the side's endpoints: it keeps the foot on the
-side's arc on the sphere and on the upper sheet of the hyperboloid.
+Feet are constructed, not tested, by one construction for all three
+kinds, which follows the proof: every point is lifted to coordinates in
+which each geodesic is the section of the model by a plane through the
+origin (_lift). Sphere and hyperboloid points keep their own
+coordinates; a plane point p becomes (1, p - O), the flat member's
+plane x0 = k of curvature.py at k = 1, centred at O. Given O, each foot
+is then the closed-form intersection of the vertex-through-O plane with
+the opposite side's plane (_foot), scaled onto the model by the model's
+own product and oriented by one rule, the sign of that product with the
+sum of the side's endpoints: it keeps the foot on the side's arc on the
+sphere, on the upper sheet of the hyperboloid, and on x0 = 1 on the
+plane. The interior test takes the triple products of the same lifted
+points, in every kind.
 
 The construction, the sampler attempt and the residual take their
 elementary functions from `m` (columns.py): FLOATS for one
@@ -46,8 +52,8 @@ from dataclasses import dataclass
 from .curvature import Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError
 from .floats import FLOATS
-from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint,
-                     _add, _cross3, geodesic_point, model_distance, tangent_toward)
+from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint, _add,
+                     _cross3, _enorm, geodesic_point, model_distance, tangent_toward)
 from .sampling import DEFAULT_ATTEMPTS, Block, resolve_block, resolve_index
 
 #: Relative floor below which O is considered to lie on a side or vertex.
@@ -58,6 +64,15 @@ BETWEENNESS_TOL = 1e-9
 #: errors on which the sampler rejects an attempt and draws again
 _REJECTED = (DegenerateError, InfeasibleError, DomainError)
 _THIRDS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+#: each model's product of lifted points: the sphere's and the
+#: hyperboloid's of CURVED_METRIC, and u0 v0 on the plane, the flat
+#: member's (eps = 0 in x0 y0 + eps (x1 y1 + x2 y2))
+_PRODUCT = {Model.PLANE: lambda u, v, m=None: u[0] * v[0],
+            **{model: dot for model, (dot, _) in CURVED_METRIC.items()}}
+#: model -> the refusal of a cevian that does not meet its side's geodesic
+_MISSES = {Model.SPHERE: "cevian geodesic coincides with the opposite side",
+           Model.HYPERBOLOID: "cevian and opposite side meet outside the hyperbolic plane",
+           Model.PLANE: "cevian is parallel to the opposite side"}
 
 @dataclass(frozen=True)
 class CevianConfig:
@@ -121,56 +136,57 @@ def _check_points(geometry: Curvature, points: tuple[ModelPoint, ...]) -> None:
             raise DomainError("point radius k disagrees with the geometry")
 
 
-def _plane_foot(vertex, through, seg_start, seg_end, m=FLOATS) -> tuple[float, float]:
-    """Intersection of line vertex->through with segment seg_start->seg_end,
-    returned as coordinates; the segment parameter is betweenness-checked
-    by the caller via distances."""
-    dx1 = (through[0] - vertex[0], through[1] - vertex[1])
-    dx2 = (seg_end[0] - seg_start[0], seg_end[1] - seg_start[1])
-    det = dx1[0] * dx2[1] - dx1[1] * dx2[0]
-    scale = m.hypot(*dx1) * m.hypot(*dx2)
-    bad = abs(det) <= DEGENERACY_TOL * scale
-    if bad is not False:
-        m.refuse(bad, InfeasibleError, "cevian is parallel to the opposite side")
-    rhs = (seg_start[0] - vertex[0], seg_start[1] - vertex[1])
-    u = m.div(dx1[0] * rhs[1] - dx1[1] * rhs[0], -det)
-    return (seg_start[0] + u * dx2[0], seg_start[1] + u * dx2[1])
+def _lift(p: ModelPoint, O: ModelPoint):
+    """p in coordinates where each geodesic is a plane through the
+    origin: its own on the sphere and the hyperboloid, and (1, p - O) on
+    the plane, the chart centred at O."""
+    if p.model is Model.PLANE:
+        return (1.0, p.coords[0] - O.coords[0], p.coords[1] - O.coords[1])
+    return p.coords
 
 
-def _curved_foot(geometry: Curvature, vertex, through, seg_start, seg_end,
-                 m=FLOATS) -> ModelPoint:
+def _unlift(model: Model, coords, k: float, centre=(0.0, 0.0)) -> ModelPoint:
+    """The model point at lifted coordinates that lie on the model; on
+    the plane, (1, x, y) of the chart centred at `centre`."""
+    if model is Model.PLANE:
+        return ModelPoint.plane(centre[0] + coords[1], centre[1] + coords[2])
+    return ModelPoint(model, tuple(coords), k)
+
+
+def _foot(model: Model, k: float, vertex, through, seg_start, seg_end, centre,
+          m=FLOATS) -> ModelPoint:
     """Intersection of the geodesic vertex->through with the side
-    seg_start->seg_end, on the sphere or the hyperboloid.
+    seg_start->seg_end, all four lifted (_lift) about `centre`.
 
-    Both models realize geodesics as central plane sections; with
+    Each geodesic is the model's section by a central plane; with
     signature (+,-,-) the hyperboloid plane of p, q has Minkowski normal
     J(p x q), and lowering indices turns every side and intersection
-    test into the same Euclidean cross products used on the sphere. The
-    direction u common to both planes is the double cross product
-    below, scaled to length k by the model's own product <u, u>. One
-    rule orients it: u is flipped where <u, seg_start + seg_end> < 0.
-    On the sphere that keeps the intersection on the side's arc, which
-    is at most pi k long, rather than its antipode; on the hyperboloid
-    it keeps the upper sheet, as a timelike u has the sign of u_0
-    against the timelike seg_start + seg_end.
+    test into the same Euclidean cross products used on the sphere and
+    the plane. The direction u common to both planes is the double
+    cross product below, scaled to length k by the model's own product
+    <u, u> (_PRODUCT). One rule orients it: u is flipped where
+    <u, seg_start + seg_end> < 0. On the sphere that keeps the
+    intersection on the side's arc, which is at most pi k long, rather
+    than its antipode; on the hyperboloid it keeps the upper sheet, as a
+    timelike u has the sign of u_0 against the timelike
+    seg_start + seg_end; on the plane, where <u, u> = u_0^2, it divides
+    u by u_0 and puts the foot on x0 = 1.
     """
-    model = MODEL_FOR_KIND[geometry.kind]
-    dot = CURVED_METRIC[model][0]
-    u = _cross3(_cross3(vertex, through), _cross3(seg_start, seg_end))
-    k = geometry.k
+    dot = _PRODUCT[model]
+    normals = (_cross3(vertex, through), _cross3(seg_start, seg_end))
+    u = _cross3(*normals)
     q = dot(u, u, m)
     norm = m.sqrt(m.max(q, 0.0))
     if model is Model.SPHERE:
-        bad = norm <= DEGENERACY_TOL * k * k * k
-        failure = "cevian geodesic coincides with the opposite side"
+        # |u| / (|normal| |normal|) is the sine of the angle between the planes
+        bad = norm <= DEGENERACY_TOL * _enorm(normals[0], m) * _enorm(normals[1], m)
     else:
         bad = q <= 0.0
-        failure = "cevian and opposite side meet outside the hyperbolic plane"
     if bad is not False:
-        m.refuse(bad, InfeasibleError, failure)
+        m.refuse(bad, InfeasibleError, _MISSES[model])
     r = k / norm  # the rows with norm 0 are refused
     r = m.where(dot(u, _add(seg_start, seg_end), m) < 0.0, -r, r)
-    return ModelPoint(model, tuple([c * r for c in u]), k)
+    return _unlift(model, [c * r for c in u], k, centre)
 
 
 def _betweenness(geometry: Curvature, foot: ModelPoint, start: ModelPoint,
@@ -180,6 +196,11 @@ def _betweenness(geometry: Curvature, foot: ModelPoint, start: ModelPoint,
     bad = abs(gap) > BETWEENNESS_TOL * (side_len + geometry.k)
     if bad is not False:
         m.refuse(bad, InfeasibleError, "cevian foot falls outside the opposite side")
+
+
+def _sides(A: ModelPoint, B: ModelPoint, C: ModelPoint, m=FLOATS):
+    """|BC|, |CA| and |AB|."""
+    return model_distance(B, C, m), model_distance(C, A, m), model_distance(A, B, m)
 
 
 def cevian_feet(geometry: Curvature, A: ModelPoint, B: ModelPoint,
@@ -193,54 +214,45 @@ def cevian_feet(geometry: Curvature, A: ModelPoint, B: ModelPoint,
     their ratios do not.
     """
     _check_points(geometry, (A, B, C, O))
-    k = geometry.k
-    if geometry.kind is GeometryKind.EUCLIDEAN:
-        ab = (B.coords[0] - A.coords[0], B.coords[1] - A.coords[1])
-        ac = (C.coords[0] - A.coords[0], C.coords[1] - A.coords[1])
-        total = ab[0] * ac[1] - ab[1] * ac[0]
-        ao = (O.coords[0] - A.coords[0], O.coords[1] - A.coords[1])
-        w_c = ab[0] * ao[1] - ab[1] * ao[0]
-        w_b = ao[0] * ac[1] - ao[1] * ac[0]
-        w_a = total - w_b - w_c
-        weights = (w_a, w_b, w_c)
-        area_scale = m.hypot(*ab) * m.hypot(*ac)
-    else:
-        k3 = k * k * k  # 0 below k of about 1e-108
-        total = m.div(_triple(A.coords, B.coords, C.coords), k3)
-        weights = (m.div(_triple(O.coords, B.coords, C.coords), k3),
-                   m.div(_triple(A.coords, O.coords, C.coords), k3),
-                   m.div(_triple(A.coords, B.coords, O.coords), k3))
-        area_scale = 1.0
-    bad = (total == 0.0) | (abs(total) <= DEGENERACY_TOL * area_scale)
+    return _figure(geometry, (A, B, C), O, _sides(A, B, C, m), m)
+
+
+def _figure(geometry: Curvature, vertices: tuple[ModelPoint, ...], O: ModelPoint,
+            sides: tuple[float, float, float], m=FLOATS) -> CevianConfig:
+    """cevian_feet on checked points, given the sides of _sides."""
+    model, k = O.model, O.k
+    lifted = [_lift(p, O) for p in vertices]
+    o = _lift(O, O)
+    a, b, c = lifted
+    total = _triple(a, b, c)
+    # total / k is |AB| |AC| sin A on the plane and for a small curved
+    # triangle; a total that overflows is not refused here, and ends as a
+    # non-finite residual
+    bad = abs(total) / k <= DEGENERACY_TOL * sides[1] * sides[2]
     if bad is not False:
         m.refuse(bad, DegenerateError, "triangle vertices are collinear")
     # total is nonzero on every row still live
-    bad = ((weights[0] / total <= DEGENERACY_TOL) | (weights[1] / total <= DEGENERACY_TOL)
-           | (weights[2] / total <= DEGENERACY_TOL))
+    bad = ((_triple(o, b, c) / total <= DEGENERACY_TOL)
+           | (_triple(a, o, c) / total <= DEGENERACY_TOL)
+           | (_triple(a, b, o) / total <= DEGENERACY_TOL))
     if bad is not False:
         m.refuse(bad, DegenerateError, "O must be strictly interior to the triangle")
 
     feet = []
-    for vertex, start, end in ((A, B, C), (B, C, A), (C, A, B)):
-        if geometry.kind is GeometryKind.EUCLIDEAN:
-            foot = ModelPoint.plane(
-                *_plane_foot(vertex.coords, O.coords, start.coords, end.coords, m))
-        else:
-            foot = _curved_foot(geometry, vertex.coords, O.coords,
-                                start.coords, end.coords, m)
-        _betweenness(geometry, foot, start, end, model_distance(start, end, m), m)
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        foot = _foot(model, k, lifted[i], o, lifted[j], lifted[l], O.coords, m)
+        _betweenness(geometry, foot, vertices[j], vertices[l], sides[i], m)
         feet.append(foot)
 
     ratios = []
-    for vertex, foot in zip((A, B, C), feet):
+    for vertex, foot in zip(vertices, feet):
         vertex_arc = model_distance(vertex, O, m)
         foot_arc = model_distance(O, foot, m)
         bad = (foot_arc <= DEGENERACY_TOL * k) | (vertex_arc <= DEGENERACY_TOL * k)
         if bad is not False:
             m.refuse(bad, DegenerateError, "O coincides with a vertex or a foot")
-        ratios.append(_section_ratio(geometry, O.k, vertex_arc, foot_arc, m))
-    return CevianConfig(geometry, A, B, C, O, feet[0], feet[1], feet[2],
-                        ratios[0], ratios[1], ratios[2])
+        ratios.append(_section_ratio(geometry, k, vertex_arc, foot_arc, m))
+    return CevianConfig(geometry, *vertices, O, *feet, *ratios)
 
 
 def cevian_residual(cfg: CevianConfig, m=FLOATS) -> float:
@@ -285,35 +297,29 @@ def _cevian_attempt(r1, r2, r3, turn, j1, j2, j3, w1, w2, w3, m, *,
     refuses raises one of _REJECTED."""
     k = geometry.k
     model = MODEL_FOR_KIND[geometry.kind]
+    sn, cs, _, _ = m.trig[geometry.kind]
     total = w1 + w2 + w3
     wa, wb, wc = (w / total for w in (w1, w2, w3))
-    points = []
+    lifted = []
     for r, third, jitter in zip((r1, r2, r3), _THIRDS, (j1, j2, j3)):
         th = turn + third + jitter
         x, y = r * m.cos(th), r * m.sin(th)
-        if model is Model.PLANE:
-            points.append(ModelPoint.plane(x, y))
-        else:
-            # exponential map at the model's reference point
-            sn, cs, _, _ = m.trig[geometry.kind]
-            rho = m.hypot(x, y)
-            s = sn(rho / k) * k / rho
-            points.append(ModelPoint(model, (k * cs(rho / k), s * x, s * y), k))
-    # the weighted sum of the vertices, left to right
-    mix = [wa * x + wb * y + wc * z for x, y, z in zip(*(p.coords for p in points))]
-    if model is Model.PLANE:
-        interior = ModelPoint.plane(*mix)
-    else:
-        n = m.sqrt(CURVED_METRIC[model][0](mix, mix, m))
-        interior = ModelPoint(model, tuple([c * m.div(k, n) for c in mix]), k)
-    a_pt, b_pt, c_pt = points
-    sides = (model_distance(b_pt, c_pt, m), model_distance(c_pt, a_pt, m),
-             model_distance(a_pt, b_pt, m))
+        # the exponential map at the model's reference point, where s is
+        # exactly 1 on the plane
+        rho = m.hypot(x, y)
+        s = sn(rho / k) * k / rho
+        lifted.append((k * cs(rho / k), s * x, s * y))
+    # the weighted sum of the vertices, left to right, scaled onto the model
+    mix = [wa * x + wb * y + wc * z for x, y, z in zip(*lifted)]
+    scale = m.div(k, m.sqrt(_PRODUCT[model](mix, mix, m)))
+    lifted.append([c * scale for c in mix])
+    a_pt, b_pt, c_pt, interior = (_unlift(model, p, k) for p in lifted)
+    sides = _sides(a_pt, b_pt, c_pt, m)
     keep = m.reject((m.max(*sides) > max_side * k) | (m.min(*sides) < 1e-3 * k))
     if keep is None:
         return None
-    a_pt, b_pt, c_pt, interior = keep(a_pt, b_pt, c_pt, interior)
-    return cevian_feet(geometry, a_pt, b_pt, c_pt, interior, m)
+    a_pt, b_pt, c_pt, interior, sides = keep(a_pt, b_pt, c_pt, interior, sides)
+    return _figure(geometry, (a_pt, b_pt, c_pt), interior, sides, m)
 
 
 def _cevian_plan(geometry: Curvature, max_side: float):

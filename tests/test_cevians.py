@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,19 +166,69 @@ def test_feet_lie_between_the_side_endpoints():
             assert abs(gap) < 1e-9
 
 
-@pytest.mark.parametrize("kind", ("spherical", "hyperbolic"))
-@pytest.mark.parametrize("k", (0.5, 1.0, 1e3), ids=repr)
-def test_curved_feet_do_not_depend_on_the_vertex_order(kind, k):
+@pytest.mark.parametrize("geometry", (EUC,) + tuple(
+    getattr(Curvature, kind)(k) for kind in ("spherical", "hyperbolic")
+    for k in (0.5, 1.0, 1e3)), ids=repr)
+def test_feet_do_not_depend_on_the_vertex_order(geometry):
     # the sampler draws counter-clockwise triangles only; read clockwise,
     # every cross product in the construction changes sign and the
     # orientation rule must turn each foot back onto its side
-    geometry = getattr(Curvature, kind)(k)
     for index in range(8):
         cfg = sample_cevian_config(geometry, 5, index)
         back = cevian_feet(geometry, cfg.A, cfg.C, cfg.B, cfg.O)
         assert (back.foot_a, back.foot_b, back.foot_c) == (cfg.foot_a, cfg.foot_c,
                                                            cfg.foot_b)
         assert back.ratios() == (cfg.ratio_a, cfg.ratio_c, cfg.ratio_b)
+
+
+def test_a_small_spherical_figure_is_accepted_at_every_scale():
+    # the refusal of a cevian plane that coincides with its side's plane
+    # compares the sine of their angle with 1e-12, so it does not depend
+    # on k; the figure is 1e-5 k across
+    corners = ((1.0, 0.0, 0.0), (1.0, 1e-5, 0.0), (1.0, 3e-6, 8e-6), (1.0, 4.5e-6, 3e-6))
+    ratios = {cevian_feet(Curvature.spherical(2.0 ** e),
+                          *(_sphere(v, 2.0 ** e) for v in corners)).ratios()
+              for e in range(-20, 11)}
+    assert len(ratios) == 1
+
+
+def _moved(cfg, scale, offset):
+    def move(p):
+        return ModelPoint.plane(scale * p.coords[0] + offset, scale * p.coords[1] + offset)
+
+    return cevian_feet(EUC, move(cfg.A), move(cfg.B), move(cfg.C), move(cfg.O))
+
+
+def test_flat_figures_are_scale_free_and_survive_translation():
+    for cfg in (_medians(), _incenter_345()):
+        for e in range(-30, 31):
+            assert _moved(cfg, 2.0 ** e, 0.0).ratios() == cfg.ratios()
+        diameter = max(model_distance(p, q) for p, q in ((cfg.A, cfg.B), (cfg.B, cfg.C),
+                                                         (cfg.C, cfg.A)))
+        for offset in (1e3, 1e6, 1e9):
+            residual = cevian_residual(_moved(cfg, 1.0, offset))
+            assert abs(residual) <= 64.0 * 2.0 ** -53 * (1.0 + offset / diameter)
+
+
+def test_flat_feet_are_within_a_few_roundings_of_the_exact_intersection():
+    cfg = sample_cevian_configs(EUC, 11, 0, 2_000).figure
+    columns = [np.asarray(p.coords).T.tolist() for p in
+               (cfg.A, cfg.B, cfg.C, cfg.O, cfg.foot_a, cfg.foot_b, cfg.foot_c)]
+    assert len(columns[0]) == 2_000
+    worst = 0.0
+    for a, b, c, o, *feet in zip(*columns):
+        diameter = max(math.dist(p, q) for p, q in ((a, b), (b, c), (c, a)))
+        for (vertex, start, end), foot in zip(((a, b, c), (b, c, a), (c, a, b)), feet):
+            v, s, e, q = ([Fraction(x) for x in p] for p in (vertex, start, end, o))
+            cevian = (q[0] - v[0], q[1] - v[1])
+            side = (e[0] - s[0], e[1] - s[1])
+            t = (((s[0] - v[0]) * side[1] - (s[1] - v[1]) * side[0])
+                 / (cevian[0] * side[1] - cevian[1] * side[0]))
+            exact = (v[0] + t * cevian[0], v[1] + t * cevian[1])
+            error = math.hypot(float(Fraction(foot[0]) - exact[0]),
+                               float(Fraction(foot[1]) - exact[1]))
+            worst = max(worst, error / (2.0 ** -53 * diameter))
+    assert worst <= 16.0
 
 
 def test_interior_point_is_required():

@@ -296,17 +296,21 @@ def test_horosphere_triangles_on_columns_are_the_scalar_ones(height, k):
 def _cevian_figure(geometry, m, *c):
     if geometry is EUC:
         points = [ModelPoint.plane(c[i], c[i + 1]) for i in (0, 2, 4, 6)]
+    elif geometry is HYP:
+        points = [ModelPoint(Model.HYPERBOLOID, (m.sqrt(1.0 + x * x + y * y), x, y), 1.0)
+                  for x, y in (c[0:2], c[2:4], c[4:6], c[6:8])]
     else:
         points = [ModelPoint.sphere(c[i:i + 3], geometry.k, m) for i in (0, 3, 6, 9)]
     config = cevian_feet(geometry, *points, m)
     return config, cevian_residual(config, m)
 
 
-@pytest.mark.parametrize("geometry", (EUC, SPH, Curvature.spherical(3.0)), ids=repr)
+@pytest.mark.parametrize("geometry", (EUC, SPH, Curvature.spherical(3.0), HYP), ids=repr)
 def test_cevian_feet_on_columns_are_the_scalar_feet(geometry):
     rng = np.random.default_rng(13)
-    # sphere points are drawn about one pole, so most triangles are small
-    center = np.zeros(2) if geometry is EUC else np.array([0.0, 0.0, 3.0])
+    # sphere points are drawn about one pole, so most triangles are small;
+    # plane and sheet points are drawn in (x, y), the sheet's lifted onto it
+    center = np.array([0.0, 0.0, 3.0]) if geometry.kind is SPH.kind else np.zeros(2)
     rows = []
     for _ in range(60):
         vertices = rng.normal(size=(3, len(center))) + center

@@ -72,7 +72,7 @@ CASES = _cases()
 
 DIGESTS = {
     "verify_all_1000_json":
-        "5fca2259adbc7585c2c1ed5651bb6073a099fef6da1fe834e1cb19da9dc89170",
+        "840e5fe3f91af156a7b742d836592158837f842b8c7cf183106e7fa706d691d0",
     "verify_spherical_k0.5_csv":
         "5c85b2cf8a5912280b19d34777faa76331d00769944aa5fed275620b74af10ec",
     "verify_spherical_k10_csv":
@@ -106,9 +106,9 @@ DIGESTS = {
     "verify_limits_k10_csv":
         "b6399781a098d9bb84704376ca0c8917a26c9e227e8de1d477e7dae5e06c9845",
     "verify_cevians_k0.5_csv":
-        "f450757c79d3b4b1eecd8b59b9b15dcc0136e9011c761fd853294d9b244381d9",
+        "9b95d9f28016c27f08ea4f72c89c4b837976a8d35e965bd8ac1737a593efb4ac",
     "verify_cevians_k10_csv":
-        "fe5b2153259d8cc4b8b04eee68c08cb443588b711fe09725ff32af2e64614530",
+        "8cb9f90c3c9d5df21f90bf717e6db3c53997b57eb2557cc31c640b8e4190aab7",
     "verify_spherical_3000_csv":
         "8501dae4a96ce757eb24acf566b2a84c82aa8bd9256525f078b15bfd4a93fc8d",
     "verify_hyperbolic_3000_csv":
@@ -120,7 +120,7 @@ DIGESTS = {
     "verify_sphere-model_3000_csv":
         "5481e10d3e93518817c1e6bc3402ac15ceb4f2fee4d2979d854e5bc7528dc1b2",
     "verify_cevians_3000_csv":
-        "f0c2d31501c3f804e52fc8aae19c1cc5ec963da208e980bdb349c0bba7e96869",
+        "18fcfd1e345f241eae7d2bc76ff8e7d55cc619adcfc981633e2c1b176d0c9984",
     "verify_prism_3000_csv":
         "45748737a5fdcb7fd153fa74321b854c654992e245eb3ee86cb93503bb2508a7",
     "verify_horosphere_3000_csv":
