@@ -27,13 +27,14 @@ Feet are constructed, not tested, by one construction for all three
 kinds, which follows the proof: every point is lifted to coordinates in
 which each geodesic is the section of the model by a plane through the
 origin (_lift). Sphere and hyperboloid points keep their own
-coordinates; a plane point p becomes (1, p - O), the flat member's
-plane x0 = k of curvature.py at k = 1, centred at O. Given O, each foot
-is then the closed-form intersection of the vertex-through-O plane with
-the opposite side's plane (_foot), scaled onto the model by the model's
+coordinates, and plane points, which lie on the flat member's plane
+x0 = k of curvature.py, are moved along it to put O at (k, 0, 0). Given
+O, each foot is then the closed-form intersection of the
+vertex-through-O plane with the opposite side's plane (_foot), scaled
+onto the model by the model's
 own product and oriented by one rule, the sign of that product with the
 sum of the side's endpoints: it keeps the foot on the side's arc on the
-sphere, on the upper sheet of the hyperboloid, and on x0 = 1 on the
+sphere, on the upper sheet of the hyperboloid, and on x0 = k on the
 plane. The interior test takes the triple products of the same lifted
 points, in every kind.
 
@@ -52,11 +53,12 @@ from dataclasses import dataclass
 from .curvature import Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError
 from .floats import FLOATS
-from .models import (CURVED_METRIC, MODEL_FOR_KIND, Model, ModelPoint, _add,
-                     _cross3, _enorm, geodesic_point, model_distance, tangent_toward)
+from .models import (METRIC, MODEL_FOR_KIND, Model, ModelPoint, _add, _cross3, _enorm,
+                     geodesic_point, model_distance, tangent_toward)
 from .sampling import DEFAULT_ATTEMPTS, Block, resolve_block, resolve_index
 
-#: Relative floor below which O is considered to lie on a side or vertex.
+#: Relative floor below which O is considered to lie on a side or vertex:
+#: of the triangle's signed area, and of the side opposite each vertex.
 DEGENERACY_TOL = 1e-12
 #: Allowed violation of "foot lies between the side's endpoints",
 #: relative to the side length.
@@ -64,11 +66,6 @@ BETWEENNESS_TOL = 1e-9
 #: errors on which the sampler rejects an attempt and draws again
 _REJECTED = (DegenerateError, InfeasibleError, DomainError)
 _THIRDS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-#: each model's product of lifted points: the sphere's and the
-#: hyperboloid's of CURVED_METRIC, and u0 v0 on the plane, the flat
-#: member's (eps = 0 in x0 y0 + eps (x1 y1 + x2 y2))
-_PRODUCT = {Model.PLANE: lambda u, v, m=None: u[0] * v[0],
-            **{model: dot for model, (dot, _) in CURVED_METRIC.items()}}
 #: model -> the refusal of a cevian that does not meet its side's geodesic
 _MISSES = {Model.SPHERE: "cevian geodesic coincides with the opposite side",
            Model.HYPERBOLOID: "cevian and opposite side meet outside the hyperbolic plane",
@@ -113,8 +110,8 @@ def _triple(u, v, w) -> float:
 def _section_ratio(geometry: Curvature, k: float, vertex_arc: float,
                    foot_arc: float, m=FLOATS) -> float:
     """tn(vertex_arc / k) / tn(foot_arc / k), k being the radius of the
-    figure's points: 1 on the plane, where the ratio keeps the bits of
-    vertex_arc / foot_arc at every geometry k."""
+    figure's points: at the plane's k = 1 the ratio keeps the bits of
+    vertex_arc / foot_arc."""
     if geometry.kind is GeometryKind.SPHERICAL:
         half_pi_k = 0.5 * math.pi * k
         bad = (vertex_arc >= half_pi_k) | (foot_arc >= half_pi_k)
@@ -126,30 +123,30 @@ def _section_ratio(geometry: Curvature, k: float, vertex_arc: float,
 
 def _check_points(geometry: Curvature, points: tuple[ModelPoint, ...]) -> None:
     expected = MODEL_FOR_KIND[geometry.kind]
-    dim = 2 if expected is Model.PLANE else 3
     for p in points:
         if p.model is not expected:
             raise DomainError(f"cevian points must live on the {expected.value} model")
-        if len(p.coords) != dim:
-            raise DomainError(f"cevian {expected.value} points need {dim} components")
-        if expected is not Model.PLANE and p.k != geometry.k:
+        if len(p.coords) != 3:
+            raise DomainError(f"cevian {expected.value} points need 3 components")
+        if p.k != geometry.k:
             raise DomainError("point radius k disagrees with the geometry")
 
 
 def _lift(p: ModelPoint, O: ModelPoint):
     """p in coordinates where each geodesic is a plane through the
-    origin: its own on the sphere and the hyperboloid, and (1, p - O) on
-    the plane, the chart centred at O."""
+    origin: its own on the sphere and the hyperboloid, and on the plane
+    (k, p - O), the chart centred at O."""
     if p.model is Model.PLANE:
-        return (1.0, p.coords[0] - O.coords[0], p.coords[1] - O.coords[1])
+        return (p.k, p.coords[1] - O.coords[1], p.coords[2] - O.coords[2])
     return p.coords
 
 
-def _unlift(model: Model, coords, k: float, centre=(0.0, 0.0)) -> ModelPoint:
+def _unlift(model: Model, coords, k: float, centre=(0.0, 0.0, 0.0)) -> ModelPoint:
     """The model point at lifted coordinates that lie on the model; on
-    the plane, (1, x, y) of the chart centred at `centre`."""
+    the plane, (k, x, y) of the chart centred at `centre`, whose x0,
+    within a rounding of k, is put at k."""
     if model is Model.PLANE:
-        return ModelPoint.plane(centre[0] + coords[1], centre[1] + coords[2])
+        return ModelPoint(model, (k, centre[1] + coords[1], centre[2] + coords[2]), k)
     return ModelPoint(model, tuple(coords), k)
 
 
@@ -164,15 +161,15 @@ def _foot(model: Model, k: float, vertex, through, seg_start, seg_end, centre,
     test into the same Euclidean cross products used on the sphere and
     the plane. The direction u common to both planes is the double
     cross product below, scaled to length k by the model's own product
-    <u, u> (_PRODUCT). One rule orients it: u is flipped where
+    <u, u> (models.METRIC). One rule orients it: u is flipped where
     <u, seg_start + seg_end> < 0. On the sphere that keeps the
     intersection on the side's arc, which is at most pi k long, rather
     than its antipode; on the hyperboloid it keeps the upper sheet, as a
     timelike u has the sign of u_0 against the timelike
     seg_start + seg_end; on the plane, where <u, u> = u_0^2, it divides
-    u by u_0 and puts the foot on x0 = 1.
+    u by u_0 / k and puts the foot on x0 = k.
     """
-    dot = _PRODUCT[model]
+    dot = METRIC[model][0]
     normals = (_cross3(vertex, through), _cross3(seg_start, seg_end))
     u = _cross3(*normals)
     q = dot(u, u, m)
@@ -189,11 +186,11 @@ def _foot(model: Model, k: float, vertex, through, seg_start, seg_end, centre,
     return _unlift(model, [c * r for c in u], k, centre)
 
 
-def _betweenness(geometry: Curvature, foot: ModelPoint, start: ModelPoint,
-                 end: ModelPoint, side_len: float, m=FLOATS) -> None:
+def _betweenness(foot: ModelPoint, start: ModelPoint, end: ModelPoint, side_len: float,
+                 m=FLOATS) -> None:
     """Refuse a foot off its side."""
     gap = (model_distance(start, foot, m) + model_distance(foot, end, m)) - side_len
-    bad = abs(gap) > BETWEENNESS_TOL * (side_len + geometry.k)
+    bad = abs(gap) > BETWEENNESS_TOL * side_len
     if bad is not False:
         m.refuse(bad, InfeasibleError, "cevian foot falls outside the opposite side")
 
@@ -241,14 +238,14 @@ def _figure(geometry: Curvature, vertices: tuple[ModelPoint, ...], O: ModelPoint
     feet = []
     for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         foot = _foot(model, k, lifted[i], o, lifted[j], lifted[l], O.coords, m)
-        _betweenness(geometry, foot, vertices[j], vertices[l], sides[i], m)
+        _betweenness(foot, vertices[j], vertices[l], sides[i], m)
         feet.append(foot)
 
     ratios = []
-    for vertex, foot in zip(vertices, feet):
+    for vertex, foot, side in zip(vertices, feet, sides):
         vertex_arc = model_distance(vertex, O, m)
         foot_arc = model_distance(O, foot, m)
-        bad = (foot_arc <= DEGENERACY_TOL * k) | (vertex_arc <= DEGENERACY_TOL * k)
+        bad = (foot_arc <= DEGENERACY_TOL * side) | (vertex_arc <= DEGENERACY_TOL * side)
         if bad is not False:
             m.refuse(bad, DegenerateError, "O coincides with a vertex or a foot")
         ratios.append(_section_ratio(geometry, k, vertex_arc, foot_arc, m))
@@ -282,7 +279,7 @@ def perturbed_residual(cfg: CevianConfig, delta: float) -> float:
     step = delta * side_len
     direction = tangent_toward(cfg.foot_a, cfg.C)
     moved = geodesic_point(cfg.foot_a, direction, step)
-    _betweenness(cfg.geometry, moved, cfg.B, cfg.C, side_len)
+    _betweenness(moved, cfg.B, cfg.C, side_len)
     vertex_arc = model_distance(cfg.A, cfg.O)
     foot_arc = model_distance(cfg.O, moved)
     ratio_a = _section_ratio(cfg.geometry, cfg.O.k, vertex_arc, foot_arc)
@@ -311,7 +308,7 @@ def _cevian_attempt(r1, r2, r3, turn, j1, j2, j3, w1, w2, w3, m, *,
         lifted.append((k * cs(rho / k), s * x, s * y))
     # the weighted sum of the vertices, left to right, scaled onto the model
     mix = [wa * x + wb * y + wc * z for x, y, z in zip(*lifted)]
-    scale = m.div(k, m.sqrt(_PRODUCT[model](mix, mix, m)))
+    scale = m.div(k, m.sqrt(METRIC[model][0](mix, mix, m)))
     lifted.append([c * scale for c in mix])
     a_pt, b_pt, c_pt, interior = (_unlift(model, p, k) for p in lifted)
     sides = _sides(a_pt, b_pt, c_pt, m)

@@ -16,11 +16,11 @@ The curved models pair with them: the sphere uses the Euclidean dot
 product, the hyperboloid the Minkowski product of signature
 (+, -, -, ...), and a unit tangent v has eps <v, v> = 1 in either.
 TRIG holds (sn, cs, eps, tn) for all three kinds, tn = sn / cs being
-the tangent (tan, tanh, the identity), and CURVED_TRIG (sn, cs, eps) for
-the two curved kinds; the kernels take TRIG as m.trig (floats.py,
-columns.py). A flat point built as a curved one, (k cs(x), ...), lies
-on the plane x0 = k, which is how the flat member shares the curved
-constructions.
+the tangent (tan, tanh, the identity); the kernels take it as m.trig
+(floats.py, columns.py). A flat point built as a curved one,
+(k cs(x), ...), lies on the plane x0 = k, which is how the flat member
+shares the curved constructions: the plane model keeps its points
+there (models.py), with the product x0 y0 that eps = 0 leaves.
 
 Both products are summed by one rule: term by term, left to right, the
 sphere's adding each term and the hyperboloid's subtracting all but the
@@ -32,8 +32,9 @@ steps which the sign alone does not decide:
   * sphere points pass through ModelPoint.sphere, which renormalizes
     them; hyperboloid points synthesized on the sheet are built as they
     are (renormalizing far sheet points adds noise, see ModelPoint);
-  * model_distance keeps atan2 of cross and dot products on the sphere
-    and the chordal asinh form on the hyperboloid.
+  * model_distance keeps atan2 of cross and dot products on the sphere,
+    the chordal asinh form on the hyperboloid and hypot of x and y on
+    the plane.
 """
 
 from __future__ import annotations
@@ -88,6 +89,3 @@ TRIG = {
     GeometryKind.HYPERBOLIC: (math.sinh, math.cosh, -1.0, math.tanh),
     GeometryKind.EUCLIDEAN: (lambda x: x, lambda x: 1.0, 0.0, lambda x: x),
 }
-#: curved kind -> (sn, cs, eps); see the module docstring
-CURVED_TRIG = {kind: TRIG[kind][:3] for kind in (GeometryKind.SPHERICAL,
-                                                  GeometryKind.HYPERBOLIC)}

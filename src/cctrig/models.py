@@ -12,7 +12,11 @@ plane. Conventions:
   * Half-space points are (x, y, z) with z > 0 and metric (k/z) |dx|.
     The chart offers distances and the maps to and from the hyperboloid;
     tangents (so model angles), rays and geodesic flow are not offered.
-  * Plane points are (x, y).
+  * Plane points are (k, x, y) on the plane x0 = k, the flat member of
+    curvature.py; ModelPoint.plane takes k = 1. Their product is u0 v0
+    (eps = 0), so a plane tangent has x0 = 0 and the Euclidean norm, and
+    the curved code for tangents, rays and geodesic flow serves the
+    plane as written.
 
 Distances use chord-based forms (asinh/atan2 of a difference vector)
 and angles use 2 atan2(|u - v|, |u + v|) on unit tangents; both keep
@@ -37,7 +41,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 
-from .curvature import CURVED_TRIG, GeometryKind
+from .curvature import TRIG, GeometryKind
 from .errors import DomainError
 from .floats import FLOATS
 
@@ -57,7 +61,7 @@ def minkowski_dot(u, v, m=None) -> float:
     # the plane and space sheets have 3 and 4 components; the terms are
     # subtracted one at a time, left to right, as _edot adds them. The
     # product is arithmetic alone; like _edot, it takes m only so that
-    # every entry of CURVED_METRIC is called alike.
+    # every entry of METRIC is called alike.
     if len(u) == 4:
         return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
     if len(u) == 3:
@@ -77,6 +81,11 @@ def _edot(u, v, m=None) -> float:
 
 def _enorm(u, m=FLOATS) -> float:
     return m.sqrt(_edot(u, u))
+
+
+def _flat_dot(u, v, m=None) -> float:
+    # the flat member's product x0 y0 + eps (x1 y1 + x2 y2) at eps = 0
+    return u[0] * v[0]
 
 
 def _cross3(u, v):
@@ -125,11 +134,12 @@ def richardson_length(polyline, base_segments: int) -> float:
     return (64.0 * r234 - r123) / 63.0
 
 
-#: curved model -> (inner product, tangent-vector norm); see curvature.py
-#: for the sign convention the two share
-CURVED_METRIC = {
+#: model -> (inner product, tangent-vector norm) of every model but the
+#: half-space chart; see curvature.py for the sign convention they share
+METRIC = {
     Model.SPHERE: (_edot, _enorm),
     Model.HYPERBOLOID: (minkowski_dot, _spacelike_norm),
+    Model.PLANE: (_flat_dot, _enorm),
 }
 #: the model each geometry is measured on
 MODEL_FOR_KIND = {
@@ -137,6 +147,7 @@ MODEL_FOR_KIND = {
     GeometryKind.SPHERICAL: Model.SPHERE,
     GeometryKind.HYPERBOLIC: Model.HYPERBOLOID,
 }
+_KIND_FOR_MODEL = {model: kind for kind, model in MODEL_FOR_KIND.items()}
 
 
 @dataclass
@@ -185,18 +196,15 @@ class ModelPoint:
 
     @staticmethod
     def plane(x: float, y: float) -> ModelPoint:
-        return ModelPoint(Model.PLANE, (x, y), 1.0)
+        return ModelPoint(Model.PLANE, (1.0, x, y), 1.0)
 
 
 def _synthesized_point(model: Model, coords, k: float, m=FLOATS) -> ModelPoint:
     """A point of a model from coordinates (x0, x, y) built on its
-    surface: sphere points are renormalized, hyperboloid points kept as
-    built, and flat points, which lie on x0 = k, put on the plane as
-    (x, y)."""
+    surface: sphere points are renormalized, and hyperboloid points and
+    flat points, which lie on x0 = k, kept as built."""
     if model is Model.SPHERE:
         return ModelPoint.sphere(coords, k, m)
-    if model is Model.PLANE:
-        return ModelPoint.plane(coords[1], coords[2])
     return ModelPoint(model, coords, k)
 
 
@@ -205,12 +213,18 @@ def _same_chart(p: ModelPoint, q: ModelPoint, what: str) -> None:
         raise DomainError(f"{what} needs points of the same model and scale")
 
 
+def _same_length(p: ModelPoint, v, what: str) -> None:
+    if len(v) != len(p.coords):
+        raise DomainError(f"{what} needs a vector of {len(p.coords)} components "
+                          f"at a {p.model.value} point, got {len(v)}")
+
+
 def model_distance(p: ModelPoint, q: ModelPoint, m=FLOATS) -> float:
     """Geodesic distance between two points of the same model."""
     _same_chart(p, q, "model_distance")
     k = p.k
     if p.model is Model.PLANE:
-        return m.hypot(p.coords[0] - q.coords[0], p.coords[1] - q.coords[1])
+        return m.hypot(p.coords[1] - q.coords[1], p.coords[2] - q.coords[2])
     if p.model is Model.SPHERE:
         return k * m.atan2(_enorm(_cross3(p.coords, q.coords), m),
                            _edot(p.coords, q.coords, m))
@@ -225,8 +239,11 @@ def model_distance(p: ModelPoint, q: ModelPoint, m=FLOATS) -> float:
 
 
 def _unit_tangent(p: ModelPoint, v, failure: str, m=FLOATS) -> tuple[float, ...]:
-    """The tangent part of v at a curved-model point p, normalized."""
-    dot, norm = CURVED_METRIC[p.model]
+    """The tangent part of v at a point p of the sphere, hyperboloid or
+    plane, normalized. On the plane <p, v> / k^2 is v0 / k, so the part
+    has x0 = 0, and at k = 1 the tangent toward q is (0, q - p) divided
+    by the Euclidean norm of q - p, bit for bit."""
+    dot, norm = METRIC[p.model]
     # k * k underflows to 0 below k of about 1e-162
     w = _sub(v, _scale(p.coords, m.div(dot(p.coords, v, m), p.k * p.k)))
     n = norm(w, m)
@@ -240,21 +257,16 @@ def tangent_toward(p: ModelPoint, q: ModelPoint, m=FLOATS) -> tuple[float, ...]:
     """Unit initial tangent at p of the geodesic running to q. Not
     offered for the half-space chart, nor is model_angle."""
     _same_chart(p, q, "tangent_toward")
-    if p.model is Model.PLANE:
-        w = _sub(q.coords, p.coords)
-        n = _enorm(w, m)
-        bad = n == 0.0
-        if bad is not False:
-            m.refuse(bad, DomainError, "tangent_toward needs distinct points")
-        return _scale(w, 1.0 / n)
-    if p.model in CURVED_METRIC:
-        return _unit_tangent(p, q.coords,
-                             "tangent_toward is undefined for equal or antipodal points", m)
-    raise DomainError("tangents are not offered in the half-space chart")
+    if p.model not in METRIC:
+        raise DomainError("tangents are not offered in the half-space chart")
+    return _unit_tangent(p, q.coords,
+                         "tangent_toward is undefined for equal or antipodal points", m)
 
 
 def tangent_angle(p: ModelPoint, u, v, m=FLOATS) -> float:
     """Angle between two tangent vectors at p, in the model metric."""
+    _same_length(p, u, "tangent_angle")
+    _same_length(p, v, "tangent_angle")
     # every tangent metric but the hyperboloid's is Euclidean (the
     # half-space chart is conformal)
     norm = _spacelike_norm if p.model is Model.HYPERBOLOID else _enorm
@@ -277,17 +289,15 @@ def model_angle(at: ModelPoint, toward1: ModelPoint, toward2: ModelPoint,
 def geodesic_point(p: ModelPoint, direction, t: float) -> ModelPoint:
     """Point at arc length t along the geodesic from p with unit tangent
     `direction`. Not offered for the half-space chart; map through the
-    hyperboloid instead."""
+    hyperboloid instead. On the plane cs is 1 and sn the identity, so at
+    k = 1 the point is p + t direction, bit for bit."""
+    if p.model not in METRIC:
+        raise DomainError("geodesic flow is not offered in the half-space chart")
+    _same_length(p, direction, "geodesic_point")
     k = p.k
-    if p.model is Model.PLANE:
-        return ModelPoint.plane(*_add(p.coords, _scale(direction, t)))
-    if p.model in CURVED_METRIC:
-        kind = GeometryKind.SPHERICAL if p.model is Model.SPHERE else GeometryKind.HYPERBOLIC
-        sn, cs, _ = CURVED_TRIG[kind]
-        c, s = cs(t / k), sn(t / k)
-        return _synthesized_point(
-            p.model, _add(_scale(p.coords, c), _scale(direction, k * s)), k)
-    raise DomainError("geodesic flow is not offered in the half-space chart")
+    sn, cs, _, _ = TRIG[_KIND_FOR_MODEL[p.model]]
+    c, s = cs(t / k), sn(t / k)
+    return _synthesized_point(p.model, _add(_scale(p.coords, c), _scale(direction, k * s)), k)
 
 
 @dataclass
@@ -302,15 +312,11 @@ class Ray:
         """Build a ray, projecting the direction into the tangent space at
         the base and normalizing it. Not offered for the half-space
         chart."""
-        if base.model is Model.PLANE:
-            n = _enorm(direction)
-            if n == 0.0:
-                raise DomainError("ray direction must be nonzero")
-            return Ray(base, _scale(tuple(direction), 1.0 / n))
-        if base.model in CURVED_METRIC:
-            return Ray(base, _unit_tangent(base, direction,
-                                           "ray direction has no tangent component", m))
-        raise DomainError("rays are not offered in the half-space chart")
+        if base.model not in METRIC:
+            raise DomainError("rays are not offered in the half-space chart")
+        _same_length(base, direction, "Ray.at")
+        return Ray(base, _unit_tangent(base, direction,
+                                       "ray direction has no tangent component", m))
 
     def point_at(self, t: float) -> ModelPoint:
         return geodesic_point(self.base, self.direction, t)

@@ -9,7 +9,8 @@ three times from the same exact parameters (b, c, A), once per vertex,
 by one attempt written over the (sn, cs, eps) family of curvature.py,
 and every angle is measured at the origin of its own frame, where
 tangent projection is exact. The plane is the member eps = 0: its
-points are built as (k, x, y) and land on the plane model as (x, y).
+points are built as (k, x, y) and kept so, on the plane x0 = k of the
+plane model.
 Measuring the far angles in a single frame instead would cost a factor
 e^(2 max_side) of rounding amplification and cannot reach the residual
 floors the verification suites assert. The far-vertex coordinates use

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .curvature import CURVED_TRIG, TRIG, Curvature, GeometryKind
+from .curvature import TRIG, Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError, SimilarityError
 from .triangle import TriangleData
 
@@ -135,7 +135,7 @@ def solve_from_asa(geometry: Curvature, B: float, a: float, C: float) -> Triangl
     # useful floor. The products keep 1 -/+ cos A fully accurate wherever
     # the triangle is feasible; squares are products, as x ** 2 is C pow,
     # which rounds once more.
-    sn, cs, eps = CURVED_TRIG[geometry.kind]
+    sn, cs, eps, _ = TRIG[geometry.kind]
     sn_half, cs_half = sn(0.5 * a / k), cs(0.5 * a / k)
     sB, cB = math.sin(0.5 * B), math.cos(0.5 * B)
     sC, cC = math.sin(0.5 * C), math.cos(0.5 * C)
@@ -177,7 +177,7 @@ def solve_from_aaa(geometry: Curvature, A: float, B: float, C: float) -> Triangl
     excess = (A + B + C) - math.pi
     k = geometry.k
     kind = geometry.kind
-    eps = CURVED_TRIG[kind][2]
+    eps = TRIG[kind][2]
     sins = (math.sin(A), math.sin(B), math.sin(C))
     if eps * excess < 0.0:
         raise InfeasibleError(f"{kind.value} angles need a "

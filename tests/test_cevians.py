@@ -70,9 +70,9 @@ def test_medians_cut_each_other_in_ratio_two():
 def test_345_incenter_ratios_and_feet():
     cfg = _incenter_345()
     assert cfg.ratios() == pytest.approx((3.0, 2.0, 1.4), abs=1e-13)
-    assert cfg.foot_a.coords == pytest.approx((4.0 / 3.0, 0.0), abs=1e-12)
-    assert cfg.foot_b.coords == pytest.approx((0.0, 1.5), abs=1e-12)
-    assert cfg.foot_c.coords == pytest.approx((12.0 / 7.0, 12.0 / 7.0), abs=1e-12)
+    assert cfg.foot_a.coords == pytest.approx((1.0, 4.0 / 3.0, 0.0), abs=1e-12)
+    assert cfg.foot_b.coords == pytest.approx((1.0, 0.0, 1.5), abs=1e-12)
+    assert cfg.foot_c.coords == pytest.approx((1.0, 12.0 / 7.0, 12.0 / 7.0), abs=1e-12)
     assert abs(cevian_residual(cfg)) < 1e-12
 
 
@@ -194,15 +194,20 @@ def test_a_small_spherical_figure_is_accepted_at_every_scale():
 
 def _moved(cfg, scale, offset):
     def move(p):
-        return ModelPoint.plane(scale * p.coords[0] + offset, scale * p.coords[1] + offset)
+        return ModelPoint.plane(scale * p.coords[1] + offset, scale * p.coords[2] + offset)
 
     return cevian_feet(EUC, move(cfg.A), move(cfg.B), move(cfg.C), move(cfg.O))
 
 
 def test_flat_figures_are_scale_free_and_survive_translation():
+    # the betweenness and vertex/foot refusals are relative to the sides,
+    # so a foot slid five side lengths past C is refused at every scale
     for cfg in (_medians(), _incenter_345()):
-        for e in range(-30, 31):
-            assert _moved(cfg, 2.0 ** e, 0.0).ratios() == cfg.ratios()
+        for e in range(-200, 201):
+            moved = _moved(cfg, 2.0 ** e, 0.0)
+            assert moved.ratios() == cfg.ratios()
+            with pytest.raises(InfeasibleError):
+                perturbed_residual(moved, 5.0)
         diameter = max(model_distance(p, q) for p, q in ((cfg.A, cfg.B), (cfg.B, cfg.C),
                                                          (cfg.C, cfg.A)))
         for offset in (1e3, 1e6, 1e9):
@@ -212,7 +217,7 @@ def test_flat_figures_are_scale_free_and_survive_translation():
 
 def test_flat_feet_are_within_a_few_roundings_of_the_exact_intersection():
     cfg = sample_cevian_configs(EUC, 11, 0, 2_000).figure
-    columns = [np.asarray(p.coords).T.tolist() for p in
+    columns = [np.asarray(p.coords[1:]).T.tolist() for p in
                (cfg.A, cfg.B, cfg.C, cfg.O, cfg.foot_a, cfg.foot_b, cfg.foot_c)]
     assert len(columns[0]) == 2_000
     worst = 0.0

@@ -189,8 +189,8 @@ def test_a_wrong_sphere_product_fails_verify(capsys, monkeypatch):
 
     monkeypatch.setattr(models, "_edot", edot)
     monkeypatch.setattr(geodesic_sphere, "_edot", edot)
-    monkeypatch.setitem(models.CURVED_METRIC, models.Model.SPHERE,
-                        (edot, models.CURVED_METRIC[models.Model.SPHERE][1]))
+    monkeypatch.setitem(models.METRIC, models.Model.SPHERE,
+                        (edot, models.METRIC[models.Model.SPHERE][1]))
     argv = ("--samples", "200", "--curvature-scale", "1")
     code, out, _ = _run(capsys, "verify", "spherical", *argv)
     assert code == 1

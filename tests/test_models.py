@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from cctrig import (Curvature, DomainError, GeometryKind, Model, ModelPoint, Ray,
@@ -12,7 +13,9 @@ from cctrig import (Curvature, DomainError, GeometryKind, Model, ModelPoint, Ray
                     model_distance, parallelism_angle, tangent_angle,
                     tangent_toward)
 from cctrig import models
-from cctrig.curvature import CURVED_TRIG
+from cctrig.cevians import sample_cevian_configs
+from cctrig.columns import Columns
+from cctrig.curvature import TRIG
 from cctrig.geodesic_sphere import _tangent_part
 
 HYP = Curvature.hyperbolic()
@@ -64,27 +67,78 @@ def test_model_angle_agrees_with_tangent_angle():
     assert direct == pytest.approx(via_tangents, abs=1e-15)
 
 
-def test_geodesic_point_travels_the_requested_distance():
-    k = 2.0
-    p = ModelPoint.hyperboloid((1.5, 0.4, -0.3), k)
-    u = tangent_toward(p, _hyp_origin(k))
+@pytest.mark.parametrize("p, target", (
+    (ModelPoint.hyperboloid((1.5, 0.4, -0.3), 2.0), _hyp_origin(2.0)),
+    (ModelPoint.plane(1.5, 0.4), ModelPoint.plane(-0.3, 2.0))), ids=("hyperboloid", "plane"))
+def test_geodesic_point_travels_the_requested_distance(p, target):
+    u = tangent_toward(p, target)
     for t in (0.1, 1.0, 4.0):
         q = geodesic_point(p, u, t)
         assert model_distance(p, q) == pytest.approx(t, rel=1e-13)
 
 
-def test_geodesic_point_reaches_the_target():
-    p = ModelPoint.sphere((1.0, 0.0, 0.0))
-    q = ModelPoint.sphere((0.3, -0.8, 0.52))
+@pytest.mark.parametrize("p, q", (
+    (ModelPoint.sphere((1.0, 0.0, 0.0)), ModelPoint.sphere((0.3, -0.8, 0.52))),
+    (ModelPoint.plane(1.0, 0.0), ModelPoint.plane(0.3, -0.8))), ids=("sphere", "plane"))
+def test_geodesic_point_reaches_the_target(p, q):
     hit = geodesic_point(p, tangent_toward(p, q), model_distance(p, q))
     assert model_distance(hit, q) < 1e-14
 
 
-def test_ray_point_at_distance():
-    base = ModelPoint.hyperboloid((1.2, 0.3, 0.4), 1.0)
+@pytest.mark.parametrize("base", (ModelPoint.hyperboloid((1.2, 0.3, 0.4), 1.0),
+                                  ModelPoint.plane(0.3, 0.4)), ids=("hyperboloid", "plane"))
+def test_ray_point_at_distance(base):
     ray = Ray.at(base, (0.0, 1.0, -0.5))
     for t in (0.5, 2.0, 5.0):
         assert model_distance(base, ray.point_at(t)) == pytest.approx(t, rel=1e-12)
+
+
+def _row_bits(values, i):
+    return tuple(float(v if np.ndim(v) == 0 else v[i]).hex() for v in values)
+
+
+def test_the_plane_runs_through_the_shared_model_code():
+    # plane points lie on x0 = 1 with product u0 v0, so the curved code
+    # for tangents, rays and geodesic flow gives the bits of the closed
+    # forms (q - p) * (1 / |q - p|) and p + t u
+    rng = random.Random(29)
+    draws = [tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(5))
+             for _ in range(1000)]
+    for x, y, qx, qy, t in draws:
+        p = ModelPoint.plane(x, y)
+        w = (qx - x, qy - y)
+        scale = 1.0 / models._enorm(w)
+        u = (0.0, w[0] * scale, w[1] * scale)
+        assert _bits(tangent_toward(p, ModelPoint.plane(qx, qy))) == _bits(u)
+        assert _bits(Ray.at(p, (0.0, *w)).direction) == _bits(u)
+        assert _bits(geodesic_point(p, u, t).coords) == _bits((1.0, x + t * u[1],
+                                                               y + t * u[2]))
+    # on columns, Ray.at gives the float call's bits row by row
+    x, y, qx, qy, _ = (np.array(c) for c in zip(*draws))
+    with Columns(np.arange(len(draws))) as m:
+        rays = Ray.at(ModelPoint.plane(x, y), (0.0, qx - x, qy - y), m)
+    for i, (xi, yi, qxi, qyi, _) in enumerate(draws):
+        one = Ray.at(ModelPoint.plane(xi, yi), (0.0, qxi - xi, qyi - yi))
+        assert _row_bits(rays.base.coords, i) == _bits(one.base.coords)
+        assert _row_bits(rays.direction, i) == _bits(one.direction)
+    # every plane point of a cevian block, feet included, is on x0 = 1
+    cfg = sample_cevian_configs(Curvature.euclidean(), 29, 0, 500).figure
+    for point in (cfg.A, cfg.B, cfg.C, cfg.O, cfg.foot_a, cfg.foot_b, cfg.foot_c):
+        assert point.k == 1.0 and np.all(np.asarray(point.coords[0]) == 1.0)
+
+
+def test_a_direction_needs_as_many_components_as_its_point():
+    hyperboloid = ModelPoint(Model.HYPERBOLOID, (1.0, 0.0, 0.0, 0.0), 1.0)
+    sphere = ModelPoint.sphere((1.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="4 components"):
+        geodesic_point(hyperboloid, (0.0, 1.0, 0.0), 1.0)
+    with pytest.raises(DomainError, match="3 components"):
+        Ray.at(sphere, (0.0, 1.0, 0.0, 5.0))
+    with pytest.raises(DomainError, match="3 components"):
+        tangent_angle(sphere, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0, 7.0))
+    # a plane direction carries a leading 0; a bare (dx, dy) is refused
+    with pytest.raises(DomainError, match="3 components"):
+        Ray.at(ModelPoint.plane(0.0, 0.0), (1.0, 0.0))
 
 
 def test_ideal_direction_is_normalized_and_ray_invariant():
@@ -219,7 +273,7 @@ def test_the_half_space_chart_offers_no_tangents_angles_or_rays():
 
 
 def test_ideal_direction_needs_the_hyperboloid():
-    ray = Ray.at(ModelPoint.plane(0.0, 0.0), (1.0, 0.0))
+    ray = Ray.at(ModelPoint.plane(0.0, 0.0), (0.0, 1.0, 0.0))
     with pytest.raises(DomainError):
         ideal_direction(ray)
 
@@ -342,9 +396,9 @@ def test_enum_keyed_tables_hit_by_member_by_value_and_after_pickling():
     for kind in GeometryKind:
         for same in (kind, GeometryKind(kind.value), pickle.loads(pickle.dumps(kind))):
             assert models.MODEL_FOR_KIND[same] is models.MODEL_FOR_KIND[kind]
-    assert CURVED_TRIG[GeometryKind("spherical")] == (math.sin, math.cos, 1.0)
-    assert CURVED_TRIG[GeometryKind("hyperbolic")] == (math.sinh, math.cosh, -1.0)
-    for model in (Model.SPHERE, Model.HYPERBOLOID):
-        assert models.CURVED_METRIC[Model(model.value)] is models.CURVED_METRIC[model]
-    assert GeometryKind("euclidean") not in CURVED_TRIG
-    assert Model("plane") not in models.CURVED_METRIC
+            assert TRIG[same] is TRIG[kind]
+    assert TRIG[GeometryKind("spherical")][:3] == (math.sin, math.cos, 1.0)
+    assert TRIG[GeometryKind("hyperbolic")][:3] == (math.sinh, math.cosh, -1.0)
+    for model in (Model.SPHERE, Model.HYPERBOLOID, Model.PLANE):
+        assert models.METRIC[Model(model.value)] is models.METRIC[model]
+    assert Model("half_space") not in models.METRIC

@@ -23,7 +23,7 @@ RECORDS = {
     TriangleData: lambda x: TriangleData(x, x + 1.0, x + 2.0, x / 4.0, x / 4.0, x / 4.0, HYP),
     RelationResidual: lambda x: RelationResidual("hyp_sine_law", x),
     ModelPoint: lambda x: ModelPoint(Model.SPHERE, (x, x + 1.0, x + 2.0), 2.0),
-    Ray: lambda x: Ray(ModelPoint(Model.PLANE, (x, x + 1.0)), (x + 2.0, x + 3.0)),
+    Ray: lambda x: Ray(ModelPoint(Model.PLANE, (1.0, x, x + 1.0)), (0.0, x + 2.0, x + 3.0)),
 }
 
 

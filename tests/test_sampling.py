@@ -356,11 +356,11 @@ def test_center_ray_directions_are_uniform_on_the_sphere():
 
 def _cevian_hex(config, i=None):
     """A cevian configuration's numbers as float.hex strings: row i of a
-    configuration of columns."""
+    configuration of columns, where a plane point's x0 is the constant 1."""
     values = [c for p in (config.A, config.B, config.C, config.O, config.foot_a,
                           config.foot_b, config.foot_c) for c in p.coords]
     values += config.ratios()
-    return tuple(float(v if i is None else v[i]).hex() for v in values)
+    return tuple(float(v if i is None or np.ndim(v) == 0 else v[i]).hex() for v in values)
 
 
 def _cevian_outcome(geometry, seed, index, **kwargs):
