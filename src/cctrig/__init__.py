@@ -17,10 +17,8 @@ from .curvature import Curvature, GeometryKind
 from .errors import (DegenerateError, DomainError, GeometryError,
                      InfeasibleError, SamplingError, SimilarityError)
 from .models import (Model, ModelPoint, Ray, asymptotic_ray,
-                     geodesic_point, half_space_to_hyperboloid,
-                     hyperboloid_to_half_space, ideal_direction,
-                     model_angle, model_distance, tangent_angle,
-                     tangent_toward)
+                     geodesic_point, ideal_direction, model_angle,
+                     model_distance, tangent_angle, tangent_toward)
 from .parallelism import inverse_parallelism, parallelism_angle
 from .relations import (RelationResidual, euclidean_residuals,
                         hyperbolic_residuals, spherical_residuals,

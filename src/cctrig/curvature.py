@@ -46,6 +46,13 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 
+def check_scale(k: float) -> None:
+    """Refuse a length scale k that is not positive and finite: the one
+    check of Curvature and of every model function taking a raw k."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"curvature scale must be positive and finite, got {k}")
+
+
 class GeometryKind(enum.Enum):
     SPHERICAL = "spherical"
     EUCLIDEAN = "euclidean"
@@ -66,8 +73,7 @@ class Curvature:
     k: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise DomainError(f"curvature scale must be positive and finite, got {self.k}")
+        check_scale(self.k)
 
     @staticmethod
     def spherical(k: float = 1.0) -> Curvature:

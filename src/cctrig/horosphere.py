@@ -1,12 +1,16 @@
-"""Triangles on a horosphere, realized as a horizontal plane of the
-upper half-space model.
+"""Triangles on a horosphere, measured in its flat chart.
 
-The plane z = h carries the induced metric (k/h) |dx|, a flat metric:
-intrinsic distances are the chart distances scaled by k/h and intrinsic
-angles equal chart angles (the model is conformal). Horospherical
-triangles therefore satisfy Euclidean trigonometry exactly, which is
-what the verification suite checks, alongside an ambient polyline
-cross-check that the scaled chart length really is the induced length.
+In the upper half-space picture of hyperbolic space, a horosphere about
+the point at infinity is the plane z = h, and its induced metric
+(k/h) |dx| is flat: intrinsic distances are the chart distances scaled
+by k/h, and intrinsic angles equal chart angles (the picture is
+conformal). The chart points are plane model points, measured with the
+plane's model_distance and model_angle; the package keeps no half-space
+model. Horospherical triangles therefore satisfy Euclidean trigonometry
+exactly, which is what the verification suite checks, alongside an
+ambient polyline cross-check that the scaled chart length really is
+the induced length: hops of chart length s at height h are ambient
+distances 2k asinh(s / 2h).
 
 horosphere_triangle takes its elementary functions from `m`
 (columns.py), so it measures one triangle or a block of them;
@@ -20,7 +24,7 @@ import math
 import numpy as np
 
 from .columns import Columns
-from .curvature import Curvature
+from .curvature import Curvature, check_scale
 from .errors import DegenerateError, DomainError
 from .floats import FLOATS
 from .models import (ModelPoint, check_segments, model_angle, model_distance,
@@ -36,14 +40,19 @@ def _chart_point(p) -> ModelPoint:
     return ModelPoint.plane(x, y)
 
 
+def _check_height(height: float, k: float) -> None:
+    if not (math.isfinite(height) and height > 0.0):
+        raise DomainError(f"horosphere height must be positive, got {height}")
+    check_scale(k)
+
+
 def horosphere_triangle(height: float, p1, p2, p3, k: float = 1.0,
                         m=FLOATS) -> TriangleData:
     """Triangle with vertices at chart points p1, p2, p3 (pairs) on the
     horosphere z = height. Angle slots follow vertex order: A at p1,
     B at p2, C at p3. With a Columns namespace the chart coordinates are
     columns and so is the triangle."""
-    if not (math.isfinite(height) and height > 0.0):
-        raise DomainError(f"horosphere height must be positive, got {height}")
+    _check_height(height, k)
     q1, q2, q3 = _chart_point(p1), _chart_point(p2), _chart_point(p3)
     scale = k / height
     a = scale * model_distance(q2, q3, m)
@@ -82,8 +91,7 @@ def chart_triangles(k: float, seed: int, start: int, stop: int) -> Block:
 
 def intrinsic_distance(height: float, p, q, k: float = 1.0) -> float:
     """Distance inside the horosphere between two of its points."""
-    if not (math.isfinite(height) and height > 0.0):
-        raise DomainError(f"horosphere height must be positive, got {height}")
+    _check_height(height, k)
     return (k / height) * model_distance(_chart_point(p), _chart_point(q))
 
 
@@ -106,8 +114,7 @@ def ambient_polyline_length(height: float, p, q, k: float = 1.0, *,
 
     A base_segments that is not an integer of at least 1 raises
     DomainError."""
-    if not (math.isfinite(height) and height > 0.0):
-        raise DomainError(f"horosphere height must be positive, got {height}")
+    _check_height(height, k)
     check_segments(base_segments)
     px, py = float(p[0]), float(p[1])
     dx, dy = float(q[0]) - px, float(q[1]) - py

@@ -1,17 +1,13 @@
 """Concrete constant-curvature models used as measurement oracles.
 
-Four models: the round sphere of radius k in E3, the hyperboloid sheet
+Three models: the round sphere of radius k in E3, the hyperboloid sheet
 in Minkowski space (3 or 4 components, for plane and space hyperbolic
-geometry), the upper half-space with its conformal metric, and the flat
-plane. Conventions:
+geometry), and the flat plane. Conventions:
 
   * Minkowski product <x, y> = x0 y0 - x1 y1 - ... (signature +--...).
     Hyperboloid points satisfy <x, x> = k^2 with x0 > 0; unit tangents
     satisfy <v, v> = -1 and <v, point> = 0.
   * Sphere points are 3-vectors with |x| = k.
-  * Half-space points are (x, y, z) with z > 0 and metric (k/z) |dx|.
-    The chart offers distances and the maps to and from the hyperboloid;
-    tangents (so model angles), rays and geodesic flow are not offered.
   * Plane points are (k, x, y) on the plane x0 = k, the flat member of
     curvature.py; ModelPoint.plane takes k = 1. Their product is u0 v0
     (eps = 0), so a plane tangent has x0 = 0 and the Euclidean norm, and
@@ -41,7 +37,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 
-from .curvature import TRIG, GeometryKind
+from .curvature import TRIG, GeometryKind, check_scale
 from .errors import DomainError
 from .floats import FLOATS
 
@@ -49,7 +45,6 @@ from .floats import FLOATS
 class Model(enum.Enum):
     SPHERE = "sphere"
     HYPERBOLOID = "hyperboloid"
-    HALF_SPACE = "half_space"
     PLANE = "plane"
 
     # members compare by identity, so the identity hash keys dicts the same
@@ -134,8 +129,8 @@ def richardson_length(polyline, base_segments: int) -> float:
     return (64.0 * r234 - r123) / 63.0
 
 
-#: model -> (inner product, tangent-vector norm) of every model but the
-#: half-space chart; see curvature.py for the sign convention they share
+#: model -> (inner product, tangent-vector norm) of every model; see
+#: curvature.py for the sign convention they share
 METRIC = {
     Model.SPHERE: (_edot, _enorm),
     Model.HYPERBOLOID: (minkowski_dot, _spacelike_norm),
@@ -168,6 +163,7 @@ class ModelPoint:
 
     @staticmethod
     def sphere(coords, k: float = 1.0, m=FLOATS) -> ModelPoint:
+        check_scale(k)
         if len(coords) != 3:
             raise DomainError("sphere points take 3 components")
         r = _enorm(coords, m)
@@ -178,6 +174,7 @@ class ModelPoint:
 
     @staticmethod
     def hyperboloid(coords, k: float = 1.0) -> ModelPoint:
+        check_scale(k)
         if len(coords) not in (3, 4):
             raise DomainError("hyperboloid points take 3 or 4 components")
         q = minkowski_dot(coords, coords)
@@ -186,13 +183,6 @@ class ModelPoint:
         if coords[0] <= 0.0:
             raise DomainError(f"{coords} sits on the lower sheet")
         return ModelPoint(Model.HYPERBOLOID, _scale(tuple(coords), k / math.sqrt(q)), k)
-
-    @staticmethod
-    def half_space(x: float, y: float, z: float, k: float = 1.0, m=FLOATS) -> ModelPoint:
-        bad = m.not_((z > 0.0) & m.isfinite(z))
-        if bad is not False:
-            m.refuse(bad, DomainError, "half-space height must be positive, got {}", z)
-        return ModelPoint(Model.HALF_SPACE, (x, y, z), k)
 
     @staticmethod
     def plane(x: float, y: float) -> ModelPoint:
@@ -228,14 +218,11 @@ def model_distance(p: ModelPoint, q: ModelPoint, m=FLOATS) -> float:
     if p.model is Model.SPHERE:
         return k * m.atan2(_enorm(_cross3(p.coords, q.coords), m),
                            _edot(p.coords, q.coords, m))
-    if p.model is Model.HYPERBOLOID:
-        # chordal form: exact cancellation happens in the subtraction,
-        # after which the Minkowski square of the difference is benign
-        chord = _spacelike_norm(_sub(p.coords, q.coords), m)
-        return 2.0 * k * m.asinh(0.5 * chord / k)
-    dx = _sub(p.coords, q.coords)
-    chord = _enorm(dx)
-    return 2.0 * k * math.asinh(0.5 * chord / math.sqrt(p.coords[2] * q.coords[2]))
+    # hyperboloid, chordal form: exact cancellation happens in the
+    # subtraction, after which the Minkowski square of the difference is
+    # benign
+    chord = _spacelike_norm(_sub(p.coords, q.coords), m)
+    return 2.0 * k * m.asinh(0.5 * chord / k)
 
 
 def _unit_tangent(p: ModelPoint, v, failure: str, m=FLOATS) -> tuple[float, ...]:
@@ -254,11 +241,8 @@ def _unit_tangent(p: ModelPoint, v, failure: str, m=FLOATS) -> tuple[float, ...]
 
 
 def tangent_toward(p: ModelPoint, q: ModelPoint, m=FLOATS) -> tuple[float, ...]:
-    """Unit initial tangent at p of the geodesic running to q. Not
-    offered for the half-space chart, nor is model_angle."""
+    """Unit initial tangent at p of the geodesic running to q."""
     _same_chart(p, q, "tangent_toward")
-    if p.model not in METRIC:
-        raise DomainError("tangents are not offered in the half-space chart")
     return _unit_tangent(p, q.coords,
                          "tangent_toward is undefined for equal or antipodal points", m)
 
@@ -267,9 +251,7 @@ def tangent_angle(p: ModelPoint, u, v, m=FLOATS) -> float:
     """Angle between two tangent vectors at p, in the model metric."""
     _same_length(p, u, "tangent_angle")
     _same_length(p, v, "tangent_angle")
-    # every tangent metric but the hyperboloid's is Euclidean (the
-    # half-space chart is conformal)
-    norm = _spacelike_norm if p.model is Model.HYPERBOLOID else _enorm
+    norm = METRIC[p.model][1]
     nu, nv = norm(u, m), norm(v, m)
     bad = (nu == 0.0) | (nv == 0.0)
     if bad is not False:
@@ -288,11 +270,8 @@ def model_angle(at: ModelPoint, toward1: ModelPoint, toward2: ModelPoint,
 
 def geodesic_point(p: ModelPoint, direction, t: float) -> ModelPoint:
     """Point at arc length t along the geodesic from p with unit tangent
-    `direction`. Not offered for the half-space chart; map through the
-    hyperboloid instead. On the plane cs is 1 and sn the identity, so at
-    k = 1 the point is p + t direction, bit for bit."""
-    if p.model not in METRIC:
-        raise DomainError("geodesic flow is not offered in the half-space chart")
+    `direction`. On the plane cs is 1 and sn the identity, so at k = 1
+    the point is p + t direction, bit for bit."""
     _same_length(p, direction, "geodesic_point")
     k = p.k
     sn, cs, _, _ = TRIG[_KIND_FOR_MODEL[p.model]]
@@ -310,10 +289,7 @@ class Ray:
     @staticmethod
     def at(base: ModelPoint, direction, m=FLOATS) -> Ray:
         """Build a ray, projecting the direction into the tangent space at
-        the base and normalizing it. Not offered for the half-space
-        chart."""
-        if base.model not in METRIC:
-            raise DomainError("rays are not offered in the half-space chart")
+        the base and normalizing it."""
         _same_length(base, direction, "Ray.at")
         return Ray(base, _unit_tangent(base, direction,
                                        "ray direction has no tangent component", m))
@@ -353,29 +329,3 @@ def asymptotic_ray(p: ModelPoint, ray: Ray, m=FLOATS) -> Ray:
     denom = minkowski_dot(p.coords, w)
     u = _sub(_scale(w, m.div(k * k, denom)), p.coords)
     return Ray(p, _scale(u, 1.0 / k))
-
-
-def hyperboloid_to_half_space(p: ModelPoint, m=FLOATS) -> ModelPoint:
-    """Isometry from the 4-component hyperboloid sheet to the upper
-    half-space, sending the ideal point along (1,0,0,1) to infinity and
-    the origin (k,0,0,0) to (0,0,k)."""
-    if p.model is not Model.HYPERBOLOID or len(p.coords) != 4:
-        raise DomainError("hyperboloid_to_half_space needs 4-component hyperboloid points")
-    x0, x1, x2, x3 = p.coords
-    k = p.k
-    denom = x0 - x3
-    bad = denom <= 0.0
-    if bad is not False:
-        m.refuse(bad, DomainError, "point maps to infinity in this chart")
-    return ModelPoint.half_space(k * x1 / denom, k * x2 / denom, k * k / denom, k, m)
-
-
-def half_space_to_hyperboloid(q: ModelPoint) -> ModelPoint:
-    """Inverse of hyperboloid_to_half_space."""
-    if q.model is not Model.HALF_SPACE:
-        raise DomainError("half_space_to_hyperboloid needs half-space points")
-    x, y, z = q.coords
-    k = q.k
-    s = x * x + y * y + z * z
-    return ModelPoint.hyperboloid(
-        (0.5 * (s + k * k) / z, k * x / z, k * y / z, 0.5 * (s - k * k) / z), k)

@@ -13,10 +13,15 @@ reconstruction is what the verification suite scores against the
 hyperbolic relation system.
 
 Frames are chosen so every measured tangent is exact: the horospherical
-triangle is measured in the frame centered at A (where the shared ideal
-point is (1, 0, 0, 1) and the horosphere is the plane z = k of the
-half-space chart), and the spherical triangle in the frame centered at
-B (where the three unit tangents have closed-form components).
+triangle is measured in the frame centered at A, and the spherical
+triangle in the frame centered at B (where the three unit tangents have
+closed-form components). In A's frame the shared ideal point is
+(1, 0, 0, 1), and the horosphere through A centered there is the sheet
+points with x0 - x3 = k. Its chart point (k x1, k x2) / (x0 - x3) is
+the shadow of a point in the upper half-space picture, where that
+horosphere is the plane z = k and the axes are vertical lines; on it the
+chart distance s and the ambient distance d obey Lobachevsky's
+horocycle formula s = 2k sinh(d / 2k), and the induced metric is flat.
 
 build_prism, parallelism_match and replay_residuals take their
 elementary functions from `m` (columns.py): on a base triangle of
@@ -33,8 +38,7 @@ from .errors import DomainError
 from .floats import FLOATS
 from .geodesic_sphere import GeodesicSphere, geodesic_sphere_triangle
 from .horosphere import horosphere_triangle
-from .models import (Model, ModelPoint, Ray, asymptotic_ray, hyperboloid_to_half_space,
-                     ideal_direction)
+from .models import Model, ModelPoint, Ray, asymptotic_ray, ideal_direction
 from .parallelism import inverse_parallelism, parallelism_angle
 from .relations import RIGHT_ANGLE_TOL, RelationResidual, hyperbolic_residuals
 from .triangle import TriangleData
@@ -70,6 +74,24 @@ class PrismFigure:
         return abs(self.horospherical.C - 0.5 * math.pi)
 
 
+def _horosphere_chart(p: ModelPoint, m=FLOATS):
+    """The chart point (k x1, k x2) / (x0 - x3) of a 4-component sheet
+    point p: its shadow on the horosphere x0 - x3 = k about the ideal
+    point (1, 0, 0, 1). Its height k^2 / (x0 - x3) in the half-space
+    picture must be positive and finite."""
+    x0, x1, x2, x3 = p.coords
+    k = p.k
+    denom = x0 - x3
+    bad = denom <= 0.0
+    if bad is not False:
+        m.refuse(bad, DomainError, "point maps to infinity in this chart")
+    height = k * k / denom
+    bad = m.not_((height > 0.0) & m.isfinite(height))
+    if bad is not False:
+        m.refuse(bad, DomainError, "half-space height must be positive, got {}", height)
+    return k * x1 / denom, k * x2 / denom
+
+
 def build_prism(base: TriangleData, m=FLOATS) -> PrismFigure:
     """Erect the prism over a right hyperbolic triangle (right angle at C)."""
     if base.geometry.kind is not GeometryKind.HYPERBOLIC:
@@ -96,13 +118,9 @@ def build_prism(base: TriangleData, m=FLOATS) -> PrismFigure:
                      for axis in (axis_a, axis_b, axis_c)
                      for w, o in zip(ideal_direction(axis, m), omega)))
 
-    # the horosphere through A centered at the ideal point is the plane
-    # z = k of the half-space chart; the axes are its vertical lines, so
-    # the prism cuts it in the chart shadows of the vertices
-    charts = []
-    for p in (pa, pb, pc):
-        hs = hyperboloid_to_half_space(p, m)
-        charts.append((hs.coords[0], hs.coords[1]))
+    # the axes run to the ideal point, so the prism cuts the horosphere
+    # through A in the chart shadows of the vertices
+    charts = [_horosphere_chart(p, m) for p in (pa, pb, pc)]
     horospherical = horosphere_triangle(k, charts[0], charts[1], charts[2], k, m)
 
     # frame centered at B: measure the direction-sphere triangle k m n

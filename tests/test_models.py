@@ -1,4 +1,4 @@
-"""Model oracles: distances, angles, geodesics, rays, isometries."""
+"""Model oracles: distances, angles, geodesics, rays."""
 
 import math
 import pickle
@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from cctrig import (Curvature, DomainError, GeometryKind, Model, ModelPoint, Ray,
-                    asymptotic_ray, geodesic_point, half_space_to_hyperboloid,
-                    hyperboloid_to_half_space, ideal_direction, model_angle,
-                    model_distance, parallelism_angle, tangent_angle,
+                    ambient_polyline_length, asymptotic_ray, geodesic_point,
+                    horosphere_triangle, ideal_direction, intrinsic_distance,
+                    model_angle, model_distance, parallelism_angle, tangent_angle,
                     tangent_toward)
 from cctrig import models
 from cctrig.cevians import sample_cevian_configs
@@ -47,14 +47,6 @@ def test_plane_distance_and_angle():
     c = ModelPoint.plane(3.0, 4.0)
     assert model_distance(a, c) == pytest.approx(5.0, abs=1e-15)
     assert model_angle(b, a, c) == pytest.approx(math.pi / 2.0, abs=1e-15)
-
-
-def test_half_space_distance_along_a_vertical_line():
-    # along x = y = 0 the metric integrates to k log(z2/z1)
-    k = 1.3
-    p = ModelPoint.half_space(0.0, 0.0, 1.0, k)
-    q = ModelPoint.half_space(0.0, 0.0, math.e, k)
-    assert model_distance(p, q) == pytest.approx(k, rel=1e-14)
 
 
 def test_model_angle_agrees_with_tangent_angle():
@@ -207,32 +199,6 @@ def test_asymptotic_ray_realizes_the_angle_of_parallelism():
         assert abs(angle - parallelism_angle(p, HYP)) < 1e-10
 
 
-def test_half_space_isometry_round_trip():
-    k = 1.4
-    pts = [ModelPoint.hyperboloid(c, k) for c in
-           ((1.0, 0.0, 0.0, 0.0), (2.0, 1.0, -0.5, 0.8), (5.0, 3.0, 2.0, -2.5))]
-    for p in pts:
-        q = hyperboloid_to_half_space(p)
-        back = half_space_to_hyperboloid(q)
-        assert max(abs(x - y) for x, y in zip(p.coords, back.coords)) < 1e-12
-
-
-def test_half_space_isometry_preserves_distances():
-    k = 1.0
-    p = ModelPoint.hyperboloid((1.5, 0.2, -0.9, 0.1), k)
-    q = ModelPoint.hyperboloid((2.0, 1.1, 0.3, -1.0), k)
-    d_model = model_distance(p, q)
-    d_chart = model_distance(hyperboloid_to_half_space(p),
-                             hyperboloid_to_half_space(q))
-    assert d_chart == pytest.approx(d_model, rel=1e-12)
-
-
-def test_half_space_isometry_sends_origin_to_unit_height():
-    p = _hyp_origin(2.0, dim=4)
-    q = hyperboloid_to_half_space(p)
-    assert q.coords == pytest.approx((0.0, 0.0, 2.0), abs=1e-15)
-
-
 def test_constructors_reject_bad_coordinates():
     with pytest.raises(DomainError):
         ModelPoint.sphere((0.0, 0.0, 0.0))
@@ -240,8 +206,6 @@ def test_constructors_reject_bad_coordinates():
         ModelPoint.hyperboloid((0.5, 1.0, 0.0))           # spacelike
     with pytest.raises(DomainError):
         ModelPoint.hyperboloid((-2.0, 1.0, 0.0))          # lower sheet
-    with pytest.raises(DomainError):
-        ModelPoint.half_space(0.0, 0.0, -1.0)
     with pytest.raises(DomainError):
         ModelPoint.sphere((1.0, 0.0))
 
@@ -256,20 +220,25 @@ def test_mixed_charts_are_rejected():
                        ModelPoint.sphere((2.0, 0.0, 0.0), 2.0))
 
 
-def test_the_half_space_chart_offers_no_tangents_angles_or_rays():
-    # distances and the isometry are its only measurements; geodesic_point
-    # already refuses it
-    p = ModelPoint.half_space(0.0, 0.0, 1.0)
-    q = ModelPoint.half_space(1.0, 0.0, 2.0)
-    r = ModelPoint.half_space(0.0, 1.0, 0.5)
-    with pytest.raises(DomainError, match="half-space chart"):
-        tangent_toward(p, q)
-    with pytest.raises(DomainError, match="half-space chart"):
-        model_angle(p, q, r)
-    with pytest.raises(DomainError, match="half-space chart"):
-        Ray.at(p, (1.0, 0.0, 0.0))
-    with pytest.raises(DomainError, match="half-space chart"):
-        geodesic_point(p, (0.0, 0.0, 1.0), 1.0)
+@pytest.mark.parametrize("k", (-1.0, 0.0, math.nan, math.inf))
+def test_every_raw_scale_is_checked_as_curvature_checks_it(k):
+    # a sphere of scale -1 once measured a quarter circle as -pi/2, and a
+    # horosphere of scale -1 a 3-4-5 chord as -5
+    refused = pytest.raises(DomainError,
+                            match="^curvature scale must be positive and finite, got ")
+    with refused:
+        Curvature.spherical(k)
+    with refused:
+        model_distance(ModelPoint.sphere((1.0, 0.0, 0.0), k=k),
+                       ModelPoint.sphere((0.0, 1.0, 0.0), k=k))
+    with refused:
+        ModelPoint.hyperboloid((1.0, 0.0, 0.0), k)
+    with refused:
+        intrinsic_distance(1.0, (0.0, 0.0), (3.0, 4.0), k)
+    with refused:
+        ambient_polyline_length(1.0, (0.0, 0.0), (3.0, 4.0), k)
+    with refused:
+        horosphere_triangle(1.0, (0.0, 0.0), (3.0, 0.0), (0.0, 4.0), k)
 
 
 def test_ideal_direction_needs_the_hyperboloid():
@@ -399,6 +368,8 @@ def test_enum_keyed_tables_hit_by_member_by_value_and_after_pickling():
             assert TRIG[same] is TRIG[kind]
     assert TRIG[GeometryKind("spherical")][:3] == (math.sin, math.cos, 1.0)
     assert TRIG[GeometryKind("hyperbolic")][:3] == (math.sinh, math.cosh, -1.0)
-    for model in (Model.SPHERE, Model.HYPERBOLOID, Model.PLANE):
+    assert list(Model) == [Model.SPHERE, Model.HYPERBOLOID, Model.PLANE]
+    for model in Model:
+        assert model in models.METRIC
         assert models.METRIC[Model(model.value)] is models.METRIC[model]
-    assert Model("half_space") not in models.METRIC
+        assert models.METRIC[pickle.loads(pickle.dumps(model))] is models.METRIC[model]

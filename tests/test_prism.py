@@ -3,12 +3,14 @@ together: a spherical cut at one vertex, a flat horospherical cut at
 another, and the hyperbolic base all describe the same figure."""
 
 import math
+import random
 
 import pytest
 
-from cctrig import (Curvature, DomainError, TriangleData, build_prism,
-                    parallelism_angle, replay_residuals,
+from cctrig import (Curvature, DomainError, Model, ModelPoint, TriangleData, build_prism,
+                    model_distance, parallelism_angle, replay_residuals,
                     sample_right_triangle, sample_triangle)
+from cctrig.prism import _horosphere_chart
 
 HYP = Curvature.hyperbolic()
 
@@ -105,3 +107,31 @@ def test_non_hyperbolic_base_is_rejected():
     t = TriangleData(*[math.pi / 2.0] * 6, Curvature.spherical())
     with pytest.raises(DomainError):
         build_prism(t)
+
+
+@pytest.mark.parametrize("k", (2.0 ** -20, 0.5, 1.0, 10.0, 2.0 ** 20))
+def test_the_horosphere_chart_obeys_the_horocycle_formula(k):
+    # lift chart points (x, y) onto the horosphere x0 - x3 = k about the
+    # ideal point (1, 0, 0, 1); the chart must read them back, and the
+    # chart distance s of two of them must be 2k sinh(d / 2k) of their
+    # hyperboloid distance d (Lobachevsky's horocycle formula)
+    rng = random.Random(31)
+
+    def lift(x, y):
+        s = x * x + y * y + k * k
+        return ModelPoint(Model.HYPERBOLOID,
+                          ((s + k * k) / (2.0 * k), x, y, (s - k * k) / (2.0 * k)), k)
+
+    worst = 0.0
+    done = 0
+    while done < 500:
+        p, q = ((rng.uniform(-2.0, 2.0) * k, rng.uniform(-2.0, 2.0) * k) for _ in range(2))
+        (px, py), (qx, qy) = (_horosphere_chart(lift(*v)) for v in (p, q))
+        s = math.hypot(px - qx, py - qy)
+        if s < 1e-3 * k:
+            continue
+        done += 1
+        assert (px, py) == pytest.approx(p, abs=1e-14 * k)
+        d = model_distance(lift(*p), lift(*q))
+        worst = max(worst, abs(s - 2.0 * k * math.sinh(0.5 * d / k)) / s)
+    assert worst < 1e-13

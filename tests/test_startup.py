@@ -24,8 +24,7 @@ _EXPORTS = {
               "SamplingError SimilarityError",
     "geodesic_sphere": "GeodesicSphere geodesic_sphere_triangle intrinsic_arc_length",
     "horosphere": "ambient_polyline_length horosphere_triangle intrinsic_distance",
-    "models": "Model ModelPoint Ray asymptotic_ray geodesic_point "
-              "half_space_to_hyperboloid hyperboloid_to_half_space ideal_direction "
+    "models": "Model ModelPoint Ray asymptotic_ray geodesic_point ideal_direction "
               "model_angle model_distance tangent_angle tangent_toward",
     "parallelism": "inverse_parallelism parallelism_angle",
     "prism": "PrismFigure build_prism replay_residuals",
@@ -115,7 +114,7 @@ def test_every_exported_name_is_its_modules_object(module, name):
 
 
 def test_the_export_list_is_unchanged():
-    assert len(_NAMES) == 72
+    assert len(_NAMES) == 70
     assert sorted(cctrig.__all__) == sorted(["__version__"] + [n for _, n in _NAMES])
     assert "__version__" in dir(cctrig)
 
