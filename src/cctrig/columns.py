@@ -58,6 +58,8 @@ by row: what a kernel needs beyond these is itself written over `m`.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import functools
 import itertools
 import math
 
@@ -82,6 +84,15 @@ def _row(value, i):
     return value
 
 
+@functools.cache
+def _fields(cls: type) -> tuple[str, ...] | None:
+    """The field names of a dataclass type, None for any other type.
+    Cached per type: hasattr on an Enum class runs Python code."""
+    if not hasattr(cls, "__dataclass_fields__"):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def take(value, keep):
     """`value` restricted to the rows where `keep` holds: columns are
     indexed, tuples, lists and dataclasses (model points, rays,
@@ -91,8 +102,9 @@ def take(value, keep):
         return value[keep]
     if type(value) in (tuple, list):
         return tuple([take(v, keep) for v in value])
-    if hasattr(type(value), "__dataclass_fields__"):
-        return type(value)(**{name: take(v, keep) for name, v in vars(value).items()})
+    names = _fields(type(value))
+    if names is not None:
+        return type(value)(**{name: take(getattr(value, name), keep) for name in names})
     return value
 
 
@@ -105,9 +117,10 @@ def join(parts):
         return np.concatenate(parts)
     if type(first) in (tuple, list):
         return tuple([join([p[i] for p in parts]) for i in range(len(first))])
-    if hasattr(type(first), "__dataclass_fields__"):
+    names = _fields(type(first))
+    if names is not None:
         return type(first)(**{name: join([getattr(p, name) for p in parts])
-                              for name in vars(first)})
+                              for name in names})
     return first
 
 
@@ -178,7 +191,7 @@ class Columns:
     def _unless_inf(self, ufunc, fn, x):
         # ufunc on a column without ±inf, where it gives fn's bits; fn
         # mapped otherwise, since math raises at ±inf where numpy gives nan
-        if type(x) is np.ndarray and not np.isinf(x).any():
+        if type(x) is np.ndarray and not np.count_nonzero(np.isinf(x)):
             return ufunc(x)
         return self._map(fn, x)
 
@@ -201,7 +214,7 @@ class Columns:
 
     def sqrt(self, x):
         # math.sqrt raises below zero where numpy gives nan
-        if type(x) is np.ndarray and not (x < 0.0).any():
+        if type(x) is np.ndarray and not np.count_nonzero(x < 0.0):
             return np.sqrt(x)
         return self._map(math.sqrt, x)
 
@@ -252,7 +265,7 @@ class Columns:
 
     def refuse(self, bad, error, template, *args) -> None:
         bad = self._mask(bad) & ~self.dead
-        if not bad.any():
+        if not np.count_nonzero(bad):
             return
         for i in np.flatnonzero(bad).tolist():
             self.errors[int(self.rows[i])] = error(

@@ -25,7 +25,7 @@ from .floats import FLOATS
 from .models import (Model, ModelPoint, Ray, _edot, _spacelike_norm,
                      check_segments, minkowski_dot, model_distance,
                      richardson_length, tangent_angle, tangent_toward)
-from .sampling import DEFAULT_ATTEMPTS, Block, resolve_block
+from .sampling import DEFAULT_ATTEMPTS, Block, block_indices, resolve_block
 from .triangle import TriangleData
 
 # rays closer than this (or to pi minus this) give no usable triangle
@@ -127,25 +127,31 @@ def _ray_directions(z0, phi0, z1, phi1, z2, phi2, m):
     return keep(d0, d1, d2)
 
 
-def center_ray_triangles(sphere: GeodesicSphere, seed: int, start: int, stop: int) -> Block:
-    """The triangles cut by random center-ray triples, one per index of
-    [start, stop): a Block whose figure is the triangle and the ray
-    directions of its rows (3, 4, rows).
+def center_ray_triangles(center: ModelPoint, seed: int, start,
+                         stop: int | None = None) -> Block:
+    """The triangles cut by random ray triples from a hyperboloid point,
+    one per index in [start, stop) or of the index column `start`
+    (sampling.block_indices): a Block whose figure is the triangle and
+    the ray directions of its rows (3, 4, rows).
 
-    Attempt j of index i runs _ray_directions on uniforms 6j to 6j + 5
-    of sample_stream(seed, i) over _RAY_BOUNDS, as sampling.resolve_block
-    resolves a block; the rays and their triangle are computed on
-    columns. Block.errors holds the first error of every index without a
-    triangle, including the exhausted attempt budget.
+    The triangle's sides and angles are the rays' angles and dihedral
+    angles at the center, so it is that of every geodesic sphere about
+    the center, whatever its radius: one block serves several spheres,
+    their indices stacked in one column. Attempt j of index i runs
+    _ray_directions on uniforms 6j to 6j + 5 of sample_stream(seed, i)
+    over _RAY_BOUNDS, as sampling.resolve_block resolves a block; the
+    rays and their triangle are computed on columns. Block.errors holds
+    the first error of every index without a triangle, including the
+    exhausted attempt budget.
     """
-    center = sphere.center
-    drawn = resolve_block(seed, start, stop, _RAY_BOUNDS, _ray_directions, DEFAULT_ATTEMPTS,
-                          functools.partial(DomainError, _NO_RAYS))
+    drawn = resolve_block(seed, block_indices(seed, start, stop), _RAY_BOUNDS, _ray_directions,
+                          DEFAULT_ATTEMPTS, functools.partial(DomainError, _NO_RAYS))
     if drawn.figure is None:
         return drawn
     with Columns(drawn.rows) as m:
         rays = tuple(Ray.at(center, (0.0, *d), m) for d in drawn.figure)
-        t = geodesic_sphere_triangle(sphere, rays, m)
+        # any radius serves, the scale's own
+        t = geodesic_sphere_triangle(GeodesicSphere(center, center.k), rays, m)
     alive = ~m.dead
     directions = np.array([ray.direction for ray in rays])[:, :, alive]
     return Block(m.rows[alive], (take(t, alive), directions), drawn.errors | m.errors)

@@ -29,7 +29,7 @@ from .errors import DegenerateError, DomainError
 from .floats import FLOATS
 from .models import (ModelPoint, check_segments, model_angle, model_distance,
                      richardson_length)
-from .sampling import Block, sample_stream
+from .sampling import Block, block_indices, sample_stream
 from .triangle import TriangleData
 
 
@@ -70,9 +70,11 @@ def horosphere_triangle(height: float, p1, p2, p3, k: float = 1.0,
     return TriangleData(a, b, c, A, B, C, Curvature.euclidean()).validate(m)
 
 
-def chart_triangles(k: float, seed: int, start: int, stop: int) -> Block:
+def chart_triangles(k: float, seed: int, start, stop: int | None = None) -> Block:
     """Random triangles on the horosphere z = k of scale k, one per index
-    of [start, stop), with their chart vertices uniform on [-2k, 2k)^2.
+    in [start, stop) or of the index column `start`
+    (sampling.block_indices), with their chart vertices uniform on
+    [-2k, 2k)^2.
 
     Each index draws its six chart coordinates from its own stream with
     Generator.uniform, which refuses a range that overflows (k above
@@ -81,9 +83,10 @@ def chart_triangles(k: float, seed: int, start: int, stop: int) -> Block:
     1e-3 k gives no row; Block.errors holds the error of each index
     horosphere_triangle refuses.
     """
+    indices = block_indices(seed, start, stop)
     pts = np.array([sample_stream(seed, i).uniform(-2.0 * k, 2.0 * k, size=6)
-                    for i in range(start, stop)]).T.copy()
-    with Columns(np.arange(stop - start)) as m:
+                    for i in indices.tolist()]).T.copy()
+    with Columns(np.arange(len(indices))) as m:
         t = horosphere_triangle(k, pts[0:2], pts[2:4], pts[4:6], k, m)
         keep = m.reject((m.min(*t.angles()) < 1e-3) | (m.min(*t.sides()) < 1e-3 * k))
     return Block(m.rows, None if keep is None else keep(t)[0], m.errors)

@@ -28,14 +28,17 @@ that resolve_block reproduces on a block.
 
 Blocks. sample_triangles, sample_right_triangles,
 cevians.sample_cevian_configs and geodesic_sphere.center_ray_triangles
-draw a range of indices at once, bit for bit what resolve_index
-returns for each of them. A numpy Philox4x64-10 (Salmon et al.,
+draw a range of indices at once, or any column of them (several ranges
+stacked), bit for bit what resolve_index returns for each of them: an
+index's draws depend on (seed, index, attempt) alone and every column
+operation is row-wise. A numpy Philox4x64-10 (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed as
 sample_stream keys it, hands every index of the block the words of its
 own stream that a round needs, so a block builds no Generator; an
 index whose attempt is rejected draws again in the next round of
-resolve_block, the one rejection loop of every block sampler. The attempt itself (synthesis, model measurements, rejection
-tests, validation) is one function, run on floats or on float64 columns
+resolve_block, the one rejection loop of every block sampler. The
+attempt itself (synthesis, model measurements, rejection tests,
+validation) is one function, run on floats or on float64 columns
 (columns.py). On the columns numpy does + - * / and sqrt, which IEEE
 754 rounds correctly, and sin and cos, which give `math`'s bits; every
 other function maps `math` over the column, since numpy's tan, atan2,
@@ -66,9 +69,8 @@ DEFAULT_MAX_SIDE = 10.0  # units of k
 DEFAULT_MIN_SIDE = 0.05  # units of k
 DEFAULT_ATTEMPTS = 128
 #: what a round of resolve_block costs beside its rows, in rows of
-#: attempts, and the most attempts an index makes in one round
+#: attempts
 _ROUND_COST = 1024
-_MAX_TRIES = 16
 # spherical side cap (units of k), just under the quarter circumference;
 # a geodesic ball of this radius is convex and inside an open hemisphere
 SPHERE_SIDE_CAP = 0.49 * math.pi
@@ -128,7 +130,10 @@ _PHILOX_M = np.array([[[0xD2E7470EE14C6C93]], [[0xCA5A826395121157]]], dtype=np.
 _PHILOX_M_LO = np.array([[[0xE14C6C93]], [[0x95121157]]], dtype=np.uint64)
 _PHILOX_M_HI = np.array([[[0xD2E7470E]], [[0xCA5A8263]]], dtype=np.uint64)
 _PHILOX_W = np.array([[[0x9E3779B97F4A7C15]], [[0xBB67AE8584CAA73B]]], dtype=np.uint64)
-_PHILOX_ROUNDS = np.array(range(10), dtype=np.uint64).reshape(10, 1, 1, 1)
+#: the bumps of the key words in rounds 2 to 10
+_PHILOX_BUMPS = np.array(range(1, 10), dtype=np.uint64).reshape(9, 1, 1, 1)
+#: lane 0's multiplier as a Python int, for round 1's exact products
+_PHILOX_M0 = 0xD2E7470EE14C6C93
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
@@ -140,39 +145,52 @@ def _philox_blocks(counters: np.ndarray, seed: int, indices: np.ndarray) -> tupl
 
     Lanes 0 and 2 are multiplied, so they are held as one array
     (2, len(counters), len(indices)) against the two multipliers, and so
-    are lanes 1 and 3; the ten rounds' key words come from one broadcast
-    (the bumps wrap, as they should). The 128-bit products are formed
-    from 32-bit halves, since numpy's uint64 products wrap.
+    are lanes 1 and 3; the key words of rounds 2 to 10 come from one
+    broadcast (the bumps wrap, as they should). Round 1 meets the lanes
+    (counter, 0, 0, 0), so it is one exact product per counter, taken
+    in Python integers: lane 0 becomes the seed, lane 1 zero, lane 2 the
+    product's high word xor the index and lane 3 its low word. The later
+    rounds form each 128-bit product's high word from four products of
+    32-bit halves (Hacker's Delight's mulhu), since numpy's uint64
+    products wrap.
     """
-    mul = np.zeros((2, len(counters), len(indices)), dtype=np.uint64)
-    mul[0] = counters[:, None]
+    products = [_PHILOX_M0 * c for c in counters.tolist()]
+    mul = np.empty((2, len(counters), len(indices)), dtype=np.uint64)
+    mul[0] = seed
+    np.bitwise_xor(np.array([p >> 64 for p in products], dtype=np.uint64)[:, None],
+                   indices, out=mul[1])
     odd = np.zeros_like(mul)
+    odd[1] = np.array([p & 0xFFFFFFFFFFFFFFFF for p in products], dtype=np.uint64)[:, None]
     key = np.empty((2, 1, len(indices)), dtype=np.uint64)
     key[0], key[1] = seed, indices
-    keys = key + _PHILOX_ROUNDS * _PHILOX_W
-    for round_key in keys:
-        # the lanes' 32-bit halves become the carry and the high word in
-        # place, so that a round holds about as many arrays as one lane did
-        carry, hi = mul & _LOW32, mul >> _SHIFT32
-        lh, hl = _PHILOX_M_LO * hi, _PHILOX_M_HI * carry
-        carry *= _PHILOX_M_LO
-        carry >>= _SHIFT32
-        carry += lh & _LOW32
-        carry += hl & _LOW32
-        carry >>= _SHIFT32
+    for round_key in key + _PHILOX_BUMPS * _PHILOX_W:
+        # with u = mul and v the multiplier, each split in 32-bit halves,
+        # t = u1 v0 + (u0 v0 >> 32) and w = u0 v1 + (t & LOW32) hold no
+        # carry, and the high word is u1 v1 + (t >> 32) + (w >> 32); the
+        # halves become the products in place, so that a round holds
+        # about as many arrays as one lane did
+        low, hi = mul & _LOW32, mul >> _SHIFT32
+        t = _PHILOX_M_LO * hi
+        t += (_PHILOX_M_LO * low) >> _SHIFT32
+        low *= _PHILOX_M_HI
+        low += t & _LOW32
         hi *= _PHILOX_M_HI
-        hi += lh >> _SHIFT32
-        hi += hl >> _SHIFT32
-        hi += carry
+        hi += t >> _SHIFT32
+        low >>= _SHIFT32
+        hi += low
         # lane 0 takes lane 2's high word and lane 2 lane 0's; lanes 1
         # and 3 take the low words the same way round
         mul, odd = hi[::-1] ^ odd ^ round_key, (_PHILOX_M * mul)[::-1]
     return mul[0], odd[0], mul[1], odd[1]
 
 
-def _index_column(seed: int, start: int, stop: int) -> np.ndarray:
-    """Stream indices start..stop-1 as a uint64 column, refused as
-    sample_stream refuses the first index out of range."""
+def block_indices(seed: int, start, stop: int | None = None) -> np.ndarray:
+    """The uint64 column of stream indices a block sampler draws:
+    start..stop-1, refused as sample_stream refuses the first index out
+    of range, or, where stop is None, `start` itself, already such a
+    column (several ranges stacked, say)."""
+    if stop is None:
+        return start
     _check_key(seed, start)
     _check_key(seed, min(max(start, stop - 1), _KEY_WORD))
     return np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
@@ -217,10 +235,10 @@ def _block_uniforms(seed: int, indices: np.ndarray, first: int, bounds,
 
 @dataclass(frozen=True)
 class Block:
-    """Figures drawn for a range of indices.
+    """Figures drawn for a column of indices.
 
-    `rows` holds the positions in the range (index - start) that gave a
-    figure and `figure` their values (a TriangleData or another figure
+    `rows` holds the positions in the column that gave a figure and
+    `figure` their values (a TriangleData or another figure
     whose numbers are columns, one row per position; None where no
     position gave one). `errors` maps every other position to the error
     the per-index sampler raises there.
@@ -231,16 +249,27 @@ class Block:
     errors: dict
 
 
-def _tries(width: int, resolved: int, tried: int) -> int:
+def _tries(width: int, resolved: int, tried: int, limit: int) -> int:
     """Attempts each of `width` unresolved indices makes in the next
-    round: the number that resolves them at the least cost per index
-    resolved, where a round costs _ROUND_COST rows beside its own and an
-    attempt is accepted at the rate (resolved + 1) / (tried + 1) seen so
-    far. One before any attempt is seen and while every attempt is
-    accepted, up to _MAX_TRIES while nearly every one is rejected."""
-    rejected = 1.0 - (resolved + 1) / (tried + 1)
-    return min(range(1, _MAX_TRIES + 1),
-               key=lambda r: (_ROUND_COST + width * r) / (1.0 - rejected ** r))
+    round, at most `limit`: the number r that costs least in this round
+    and what it leaves behind. The round costs width * r rows; with
+    an attempt accepted at the rate p = (resolved + 1) / (tried + 1)
+    seen so far, an index stays unresolved with chance q ** r, q = 1 - p,
+    so another round's _ROUND_COST follows unless all are resolved, and
+    each index left over costs the 1 / p attempts an index has taken so
+    far. One while every attempt is accepted; more as rejections make
+    another round likely. No r whose rows alone cost more than the best
+    found can win, which ends the search."""
+    q = 1.0 - (resolved + 1) / (tried + 1)
+    best, best_cost = 1, math.inf
+    r = 1
+    while r <= limit and width * r < best_cost:
+        left = q ** r
+        cost = width * (r + left / (1.0 - q)) + _ROUND_COST * (1.0 - (1.0 - left) ** width)
+        if cost < best_cost:
+            best, best_cost = r, cost
+        r += 1
+    return best
 
 
 def resolve_index(seed: int, index: int, bounds, attempt, attempts: int, exhausted, *,
@@ -264,28 +293,33 @@ def resolve_index(seed: int, index: int, bounds, attempt, attempts: int, exhaust
     raise exhausted()
 
 
-def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: int,
+def resolve_block(seed: int, indices: np.ndarray, bounds, attempt, attempts: int,
                   exhausted, *, rejected=(), until_error: bool = False) -> Block:
-    """The first accepted attempt of every index in [start, stop), as
-    resolve_index takes it; the attempt runs on a Columns block, where a
-    row that gives no figure is rejected.
+    """The first accepted attempt of every stream index in the uint64
+    column `indices`, as resolve_index takes it; the attempt runs on a
+    Columns block, where a row that gives no figure is rejected. The
+    block's positions are those of the column, which may stack several
+    ranges of indices: an index's draws depend on (seed, index, attempt)
+    alone and every column operation is row-wise, so its figure is the
+    same whatever its block mates.
 
     Each round runs the next attempts of every index still unresolved as
     one block of rows, as many per index as _tries gives: one in the
     first round, so a sampler that accepts its first attempts makes no
-    attempt that a loop over the indices would not make, and more as the
-    rejections seen make another round dearer than the extra rows.
+    attempt that a loop over the indices would not make, and in later
+    rounds as many as make the round and the ones it leaves behind
+    cheapest, given the rejections seen.
 
-    With until_error the caller stops at the first index that fails, as
-    a loop over the indices would: the indices past a failed one are
-    dropped, and while every attempt so far was rejected, the lowest
-    unresolved index alone makes all its remaining attempts in the next
-    round, so that a sampler that rejects everything fails in two rounds
-    rather than `attempts`. Dropped indices are in neither the rows nor
-    the errors of the block.
+    With until_error the caller stops at the first position that fails,
+    as a loop over the indices would: the positions past a failed one
+    are dropped, and while every attempt so far was rejected, the lowest
+    unresolved position alone makes all its remaining attempts in the
+    next round, so that a sampler that rejects everything fails in two
+    rounds rather than `attempts`. Dropped positions are in neither the
+    rows nor the errors of the block.
     """
-    indices = _index_column(seed, start, stop)
-    active = np.arange(stop - start)
+    _check_key(seed, 0)
+    active = np.arange(len(indices))
     made = 0  # attempts made by every index still active
     taken, parts = [], []
     errors: dict[int, Exception] = {}
@@ -301,8 +335,7 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
         lead = until_error and made and not resolved
         batch = active[:1] if lead else active
         width = len(batch)
-        tries = attempts - made if lead else min(attempts - made,
-                                                 _tries(width, resolved, tried))
+        tries = attempts - made if lead else _tries(width, resolved, tried, attempts - made)
         # row r * width + i holds attempt made + r of the index at batch[i]
         draws = _block_uniforms(seed, indices[batch], made * len(bounds), bounds, tries)
         with Columns(np.arange(tries * width)) as m:
@@ -320,7 +353,7 @@ def resolve_block(seed: int, start: int, stop: int, bounds, attempt, attempts: i
         tried += int(np.where(done, first + 1, tries).sum())
         ends = np.where(done, outcome[row], 0)
         took = ends == 1
-        if took.any():
+        if np.count_nonzero(took):
             taken.append(batch[took])
             parts.append(take(figure, np.searchsorted(m.rows, row[took])))
         for pos, r in zip(batch[ends == 2].tolist(), row[ends == 2].tolist()):
@@ -425,14 +458,15 @@ def sample_triangle(geometry: Curvature, seed: int, index: int = 0, *,
                          _rejection_failure(geometry, attempts))
 
 
-def sample_triangles(geometry: Curvature, seed: int, start: int, stop: int, *,
+def sample_triangles(geometry: Curvature, seed: int, start, stop: int | None = None, *,
                      min_angle: float = DEFAULT_MIN_ANGLE,
                      max_side: float = DEFAULT_MAX_SIDE,
                      min_side: float = DEFAULT_MIN_SIDE,
                      attempts: int = DEFAULT_ATTEMPTS) -> Block:
-    """sample_triangle for every index in [start, stop)."""
+    """sample_triangle for every index in [start, stop), or of the
+    index column `start` (block_indices)."""
     bounds, attempt = _triangle_plan(geometry, min_angle, max_side, min_side)
-    return resolve_block(seed, start, stop, bounds, attempt, attempts,
+    return resolve_block(seed, block_indices(seed, start, stop), bounds, attempt, attempts,
                          _rejection_failure(geometry, attempts))
 
 
@@ -479,12 +513,13 @@ def sample_right_triangle(geometry: Curvature, seed: int, index: int = 0, *,
     return resolve_index(seed, index, bounds, attempt, 1, _rejection_failure(geometry, 1))
 
 
-def sample_right_triangles(geometry: Curvature, seed: int, start: int, stop: int, *,
+def sample_right_triangles(geometry: Curvature, seed: int, start, stop: int | None = None, *,
                            min_leg: float = DEFAULT_MIN_SIDE,
                            max_leg: float | None = None) -> Block:
-    """sample_right_triangle for every index in [start, stop), one
-    attempt each: every leg pair gives a triangle or raises, so none is
-    rejected. The right angle C stays the constant pi/2 rather than a
-    column."""
+    """sample_right_triangle for every index in [start, stop), or of the
+    index column `start` (block_indices), one attempt each: every leg
+    pair gives a triangle or raises, so none is rejected. The right
+    angle C stays the constant pi/2 rather than a column."""
     bounds, attempt = _right_plan(geometry, min_leg, max_leg)
-    return resolve_block(seed, start, stop, bounds, attempt, 1, _rejection_failure(geometry, 1))
+    return resolve_block(seed, block_indices(seed, start, stop), bounds, attempt, 1,
+                         _rejection_failure(geometry, 1))

@@ -4,17 +4,22 @@ Each suite draws its own deterministic sample stream (counter-based, so
 execution order never matters), feeds the models' measurements through
 the relation evaluators, and aggregates absolute residuals into report
 rows. Every sampled suite runs on one driver, _sampled. The suite's
-draw gives the figures of a block of sample indices on float64 columns
+draw gives the figures of a column of sample indices on float64 columns
 (a sampling.Block, columns.py) and its evaluator a column per relation
 on them; the driver keeps the values and errors of a loop over the
-indices. It stops at the first index whose draw or evaluation raises,
-once the indices before it are taken (sphere-model measures its arcs on
-them first). sphere-model and horosphere pass over an index whose draw
-gives no triangle or raises a _SKIPPED error instead. Every suite draws
-at most DEFAULT_ATTEMPTS indices per sample, the attempts a sampler
-gives one index, so a suite that passes over every index stops with a
-SamplingError. sphere-model measures each sphere's 16 arcs in one
-intrinsic_arc_length call on columns. What stays per sample is the
+indices of each stream. A stream stops at the first index whose draw or
+evaluation raises, once the indices before it are taken (sphere-model
+measures its arcs on them first). sphere-model and horosphere pass over
+an index whose draw gives no triangle or raises a _SKIPPED error
+instead. Every stream draws at most DEFAULT_ATTEMPTS indices per
+sample, the attempts a sampler gives one index, so a stream that passes
+over every index stops with a SamplingError. The driver runs several
+streams of one suite in lockstep, each round one block stacked from all
+of them, and raises as running them one after another would:
+sphere-model's three spheres share each block, since their center-ray
+triangles do not depend on the radius, and each sphere then measures
+its first 16 arcs in one intrinsic_arc_length call on columns. What
+stays per sample is the
 ambient length checks of horosphere, the limits suite and the fixed
 cevian figures. Row tolerances default to the documented per-row
 targets and scale proportionally when the configured base tolerance is
@@ -48,7 +53,7 @@ from .relations import (euclidean_residuals, hyperbolic_residuals,
                         spherical_residuals, spherical_right_residuals)
 from .report import (MIN_ABOVE, SUITE_NAMES, CheckRow, ResidualReport,
                      SuiteConfig, make_row)
-from .sampling import (DEFAULT_ATTEMPTS, sample_right_triangles,
+from .sampling import (DEFAULT_ATTEMPTS, block_indices, sample_right_triangles,
                        sample_stream, sample_triangle, sample_triangles)
 from .solvers import solve_from_sss
 from .triangle import angle_excess
@@ -90,48 +95,82 @@ def _tol(cfg: SuiteConfig, default: float) -> float:
     return default * (cfg.tolerance / _BASE_TOLERANCE)
 
 
-def _sampled(cfg: SuiteConfig, suite: str, draw, evaluate, stream: int = 0,
-             skipped=(), check=None) -> dict[str, np.ndarray]:
-    """Each relation's values over cfg.samples sampled figures, by
-    relation id, from stream index _STREAM_BASE[suite] + stream * _SUB on.
+def _sampled(cfg: SuiteConfig, suite: str, draw, evaluate, streams=(0,),
+             skipped=(), check=None) -> list[dict[str, np.ndarray]]:
+    """Each relation's values over cfg.samples sampled figures of each
+    stream s of `streams`, by relation id, one dict per stream; stream s
+    draws its indices from _STREAM_BASE[suite] + s * _SUB on.
 
-    A block of _BLOCK indices at a time, draw(seed, start, stop) gives a
-    sampling.Block and evaluate(figure, m) a column per relation id over
-    its rows. The rows used are those a loop over the indices uses: it
-    passes over an index that gave no figure or whose draw raised one of
-    the `skipped` errors, and stops at any other error, in the draw or in
-    evaluate. check(figure, used), where given, sees each block's figure
-    and the rows of it used before that error is raised. Past
-    DEFAULT_ATTEMPTS indices drawn per sample it raises SamplingError.
+    The streams run in lockstep. Each round stacks the next block of up
+    to _BLOCK indices of every stream still running in one uint64 index
+    column: draw(seed, indices) gives a sampling.Block over it and
+    evaluate(figure, m) a column per relation id over its rows. A
+    stream uses the rows a loop over its own indices uses: it passes
+    over an index that gave no figure or whose draw raised one of the
+    `skipped` errors, and fails at any other error, in the draw or in
+    evaluate, or past DEFAULT_ATTEMPTS indices drawn per sample with a
+    SamplingError. check(s, figure, used), where given, sees each
+    round's figure and the rows of it that stream s used, before that
+    error; an error check raises is the stream's too. The streams raise
+    as running them one after another would: the error of the first
+    stream that fails, once every stream before it has its samples. A
+    stream after a failed one draws no more.
     """
-    base = _STREAM_BASE[suite] + stream * _SUB
-    budget = base + DEFAULT_ATTEMPTS * cfg.samples
-    per: dict[str, list] = {}
-    needed, start = cfg.samples, base
-    while needed:
-        if start == budget:
-            raise SamplingError(f"{cfg.samples - needed} of {cfg.samples} {suite} "
-                                f"triangles accepted in {budget - base} draws")
-        stop = start + min(needed, _BLOCK, budget - start)
-        block = draw(cfg.seed, start, stop)
+    bases = [_STREAM_BASE[suite] + s * _SUB for s in streams]
+    starts = list(bases)
+    needed = [cfg.samples] * len(streams)
+    per: list[dict[str, list]] = [{} for _ in streams]
+    failed: dict[int, Exception] = {}
+    while True:
+        # (stream, start, stop) of each block this round draws
+        lanes = []
+        for s, base in enumerate(bases):
+            if s in failed:
+                break
+            budget = base + DEFAULT_ATTEMPTS * cfg.samples
+            if needed[s] and starts[s] == budget:
+                failed[s] = SamplingError(f"{cfg.samples - needed[s]} of {cfg.samples} "
+                                          f"{suite} triangles accepted in "
+                                          f"{budget - base} draws")
+                break
+            if needed[s]:
+                lanes.append((s, starts[s], starts[s] + min(needed[s], _BLOCK,
+                                                            budget - starts[s])))
+        if not lanes:
+            break
+        block = draw(cfg.seed, np.concatenate([block_indices(cfg.seed, start, stop)
+                                               for _, start, stop in lanes]))
         errors = {pos: e for pos, e in block.errors.items() if not isinstance(e, skipped)}
-        values = {}
+        values, live = {}, block.rows
         if block.figure is not None:
             with Columns(block.rows) as m:
                 values = evaluate(block.figure, m)
             errors.update(m.errors)
-        # an evaluator drops only rows that raised (m.live), all past the
-        # first error, so the rows before it keep their places
-        used = np.flatnonzero(block.rows < min(errors, default=stop - start))
-        if check is not None:
-            check(block.figure, used)
-        for rid, column in values.items():
-            per.setdefault(rid, []).append(column[used])
-        needed -= len(used)
-        if needed and errors:
-            raise errors[min(errors)]
-        start = stop
-    return {rid: np.concatenate(columns) for rid, columns in per.items()}
+            # the columns hold a value per row m keeps: an evaluator drops
+            # only rows that raised (m.live), each at or past its stream's
+            # first error, so the rows a stream uses keep their places
+            live = m.rows
+        low = 0
+        for s, start, stop in lanes:
+            high = low + stop - start
+            end = min((pos for pos in errors if low <= pos < high), default=high)
+            first, last = np.searchsorted(block.rows, (low, end))
+            if check is not None:
+                try:
+                    check(streams[s], block.figure, np.arange(first, last))
+                except Exception as exc:
+                    failed[s] = exc
+            lo, hi = np.searchsorted(live, (low, end))
+            for rid, column in values.items():
+                per[s].setdefault(rid, []).append(column[lo:hi])
+            needed[s] -= hi - lo
+            starts[s] = stop
+            if needed[s] and end < high:
+                failed.setdefault(s, errors[end])
+            low = high
+    if failed:
+        raise failed[min(failed)]
+    return [{rid: np.concatenate(columns) for rid, columns in p.items()} for p in per]
 
 
 def _residuals(evaluator, name=lambda rid: rid):
@@ -143,8 +182,8 @@ def _residuals(evaluator, name=lambda rid: rid):
 def _sampled_rows(cfg: SuiteConfig, suite: str, draw, evaluator, tolerance: float,
                   stream: int = 0, name=lambda rid: rid) -> list[CheckRow]:
     """One row per relation of `evaluator` over cfg.samples triangles."""
-    return [make_row(rid, values, _tol(cfg, tolerance)) for rid, values in
-            _sampled(cfg, suite, draw, _residuals(evaluator, name), stream).items()]
+    per, = _sampled(cfg, suite, draw, _residuals(evaluator, name), (stream,))
+    return [make_row(rid, values, _tol(cfg, tolerance)) for rid, values in per.items()]
 
 
 def _suite_spherical(cfg: SuiteConfig) -> list[CheckRow]:
@@ -170,41 +209,45 @@ def _suite_euclidean(cfg: SuiteConfig) -> list[CheckRow]:
 def _suite_sphere_model(cfg: SuiteConfig) -> list[CheckRow]:
     k = cfg.curvature.k
     center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
+    spheres = [GeodesicSphere(center, rho * k) for rho, _, _ in _GEODESIC_SPHERE_RADII]
+    arcs: list[list[float]] = [[] for _ in spheres]
+
+    def check_arcs(level, figure, used):
+        # the first triangles a sphere uses also measure the arc between
+        # two of their vertices, in one call over their rows, against the
+        # sphere's effective radius times the center angle between them,
+        # the triangle's side c; in units of k
+        rows = used[:_ARC_CHECK_PAIRS - len(arcs[level])]
+        if not len(rows):
+            return
+        sphere, segments = spheres[level], _GEODESIC_SPHERE_RADII[level][2]
+        triangles, directions = figure
+        with Columns(np.arange(len(rows))) as m:
+            p, q = (sphere.point_toward(tuple(directions[r][:, rows]), m) for r in (0, 1))
+            arc = intrinsic_arc_length(sphere, p, q, m, base_segments=segments)
+        if m.errors:
+            raise m.errors[min(m.errors)]
+        arcs[level].extend(((arc - sphere.effective_radius * triangles.c[rows]) / k).tolist())
+
+    # the triangles are fixed at the center, so the three spheres' streams
+    # are drawn and evaluated as one block
     residuals = _residuals(spherical_residuals, lambda rid: rid.removeprefix("sph_"))
+    pers = _sampled(cfg, "sphere-model", functools.partial(center_ray_triangles, center),
+                    lambda figure, m: residuals(figure[0], m), range(len(spheres)),
+                    _SKIPPED, check_arcs)
     rows: list[CheckRow] = []
-    for level, (rho, label, segments) in enumerate(_GEODESIC_SPHERE_RADII):
-        sphere = GeodesicSphere(center, rho * k)
-        arcs: list[float] = []
-
-        def check_arcs(figure, used):
-            # the first triangles used also measure the arc between two
-            # of their vertices, in one call over their rows, against the
-            # sphere's effective radius times the center angle between
-            # them, the triangle's side c; in units of k
-            rows = used[:_ARC_CHECK_PAIRS - len(arcs)]
-            if not len(rows):
-                return
-            triangles, directions = figure
-            with Columns(np.arange(len(rows))) as m:
-                p, q = (sphere.point_toward(tuple(directions[r][:, rows]), m) for r in (0, 1))
-                arc = intrinsic_arc_length(sphere, p, q, m, base_segments=segments)
-            if m.errors:
-                raise m.errors[min(m.errors)]
-            arcs.extend(((arc - sphere.effective_radius * triangles.c[rows]) / k).tolist())
-
-        per = _sampled(cfg, "sphere-model", functools.partial(center_ray_triangles, sphere),
-                       lambda figure, m: residuals(figure[0], m), level, _SKIPPED, check_arcs)
+    for (_, label, _), per, measured in zip(_GEODESIC_SPHERE_RADII, pers, arcs):
         rows += [make_row(f"gsph_rho{label}_{rid}", values, _tol(cfg, 1e-9))
                  for rid, values in per.items()]
-        rows.append(make_row(f"gsph_rho{label}_effective_radius", arcs, _tol(cfg, 1e-7)))
+        rows.append(make_row(f"gsph_rho{label}_effective_radius", measured, _tol(cfg, 1e-7)))
     return rows
 
 
 def _suite_horosphere(cfg: SuiteConfig) -> list[CheckRow]:
     k = cfg.curvature.k
     residuals = _residuals(euclidean_residuals, lambda rid: "horo_" + rid.removeprefix("euc_"))
-    per = _sampled(cfg, "horosphere", functools.partial(chart_triangles, k), residuals,
-                   skipped=_SKIPPED)
+    per, = _sampled(cfg, "horosphere", functools.partial(chart_triangles, k), residuals,
+                    skipped=_SKIPPED)
     rows = [make_row("horo_angle_sum", per.pop("horo_angle_sum"), _tol(cfg, 1e-9))]
     rows += [make_row(rid, values, _tol(cfg, 1e-10)) for rid, values in per.items()]
     ambient: list[float] = []
@@ -228,7 +271,7 @@ def _suite_prism(cfg: SuiteConfig) -> list[CheckRow]:
                  "prism_parallelism_match": parallelism_match(fig, m)}
                 | {r.relation_id: r.residual for r in replay_residuals(fig, m)})
 
-    per = _sampled(cfg, "prism", functools.partial(sample_right_triangles, geom), measure)
+    per, = _sampled(cfg, "prism", functools.partial(sample_right_triangles, geom), measure)
     tolerance = {"prism_ideal_alignment": 1e-10}
     return [make_row(rid, values, _tol(cfg, tolerance.get(rid, 1e-8)))
             for rid, values in per.items()]
@@ -327,7 +370,7 @@ def _suite_cevians(cfg: SuiteConfig) -> list[CheckRow]:
                               perturbed_residual(skew, _SENSITIVITY_DELTA)]
     euclidean, spherical, hyperbolic = (
         _sampled(cfg, "cevians", functools.partial(sample_cevian_configs, geom),
-                 lambda c, m: {"cev": cevian_residual(c, m)}, stream)["cev"]
+                 lambda c, m: {"cev": cevian_residual(c, m)}, (stream,))[0]["cev"]
         for stream, geom in enumerate((Curvature.euclidean(), Curvature.spherical(k),
                                        Curvature.hyperbolic(k))))
     rows.append(make_row("cev_euclidean_sampled", euclidean, _tol(cfg, 1e-9)))

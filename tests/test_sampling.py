@@ -18,8 +18,9 @@ from cctrig.columns import FLOATS
 from cctrig.geodesic_sphere import _RAY_BOUNDS, _ray_directions, center_ray_triangles
 from cctrig.sampling import (DEFAULT_ATTEMPTS, DEFAULT_MAX_SIDE, DEFAULT_MIN_ANGLE,
                              DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP, _philox_blocks,
-                             _uniforms, block_random, sample_right_triangles,
-                             sample_triangles)
+                             _uniforms, block_indices, block_random,
+                             sample_right_triangles, sample_triangles)
+from cctrig.suites import _GEODESIC_SPHERE_RADII, _STREAM_BASE, _SUB
 
 SPH = Curvature.spherical()
 HYP = Curvature.hyperbolic()
@@ -327,7 +328,7 @@ def test_center_ray_triangles_are_the_per_index_rays(k, radius):
     center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
     sphere = GeodesicSphere(center, radius)
     seed, start, n = 21, 3 << 32, 400
-    block = center_ray_triangles(sphere, seed, start, start + n)
+    block = center_ray_triangles(center, seed, start, start + n)
     assert block.rows.tolist() == list(range(n)) and not block.errors
     triangle, directions = block.figure
     triangles = _block_outcomes(dataclasses.replace(block, figure=triangle), n)
@@ -341,11 +342,63 @@ def test_center_ray_triangles_are_the_per_index_rays(k, radius):
     assert max(attempts) > 1  # some triple is rejected: the next round runs
 
 
+def test_stacked_center_ray_block_is_three_single_blocks_and_the_loop():
+    # sphere-model stacks its three spheres' indices in one column: row
+    # for row that block is each sphere's own block and its per-index loop
+    k, seed, n = 2.0, 8, 300
+    center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
+    starts = [_STREAM_BASE["sphere-model"] + level * _SUB for level in range(3)]
+    stacked = center_ray_triangles(center, seed, np.concatenate(
+        [block_indices(seed, start, start + n) for start in starts]))
+    assert stacked.rows.tolist() == list(range(3 * n)) and not stacked.errors
+    triangles = _block_outcomes(dataclasses.replace(stacked, figure=stacked.figure[0]), 3 * n)
+    directions = stacked.figure[1]
+    attempts = []
+    for level, start in enumerate(starts):
+        single = center_ray_triangles(center, seed, start, start + n)
+        assert _block_outcomes(dataclasses.replace(single, figure=single.figure[0]), n) == \
+            triangles[level * n:(level + 1) * n]
+        assert np.array_equal(single.figure[1], directions[:, :, level * n:(level + 1) * n])
+        sphere = GeodesicSphere(center, _GEODESIC_SPHERE_RADII[level][0] * k)
+        for i in range(n):
+            rays, made = _per_index_rays(seed, start + i, center)
+            attempts.append(made)
+            assert triangles[level * n + i] == \
+                _triangle_hex(geodesic_sphere_triangle(sphere, rays))
+    assert max(attempts) > 1  # some triple is rejected: later rounds run
+
+
+def _philox_calls(monkeypatch, call):
+    """The index count of every _philox_blocks call `call` makes: one
+    per round of the block sampler."""
+    import cctrig.sampling as sampling
+    calls = []
+    original = sampling._philox_blocks
+
+    def counted(counters, seed, indices):
+        calls.append(len(indices))
+        return original(counters, seed, indices)
+
+    monkeypatch.setattr(sampling, "_philox_blocks", counted)
+    call()
+    return calls
+
+
+def test_retry_rounds_are_sized_to_finish_the_block(monkeypatch):
+    # a round's fixed cost outweighs its rows: after one try per index,
+    # the retry round makes as many tries as finish the block (the
+    # one-try-first rule took three rounds here)
+    assert _philox_calls(monkeypatch, lambda: sample_triangles(HYP, 42, 0, 100)) == [100, 61]
+    assert _philox_calls(monkeypatch, lambda: sample_triangles(HYP, 1, 0, 100)) == [100, 55]
+    # every leg pair is accepted: one round of one try per index
+    assert _philox_calls(monkeypatch, lambda: sample_right_triangles(SPH, 42, 0, 100)) == [100]
+
+
 def test_center_ray_directions_are_uniform_on_the_sphere():
     # z uniform on [-1, 1) and phi on [0, 2 pi) is the uniform point on
     # the sphere; the separation rule keeps each ray's law, by symmetry
     center = ModelPoint(Model.HYPERBOLOID, (1.0, 0.0, 0.0, 0.0), 1.0)
-    block = center_ray_triangles(GeodesicSphere(center, 1.0), 3, 0, 100_000)
+    block = center_ray_triangles(center, 3, 0, 100_000)
     directions = block.figure[1]
     assert directions.shape == (3, 4, 100_000)
     for _, z, x, y in directions:
