@@ -50,13 +50,14 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .curvature import Curvature, GeometryKind
 from .errors import DegenerateError, DomainError, InfeasibleError
 from .floats import FLOATS
 from .models import (METRIC, MODEL_FOR_KIND, Model, ModelPoint, _add, _cross3, _enorm,
                      geodesic_point, model_distance, tangent_toward)
-from .sampling import (DEFAULT_ATTEMPTS, Block, block_indices, resolve_block,
-                       resolve_index)
+from .sampling import DEFAULT_ATTEMPTS, Block, resolve_block, resolve_index
 
 #: Relative floor below which O is considered to lie on a side or vertex:
 #: of the triangle's signed area, and of the side opposite each vertex.
@@ -349,15 +350,15 @@ def sample_cevian_config(geometry: Curvature, seed: int, index: int = 0, *,
                          functools.partial(_exhausted, attempts), rejected=_REJECTED)
 
 
-def sample_cevian_configs(geometry: Curvature, seed: int, start, stop: int | None = None, *,
+def sample_cevian_configs(geometry: Curvature, seed: int, indices: np.ndarray, *,
                           max_side: float = 2.0,
                           attempts: int = DEFAULT_ATTEMPTS) -> Block:
-    """sample_cevian_config for every index in [start, stop), or of the
-    index column `start` (sampling.block_indices): a Block whose figure
-    is a CevianConfig of columns. The indices past the first that raises
-    may be left out of the block, as a loop over the indices stops there
+    """sample_cevian_config for every index of the column `indices`
+    (sampling.block_indices): a Block whose figure is a CevianConfig of
+    columns. The indices past the first that raises may be left out of
+    the block, as a loop over the indices stops there
     (sampling.resolve_block, until_error)."""
     bounds, attempt = _cevian_plan(geometry, max_side)
-    return resolve_block(seed, block_indices(seed, start, stop), bounds, attempt, attempts,
+    return resolve_block(seed, indices, bounds, attempt, attempts,
                          functools.partial(_exhausted, attempts), rejected=_REJECTED,
                          until_error=True)

@@ -25,7 +25,7 @@ from .floats import FLOATS
 from .models import (Model, ModelPoint, Ray, _edot, _spacelike_norm,
                      check_segments, minkowski_dot, model_distance,
                      richardson_length, tangent_angle, tangent_toward)
-from .sampling import DEFAULT_ATTEMPTS, Block, block_indices, resolve_block
+from .sampling import DEFAULT_ATTEMPTS, Block, resolve_block
 from .triangle import TriangleData
 
 # rays closer than this (or to pi minus this) give no usable triangle
@@ -40,6 +40,11 @@ _RAY_BOUNDS = ((-1.0, 1.0), (0.0, 2.0 * math.pi)) * 3
 _workspace = threading.local()
 
 
+def _check_center(center: ModelPoint) -> None:
+    if center.model is not Model.HYPERBOLOID or len(center.coords) != 4:
+        raise DomainError("geodesic spheres need a 4-component hyperboloid center")
+
+
 @dataclass(frozen=True)
 class GeodesicSphere:
     """The set of points at geodesic distance `radius` from `center`."""
@@ -48,8 +53,7 @@ class GeodesicSphere:
     radius: float
 
     def __post_init__(self):
-        if self.center.model is not Model.HYPERBOLOID or len(self.center.coords) != 4:
-            raise DomainError("geodesic spheres need a 4-component hyperboloid center")
+        _check_center(self.center)
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise DomainError(f"sphere radius must be positive and finite, got {self.radius}")
         # past about 710 k no finite point lies on the sphere
@@ -78,21 +82,22 @@ def _tangent_part(direction, axis):
     return tuple([d + t * ax for d, ax in zip(direction, axis)])
 
 
-def geodesic_sphere_triangle(sphere: GeodesicSphere, rays: tuple[Ray, Ray, Ray],
-                             m=FLOATS) -> TriangleData:
-    """The spherical triangle cut by three center rays.
+def geodesic_sphere_triangle(rays: tuple[Ray, Ray, Ray], m=FLOATS) -> TriangleData:
+    """The spherical triangle cut by three rays from one hyperboloid
+    point on every geodesic sphere about it.
 
     Sides are the pairwise ray angles (unit-radius angular measure) and
     angles are the dihedral angles along each ray, both defined at the
-    center, so the result carries spherical geometry with k = 1 no
-    matter the sphere radius. With a Columns namespace the ray
-    directions are columns and so is the triangle.
+    center, so the result carries spherical geometry with k = 1 whatever
+    the sphere's radius. With a Columns namespace the ray directions are
+    columns and so is the triangle.
     """
-    for r in rays:
-        if r.base.coords != sphere.center.coords or r.base.k != sphere.center.k:
-            raise DomainError("all three rays must be based at the sphere center")
+    center = rays[0].base
+    _check_center(center)
+    for r in rays[1:]:
+        if r.base.coords != center.coords or r.base.k != center.k:
+            raise DomainError("all three rays must start at one point, the sphere center")
     d1, d2, d3 = (r.direction for r in rays)
-    center = sphere.center
     a = tangent_angle(center, d2, d3, m)
     b = tangent_angle(center, d3, d1, m)
     c = tangent_angle(center, d1, d2, m)
@@ -127,31 +132,28 @@ def _ray_directions(z0, phi0, z1, phi1, z2, phi2, m):
     return keep(d0, d1, d2)
 
 
-def center_ray_triangles(center: ModelPoint, seed: int, start,
-                         stop: int | None = None) -> Block:
+def center_ray_triangles(center: ModelPoint, seed: int, indices: np.ndarray) -> Block:
     """The triangles cut by random ray triples from a hyperboloid point,
-    one per index in [start, stop) or of the index column `start`
-    (sampling.block_indices): a Block whose figure is the triangle and
-    the ray directions of its rows (3, 4, rows).
+    one per index of the column `indices` (sampling.block_indices): a
+    Block whose figure is the triangle and the ray directions of its
+    rows (3, 4, rows).
 
-    The triangle's sides and angles are the rays' angles and dihedral
-    angles at the center, so it is that of every geodesic sphere about
-    the center, whatever its radius: one block serves several spheres,
-    their indices stacked in one column. Attempt j of index i runs
-    _ray_directions on uniforms 6j to 6j + 5 of sample_stream(seed, i)
-    over _RAY_BOUNDS, as sampling.resolve_block resolves a block; the
-    rays and their triangle are computed on columns. Block.errors holds
-    the first error of every index without a triangle, including the
-    exhausted attempt budget.
+    The triangle is that of every geodesic sphere about the center,
+    whatever its radius (geodesic_sphere_triangle), so one block serves
+    several spheres, their indices stacked in one column. Attempt j of
+    index i runs _ray_directions on uniforms 6j to 6j + 5 of
+    sample_stream(seed, i) over _RAY_BOUNDS, as sampling.resolve_block
+    resolves a block; the rays and their triangle are computed on
+    columns. Block.errors holds the first error of every index without a
+    triangle, including the exhausted attempt budget.
     """
-    drawn = resolve_block(seed, block_indices(seed, start, stop), _RAY_BOUNDS, _ray_directions,
-                          DEFAULT_ATTEMPTS, functools.partial(DomainError, _NO_RAYS))
+    drawn = resolve_block(seed, indices, _RAY_BOUNDS, _ray_directions, DEFAULT_ATTEMPTS,
+                          functools.partial(DomainError, _NO_RAYS))
     if drawn.figure is None:
         return drawn
     with Columns(drawn.rows) as m:
         rays = tuple(Ray.at(center, (0.0, *d), m) for d in drawn.figure)
-        # any radius serves, the scale's own
-        t = geodesic_sphere_triangle(GeodesicSphere(center, center.k), rays, m)
+        t = geodesic_sphere_triangle(rays, m)
     alive = ~m.dead
     directions = np.array([ray.direction for ray in rays])[:, :, alive]
     return Block(m.rows[alive], (take(t, alive), directions), drawn.errors | m.errors)

@@ -29,7 +29,7 @@ from .errors import DegenerateError, DomainError
 from .floats import FLOATS
 from .models import (ModelPoint, check_segments, model_angle, model_distance,
                      richardson_length)
-from .sampling import Block, block_indices, sample_stream
+from .sampling import Block, sample_stream
 from .triangle import TriangleData
 
 
@@ -70,11 +70,10 @@ def horosphere_triangle(height: float, p1, p2, p3, k: float = 1.0,
     return TriangleData(a, b, c, A, B, C, Curvature.euclidean()).validate(m)
 
 
-def chart_triangles(k: float, seed: int, start, stop: int | None = None) -> Block:
+def chart_triangles(k: float, seed: int, indices: np.ndarray) -> Block:
     """Random triangles on the horosphere z = k of scale k, one per index
-    in [start, stop) or of the index column `start`
-    (sampling.block_indices), with their chart vertices uniform on
-    [-2k, 2k)^2.
+    of the column `indices` (sampling.block_indices), with their chart
+    vertices uniform on [-2k, 2k)^2.
 
     Each index draws its six chart coordinates from its own stream with
     Generator.uniform, which refuses a range that overflows (k above
@@ -83,7 +82,6 @@ def chart_triangles(k: float, seed: int, start, stop: int | None = None) -> Bloc
     1e-3 k gives no row; Block.errors holds the error of each index
     horosphere_triangle refuses.
     """
-    indices = block_indices(seed, start, stop)
     pts = np.array([sample_stream(seed, i).uniform(-2.0 * k, 2.0 * k, size=6)
                     for i in indices.tolist()]).T.copy()
     with Columns(np.arange(len(indices))) as m:

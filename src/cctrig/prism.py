@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .curvature import GeometryKind
 from .errors import DomainError
 from .floats import FLOATS
-from .geodesic_sphere import GeodesicSphere, geodesic_sphere_triangle
+from .geodesic_sphere import geodesic_sphere_triangle
 from .horosphere import horosphere_triangle
 from .models import Model, ModelPoint, Ray, asymptotic_ray, ideal_direction
 from .parallelism import inverse_parallelism, parallelism_angle
@@ -130,8 +130,7 @@ def build_prism(base: TriangleData, m=FLOATS) -> PrismFigure:
     ray_k = asymptotic_ray(pa, axis_a_in_b, m)
     ray_m = Ray.at(pa, (0.0, 1.0, 0.0, 0.0), m)
     ray_n = Ray.at(pa, (0.0, m.cos(base.B), m.sin(base.B), 0.0), m)
-    sphere = GeodesicSphere(pa, k)
-    spherical = geodesic_sphere_triangle(sphere, (ray_k, ray_n, ray_m), m)
+    spherical = geodesic_sphere_triangle((ray_k, ray_n, ray_m), m)
 
     return PrismFigure(base, (pa, pb, pc), (axis_a, axis_b, axis_c),
                        omega, defect, spherical, horospherical)

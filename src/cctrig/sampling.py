@@ -28,10 +28,11 @@ that resolve_block reproduces on a block.
 
 Blocks. sample_triangles, sample_right_triangles,
 cevians.sample_cevian_configs and geodesic_sphere.center_ray_triangles
-draw a range of indices at once, or any column of them (several ranges
-stacked), bit for bit what resolve_index returns for each of them: an
-index's draws depend on (seed, index, attempt) alone and every column
-operation is row-wise. A numpy Philox4x64-10 (Salmon et al.,
+draw a column of indices at once (block_indices builds one from a
+range; several ranges may be stacked), bit for bit what resolve_index
+returns for each of them: an index's draws depend on (seed, index,
+attempt) alone and every column operation is row-wise. A numpy
+Philox4x64-10 (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), keyed as
 sample_stream keys it, hands every index of the block the words of its
 own stream that a round needs, so a block builds no Generator; an
@@ -184,13 +185,10 @@ def _philox_blocks(counters: np.ndarray, seed: int, indices: np.ndarray) -> tupl
     return mul[0], odd[0], mul[1], odd[1]
 
 
-def block_indices(seed: int, start, stop: int | None = None) -> np.ndarray:
-    """The uint64 column of stream indices a block sampler draws:
-    start..stop-1, refused as sample_stream refuses the first index out
-    of range, or, where stop is None, `start` itself, already such a
-    column (several ranges stacked, say)."""
-    if stop is None:
-        return start
+def block_indices(seed: int, start: int, stop: int) -> np.ndarray:
+    """Stream indices start..stop-1 as the uint64 column a block sampler
+    draws, refused as sample_stream refuses the first index out of
+    range. Several such columns stacked make one block."""
     _check_key(seed, start)
     _check_key(seed, min(max(start, stop - 1), _KEY_WORD))
     return np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
@@ -252,20 +250,22 @@ class Block:
 def _tries(width: int, resolved: int, tried: int, limit: int) -> int:
     """Attempts each of `width` unresolved indices makes in the next
     round, at most `limit`: the number r that costs least in this round
-    and what it leaves behind. The round costs width * r rows; with
-    an attempt accepted at the rate p = (resolved + 1) / (tried + 1)
-    seen so far, an index stays unresolved with chance q ** r, q = 1 - p,
-    so another round's _ROUND_COST follows unless all are resolved, and
+    and what it leaves behind. The round costs width * r rows. With an
+    attempt accepted at the rate p = (resolved + 1) / (tried + 1) seen
+    so far, an index stays unresolved with chance left = (1 - p) ** r;
     each index left over costs the 1 / p attempts an index has taken so
-    far. One while every attempt is accepted; more as rejections make
-    another round likely. No r whose rows alone cost more than the best
-    found can win, which ends the search."""
-    q = 1.0 - (resolved + 1) / (tried + 1)
+    far, and unless all are resolved more rounds follow, each costing
+    _ROUND_COST, about 1 / (1 - left) of them if they too make r tries.
+    One while every attempt is accepted; more as rejections make more
+    rounds likely. No r whose rows alone cost more than the best found
+    can win, which ends the search."""
+    p = (resolved + 1) / (tried + 1)
     best, best_cost = 1, math.inf
     r = 1
     while r <= limit and width * r < best_cost:
-        left = q ** r
-        cost = width * (r + left / (1.0 - q)) + _ROUND_COST * (1.0 - (1.0 - left) ** width)
+        left = (1.0 - p) ** r
+        cost = (width * (r + left / p)
+                + _ROUND_COST * (1.0 - (1.0 - left) ** width) / (1.0 - left))
         if cost < best_cost:
             best, best_cost = r, cost
         r += 1
@@ -296,12 +296,12 @@ def resolve_index(seed: int, index: int, bounds, attempt, attempts: int, exhaust
 def resolve_block(seed: int, indices: np.ndarray, bounds, attempt, attempts: int,
                   exhausted, *, rejected=(), until_error: bool = False) -> Block:
     """The first accepted attempt of every stream index in the uint64
-    column `indices`, as resolve_index takes it; the attempt runs on a
-    Columns block, where a row that gives no figure is rejected. The
-    block's positions are those of the column, which may stack several
-    ranges of indices: an index's draws depend on (seed, index, attempt)
-    alone and every column operation is row-wise, so its figure is the
-    same whatever its block mates.
+    column `indices` (block_indices), as resolve_index takes it; the
+    attempt runs on a Columns block, where a row that gives no figure is
+    rejected. The block's positions are those of the column, which may
+    stack several ranges of indices: an index's draws depend on (seed,
+    index, attempt) alone and every column operation is row-wise, so its
+    figure is the same whatever its block mates.
 
     Each round runs the next attempts of every index still unresolved as
     one block of rows, as many per index as _tries gives: one in the
@@ -319,6 +319,8 @@ def resolve_block(seed: int, indices: np.ndarray, bounds, attempt, attempts: int
     rows nor the errors of the block.
     """
     _check_key(seed, 0)
+    if indices.dtype != np.uint64:  # a uint64 column holds only valid indices
+        raise DomainError(f"stream indices must be a uint64 column, got {indices.dtype}")
     active = np.arange(len(indices))
     made = 0  # attempts made by every index still active
     taken, parts = [], []
@@ -458,15 +460,15 @@ def sample_triangle(geometry: Curvature, seed: int, index: int = 0, *,
                          _rejection_failure(geometry, attempts))
 
 
-def sample_triangles(geometry: Curvature, seed: int, start, stop: int | None = None, *,
+def sample_triangles(geometry: Curvature, seed: int, indices: np.ndarray, *,
                      min_angle: float = DEFAULT_MIN_ANGLE,
                      max_side: float = DEFAULT_MAX_SIDE,
                      min_side: float = DEFAULT_MIN_SIDE,
                      attempts: int = DEFAULT_ATTEMPTS) -> Block:
-    """sample_triangle for every index in [start, stop), or of the
-    index column `start` (block_indices)."""
+    """sample_triangle for every index of the column `indices`
+    (block_indices)."""
     bounds, attempt = _triangle_plan(geometry, min_angle, max_side, min_side)
-    return resolve_block(seed, block_indices(seed, start, stop), bounds, attempt, attempts,
+    return resolve_block(seed, indices, bounds, attempt, attempts,
                          _rejection_failure(geometry, attempts))
 
 
@@ -513,13 +515,12 @@ def sample_right_triangle(geometry: Curvature, seed: int, index: int = 0, *,
     return resolve_index(seed, index, bounds, attempt, 1, _rejection_failure(geometry, 1))
 
 
-def sample_right_triangles(geometry: Curvature, seed: int, start, stop: int | None = None, *,
+def sample_right_triangles(geometry: Curvature, seed: int, indices: np.ndarray, *,
                            min_leg: float = DEFAULT_MIN_SIDE,
                            max_leg: float | None = None) -> Block:
-    """sample_right_triangle for every index in [start, stop), or of the
-    index column `start` (block_indices), one attempt each: every leg
-    pair gives a triangle or raises, so none is rejected. The right
-    angle C stays the constant pi/2 rather than a column."""
+    """sample_right_triangle for every index of the column `indices`
+    (block_indices), one attempt each: every leg pair gives a triangle
+    or raises, so none is rejected. The right angle C stays the constant
+    pi/2 rather than a column."""
     bounds, attempt = _right_plan(geometry, min_leg, max_leg)
-    return resolve_block(seed, block_indices(seed, start, stop), bounds, attempt, 1,
-                         _rejection_failure(geometry, 1))
+    return resolve_block(seed, indices, bounds, attempt, 1, _rejection_failure(geometry, 1))

@@ -111,7 +111,7 @@ def test_criterion_04_geodesic_sphere_model(capsys):
             index += 1
             try:
                 rays = _ray_triple(g, center)
-                t = geodesic_sphere_triangle(sphere, rays)
+                t = geodesic_sphere_triangle(rays)
             except (DomainError, DegenerateError, InfeasibleError):
                 continue
             worst = max(worst, max(abs(r.residual)

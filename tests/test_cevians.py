@@ -11,6 +11,7 @@ from cctrig import (Curvature, DegenerateError, DomainError, InfeasibleError,
                     Model, ModelPoint, cevian_feet, cevian_residual,
                     model_distance, perturbed_residual, sample_cevian_config)
 from cctrig.cevians import sample_cevian_configs
+from cctrig.sampling import block_indices
 from cctrig.columns import Columns
 
 EUC = Curvature.euclidean()
@@ -106,7 +107,7 @@ def test_hyperbolic_euler_residual_is_a_few_roundings(k):
     # its change under a relative error u in each ratio. The tanh ratios
     # read at most 4.7 here at seed 5; plain or sinh ratios miss the
     # relation at first order and fail by many orders of magnitude.
-    cfg = sample_cevian_configs(Curvature.hyperbolic(k), 5, 0, 10_000).figure
+    cfg = sample_cevian_configs(Curvature.hyperbolic(k), 5, block_indices(5, 0, 10_000)).figure
     ra, rb, rc = cfg.ratios()
     assert len(ra) == 10_000
     with Columns(np.arange(len(ra))) as m:
@@ -216,7 +217,7 @@ def test_flat_figures_are_scale_free_and_survive_translation():
 
 
 def test_flat_feet_are_within_a_few_roundings_of_the_exact_intersection():
-    cfg = sample_cevian_configs(EUC, 11, 0, 2_000).figure
+    cfg = sample_cevian_configs(EUC, 11, block_indices(11, 0, 2_000)).figure
     columns = [np.asarray(p.coords[1:]).T.tolist() for p in
                (cfg.A, cfg.B, cfg.C, cfg.O, cfg.foot_a, cfg.foot_b, cfg.foot_c)]
     assert len(columns[0]) == 2_000

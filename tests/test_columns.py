@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cctrig import (Curvature, DegenerateError, DomainError, GeodesicSphere,
-                    Model, ModelPoint, Ray, TriangleData, euclidean_residuals,
+from cctrig import (Curvature, DegenerateError, DomainError, Model,
+                    ModelPoint, Ray, TriangleData, euclidean_residuals,
                     geodesic_sphere_triangle, hyperbolic_residuals,
                     imaginary_substitution_residuals, model_angle,
                     model_distance, spherical_residuals,
@@ -247,14 +247,13 @@ def test_model_helpers_on_columns_are_the_scalar_helpers():
 def test_geodesic_sphere_triangles_on_columns_are_the_scalar_ones():
     k = 1.5
     center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
-    sphere = GeodesicSphere(center, 0.7)
     rng = np.random.default_rng(8)
     rows = [tuple(rng.normal(size=9)) for _ in range(40)]
     rows.append(rows[0][:3] + rows[0][:3] + rows[0][6:])   # parallel rays
 
     def cut(m, *z):
         rays = tuple(Ray.at(center, (0.0, *z[i:i + 3]), m) for i in (0, 3, 6))
-        return geodesic_sphere_triangle(sphere, rays, m)
+        return geodesic_sphere_triangle(rays, m)
 
     m = _rowwise(cut, rows)
     assert any(type(e) in (DegenerateError, DomainError) for e in m.errors.values())

@@ -41,21 +41,26 @@ def test_effective_radius_formula():
 
 
 def test_orthogonal_rays_cut_an_octant():
-    for rho in (0.1, 1.0, 5.0):
-        t = geodesic_sphere_triangle(GeodesicSphere(ORIGIN, rho),
-                                     _orthogonal_rays(ORIGIN))
-        for value in t.sides() + t.angles():
-            assert value == pytest.approx(math.pi / 2.0, abs=1e-15)
-        assert t.geometry.kind.value == "spherical"
-        assert t.geometry.k == 1.0
+    t = geodesic_sphere_triangle(_orthogonal_rays(ORIGIN))
+    for value in t.sides() + t.angles():
+        assert value == pytest.approx(math.pi / 2.0, abs=1e-15)
+    assert t.geometry.kind.value == "spherical"
+    assert t.geometry.k == 1.0
 
 
 def test_triangle_is_independent_of_the_radius():
     g = sample_stream(13, 0)
     rays = _random_rays(g, ORIGIN)
-    t1 = geodesic_sphere_triangle(GeodesicSphere(ORIGIN, 0.1), rays)
-    t2 = geodesic_sphere_triangle(GeodesicSphere(ORIGIN, 5.0), rays)
-    assert t1 == t2
+    t = geodesic_sphere_triangle(rays)
+    # the rays from the center toward the points they cut on a small and
+    # a large sphere cut the same triangle
+    for rho in (0.1, 5.0):
+        sphere = GeodesicSphere(ORIGIN, rho)
+        back = tuple(Ray.at(ORIGIN, tangent_toward(ORIGIN, sphere.point_toward(r.direction)))
+                     for r in rays)
+        cut = geodesic_sphere_triangle(back)
+        for value, expected in zip(cut.sides() + cut.angles(), t.sides() + t.angles()):
+            assert value == pytest.approx(expected, rel=1e-13)
 
 
 def test_random_triangles_satisfy_spherical_relations():
@@ -66,8 +71,7 @@ def test_random_triangles_satisfy_spherical_relations():
         g = sample_stream(14, index)
         index += 1
         try:
-            t = geodesic_sphere_triangle(GeodesicSphere(ORIGIN, 1.0),
-                                         _random_rays(g, ORIGIN))
+            t = geodesic_sphere_triangle(_random_rays(g, ORIGIN))
         except (DomainError, DegenerateError):
             continue
         worst = max(worst, max(abs(r.residual) for r in spherical_residuals(t)))
@@ -509,22 +513,21 @@ def test_point_toward_lands_on_the_sphere():
 
 
 def test_degenerate_ray_pairs_are_rejected():
-    sphere = GeodesicSphere(ORIGIN, 1.0)
     same = Ray.at(ORIGIN, (0.0, 1.0, 0.0, 0.0))
     third = Ray.at(ORIGIN, (0.0, 0.0, 1.0, 0.0))
     with pytest.raises(DegenerateError):
-        geodesic_sphere_triangle(sphere, (same, same, third))
+        geodesic_sphere_triangle((same, same, third))
     anti = Ray.at(ORIGIN, (0.0, -1.0, 0.0, 0.0))
     with pytest.raises(DegenerateError):
-        geodesic_sphere_triangle(sphere, (same, anti, third))
+        geodesic_sphere_triangle((same, anti, third))
 
 
 def test_rays_must_sit_at_the_center():
-    sphere = GeodesicSphere(ORIGIN, 1.0)
     off = ModelPoint.hyperboloid((2.0, 1.0, 0.0, 0.5), 1.0)
-    rays = (Ray.at(off, (0.0, 1.0, 0.0, 0.0)),) + _orthogonal_rays(ORIGIN)[1:]
-    with pytest.raises(DomainError):
-        geodesic_sphere_triangle(sphere, rays)
+    for rays in ((Ray.at(off, (0.0, 1.0, 0.0, 0.0)),) + _orthogonal_rays(ORIGIN)[1:],
+                 _orthogonal_rays(ORIGIN)[:2] + (Ray.at(off, (0.0, 0.0, 0.0, 1.0)),)):
+        with pytest.raises(DomainError):
+            geodesic_sphere_triangle(rays)
 
 
 def test_arc_length_rejects_points_off_the_sphere():

@@ -17,6 +17,7 @@ from cctrig.cevians import sample_cevian_configs
 from cctrig.columns import Columns
 from cctrig.curvature import TRIG
 from cctrig.geodesic_sphere import _tangent_part
+from cctrig.sampling import block_indices
 
 HYP = Curvature.hyperbolic()
 
@@ -114,7 +115,7 @@ def test_the_plane_runs_through_the_shared_model_code():
         assert _row_bits(rays.base.coords, i) == _bits(one.base.coords)
         assert _row_bits(rays.direction, i) == _bits(one.direction)
     # every plane point of a cevian block, feet included, is on x0 = 1
-    cfg = sample_cevian_configs(Curvature.euclidean(), 29, 0, 500).figure
+    cfg = sample_cevian_configs(Curvature.euclidean(), 29, block_indices(29, 0, 500)).figure
     for point in (cfg.A, cfg.B, cfg.C, cfg.O, cfg.foot_a, cfg.foot_b, cfg.foot_c):
         assert point.k == 1.0 and np.all(np.asarray(point.coords[0]) == 1.0)
 

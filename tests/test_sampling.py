@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cctrig import (Curvature, DomainError, GeodesicSphere, Model, ModelPoint,
-                    Ray, SamplingError, angle_excess, geodesic_sphere_triangle,
+from cctrig import (Curvature, DomainError, Model, ModelPoint, Ray,
+                    SamplingError, angle_excess, geodesic_sphere_triangle,
                     sample_cevian_config, sample_right_triangle, sample_stream,
                     sample_triangle, spherical_right_residuals)
 from cctrig.cevians import sample_cevian_configs
@@ -20,7 +20,7 @@ from cctrig.sampling import (DEFAULT_ATTEMPTS, DEFAULT_MAX_SIDE, DEFAULT_MIN_ANG
                              DEFAULT_MIN_SIDE, SPHERE_SIDE_CAP, _philox_blocks,
                              _uniforms, block_indices, block_random,
                              sample_right_triangles, sample_triangles)
-from cctrig.suites import _GEODESIC_SPHERE_RADII, _STREAM_BASE, _SUB
+from cctrig.suites import _STREAM_BASE, _SUB
 
 SPH = Curvature.spherical()
 HYP = Curvature.hyperbolic()
@@ -283,7 +283,7 @@ def _block_outcomes(block, n):
                                     {"min_angle": 0.6, "attempts": 3}), ids=repr)
 def test_block_sampler_is_the_per_index_sampler(geometry, kwargs):
     seed, start, n = 9, 5 << 32, 300
-    block = sample_triangles(geometry, seed, start, start + n, **kwargs)
+    block = sample_triangles(geometry, seed, block_indices(seed, start, start + n), **kwargs)
     expected = [_scalar_outcome(sample_triangle, geometry, seed, start + i, **kwargs)
                 for i in range(n)]
     assert _block_outcomes(block, n) == expected
@@ -294,17 +294,21 @@ def test_block_sampler_is_the_per_index_sampler(geometry, kwargs):
 @pytest.mark.parametrize("geometry", (SPH, HYP, Curvature.hyperbolic(3.0)), ids=repr)
 def test_block_right_triangles_are_the_per_index_ones(geometry):
     seed, start, n = 4, 7 << 32, 200
-    block = sample_right_triangles(geometry, seed, start, start + n)
+    block = sample_right_triangles(geometry, seed, block_indices(seed, start, start + n))
     expected = [_scalar_outcome(sample_right_triangle, geometry, seed, start + i)
                 for i in range(n)]
     assert _block_outcomes(block, n) == expected
 
 
 def test_block_samplers_refuse_what_the_per_index_samplers_refuse():
-    for call in (lambda: sample_triangles(HYP, 2 ** 64, 0, 3),
-                 lambda: sample_triangles(HYP, 0, 2 ** 64 - 2, 2 ** 64 + 1),
-                 lambda: sample_triangles(HYP, 0, 0, 3, min_side=3.0, max_side=2.0),
-                 lambda: sample_right_triangles(EUC, 0, 0, 3)):
+    # a column passed to a sampler is checked as block_indices checks a range
+    for call in (lambda: block_indices(2 ** 64, 0, 3),
+                 lambda: block_indices(0, 2 ** 64 - 2, 2 ** 64 + 1),
+                 lambda: sample_triangles(HYP, 2 ** 64, np.arange(3, dtype=np.uint64)),
+                 lambda: sample_triangles(HYP, 0, np.arange(-1, 2)),
+                 lambda: sample_triangles(HYP, 0, block_indices(0, 0, 3), min_side=3.0,
+                                          max_side=2.0),
+                 lambda: sample_right_triangles(EUC, 0, block_indices(0, 0, 3))):
         with pytest.raises(DomainError):
             call()
 
@@ -321,14 +325,13 @@ def _per_index_rays(seed, index, center):
     raise AssertionError("no ray triple accepted")
 
 
-@pytest.mark.parametrize("k, radius", ((1.0, 0.1), (10.0, 50.0)))
-def test_center_ray_triangles_are_the_per_index_rays(k, radius):
+@pytest.mark.parametrize("k", (1.0, 10.0))
+def test_center_ray_triangles_are_the_per_index_rays(k):
     # the per-index loop and geodesic_sphere_triangle, index by index,
     # are the reference for the block form
     center = ModelPoint(Model.HYPERBOLOID, (k, 0.0, 0.0, 0.0), k)
-    sphere = GeodesicSphere(center, radius)
     seed, start, n = 21, 3 << 32, 400
-    block = center_ray_triangles(center, seed, start, start + n)
+    block = center_ray_triangles(center, seed, block_indices(seed, start, start + n))
     assert block.rows.tolist() == list(range(n)) and not block.errors
     triangle, directions = block.figure
     triangles = _block_outcomes(dataclasses.replace(block, figure=triangle), n)
@@ -338,7 +341,7 @@ def test_center_ray_triangles_are_the_per_index_rays(k, radius):
         attempts.append(made)
         assert [tuple(x.hex() for x in r.direction) for r in rays] == \
             [tuple(float(x).hex() for x in directions[r, :, i]) for r in range(3)]
-        assert triangles[i] == _triangle_hex(geodesic_sphere_triangle(sphere, rays))
+        assert triangles[i] == _triangle_hex(geodesic_sphere_triangle(rays))
     assert max(attempts) > 1  # some triple is rejected: the next round runs
 
 
@@ -355,16 +358,14 @@ def test_stacked_center_ray_block_is_three_single_blocks_and_the_loop():
     directions = stacked.figure[1]
     attempts = []
     for level, start in enumerate(starts):
-        single = center_ray_triangles(center, seed, start, start + n)
+        single = center_ray_triangles(center, seed, block_indices(seed, start, start + n))
         assert _block_outcomes(dataclasses.replace(single, figure=single.figure[0]), n) == \
             triangles[level * n:(level + 1) * n]
         assert np.array_equal(single.figure[1], directions[:, :, level * n:(level + 1) * n])
-        sphere = GeodesicSphere(center, _GEODESIC_SPHERE_RADII[level][0] * k)
         for i in range(n):
             rays, made = _per_index_rays(seed, start + i, center)
             attempts.append(made)
-            assert triangles[level * n + i] == \
-                _triangle_hex(geodesic_sphere_triangle(sphere, rays))
+            assert triangles[level * n + i] == _triangle_hex(geodesic_sphere_triangle(rays))
     assert max(attempts) > 1  # some triple is rejected: later rounds run
 
 
@@ -388,17 +389,32 @@ def test_retry_rounds_are_sized_to_finish_the_block(monkeypatch):
     # a round's fixed cost outweighs its rows: after one try per index,
     # the retry round makes as many tries as finish the block (the
     # one-try-first rule took three rounds here)
-    assert _philox_calls(monkeypatch, lambda: sample_triangles(HYP, 42, 0, 100)) == [100, 61]
-    assert _philox_calls(monkeypatch, lambda: sample_triangles(HYP, 1, 0, 100)) == [100, 55]
+    assert _philox_calls(monkeypatch, lambda: sample_triangles(HYP, 42, block_indices(42, 0, 100))) == [100, 61]
+    assert _philox_calls(monkeypatch, lambda: sample_triangles(HYP, 1, block_indices(1, 0, 100))) == [100, 55]
     # every leg pair is accepted: one round of one try per index
-    assert _philox_calls(monkeypatch, lambda: sample_right_triangles(SPH, 42, 0, 100)) == [100]
+    assert _philox_calls(monkeypatch, lambda: sample_right_triangles(SPH, 42, block_indices(42, 0, 100))) == [100]
+
+
+def test_blocks_that_reject_most_draws_take_few_rounds(monkeypatch):
+    # a retry round counts the rounds its leftover indices still need, so
+    # a block that rejects most draws spends its attempts in few rounds:
+    # no Euclidean triangle has every angle above 1.1, so every index
+    # spends its 128 attempts, in three rounds; a quarter of the
+    # hyperbolic indices find no triangle with every angle above 0.7
+    def euclidean():
+        block = sample_triangles(EUC, 42, block_indices(42, 0, 100), min_angle=1.1)
+        assert len(block.rows) == 0 and len(block.errors) == 100
+
+    assert _philox_calls(monkeypatch, euclidean) == [100, 100, 100]
+    assert _philox_calls(monkeypatch, lambda: sample_triangles(
+        HYP, 42, block_indices(42, 0, 100), min_angle=0.7)) == [100, 100, 93]
 
 
 def test_center_ray_directions_are_uniform_on_the_sphere():
     # z uniform on [-1, 1) and phi on [0, 2 pi) is the uniform point on
     # the sphere; the separation rule keeps each ray's law, by symmetry
     center = ModelPoint(Model.HYPERBOLOID, (1.0, 0.0, 0.0, 0.0), 1.0)
-    block = center_ray_triangles(center, 3, 0, 100_000)
+    block = center_ray_triangles(center, 3, block_indices(3, 0, 100_000))
     directions = block.figure[1]
     assert directions.shape == (3, 4, 100_000)
     for _, z, x, y in directions:
@@ -437,8 +453,8 @@ def _assert_cevian_block_is_the_loop(geometry, seed, start, n, attempts, **kwarg
     expected = [_cevian_outcome(geometry, seed, start + i, attempts=attempts, **kwargs)
                 for i in range(n)]
     failing = [i for i, e in enumerate(expected) if type(e[0]) is type]
-    block = sample_cevian_configs(geometry, seed, start, start + n, attempts=attempts,
-                                  **kwargs)
+    block = sample_cevian_configs(geometry, seed, block_indices(seed, start, start + n),
+                                  attempts=attempts, **kwargs)
     got = _cevian_block_outcomes(block)
     # every position up to the first failure is there, and what is there
     # is what the loop gives
@@ -482,7 +498,7 @@ def test_a_sampler_that_rejects_everything_fails_in_two_rounds(monkeypatch):
         return original(seed, indices, first, bounds, tries)
 
     monkeypatch.setattr(sampling, "_block_uniforms", counted)
-    block = sample_cevian_configs(Curvature.hyperbolic(0.1), 0, 0, 100)
+    block = sample_cevian_configs(Curvature.hyperbolic(0.1), 0, block_indices(0, 0, 100))
     assert list(block.errors) == [0] and len(block.rows) == 0
     assert str(block.errors[0]) == "no acceptable cevian configuration after 128 attempts"
     assert sum(drawn) <= 2 * 100 + 128

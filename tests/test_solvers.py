@@ -13,7 +13,7 @@ from cctrig import (Curvature, DegenerateError, DomainError, GeometryKind,
                     InfeasibleError, SimilarityError, sample_triangle,
                     solve_from_aaa, solve_from_asa, solve_from_sas, solve_from_sss)
 from cctrig.cli import main
-from cctrig.sampling import sample_triangles
+from cctrig.sampling import block_indices, sample_triangles
 
 SPH = Curvature.spherical()
 HYP = Curvature.hyperbolic()
@@ -355,7 +355,7 @@ def test_flat_sampled_angles_agree_with_mpmath(mpref):
     # against the law of cosines on the triangle's own measured sides
     grades = []
     for seed in (1, 2):
-        block = sample_triangles(EUC, seed, 0, 500)
+        block = sample_triangles(EUC, seed, block_indices(seed, 0, 500))
         assert block.rows.tolist() == list(range(500)) and block.errors == {}
         for i in range(500):
             t = sample_triangle(EUC, seed, i)

@@ -129,7 +129,7 @@ def test_sphere_model_draws_and_evaluates_one_block_for_its_three_spheres(monkey
         monkeypatch.setattr(module, name, call)
 
     counted(suites, "center_ray_triangles", lambda args: len(args[2]))
-    counted(geodesic_sphere, "geodesic_sphere_triangle", lambda args: len(args[1][0].direction[1]))
+    counted(geodesic_sphere, "geodesic_sphere_triangle", lambda args: len(args[0][0].direction[1]))
     counted(suites, "spherical_residuals", lambda args: len(args[0].a))
     counted(suites, "intrinsic_arc_length", lambda args: len(args[1].coords[1]))
     run_suite("sphere-model", SuiteConfig(samples=suites._BLOCK + 100, seed=3))
